@@ -83,8 +83,11 @@ def write_json(obj, path: str) -> None:
 
 
 def read_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot decode {path}: {exc}") from exc
 
 
 def require(path: str, producer: str):
@@ -253,20 +256,6 @@ def write_crosstab(path: str, crosstab: CrossTab) -> None:
                     + [f"{shares[c]:.6f}" for c in CROSSTAB_CATEGORIES]
                     + [crosstab.n_terms[status]]
                 )
-
-
-def read_crosstab(path: str) -> CrossTab:
-    shares: dict[str, dict[str, float] | None] = {}
-    n_terms: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            status = row["status"]
-            if row[CROSSTAB_CATEGORIES[0]] == "":
-                shares[status] = None
-            else:
-                shares[status] = {c: float(row[c]) for c in CROSSTAB_CATEGORIES}
-            n_terms[status] = int(row["n_terms"])
-    return CrossTab(shares=shares, n_terms=n_terms)
 
 
 def write_matrix(path: str, matrix, vocabulary: Vocabulary, weighting: str) -> None:

@@ -3,8 +3,8 @@
 One JSON config drives every subcommand; stages read earlier artifacts
 from the output directory, so `run` and stage-at-a-time execution give
 byte-identical results. Exit codes: 0 success, 2 config error, 3 input
-error, 4 numeric failure, 5 I/O error. Set DIACHRON_LOG to error, warn,
-info, or debug to control logging.
+error, 4 numeric failure, 5 I/O error. Set DIACHRON_LOG to debug, info,
+warning (or warn), or error, in any case, to control logging.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .pipeline import STAGES, load_config, run_pipeline, run_stage, with_overrid
 
 LOG_LEVELS = {
     "error": logging.ERROR,
+    "warning": logging.WARNING,
     "warn": logging.WARNING,
     "info": logging.INFO,
     "debug": logging.DEBUG,
@@ -79,7 +80,8 @@ def main(argv: list[str] | None = None) -> int:
     level = LOG_LEVELS.get(os.environ.get("DIACHRON_LOG", "warn").lower())
     if level is None:
         print(
-            "diachron: error: DIACHRON_LOG must be one of error, warn, info, debug",
+            "diachron: error: DIACHRON_LOG must be one of debug, info, warning "
+            "(or warn), error",
             file=sys.stderr,
         )
         return 2

@@ -83,7 +83,10 @@ class ClusterSummary:
 
 def _row_cosines(M: sp.csr_matrix, row: int) -> np.ndarray:
     # rows are unit vectors, so the dot product is the cosine
-    return np.asarray((M @ M[row].T).todense()).ravel()
+    v = np.zeros(M.shape[1])
+    start, end = M.indptr[row], M.indptr[row + 1]
+    v[M.indices[start:end]] = M.data[start:end]
+    return M @ v
 
 
 def _init_axes(M: sp.csr_matrix, k: int, rng: random.Random) -> np.ndarray:
@@ -122,22 +125,35 @@ def _objective(proj: np.ndarray) -> float:
 
 
 def _assign(M: sp.csr_matrix, axes: np.ndarray):
-    P = np.asarray(M @ axes.T)
+    P = M @ np.ascontiguousarray(axes.T)
     assign = np.argmax(P, axis=1)  # ties resolve to the lowest cluster id
     proj = P[np.arange(P.shape[0]), assign]
     return P, assign, proj
 
 
+def _nonzero_rows(M: sp.csr_matrix) -> np.ndarray:
+    """Row index of every stored value of M, in storage order."""
+    return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+
+
 def _update_axes(
-    M: sp.csr_matrix, axes: np.ndarray, assign: np.ndarray, P: np.ndarray, k: int
+    M: sp.csr_matrix,
+    rows: np.ndarray,
+    axes: np.ndarray,
+    assign: np.ndarray,
+    P: np.ndarray,
+    k: int,
 ) -> np.ndarray:
-    # all k weighted member sums in one sparse product: W holds each doc's
-    # projection in its own cluster's column and zero elsewhere
-    n = M.shape[0]
-    docs = np.arange(n)
-    W = np.zeros((n, k))
-    W[docs, assign] = P[docs, assign]
-    sums = np.ascontiguousarray((M.T @ W).T)
+    # every cluster's projection-weighted member sum as one segment sum:
+    # each nonzero M[d, t] adds M[d, t] * P[d, assign[d]] to bin (assign[d], t).
+    # Within a bin the products arrive in ascending d, as in M.T @ W with W
+    # holding each doc's projection in its own cluster's column, whose other
+    # terms are +0.0; so the sums equal that product bit for bit.
+    n, V = M.shape
+    proj = P[np.arange(n), assign]
+    sums = np.bincount(
+        assign[rows] * V + M.indices, weights=M.data * proj[rows], minlength=k * V
+    ).reshape(k, V)
     norms = np.linalg.norm(sums, axis=1)
     sizes = np.bincount(assign, minlength=k)
 
@@ -159,14 +175,14 @@ def _update_axes(
     return new_axes
 
 
-def _fit_single(M: sp.csr_matrix, config: ClusterConfig, seed: int):
+def _fit_single(M: sp.csr_matrix, rows: np.ndarray, config: ClusterConfig, seed: int):
     rng = random.Random(seed)
     axes = _init_axes(M, config.k, rng)
     P, assign, proj = _assign(M, axes)
     objective = _objective(proj)
     trace = [objective]
     for _ in range(config.max_iters):
-        new_axes = _update_axes(M, axes, assign, P, config.k)
+        new_axes = _update_axes(M, rows, axes, assign, P, config.k)
         new_P, new_assign, new_proj = _assign(M, new_axes)
         new_objective = _objective(new_proj)
         if new_objective < objective:
@@ -199,9 +215,10 @@ def fit_axial_kmeans(
     M = matrix.matrix if identity else matrix.matrix[order]
 
     seeds = [derive_seed(config.seed, f"restart.{r}") for r in range(config.restarts)]
+    rows = _nonzero_rows(M)  # read-only, shared by every restart
 
     def run(r: int):
-        return _fit_single(M, config, seeds[r])
+        return _fit_single(M, rows, config, seeds[r])
 
     if threads > 1 and config.restarts > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

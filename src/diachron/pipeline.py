@@ -3,8 +3,10 @@
 Every stage reads its inputs from prior-stage artifacts in the output
 directory and rebuilds cheap intermediates (period slices, vocabulary,
 matrices) from corpus.jsonl, so stages can run one at a time or chained
-by `run` with byte-identical results. All randomness flows from the
-single config seed through stage-labeled derived seeds.
+by `run` with byte-identical results. Both go through one runner, which
+parses corpus.jsonl at most once per invocation and hands the result to
+every stage. All randomness flows from the single config seed through
+stage-labeled derived seeds.
 
 The terms stage runs before clustering when dispersion cells come from
 record categories, and after it when cells are the period clusters
@@ -226,17 +228,36 @@ def with_overrides(
     return config
 
 
-def _corpus_state(
-    config: RunConfig, out: str
-) -> tuple[CorpusSlice, CorpusSlice, Vocabulary]:
-    path = artifacts.require(os.path.join(out, artifacts.CORPUS), "ingest")
-    records, _ = load_corpus(path, "jsonl")
-    p1, p2, _ = split_periods(records, config.periods)
-    vocabulary = build_vocabulary(p1, p2, config.min_df)
-    return p1, p2, vocabulary
+class CorpusCache:
+    """corpus.jsonl of one invocation, parsed at most once and shared by its
+    stages. In both stage orders every stage that reads the period slices
+    runs before the first that reads only the vocabulary, so that read
+    drops the slices: map and link hold no records while they work."""
+
+    def __init__(self, config: RunConfig, out: str) -> None:
+        self._config = config
+        self._out = out
+        self._slices: tuple[CorpusSlice, CorpusSlice, Vocabulary] | None = None
+        self._vocabulary: Vocabulary | None = None
+
+    def slices(self) -> tuple[CorpusSlice, CorpusSlice, Vocabulary]:
+        if self._slices is None:
+            path = artifacts.require(os.path.join(self._out, artifacts.CORPUS), "ingest")
+            records, _ = load_corpus(path, "jsonl")
+            p1, p2, _ = split_periods(records, self._config.periods)
+            self._slices = p1, p2, build_vocabulary(p1, p2, self._config.min_df)
+        return self._slices
+
+    def vocabulary(self) -> Vocabulary:
+        if self._vocabulary is None:
+            self._vocabulary = self.slices()[2]
+        self._slices = None
+        return self._vocabulary
 
 
-def stage_ingest(config: RunConfig, out: str, threads: int = 1) -> None:
+def stage_ingest(
+    config: RunConfig, out: str, corpus: CorpusCache, threads: int = 1
+) -> None:
     records, load_report = load_corpus(config.input, config.format)
     _, _, split_report = split_periods(records, config.periods)
     save_corpus(records, os.path.join(out, artifacts.CORPUS), "jsonl")
@@ -254,8 +275,10 @@ def stage_ingest(config: RunConfig, out: str, threads: int = 1) -> None:
     )
 
 
-def stage_terms(config: RunConfig, out: str, threads: int = 1) -> None:
-    p1, p2, vocabulary = _corpus_state(config, out)
+def stage_terms(
+    config: RunConfig, out: str, corpus: CorpusCache, threads: int = 1
+) -> None:
+    p1, p2, vocabulary = corpus.slices()
     assignments = None
     if config.gini_cells == "clusters":
         assignments = {}
@@ -276,8 +299,10 @@ def stage_terms(config: RunConfig, out: str, threads: int = 1) -> None:
     write_terms_csv(stats, os.path.join(out, artifacts.TERMS))
 
 
-def stage_cluster(config: RunConfig, out: str, threads: int = 1) -> None:
-    p1, p2, vocabulary = _corpus_state(config, out)
+def stage_cluster(
+    config: RunConfig, out: str, corpus: CorpusCache, threads: int = 1
+) -> None:
+    p1, p2, vocabulary = corpus.slices()
     for slice_ in (p1, p2):
         matrix = build_matrix(slice_, vocabulary, config.weighting)
         cluster_config = config.cluster_config(slice_.period_id)
@@ -307,8 +332,10 @@ def stage_cluster(config: RunConfig, out: str, threads: int = 1) -> None:
             )
 
 
-def stage_map(config: RunConfig, out: str, threads: int = 1) -> None:
-    _, _, vocabulary = _corpus_state(config, out)
+def stage_map(
+    config: RunConfig, out: str, corpus: CorpusCache, threads: int = 1
+) -> None:
+    vocabulary = corpus.vocabulary()
     for period_id in PERIOD_IDS:
         path = artifacts.require(
             os.path.join(out, artifacts.clusters_file(period_id)), "cluster"
@@ -329,8 +356,10 @@ def stage_map(config: RunConfig, out: str, threads: int = 1) -> None:
             fh.write(render_svg(cmap, summaries))
 
 
-def stage_link(config: RunConfig, out: str, threads: int = 1) -> None:
-    _, _, vocabulary = _corpus_state(config, out)
+def stage_link(
+    config: RunConfig, out: str, corpus: CorpusCache, threads: int = 1
+) -> None:
+    vocabulary = corpus.vocabulary()
     model_p1, _ = artifacts.read_clusters(
         artifacts.require(os.path.join(out, artifacts.clusters_file("P1")), "cluster"),
         vocabulary,
@@ -352,7 +381,9 @@ def stage_link(config: RunConfig, out: str, threads: int = 1) -> None:
     artifacts.write_crosstab(os.path.join(out, artifacts.CROSSTAB), crosstab)
 
 
-def stage_report(config: RunConfig, out: str, threads: int = 1) -> None:
+def stage_report(
+    config: RunConfig, out: str, corpus: CorpusCache, threads: int = 1
+) -> None:
     for period_id in PERIOD_IDS:
         path = artifacts.require(
             os.path.join(out, artifacts.map_json_file(period_id)), "map"
@@ -399,13 +430,16 @@ STAGES = {
 }
 
 
-def run_stage(name: str, config: RunConfig, out: str, threads: int = 1) -> None:
-    """Run one stage; on failure, remove files this invocation created."""
+def _run_stages(names: list[str], config: RunConfig, out: str, threads: int) -> None:
+    """Run stages in order; on failure, remove files this invocation created."""
     os.makedirs(out, exist_ok=True)
     before = set(os.listdir(out))
-    start = time.perf_counter()
+    corpus = CorpusCache(config, out)  # parsed on first use, after any ingest
     try:
-        STAGES[name](config, out, threads)
+        for name in names:
+            start = time.perf_counter()
+            STAGES[name](config, out, corpus, threads)
+            log.info("stage %s finished in %.2fs", name, time.perf_counter() - start)
     except BaseException:
         for entry in set(os.listdir(out)) - before:
             try:
@@ -413,24 +447,15 @@ def run_stage(name: str, config: RunConfig, out: str, threads: int = 1) -> None:
             except OSError:
                 pass
         raise
-    log.info("stage %s finished in %.2fs", name, time.perf_counter() - start)
+
+
+def run_stage(name: str, config: RunConfig, out: str, threads: int = 1) -> None:
+    """Run one stage; on failure, remove files this invocation created."""
+    _run_stages([name], config, out, threads)
 
 
 def run_pipeline(config: RunConfig, out: str, threads: int = 1) -> None:
     """All stages in canonical order; partial outputs removed on failure."""
-    os.makedirs(out, exist_ok=True)
-    before = set(os.listdir(out))
     start = time.perf_counter()
-    try:
-        for name in config.stage_order():
-            stage_start = time.perf_counter()
-            STAGES[name](config, out, threads)
-            log.info("stage %s finished in %.2fs", name, time.perf_counter() - stage_start)
-    except BaseException:
-        for entry in set(os.listdir(out)) - before:
-            try:
-                os.remove(os.path.join(out, entry))
-            except OSError:
-                pass
-        raise
+    _run_stages(config.stage_order(), config, out, threads)
     log.info("pipeline finished in %.2fs", time.perf_counter() - start)

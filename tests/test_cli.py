@@ -292,6 +292,22 @@ class TestStageSequencing:
         assert rc == 4
         assert os.listdir(out) == []
 
+    def test_truncated_cluster_artifact_exits_3_and_names_it(
+        self, corpus_dir, tmp_path, capsys
+    ):
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
+        out = tmp_path / "out"
+        assert main(["ingest", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["cluster", "--config", str(config), "--out", str(out)]) == 0
+        target = out / "clusters_P1.json"
+        data = target.read_bytes()
+        target.write_bytes(data[: len(data) // 2])
+        before = set(os.listdir(out))
+        rc = main(["map", "--config", str(config), "--out", str(out)])
+        assert rc == 3
+        assert "clusters_P1.json" in capsys.readouterr().err
+        assert set(os.listdir(out)) == before
+
     def test_report_rerenders_svg_from_map_json(self, corpus_dir, tmp_path):
         config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
         out = tmp_path / "out"
@@ -384,6 +400,12 @@ class TestErrorExits:
 
     def test_log_level_is_case_insensitive(self, monkeypatch, tmp_path):
         monkeypatch.setenv("DIACHRON_LOG", "DEBUG")
+        out = tmp_path / "corpus"
+        assert main(["syngen", "--preset", "three-blocks", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("level", ["DEBUG", "INFO", "WARNING", "ERROR"])
+    def test_readme_log_levels_are_accepted(self, monkeypatch, tmp_path, level):
+        monkeypatch.setenv("DIACHRON_LOG", level)
         out = tmp_path / "corpus"
         assert main(["syngen", "--preset", "three-blocks", "--out", str(out)]) == 0
 

@@ -1,19 +1,24 @@
 import math
+import os
+import random
 from itertools import combinations
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from diachron import cluster, pipeline, syngen
 from diachron.cluster import (
     ClusterConfig,
     ClusterModel,
+    _init_axes,
+    _nonzero_rows,
     _update_axes,
     fit_axial_kmeans,
     init_axes,
     summarize_clusters,
 )
-from diachron.corpus import CorpusSlice, Record, Vocabulary, build_vocabulary
+from diachron.corpus import CorpusSlice, Record, Vocabulary, build_vocabulary, save_corpus
 from diachron.errors import ConfigError, NumericError
 from diachron.vectorize import DocTermMatrix, build_matrix
 
@@ -259,7 +264,7 @@ class TestEmptyClusterReseed:
         P = np.asarray(M @ axes.T)
         assign = np.argmax(P, axis=1)
         assert np.array_equal(assign, [0, 0, 0])  # cluster 1 is empty
-        new_axes = _update_axes(M, axes, assign, P, 2)
+        new_axes = _update_axes(M, _nonzero_rows(M), axes, assign, P, 2)
         # row 2 has the lowest projection onto the empty cluster's axis
         assert np.allclose(new_axes[1], [0.0, 1.0, 0.0], atol=1e-12)
 
@@ -282,9 +287,65 @@ class TestEmptyClusterReseed:
         )
         P = np.asarray(M @ axes.T)
         assign = np.zeros(3, dtype=np.int64)
-        new_axes = _update_axes(M, axes, assign, P, 3)
+        new_axes = _update_axes(M, _nonzero_rows(M), axes, assign, P, 3)
         assert np.allclose(new_axes[1], M.getrow(2).toarray().ravel(), atol=1e-12)
         assert np.allclose(new_axes[2], M.getrow(1).toarray().ravel(), atol=1e-12)
+
+
+def _reference_update(M, axes, assign, P, k):
+    """Per-cluster oracle for one axis update: the normalized
+    projection-weighted member sum M[rows].T @ P[rows, c]; an empty cluster
+    takes the unused row of lowest projection onto its axis, and a zero sum
+    keeps the old axis."""
+    new_axes = np.empty_like(axes)
+    taken = set()
+    for c in range(k):
+        rows = np.flatnonzero(assign == c)
+        if rows.size == 0:
+            order = np.argsort(P[:, c], kind="stable")
+            pick = next(int(r) for r in order if int(r) not in taken)
+            taken.add(pick)
+            new_axes[c] = M[pick].toarray().ravel()
+            continue
+        total = M[rows].T @ P[rows, c]
+        norm = np.linalg.norm(total)
+        new_axes[c] = total / norm if norm > 0.0 else axes[c]
+    return new_axes
+
+
+def _random_sparse_rows(rng, n, m, density=0.3):
+    dense = rng.random((n, m))
+    dense[rng.random((n, m)) >= density] = 0.0
+    for i in range(n):
+        if not dense[i].any():
+            dense[i, int(rng.integers(0, m))] = rng.random() + 0.1
+    return dense / np.linalg.norm(dense, axis=1, keepdims=True)
+
+
+class TestUpdateAxesOracle:
+    # unit-norm float64 rows: the kernel and the oracle take the norm in a
+    # different summation order, so components may differ by a few ulps
+    ATOL = 16 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_per_cluster_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m, k = int(rng.integers(6, 60)), int(rng.integers(3, 40)), int(rng.integers(2, 7))
+        M = sp.csr_matrix(_random_sparse_rows(rng, n, m))
+        axes = _random_sparse_rows(rng, k, m, density=0.6)
+        P = M @ axes.T
+        assign = rng.integers(0, k, size=n)
+        if seed % 3 == 1:
+            assign[assign == k - 1] = 0  # cluster k-1 is empty
+        elif seed % 3 == 2:
+            P[assign == 1, 1] = 0.0  # cluster 1's members add nothing
+        got = _update_axes(M, _nonzero_rows(M), axes, assign, P, k)
+        want = _reference_update(M, axes, assign, P, k)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=self.ATOL)
+        if seed % 3 == 1:
+            assert np.array_equal(got[k - 1], want[k - 1])
+        elif seed % 3 == 2 and np.any(assign == 1):
+            assert np.array_equal(got[1], axes[1])
 
 
 class TestInitAxes:
@@ -320,6 +381,49 @@ class TestInitAxes:
         a = init_axes(dtm, 3, seed=123)
         b = init_axes(dtm, 3, seed=123)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_sparse_product_cosines(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        rows = _random_sparse_rows(rng, 40, 15)
+        rows[20:30] = rows[:10]  # duplicate rows give tied cosines
+        M = sp.csr_matrix(rows)
+        got = _init_axes(M, 8, random.Random(seed))
+        monkeypatch.setattr(
+            cluster,
+            "_row_cosines",
+            lambda M, row: np.asarray((M @ M[row].T).todense()).ravel(),
+        )
+        want = _init_axes(M, 8, random.Random(seed))
+        assert np.array_equal(got, want)
+
+
+class TestCorpusParsedOncePerRun:
+    @pytest.mark.parametrize("gini_cells", ["categories", "clusters"])
+    def test_run_pipeline_parses_corpus_jsonl_once(self, tmp_path, monkeypatch, gini_cells):
+        records, _ = syngen.generate(syngen.preset("three-blocks", seed=3))
+        source = tmp_path / "input.jsonl"
+        save_corpus(records, str(source), "jsonl")
+        out = tmp_path / "out"
+        config = pipeline.config_from_dict(
+            {
+                "input": str(source),
+                "periods": {"p1": [1996, 1998], "p2": [2001, 2003]},
+                "cluster": {"k": 3, "restarts": 2, "max_iters": 10},
+                "gini_cells": gini_cells,
+            }
+        )
+        paths = []
+        load_corpus = pipeline.load_corpus
+
+        def counting_load(path, *args, **kwargs):
+            paths.append(os.path.abspath(path))
+            return load_corpus(path, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "load_corpus", counting_load)
+        pipeline.run_pipeline(config, str(out))
+        assert paths.count(str(out / "corpus.jsonl")) == 1
+        assert paths.count(str(source)) == 1
 
 
 class TestSummarizeClusters:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diachron.corpus import CorpusSlice, Record, Vocabulary, build_vocabulary
@@ -97,6 +97,8 @@ class TestGini:
     @settings(max_examples=100, deadline=None)
     @given(x=share_vectors, c=st.floats(min_value=1e-3, max_value=1e3))
     def test_scale_invariant(self, x, c):
+        # a subnormal x can scale to all zeros, where gini is undefined
+        assume(any(c * v > 0 for v in x))
         assert gini([c * v for v in x]) == pytest.approx(gini(x), abs=1e-9)
 
     @settings(max_examples=100, deadline=None)
