@@ -10,6 +10,7 @@ in-memory model and detect stale artifacts after an input change.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -18,7 +19,7 @@ import os
 import numpy as np
 
 from .cluster import ClusterModel, ClusterSummary
-from .corpus import Vocabulary
+from .corpus import Vocabulary, atomic_open
 from .diachrony import (
     CROSSTAB_CATEGORIES,
     STATUS_NEW,
@@ -27,7 +28,7 @@ from .diachrony import (
     Linkage,
 )
 from .errors import InputError
-from .mapping import ClusterMap
+from .mapping import ClusterMap, render_svg
 
 LOAD_REPORT = "load_report.json"
 CORPUS = "corpus.jsonl"
@@ -77,7 +78,7 @@ def vocab_sha256(vocabulary: Vocabulary) -> str:
 
 
 def write_json(obj, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(obj, fh, indent=2, ensure_ascii=False)
         fh.write("\n")
 
@@ -88,6 +89,15 @@ def read_json(path: str):
             return json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot decode {path}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def parsing(path: str):
+    """Report a decoded artifact of the wrong shape as an input error naming it."""
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed artifact {path}: {exc!r}") from exc
 
 
 def require(path: str, producer: str):
@@ -107,7 +117,7 @@ def write_clusters(
     vocabulary: Vocabulary,
     config_echo: dict,
 ) -> None:
-    axes = model.axes_dense()
+    axes = model.axes
     clusters = []
     for c, summary in enumerate(summaries):
         rows = np.flatnonzero(np.asarray(model.assignment) == c)
@@ -141,43 +151,43 @@ def read_clusters(
 ) -> tuple[ClusterModel, list[ClusterSummary]]:
     """Rebuild the exact model from the artifact's full-precision axes."""
     data = read_json(path)
-    stored = data.get("vocab_sha256")
-    current = vocab_sha256(vocabulary)
-    if stored != current:
-        raise InputError(
-            f"stale artifact {os.path.basename(path)}: it was built over a "
-            "different vocabulary (re-run upstream stages)"
-        )
-    clusters = data["clusters"]
-    k = len(clusters)
-    axes = np.zeros((k, len(vocabulary)))
-    member_cluster: dict[str, int] = {}
-    summaries = []
-    for entry in clusters:
-        c = int(entry["id"])
-        for term, weight in entry["axis"].items():
-            axes[c][vocabulary.index[term]] = float(weight)
-        for doc in entry["members"]:
-            member_cluster[doc] = c
-        summaries.append(
-            ClusterSummary(
-                cluster_id=c,
-                label=entry["label"],
-                top_terms=tuple((t, float(w)) for t, w in entry["top_terms"]),
-                size=int(entry["size"]),
+    with parsing(path):
+        stored = data.get("vocab_sha256")
+        current = vocab_sha256(vocabulary)
+        if stored != current:
+            raise InputError(
+                f"stale artifact {os.path.basename(path)}: it was built over a "
+                "different vocabulary (re-run upstream stages)"
             )
+        clusters = data["clusters"]
+        k = len(clusters)
+        axes = np.zeros((k, len(vocabulary)))
+        member_cluster: dict[str, int] = {}
+        summaries = []
+        for entry in clusters:
+            c = int(entry["id"])
+            for term, weight in entry["axis"].items():
+                axes[c][vocabulary.index[term]] = float(weight)
+            for doc in entry["members"]:
+                member_cluster[doc] = c
+            summaries.append(
+                ClusterSummary(
+                    cluster_id=c,
+                    label=entry["label"],
+                    top_terms=tuple((t, float(w)) for t, w in entry["top_terms"]),
+                    size=int(entry["size"]),
+                )
+            )
+        doc_ids = tuple(sorted(member_cluster))
+        assignment = np.array([member_cluster[d] for d in doc_ids], dtype=int)
+        model = ClusterModel(
+            period_id=data["period_id"],
+            axes=axes,
+            assignment=assignment,
+            objective_trace=tuple(float(j) for j in data["objective_trace"]),
+            sizes=tuple(s.size for s in summaries),
+            doc_ids=doc_ids,
         )
-    doc_ids = tuple(sorted(member_cluster))
-    assignment = np.array([member_cluster[d] for d in doc_ids], dtype=int)
-    sizes = tuple(int(entry["size"]) for entry in clusters)
-    model = ClusterModel(
-        period_id=data["period_id"],
-        axes=axes,
-        assignment=assignment,
-        objective_trace=tuple(float(j) for j in data["objective_trace"]),
-        sizes=sizes,
-        doc_ids=doc_ids,
-    )
     return model, summaries
 
 
@@ -202,19 +212,25 @@ def write_map(
 
 def read_map(path: str) -> tuple[ClusterMap, list[ClusterSummary]]:
     data = read_json(path)
-    cmap = ClusterMap(
-        period_id=data["period_id"],
-        coords=tuple((float(x), float(y)) for x, y in data["coords"]),
-        eigenvalues=(float(data["eigenvalues"][0]), float(data["eigenvalues"][1])),
-        explained_variance=float(data["explained_variance"]),
-        edges=tuple((int(i), int(j), float(s)) for i, j, s in data["edges"]),
-        components=tuple(tuple(int(x) for x in c) for c in data["components"]),
-    )
-    summaries = [
-        ClusterSummary(cluster_id=c, label=label, top_terms=(), size=int(size))
-        for c, (label, size) in enumerate(zip(data["labels"], data["sizes"]))
-    ]
+    with parsing(path):
+        cmap = ClusterMap(
+            period_id=data["period_id"],
+            coords=tuple((float(x), float(y)) for x, y in data["coords"]),
+            eigenvalues=(float(data["eigenvalues"][0]), float(data["eigenvalues"][1])),
+            explained_variance=float(data["explained_variance"]),
+            edges=tuple((int(i), int(j), float(s)) for i, j, s in data["edges"]),
+            components=tuple(tuple(int(x) for x in c) for c in data["components"]),
+        )
+        summaries = [
+            ClusterSummary(cluster_id=c, label=label, top_terms=(), size=int(size))
+            for c, (label, size) in enumerate(zip(data["labels"], data["sizes"]))
+        ]
     return cmap, summaries
+
+
+def write_svg(path: str, cmap: ClusterMap, summaries: list[ClusterSummary]) -> None:
+    with atomic_open(path) as fh:
+        fh.write(render_svg(cmap, summaries))
 
 
 def write_linkage(path: str, linkage: Linkage, labels: list[str]) -> None:
@@ -243,7 +259,7 @@ def write_linkage(path: str, linkage: Linkage, labels: list[str]) -> None:
 def write_crosstab(path: str, crosstab: CrossTab) -> None:
     """One row per cluster status; a status with no pooled terms gets
     empty share cells and n_terms 0."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["status"] + list(CROSSTAB_CATEGORIES) + ["n_terms"])
         for status in (STATUS_ROOTED, STATUS_NEW):

@@ -27,9 +27,6 @@ from .errors import ConfigError, NumericError
 from .seeding import derive_seed
 from .vectorize import DocTermMatrix
 
-DENSE_AXES_MAX_VOCAB = 50_000
-
-
 @dataclass(frozen=True)
 class ClusterConfig:
     k: int
@@ -37,7 +34,6 @@ class ClusterConfig:
     tol: float = 1e-9
     restarts: int = 10
     seed: int = 0
-    dense_axes_max_vocab: int = DENSE_AXES_MAX_VOCAB
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -53,7 +49,7 @@ class ClusterConfig:
 @dataclass(frozen=True)
 class ClusterModel:
     period_id: str
-    axes: np.ndarray | sp.csr_matrix = field(repr=False)
+    axes: np.ndarray = field(repr=False)
     assignment: np.ndarray = field(repr=False)
     objective_trace: tuple[float, ...]
     sizes: tuple[int, ...]
@@ -62,11 +58,6 @@ class ClusterModel:
     @property
     def k(self) -> int:
         return self.axes.shape[0]
-
-    def axes_dense(self) -> np.ndarray:
-        if sp.issparse(self.axes):
-            return np.asarray(self.axes.todense())
-        return self.axes
 
     @property
     def objective(self) -> float:
@@ -237,13 +228,10 @@ def fit_axial_kmeans(
         assignment[np.asarray(order)] = assign
     else:
         assignment = assign
-    stored = axes
-    if axes.shape[1] > config.dense_axes_max_vocab:
-        stored = sp.csr_matrix(axes)
     sizes = tuple(int(s) for s in np.bincount(assign, minlength=config.k))
     return ClusterModel(
         period_id=matrix.period_id,
-        axes=stored,
+        axes=axes,
         assignment=assignment,
         objective_trace=tuple(trace),
         sizes=sizes,
@@ -255,10 +243,9 @@ def summarize_clusters(
     model: ClusterModel, vocabulary: Vocabulary, top_m: int = 10
 ) -> list[ClusterSummary]:
     """Top axis terms per cluster; ties break lexicographically, label = first term."""
-    axes = model.axes_dense()
     summaries = []
     for c in range(model.k):
-        row = axes[c]
+        row = model.axes[c]
         nz = np.flatnonzero(row > 0.0)
         ranked = sorted(((vocabulary.terms[t], float(row[t])) for t in nz), key=lambda p: (-p[1], p[0]))
         top = tuple(ranked[:top_m])

@@ -9,8 +9,10 @@ downstream floating-point reduction runs in a fixed order.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -20,6 +22,21 @@ _WS_RE = re.compile(r"\s+")
 
 CSV_COLUMNS = ("id", "year", "keywords", "categories", "title")
 CSV_LIST_SEP = ";"
+
+
+@contextlib.contextmanager
+def atomic_open(path: str, newline: str | None = None):
+    """Write a text file through a temporary file in the same directory,
+    renamed over `path` on success and removed on error (atomic, no fsync)."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def normalize_term(raw: str) -> str:
@@ -239,7 +256,7 @@ def save_corpus(records: list[Record], path: str, format: str = "jsonl") -> None
     """Serialize records (sorted by id) so that a reload round-trips exactly."""
     ordered = sorted(records, key=lambda r: r.id)
     if format == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             for rec in ordered:
                 obj = {
                     "id": rec.id,
@@ -251,7 +268,7 @@ def save_corpus(records: list[Record], path: str, format: str = "jsonl") -> None
                     obj["title"] = rec.title
                 fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
     elif format == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_open(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for rec in ordered:

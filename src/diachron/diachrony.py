@@ -27,6 +27,7 @@ from .diffusion import (
     TermStats,
 )
 from .errors import ConfigError, InputError
+from .vectorize import axis_cosines
 
 STATUS_ROOTED = "rooted"
 STATUS_NEW = "new"
@@ -75,27 +76,20 @@ def link_periods(
     """Link each P2 cluster to its P1 parents by axis cosine >= rho."""
     if not 0.0 < rho <= 1.0:
         raise ConfigError(f"linkage threshold must be in (0, 1], got {rho}")
-    a1 = model_p1.axes_dense()
-    a2 = model_p2.axes_dense()
+    a1, a2 = model_p1.axes, model_p2.axes
     v = len(vocabulary)
     if a1.shape[1] != v or a2.shape[1] != v:
         raise InputError(
             "cluster models span different vocabularies "
             f"({a1.shape[1]} and {a2.shape[1]} columns vs {v} terms)"
         )
-    n1 = np.linalg.norm(a1, axis=1)
-    n2 = np.linalg.norm(a2, axis=1)
     links = []
-    for c2 in range(a2.shape[0]):
-        parents = []
-        for c1 in range(a1.shape[0]):
-            denom = n2[c2] * n1[c1]
-            sim = min(1.0, float(a2[c2] @ a1[c1] / denom)) if denom > 0.0 else 0.0
-            if sim >= rho:
-                parents.append((c1, sim))
-        parents.sort(key=lambda p: (-p[1], p[0]))
+    for c2, sims in enumerate(axis_cosines(a2, a1)):
+        ids = np.flatnonzero(sims >= rho)
+        ids = ids[np.argsort(-sims[ids], kind="stable")]  # ties keep id order
+        parents = tuple(zip(ids.tolist(), sims[ids].tolist()))
         status = STATUS_ROOTED if parents else STATUS_NEW
-        links.append(ClusterLink(cluster_id=c2, status=status, parents=tuple(parents)))
+        links.append(ClusterLink(cluster_id=c2, status=status, parents=parents))
     return Linkage(rho=rho, links=tuple(links))
 
 

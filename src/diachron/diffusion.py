@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CorpusSlice, Vocabulary
+from .corpus import CorpusSlice, Vocabulary, atomic_open
 from .errors import ConfigError, InputError
 
 CATEGORY_ESTABLISHED = "established"
@@ -233,7 +233,7 @@ def classify_terms(
 
 def write_terms_csv(stats: list[TermStats], path: str) -> None:
     """Write terms.csv in vocabulary order with reals at 6 decimal places."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["term", "tf_p1", "tf_p2", "df_p1", "df_p2", "tfidf", "gini", "category"])
         for s in stats:

@@ -8,14 +8,15 @@ sqrt(k * lam) * u onto the corresponding principal direction. The all-ones
 vector is a 0-eigenvector of the centered Gram, so nonzero-eigenvalue
 coordinates are automatically mean-centered.
 
-Eigenpairs come from power iteration with Hotelling deflation; eigenpairs
-are ordered by eigenvalue magnitude, which for the (positive semidefinite)
-Gram matrix coincides with algebraic order.
+Eigenpairs come from LAPACK's symmetric eigensolver (numpy.linalg.eigh),
+ordered by eigenvalue magnitude, which for the (positive semidefinite)
+Gram matrix coincides with algebraic order. The source paper uses power
+iteration; on a k x k Gram matrix the direct solver gives the same pairs
+to rounding.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
@@ -23,9 +24,7 @@ import numpy as np
 
 from .cluster import ClusterSummary
 from .errors import ConfigError, InputError, NumericError
-
-PCA_TOL = 1e-12
-PCA_MAX_ITERS = 10_000
+from .vectorize import axis_cosines
 
 SVG_WIDTH = 1000
 SVG_HEIGHT = 800
@@ -43,119 +42,18 @@ class ClusterMap:
     components: tuple[tuple[int, ...], ...]
 
 
-def _orthogonalize(v: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    for b in basis:
-        v = v - (v @ b) * b
-    return v
-
-
-def _null_direction(k: int, basis: list[np.ndarray]) -> np.ndarray:
-    # pick the standard basis vector least aligned with the found
-    # eigenvectors, then orthogonalize, so returned directions stay
-    # orthonormal even when the deflated matrix has vanished
-    best, best_score = 0, np.inf
-    for i in range(k):
-        score = sum(abs(float(b[i])) for b in basis)
-        if score < best_score:
-            best, best_score = i, score
-    e = np.zeros(k)
-    e[best] = 1.0
-    v = _orthogonalize(e, basis)
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        return e
-    return v / n
-
-
-def _ritz_polish(
-    S: np.ndarray, v: np.ndarray, basis: list[np.ndarray]
-) -> np.ndarray:
-    """One Rayleigh-Ritz step on span{v, Sv}.
-
-    Plain power iteration stalls when the two largest-magnitude eigenvalues
-    nearly tie with opposite signs (the iterate oscillates between them).
-    The 2-space Ritz projection resolves that pair exactly, so the step
-    turns a stalled iterate into the correct eigenvector.
-    """
-    sv = _orthogonalize(S @ v, basis)
-    r = sv - (v @ sv) * v
-    rn = float(np.linalg.norm(r))
-    if rn <= 1e-14 * max(1.0, float(np.linalg.norm(sv))):
-        return v
-    q2 = r / rn
-    a = float(v @ S @ v)
-    b = float(v @ S @ q2)
-    c = float(q2 @ S @ q2)
-    mean = (a + c) / 2.0
-    disc = (((a - c) / 2.0) ** 2 + b * b) ** 0.5
-    lam = mean + disc if abs(mean + disc) >= abs(mean - disc) else mean - disc
-    w = np.array([b, lam - a])
-    alt = np.array([lam - c, b])
-    if float(np.linalg.norm(alt)) > float(np.linalg.norm(w)):
-        w = alt
-    wn = float(np.linalg.norm(w))
-    if wn == 0.0:
-        return v
-    out = _orthogonalize(v * w[0] + q2 * w[1], basis)
-    n = float(np.linalg.norm(out))
-    return out / n if n > 0.0 else v
-
-
-def top_eigenpairs(
-    S: np.ndarray, m: int, tol: float = PCA_TOL, max_iters: int = PCA_MAX_ITERS
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-m eigenpairs of a symmetric matrix, largest magnitude first.
-
-    Power iteration with deflation: each iterate is projected off the
-    found eigenvectors (so returned vectors are orthonormal to machine
-    precision) and the matrix is Hotelling-deflated between eigenpairs.
-    The per-step stop criterion is eigenvector alignment,
-    1 - |<v_new, v>| < tol, which tolerates the sign alternation of a
-    dominant negative eigenvalue; a final 2-space Ritz polish resolves
-    near-tied opposite-sign pairs the plain iteration cannot separate.
-    Returns (eigenvalues, eigenvectors) with eigenvectors as columns.
-    """
+def top_eigenpairs(S: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-m eigenpairs of a symmetric matrix, largest magnitude first, by
+    LAPACK's symmetric solver. Returns (eigenvalues, eigenvectors as columns)."""
     S = np.array(S, dtype=float)
-    k = S.shape[0]
-    if S.ndim != 2 or S.shape[1] != k:
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise NumericError("eigendecomposition needs a square matrix")
+    k = S.shape[0]
     if m > k:
         raise NumericError(f"cannot extract {m} eigenpairs from a {k}x{k} matrix")
-    rng = random.Random(0xD1AC)
-    scale = float(np.max(np.abs(S))) if k else 0.0
-    vals: list[float] = []
-    vecs: list[np.ndarray] = []
-    for _ in range(m):
-        resid = float(np.max(np.abs(S)))
-        if resid == 0.0 or (scale > 0.0 and resid < scale * 1e-15):
-            # deflated remainder is numerically zero: eigenvalue 0
-            v = _null_direction(k, vecs)
-            vals.append(0.0)
-            vecs.append(v)
-            continue
-        v = np.array([rng.gauss(0.0, 1.0) for _ in range(k)])
-        v = _orthogonalize(v, vecs)
-        v /= float(np.linalg.norm(v))
-        for _ in range(max_iters):
-            w = _orthogonalize(S @ v, vecs)
-            nw = float(np.linalg.norm(w))
-            if nw == 0.0:
-                # landed exactly in the null space; re-randomize
-                v = np.array([rng.gauss(0.0, 1.0) for _ in range(k)])
-                v = _orthogonalize(v, vecs)
-                v /= float(np.linalg.norm(v))
-                continue
-            w /= nw
-            if 1.0 - abs(float(w @ v)) < tol:
-                v = w
-                break
-            v = w
-        v = _ritz_polish(S, v, vecs)
-        lam = float(v @ S @ v)
-        vals.append(lam)
-        vecs.append(v)
-        S = S - lam * np.outer(v, v)
-    return np.array(vals), np.column_stack(vecs)
+    vals, vecs = np.linalg.eigh(S)
+    order = np.argsort(-np.abs(vals), kind="stable")[:m]
+    return vals[order], vecs[:, order]
 
 
 def pca_2d(axes: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
@@ -178,12 +76,15 @@ def pca_2d(axes: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
     if float(np.max(np.abs(G))) <= scale * 1e-24:
         return np.zeros((k, 2)), (0.0, 0.0)
     vals, vecs = top_eigenpairs(G, 2)
+    # Gram matrices are PSD, so negatives are roundoff; so is a value under a
+    # few k * eps * lam1, which eigh leaves where collinear axes give exactly 0
+    floor = 4.0 * k * np.finfo(float).eps * float(vals[0])
     coords = np.zeros((k, 2))
     out_vals = []
     for j in range(2):
         lam = float(vals[j])
-        if lam < 0.0:
-            lam = 0.0  # Gram matrices are PSD; negatives are roundoff
+        if lam <= floor:
+            lam = 0.0
         out_vals.append(lam)
         if lam > 0.0:
             col = np.sqrt(k * lam) * vecs[:, j]
@@ -198,17 +99,11 @@ def build_edges(axes: np.ndarray, tau: float) -> list[tuple[int, int, float]]:
     """Pairs (i, j, cosine) with i < j and cosine >= tau, in (i, j) order."""
     if not 0.0 < tau <= 1.0:
         raise ConfigError(f"edge threshold must be in (0, 1], got {tau}")
-    X = np.asarray(axes, dtype=float)
-    k = X.shape[0]
-    norms = np.linalg.norm(X, axis=1)
-    edges = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            denom = norms[i] * norms[j]
-            sim = min(1.0, float(X[i] @ X[j] / denom)) if denom > 0.0 else 0.0
-            if sim >= tau:
-                edges.append((i, j, sim))
-    return edges
+    sims = axis_cosines(axes, axes)
+    rows, cols = np.triu_indices(sims.shape[0], 1)  # i < j, in (i, j) order
+    upper = sims[rows, cols]
+    keep = upper >= tau
+    return list(zip(rows[keep].tolist(), cols[keep].tolist(), upper[keep].tolist()))
 
 
 def connected_components(k: int, edges) -> list[tuple[int, ...]]:
@@ -282,6 +177,8 @@ def render_svg(cmap: ClusterMap, summaries: list[ClusterSummary]) -> str:
     # SVG y grows downward, so the vertical axis is inverted
     ys = _scaled([c[1] for c in cmap.coords], SVG_MARGIN, SVG_HEIGHT - SVG_MARGIN, True)
     max_size = max((s.size for s in summaries), default=0)
+    sizes = [summaries[c].size if c < len(summaries) else 0 for c in range(k)]
+    radii = [MAX_RADIUS * (size / max_size) ** 0.5 if max_size > 0 else 4.0 for size in sizes]
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
         f'height="{SVG_HEIGHT}" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
@@ -295,18 +192,14 @@ def render_svg(cmap: ClusterMap, summaries: list[ClusterSummary]) -> str:
             'stroke-width="1.5"/>'
         )
     for c in range(k):
-        size = summaries[c].size if c < len(summaries) else 0
-        r = MAX_RADIUS * (size / max_size) ** 0.5 if max_size > 0 else 4.0
         lines.append(
-            f'<circle cx="{xs[c]:.2f}" cy="{ys[c]:.2f}" r="{r:.2f}" '
+            f'<circle cx="{xs[c]:.2f}" cy="{ys[c]:.2f}" r="{radii[c]:.2f}" '
             'fill="#4477aa" fill-opacity="0.6" stroke="#223355"/>'
         )
     for c in range(k):
         label = summaries[c].label if c < len(summaries) else str(c)
-        size = summaries[c].size if c < len(summaries) else 0
-        r = MAX_RADIUS * (size / max_size) ** 0.5 if max_size > 0 else 4.0
         lines.append(
-            f'<text x="{xs[c]:.2f}" y="{ys[c] - r - 4.0:.2f}" '
+            f'<text x="{xs[c]:.2f}" y="{ys[c] - radii[c] - 4.0:.2f}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="12">'
             f"{escape(label)}</text>"
         )

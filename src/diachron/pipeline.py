@@ -4,9 +4,10 @@ Every stage reads its inputs from prior-stage artifacts in the output
 directory and rebuilds cheap intermediates (period slices, vocabulary,
 matrices) from corpus.jsonl, so stages can run one at a time or chained
 by `run` with byte-identical results. Both go through one runner, which
-parses corpus.jsonl at most once per invocation and hands the result to
-every stage. All randomness flows from the single config seed through
-stage-labeled derived seeds.
+parses corpus.jsonl at most once per invocation (not at all after an
+ingest in the same invocation) and hands the result to every stage. All
+randomness flows from the single config seed through stage-labeled
+derived seeds.
 
 The terms stage runs before clustering when dispersion cells come from
 record categories, and after it when cells are the period clusters
@@ -16,6 +17,7 @@ themselves; the canonical stage list in the manifest reflects that.
 from __future__ import annotations
 
 import dataclasses
+import json
 import logging
 import os
 import platform
@@ -39,7 +41,7 @@ from .corpus import (
 from .diachrony import cross_table, link_periods
 from .diffusion import DiffusionThresholds, classify_terms, read_terms_csv, write_terms_csv
 from .errors import ConfigError
-from .mapping import build_cluster_map, render_svg
+from .mapping import build_cluster_map
 from .seeding import derive_seed
 from .vectorize import WEIGHTINGS, build_matrix
 
@@ -61,9 +63,9 @@ class RunConfig:
     k: int = 20
     k_p1: int | None = None
     k_p2: int | None = None
-    max_iters: int = 100
-    tol: float = 1e-9
-    restarts: int = 10
+    max_iters: int = ClusterConfig.max_iters
+    tol: float = ClusterConfig.tol
+    restarts: int = ClusterConfig.restarts
     seed: int = 0
     tau: float = 0.2
     rho: float = 0.3
@@ -121,11 +123,7 @@ class RunConfig:
             },
             "min_df": self.min_df,
             "weighting": self.weighting,
-            "thresholds": {
-                "df_high_quantile": self.thresholds.df_high_quantile,
-                "gini_low_quantile": self.thresholds.gini_low_quantile,
-                "novelty_share": self.thresholds.novelty_share,
-            },
+            "thresholds": dataclasses.asdict(self.thresholds),
             "cluster": {
                 "k": self.k,
                 "k_p1": self.k_p1,
@@ -155,6 +153,34 @@ def _strip_comments(obj):
     return obj
 
 
+def _optional_int(value):
+    return None if value is None else int(value)
+
+
+# Keys of each config section (None: top level) and the coercion of a present
+# value. Absent keys are left out, so defaults are stated once, in dataclasses.
+_SECTION_KEYS = {
+    None: {
+        "format": str, "min_df": int, "weighting": str, "seed": int, "tau": float,
+        "rho": float, "top_m": int, "gini_cells": str, "dump_matrices": bool,
+    },
+    "cluster": {
+        "k": int, "k_p1": _optional_int, "k_p2": _optional_int,
+        "max_iters": int, "tol": float, "restarts": int,
+    },
+    "thresholds": {
+        "df_high_quantile": float, "gini_low_quantile": float, "novelty_share": float,
+    },
+}
+
+
+def _present(data: dict, section: str | None) -> dict:
+    values = data if section is None else data.get(section, {})
+    if not isinstance(values, dict):
+        raise ConfigError(f"config section {section!r} must be a JSON object")
+    return {key: cast(values[key]) for key, cast in _SECTION_KEYS[section].items() if key in values}
+
+
 def config_from_dict(data: dict, base_dir: str = ".") -> RunConfig:
     data = _strip_comments(data)
     try:
@@ -168,46 +194,23 @@ def config_from_dict(data: dict, base_dir: str = ".") -> RunConfig:
         input_path = data["input"]
     except (KeyError, IndexError, TypeError) as exc:
         raise ConfigError(f"config is missing a required field: {exc}") from exc
+    if not isinstance(input_path, str):
+        raise ConfigError(f"config field 'input' must be a string, got {input_path!r}")
     if not os.path.isabs(input_path):
         input_path = os.path.normpath(os.path.join(base_dir, input_path))
-    thresholds = DiffusionThresholds(
-        df_high_quantile=float(
-            data.get("thresholds", {}).get("df_high_quantile", 0.75)
-        ),
-        gini_low_quantile=float(
-            data.get("thresholds", {}).get("gini_low_quantile", 0.25)
-        ),
-        novelty_share=float(data.get("thresholds", {}).get("novelty_share", 0.8)),
-    )
-    cluster = data.get("cluster", {})
     try:
         return RunConfig(
             input=input_path,
             periods=spec,
-            format=data.get("format", "jsonl"),
-            min_df=int(data.get("min_df", 2)),
-            weighting=data.get("weighting", "tfidf"),
-            thresholds=thresholds,
-            k=int(cluster.get("k", 20)),
-            k_p1=int(cluster["k_p1"]) if cluster.get("k_p1") is not None else None,
-            k_p2=int(cluster["k_p2"]) if cluster.get("k_p2") is not None else None,
-            max_iters=int(cluster.get("max_iters", 100)),
-            tol=float(cluster.get("tol", 1e-9)),
-            restarts=int(cluster.get("restarts", 10)),
-            seed=int(data.get("seed", 0)),
-            tau=float(data.get("tau", 0.2)),
-            rho=float(data.get("rho", 0.3)),
-            top_m=int(data.get("top_m", 10)),
-            gini_cells=data.get("gini_cells", "categories"),
-            dump_matrices=bool(data.get("dump_matrices", False)),
+            thresholds=DiffusionThresholds(**_present(data, "thresholds")),
+            **_present(data, None),
+            **_present(data, "cluster"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
 
 
 def load_config(path: str) -> RunConfig:
-    import json
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -229,37 +232,48 @@ def with_overrides(
 
 
 class CorpusCache:
-    """corpus.jsonl of one invocation, parsed at most once and shared by its
-    stages. In both stage orders every stage that reads the period slices
-    runs before the first that reads only the vocabulary, so that read
-    drops the slices: map and link hold no records while they work."""
+    """corpus.jsonl of one invocation, parsed at most once (never after an
+    ingest) and shared by its stages. In both stage orders every slice reader
+    runs before the first vocabulary-only reader, so that read drops the
+    slices: map and link hold no records while they work."""
 
     def __init__(self, config: RunConfig, out: str) -> None:
         self._config = config
         self._out = out
-        self._slices: tuple[CorpusSlice, CorpusSlice, Vocabulary] | None = None
+        self._periods: tuple[CorpusSlice, CorpusSlice] | None = None
         self._vocabulary: Vocabulary | None = None
 
+    def put(self, p1: CorpusSlice, p2: CorpusSlice) -> None:
+        """Periods of what ingest just wrote, which a parse would reproduce."""
+        self._periods = p1, p2
+
     def slices(self) -> tuple[CorpusSlice, CorpusSlice, Vocabulary]:
-        if self._slices is None:
+        if self._periods is None:
             path = artifacts.require(os.path.join(self._out, artifacts.CORPUS), "ingest")
             records, _ = load_corpus(path, "jsonl")
-            p1, p2, _ = split_periods(records, self._config.periods)
-            self._slices = p1, p2, build_vocabulary(p1, p2, self._config.min_df)
-        return self._slices
+            self._periods = split_periods(records, self._config.periods)[:2]
+        p1, p2 = self._periods
+        if self._vocabulary is None:
+            self._vocabulary = build_vocabulary(p1, p2, self._config.min_df)
+        return p1, p2, self._vocabulary
 
     def vocabulary(self) -> Vocabulary:
         if self._vocabulary is None:
-            self._vocabulary = self.slices()[2]
-        self._slices = None
+            self.slices()
+        self._periods = None
         return self._vocabulary
+
+
+def _read_clusters(out: str, period_id: str, vocabulary: Vocabulary):
+    path = os.path.join(out, artifacts.clusters_file(period_id))
+    return artifacts.read_clusters(artifacts.require(path, "cluster"), vocabulary)
 
 
 def stage_ingest(
     config: RunConfig, out: str, corpus: CorpusCache, threads: int = 1
 ) -> None:
     records, load_report = load_corpus(config.input, config.format)
-    _, _, split_report = split_periods(records, config.periods)
+    p1, p2, split_report = split_periods(records, config.periods)
     save_corpus(records, os.path.join(out, artifacts.CORPUS), "jsonl")
     artifacts.write_json(
         {
@@ -273,6 +287,7 @@ def stage_ingest(
         },
         os.path.join(out, artifacts.LOAD_REPORT),
     )
+    corpus.put(p1, p2)
 
 
 def stage_terms(
@@ -283,10 +298,7 @@ def stage_terms(
     if config.gini_cells == "clusters":
         assignments = {}
         for period_id in PERIOD_IDS:
-            path = artifacts.require(
-                os.path.join(out, artifacts.clusters_file(period_id)), "cluster"
-            )
-            model, _ = artifacts.read_clusters(path, vocabulary)
+            model, _ = _read_clusters(out, period_id, vocabulary)
             for row, doc_id in enumerate(model.doc_ids):
                 assignments[doc_id] = f"{period_id}:{int(model.assignment[row])}"
     stats = classify_terms(
@@ -308,14 +320,7 @@ def stage_cluster(
         cluster_config = config.cluster_config(slice_.period_id)
         model = fit_axial_kmeans(matrix, cluster_config, threads=threads)
         summaries = summarize_clusters(model, vocabulary, config.top_m)
-        echo = {
-            "k": cluster_config.k,
-            "max_iters": cluster_config.max_iters,
-            "tol": cluster_config.tol,
-            "restarts": cluster_config.restarts,
-            "seed": cluster_config.seed,
-            "weighting": config.weighting,
-        }
+        echo = {**dataclasses.asdict(cluster_config), "weighting": config.weighting}
         artifacts.write_clusters(
             os.path.join(out, artifacts.clusters_file(slice_.period_id)),
             model,
@@ -337,40 +342,28 @@ def stage_map(
 ) -> None:
     vocabulary = corpus.vocabulary()
     for period_id in PERIOD_IDS:
-        path = artifacts.require(
-            os.path.join(out, artifacts.clusters_file(period_id)), "cluster"
-        )
-        model, summaries = artifacts.read_clusters(path, vocabulary)
-        cmap = build_cluster_map(period_id, model.axes_dense(), config.tau)
+        model, summaries = _read_clusters(out, period_id, vocabulary)
+        cmap = build_cluster_map(period_id, model.axes, config.tau)
         artifacts.write_map(
             os.path.join(out, artifacts.map_json_file(period_id)),
             cmap,
             summaries,
             config.tau,
         )
-        with open(
-            os.path.join(out, artifacts.map_svg_file(period_id)),
-            "w",
-            encoding="utf-8",
-        ) as fh:
-            fh.write(render_svg(cmap, summaries))
+        artifacts.write_svg(
+            os.path.join(out, artifacts.map_svg_file(period_id)), cmap, summaries
+        )
 
 
 def stage_link(
     config: RunConfig, out: str, corpus: CorpusCache, threads: int = 1
 ) -> None:
     vocabulary = corpus.vocabulary()
-    model_p1, _ = artifacts.read_clusters(
-        artifacts.require(os.path.join(out, artifacts.clusters_file("P1")), "cluster"),
-        vocabulary,
-    )
-    model_p2, summaries_p2 = artifacts.read_clusters(
-        artifacts.require(os.path.join(out, artifacts.clusters_file("P2")), "cluster"),
-        vocabulary,
-    )
-    stats = read_terms_csv(
-        artifacts.require(os.path.join(out, artifacts.TERMS), "terms")
-    )
+    model_p1, _ = _read_clusters(out, "P1", vocabulary)
+    model_p2, summaries_p2 = _read_clusters(out, "P2", vocabulary)
+    path = artifacts.require(os.path.join(out, artifacts.TERMS), "terms")
+    with artifacts.parsing(path):
+        stats = read_terms_csv(path)
     linkage = link_periods(model_p1, model_p2, vocabulary, config.rho)
     crosstab = cross_table(linkage, summaries_p2, stats, config.top_m)
     artifacts.write_linkage(
@@ -389,19 +382,16 @@ def stage_report(
             os.path.join(out, artifacts.map_json_file(period_id)), "map"
         )
         cmap, summaries = artifacts.read_map(path)
-        with open(
-            os.path.join(out, artifacts.map_svg_file(period_id)),
-            "w",
-            encoding="utf-8",
-        ) as fh:
-            fh.write(render_svg(cmap, summaries))
-    load_report = artifacts.read_json(
-        artifacts.require(os.path.join(out, artifacts.LOAD_REPORT), "ingest")
-    )
+        artifacts.write_svg(
+            os.path.join(out, artifacts.map_svg_file(period_id)), cmap, summaries
+        )
+    path = artifacts.require(os.path.join(out, artifacts.LOAD_REPORT), "ingest")
+    with artifacts.parsing(path):
+        input_sha256 = artifacts.read_json(path)["input_sha256"]
     artifacts.write_json(
         {
             "config": config.to_dict(),
-            "input_sha256": load_report["input_sha256"],
+            "input_sha256": input_sha256,
             "versions": {
                 "diachron": _package_version(),
                 "python": platform.python_version(),

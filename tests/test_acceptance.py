@@ -215,7 +215,7 @@ def test_03_objective_trace_monotone_on_random_corpora():
         trace = model.objective_trace
         assert all(later >= earlier for earlier, later in zip(trace, trace[1:])), trial
 
-        projections = np.asarray(matrix.matrix @ model.axes_dense().T)
+        projections = np.asarray(matrix.matrix @ model.axes.T)
         assert np.array_equal(np.argmax(projections, axis=1), model.assignment), trial
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"100 corpora took {elapsed:.1f}s"
@@ -340,7 +340,7 @@ def test_09_two_supergroups_form_two_components():
     p1, p2, vocabulary, _ = preset_state("two-networks", seed=9)
     for slice_ in (p1, p2):
         _, model = fit_period(slice_, vocabulary, k=12, seed=9)
-        cluster_map = build_cluster_map(slice_.period_id, model.axes_dense(), 0.2)
+        cluster_map = build_cluster_map(slice_.period_id, model.axes, 0.2)
         non_singleton = [c for c in cluster_map.components if len(c) > 1]
         assert len(non_singleton) == 2, (
             f"{slice_.period_id}: {len(non_singleton)} non-singleton components"

@@ -5,6 +5,8 @@ smoke test for the installed console script), on a small three-block
 synthetic corpus so the full pipeline stays fast.
 """
 
+import errno
+import itertools
 import json
 import os
 import shutil
@@ -75,6 +77,23 @@ def dir_hashes(path):
         name: artifacts.sha256_file(os.path.join(path, name))
         for name in os.listdir(path)
     }
+
+
+def _disk_full_after(write, calls_allowed):
+    """`write` for its first calls, then the error of a full disk."""
+    calls = itertools.count()
+
+    def failing(*args, **kwargs):
+        if next(calls) >= calls_allowed:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write(*args, **kwargs)
+
+    return failing
+
+
+def _partial_json_dump(obj, fh, **kwargs):
+    fh.write(json.dumps(obj, **kwargs)[:40])
+    raise OSError(errno.ENOSPC, "No space left on device")
 
 
 class TestSyngenCommand:
@@ -308,6 +327,64 @@ class TestStageSequencing:
         assert "clusters_P1.json" in capsys.readouterr().err
         assert set(os.listdir(out)) == before
 
+    @pytest.mark.parametrize(
+        "stage, target, key",
+        [("map", "clusters_P1.json", "clusters"), ("report", "map_P1.json", "labels")],
+    )
+    def test_artifact_missing_a_key_exits_3_and_names_it(
+        self, corpus_dir, tmp_path, capsys, stage, target, key
+    ):
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        data = json.loads((out / target).read_text(encoding="utf-8"))
+        del data[key]
+        (out / target).write_text(json.dumps(data), encoding="utf-8")
+        before = dir_hashes(out)
+        rc = main([stage, "--config", str(config), "--out", str(out)])
+        assert rc == 3
+        assert target in capsys.readouterr().err
+        assert dir_hashes(out) == before
+
+    def test_terms_csv_missing_a_column_exits_3_and_names_it(
+        self, corpus_dir, tmp_path, capsys
+    ):
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        rows = (out / "terms.csv").read_text(encoding="utf-8").splitlines()
+        (out / "terms.csv").write_text(
+            "".join(row.rsplit(",", 1)[0] + "\n" for row in rows), encoding="utf-8"
+        )
+        before = dir_hashes(out)
+        assert main(["link", "--config", str(config), "--out", str(out)]) == 3
+        assert "terms.csv" in capsys.readouterr().err
+        assert dir_hashes(out) == before
+
+    @pytest.mark.parametrize(
+        "stage, target, name, failing",
+        [
+            # save_corpus streams one json.dumps line per record
+            ("ingest", "corpus.jsonl", "dumps", lambda: _disk_full_after(json.dumps, 3)),
+            ("map", "map_P1.json", "dump", lambda: _partial_json_dump),
+        ],
+        ids=["ingest", "map"],
+    )
+    def test_writer_failing_midway_leaves_prior_artifact_intact(
+        self, corpus_dir, tmp_path, monkeypatch, stage, target, name, failing
+    ):
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        before = dir_hashes(out)
+        monkeypatch.setattr(json, name, failing())
+        rc = main([stage, "--config", str(config), "--out", str(out)])
+        monkeypatch.undo()
+        assert rc == 5
+        # the old bytes stay in place and no temporary file is left behind
+        assert target in before
+        assert dir_hashes(out) == before
+
     def test_report_rerenders_svg_from_map_json(self, corpus_dir, tmp_path):
         config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
         out = tmp_path / "out"
@@ -350,6 +427,15 @@ class TestErrorExits:
         rc = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "missing a required field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides", [{"cluster": 5}, {"thresholds": [1]}, {"input": 5}], ids=repr
+    )
+    def test_malformed_config_shape_exits_2(self, corpus_dir, tmp_path, capsys, overrides):
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl", **overrides)
+        rc = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config error:" in capsys.readouterr().err
 
     def test_missing_config_file_exits_5(self, tmp_path, capsys):
         rc = main([

@@ -104,7 +104,7 @@ class TestFitAxialKmeans:
         dtm = _dtm([doc] * 5, normalize=False)
         model = fit_axial_kmeans(dtm, ClusterConfig(k=1, restarts=2))
         assert model.objective == pytest.approx(5.0, abs=1e-12)
-        assert np.allclose(model.axes_dense()[0], doc, atol=1e-12)
+        assert np.allclose(model.axes[0], doc, atol=1e-12)
         assert model.sizes == (5,)
 
     def test_two_pair_instance_reaches_global_optimum(self):
@@ -115,7 +115,7 @@ class TestFitAxialKmeans:
         )
         model = fit_axial_kmeans(dtm, ClusterConfig(k=2, restarts=5))
         assert model.objective == pytest.approx(4.0, abs=1e-12)
-        axes = model.axes_dense()
+        axes = model.axes
         assert sorted(tuple(np.round(a, 12)) for a in axes) == [(0.0, 1.0), (1.0, 0.0)]
         groups = {}
         for doc_id, c in zip(model.doc_ids, model.assignment):
@@ -131,7 +131,7 @@ class TestFitAxialKmeans:
         for _ in range(10):
             dtm = _random_instance(rng)
             model = fit_axial_kmeans(dtm, ClusterConfig(k=2, restarts=3))
-            P = np.asarray(dtm.matrix @ model.axes_dense().T)
+            P = np.asarray(dtm.matrix @ model.axes.T)
             assert np.array_equal(np.argmax(P, axis=1), model.assignment)
 
     def test_objective_trace_non_decreasing(self):
@@ -148,7 +148,7 @@ class TestFitAxialKmeans:
         for _ in range(10):
             dtm = _random_instance(rng)
             model = fit_axial_kmeans(dtm, ClusterConfig(k=2, restarts=3))
-            axes = model.axes_dense()
+            axes = model.axes
             assert np.allclose(np.linalg.norm(axes, axis=1), 1.0, atol=1e-12)
             assert np.all(axes >= 0.0)
 
@@ -176,7 +176,7 @@ class TestFitAxialKmeans:
         )
         other = fit_axial_kmeans(shuffled, config)
         assert other.objective == base.objective
-        assert np.array_equal(other.axes_dense(), base.axes_dense())
+        assert np.array_equal(other.axes, base.axes)
         base_by_doc = dict(zip(base.doc_ids, base.assignment))
         other_by_doc = dict(zip(other.doc_ids, other.assignment))
         assert {d: int(c) for d, c in base_by_doc.items()} == {
@@ -190,7 +190,7 @@ class TestFitAxialKmeans:
         a = fit_axial_kmeans(dtm, config)
         b = fit_axial_kmeans(dtm, config)
         assert a.objective_trace == b.objective_trace
-        assert np.array_equal(a.axes_dense(), b.axes_dense())
+        assert np.array_equal(a.axes, b.axes)
         assert np.array_equal(a.assignment, b.assignment)
 
     def test_threads_do_not_change_the_model(self):
@@ -200,7 +200,7 @@ class TestFitAxialKmeans:
         serial = fit_axial_kmeans(dtm, config, threads=1)
         threaded = fit_axial_kmeans(dtm, config, threads=4)
         assert serial.objective_trace == threaded.objective_trace
-        assert np.array_equal(serial.axes_dense(), threaded.axes_dense())
+        assert np.array_equal(serial.axes, threaded.axes)
         assert np.array_equal(serial.assignment, threaded.assignment)
 
     def test_small_instances_reach_exhaustive_optimum(self):
@@ -239,14 +239,6 @@ class TestFitAxialKmeans:
         )
         with pytest.raises(NumericError):
             fit_axial_kmeans(empty, ClusterConfig(k=1))
-
-    def test_sparse_axis_storage_above_vocab_threshold(self):
-        dtm = _dtm([[1, 0, 0], [0, 1, 0], [0, 0, 1]], normalize=False)
-        model = fit_axial_kmeans(dtm, ClusterConfig(k=2, dense_axes_max_vocab=2))
-        assert sp.issparse(model.axes)
-        dense = model.axes_dense()
-        assert dense.shape == (2, 3)
-        assert np.allclose(np.linalg.norm(dense, axis=1), 1.0, atol=1e-12)
 
 
 class TestEmptyClusterReseed:
@@ -422,7 +414,8 @@ class TestCorpusParsedOncePerRun:
 
         monkeypatch.setattr(pipeline, "load_corpus", counting_load)
         pipeline.run_pipeline(config, str(out))
-        assert paths.count(str(out / "corpus.jsonl")) == 1
+        # ingest hands its records on, so the corpus is parsed once, as input
+        assert paths.count(str(out / "corpus.jsonl")) == 0
         assert paths.count(str(source)) == 1
 
 

@@ -65,9 +65,8 @@ class TestTopEigenpairs:
             S = _random_symmetric(rng)
             vals, vecs = top_eigenpairs(S, 5)
             assert np.allclose(sorted(vals, reverse=True), jacobi_eigenvalues(S), atol=1e-8)
-            # the alignment stop bounds the angle, so residuals land near
-            # sqrt(tol) of the matrix scale; eigenvalues are Rayleigh
-            # quotients and carry the squared (much smaller) error
+            # the residual bound leaves room for an iterative solver's
+            # angle error; eigenvalues carry a much smaller error
             scale = float(np.max(np.abs(S)))
             for j in range(5):
                 resid = np.linalg.norm(S @ vecs[:, j] - vals[j] * vecs[:, j])
@@ -92,7 +91,7 @@ class TestTopEigenpairs:
 
     def test_near_tied_opposite_sign_pair(self):
         # eigenvalues {1.0, -0.999999}: plain power iteration cannot separate
-        # these; the polished iteration must
+        # these; the solver must
         rng = np.random.default_rng(5)
         Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         lam = np.array([1.0, -0.999999, 0.3, -0.1])
@@ -126,6 +125,18 @@ class TestPca2d:
         root2 = math.sqrt(2.0)
         assert np.allclose(coords[:, 0], [root2, 0.0, -root2], atol=1e-9)
         assert np.allclose(coords[:, 1], 0.0, atol=1e-12)
+
+    def test_collinear_axes_have_no_second_coordinate(self):
+        # points on one line: the second eigenvalue is 0 up to roundoff,
+        # which must not become a spurious second coordinate
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            k, v = int(rng.integers(2, 12)), int(rng.integers(2, 40))
+            axes = np.outer(rng.random(k), rng.random(v)) + rng.random(v)
+            coords, (lam1, lam2) = pca_2d(axes)
+            assert lam1 > 0.0
+            assert lam2 == 0.0
+            assert np.all(coords[:, 1] == 0.0)
 
     def test_identical_axes_collapse_to_origin(self):
         axes = np.tile(np.array([0.6, 0.8]), (4, 1))
