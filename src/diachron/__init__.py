@@ -47,7 +47,6 @@ from .diffusion import (
     TermStats,
     classify_terms,
     gini,
-    term_gini,
     tfidf,
 )
 from .errors import ConfigError, DiachronError, InputError, NumericError
@@ -123,7 +122,6 @@ __all__ = [
     "save_corpus",
     "split_periods",
     "summarize_clusters",
-    "term_gini",
     "tfidf",
     "top_eigenpairs",
 ]

@@ -15,9 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .corpus import CorpusSlice, Vocabulary, atomic_open
 from .errors import ConfigError, InputError
+from .vectorize import binary_csr, incidence
 
 CATEGORY_ESTABLISHED = "established"
 CATEGORY_UNUSUAL = "unusual"
@@ -60,31 +62,40 @@ class TermStats:
     tf_p2: int
     df_p1: int
     df_p2: int
-    idf_pooled: float
     tfidf: float
     gini: float
     category: str
 
 
-def gini(shares) -> float:
-    """Gini coefficient of a non-negative vector, in [0, 1 - 1/m].
+def _gini_rows(x: np.ndarray) -> np.ndarray:
+    """Gini of each row of a non-negative 2-D array; 0.0 for an all-zero row.
 
     Computed via the sorted form 2*sum(i * x_(i)) / (m * sum(x)) - (m+1)/m,
     which agrees with the mean absolute pairwise difference over ordered
-    pairs normalized by 2*m*sum(x). Permutation- and scale-invariant.
+    pairs normalized by 2*m*sum(x).
+    """
+    m = x.shape[1]
+    if m == 0:  # no cells: every term has zero counts
+        return np.zeros(len(x))
+    total = x.sum(axis=1)
+    weighted = np.sort(x, axis=1) @ np.arange(1, m + 1, dtype=float)
+    g = 2.0 * weighted / (m * np.where(total > 0.0, total, 1.0)) - (m + 1) / m
+    return np.where(total > 0.0, g, 0.0)
+
+
+def gini(shares) -> float:
+    """Gini coefficient of a non-negative vector, in [0, 1 - 1/m].
+
+    Permutation- and scale-invariant; see `_gini_rows` for the formula.
     """
     x = np.asarray(shares, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise InputError("gini needs a non-empty 1-D vector")
     if np.any(x < 0):
         raise InputError("gini is undefined for negative shares")
-    total = float(x.sum())
-    if total <= 0.0:
+    if x.sum() <= 0.0:
         raise InputError("gini is undefined for an all-zero vector")
-    m = x.size
-    ranked = np.sort(x)
-    weighted = float(np.arange(1, m + 1, dtype=float) @ ranked)
-    return 2.0 * weighted / (m * total) - (m + 1) / m
+    return float(_gini_rows(x[None, :])[0])
 
 
 def tfidf(term: str, vocabulary: Vocabulary, slices: tuple[CorpusSlice, CorpusSlice]) -> float:
@@ -133,45 +144,6 @@ def doc_cells(
     raise ConfigError(f"unknown cell mode {mode!r} (expected 'categories' or 'clusters')")
 
 
-def _term_cell_counts(
-    vocabulary: Vocabulary,
-    slices: tuple[CorpusSlice, CorpusSlice],
-    cell_map: dict[str, tuple[int, ...]],
-    n_cells: int,
-) -> np.ndarray:
-    counts = np.zeros((len(vocabulary), n_cells), dtype=float)
-    index = vocabulary.index
-    for slice_ in slices:
-        for rec in slice_.records:
-            cells = cell_map[rec.id]
-            for term in rec.keywords:
-                t = index.get(term)
-                if t is None:
-                    continue
-                for c in cells:
-                    counts[t, c] += 1.0
-    return counts
-
-
-def term_gini(
-    term: str,
-    slices: tuple[CorpusSlice, CorpusSlice],
-    cells: str = "categories",
-    assignments: dict[str, str] | None = None,
-) -> float:
-    """Gini of one term's occurrence counts across the cell partition."""
-    labels, cell_map = doc_cells(slices, cells, assignments)
-    vector = np.zeros(len(labels), dtype=float)
-    for slice_ in slices:
-        for rec in slice_.records:
-            if term in rec.keywords:
-                for c in cell_map[rec.id]:
-                    vector[c] += 1.0
-    if vector.sum() <= 0.0:
-        raise InputError(f"term {term!r} has zero occurrences in the corpus")
-    return gini(vector)
-
-
 def classify_terms(
     vocabulary: Vocabulary,
     slices: tuple[CorpusSlice, CorpusSlice],
@@ -192,13 +164,15 @@ def classify_terms(
     if len(vocabulary) == 0:
         raise InputError("vocabulary is empty")
     labels, cell_map = doc_cells(slices, cells, assignments)
-    counts = _term_cell_counts(vocabulary, slices, cell_map, len(labels))
+    # term x cell counts: the transposed doc x term incidence times doc x cell membership
+    term_docs = sp.vstack([incidence(s, vocabulary) for s in slices], format="csr").T
+    doc_cell = binary_csr([cell_map[r.id] for s in slices for r in s.records], len(labels))
+    ginis = _gini_rows((term_docs @ doc_cell).toarray())
 
     n_pooled = slices[0].n_docs + slices[1].n_docs
     df1 = np.asarray(vocabulary.df_p1, dtype=float)
     df2 = np.asarray(vocabulary.df_p2, dtype=float)
     df_pooled = df1 + df2
-    ginis = np.array([gini(counts[t]) if counts[t].sum() > 0 else 0.0 for t in range(len(vocabulary))])
 
     df_cut = float(np.quantile(df_pooled, thresholds.df_high_quantile))
     gini_cut = float(np.quantile(ginis, thresholds.gini_low_quantile))
@@ -222,7 +196,6 @@ def classify_terms(
                 tf_p2=vocabulary.tf_p2[t],
                 df_p1=int(df1[t]),
                 df_p2=int(df2[t]),
-                idf_pooled=math.log(n_pooled / dfp),
                 tfidf=(vocabulary.tf_p1[t] + vocabulary.tf_p2[t]) * math.log(n_pooled / dfp),
                 gini=float(ginis[t]),
                 category=category,
@@ -243,10 +216,15 @@ def write_terms_csv(stats: list[TermStats], path: str) -> None:
 
 
 def read_terms_csv(path: str) -> list[TermStats]:
-    """Reload terms.csv (rounded reals; categories are exact)."""
+    """Reload terms.csv (rounded reals; categories are exact).
+
+    A category outside CATEGORIES is a ValueError naming the term.
+    """
     stats = []
     with open(path, encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
+            if row["category"] not in CATEGORIES:
+                raise ValueError(f"term {row['term']!r} has unknown category {row['category']!r}")
             stats.append(
                 TermStats(
                     term=row["term"],
@@ -254,7 +232,6 @@ def read_terms_csv(path: str) -> list[TermStats]:
                     tf_p2=int(row["tf_p2"]),
                     df_p1=int(row["df_p1"]),
                     df_p2=int(row["df_p2"]),
-                    idf_pooled=float("nan"),
                     tfidf=float(row["tfidf"]),
                     gini=float(row["gini"]),
                     category=row["category"],

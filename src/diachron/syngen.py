@@ -288,44 +288,6 @@ def spec_from_dict(data: dict) -> PlantSpec:
     )
 
 
-def spec_to_dict(spec: PlantSpec) -> dict:
-    data: dict = {
-        "blocks": [
-            {
-                "name": b.name,
-                "vocab_size": b.vocab_size,
-                "docs_p1": b.docs_p1,
-                "docs_p2": b.docs_p2,
-                "tag": b.tag,
-            }
-            for b in spec.blocks
-        ],
-        "shared_terms": spec.shared_terms,
-        "noise_rate": spec.noise_rate,
-        "seed": spec.seed,
-        "p1_year": spec.p1_year,
-        "p2_year": spec.p2_year,
-    }
-    if spec.novel_block is not None:
-        data["novel_block"] = {
-            "name": spec.novel_block.name,
-            "vocab_size": spec.novel_block.vocab_size,
-            "docs_p2": spec.novel_block.docs_p2,
-            "tag": spec.novel_block.tag,
-        }
-    if spec.bridges:
-        data["bridges"] = [
-            {
-                "name": b.name,
-                "members": list(b.members),
-                "vocab_size": b.vocab_size,
-                "draws_per_doc": b.draws_per_doc,
-            }
-            for b in spec.bridges
-        ]
-    return data
-
-
 def preset(name: str, seed: int = 0) -> PlantSpec:
     """Named corpus shapes used by the CLI and the verification suite."""
     tags = ["modeling", "instruments", "sequencing", "imaging", "assay",

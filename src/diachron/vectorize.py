@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,6 +48,26 @@ def idf_vector(vocabulary: Vocabulary) -> np.ndarray:
     return np.log(n / df)
 
 
+def binary_csr(rows: list[Sequence[int]], n_cols: int) -> sp.csr_matrix:
+    """CSR matrix with a 1.0 at each listed column of each row."""
+    indptr = np.cumsum([0, *map(len, rows)], dtype=np.int32)
+    indices = np.fromiter(chain.from_iterable(rows), dtype=np.int32, count=indptr[-1])
+    matrix = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(len(rows), n_cols))
+    matrix.sort_indices()
+    return matrix
+
+
+def incidence(slice_: CorpusSlice, vocabulary: Vocabulary) -> sp.csr_matrix:
+    """Binary docs x V matrix of one period: row i marks the vocabulary
+    columns of record i's keywords, in the slice's id order. Keywords outside
+    the vocabulary are skipped."""
+    index = vocabulary.index
+    return binary_csr(
+        [[index[t] for t in rec.keywords if t in index] for rec in slice_.records],
+        len(vocabulary),
+    )
+
+
 def build_matrix(
     slice_: CorpusSlice, vocabulary: Vocabulary, weighting: str = "tfidf"
 ) -> DocTermMatrix:
@@ -56,38 +78,23 @@ def build_matrix(
     """
     if weighting not in WEIGHTINGS:
         raise ConfigError(f"unknown weighting {weighting!r} (expected one of {WEIGHTINGS})")
-    idf = idf_vector(vocabulary) if weighting == "tfidf" else None
-    index = vocabulary.index
-
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    doc_ids: list[str] = []
-    dropped: list[str] = []
-    for rec in slice_.records:
-        cols = sorted(index[t] for t in rec.keywords if t in index)
-        if idf is None:
-            entries = [(c, 1.0) for c in cols]
-        else:
-            entries = [(c, idf[c]) for c in cols if idf[c] > 0.0]
-        if not entries:
-            dropped.append(rec.id)
-            continue
-        norm = math.sqrt(math.fsum(w * w for _, w in entries))
-        indices.extend(c for c, _ in entries)
-        data.extend(w / norm for _, w in entries)
-        indptr.append(len(indices))
-        doc_ids.append(rec.id)
-
-    matrix = sp.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
-        shape=(len(doc_ids), len(vocabulary)),
-    )
+    matrix = incidence(slice_, vocabulary)
+    if weighting == "tfidf":
+        matrix.data = idf_vector(vocabulary)[matrix.indices]
+        matrix.eliminate_zeros()
+    kept = np.diff(matrix.indptr) > 0
+    matrix = matrix[kept]
+    # an exactly rounded sum of squares per row, so the norm is order-free
+    squares = (matrix.data * matrix.data).tolist()
+    bounds = matrix.indptr.tolist()
+    norms = [math.sqrt(math.fsum(squares[a:b])) for a, b in zip(bounds, bounds[1:])]
+    matrix.data /= np.repeat(norms, np.diff(matrix.indptr))
+    ids = [rec.id for rec in slice_.records]
     return DocTermMatrix(
         period_id=slice_.period_id,
         matrix=matrix,
-        doc_ids=tuple(doc_ids),
-        dropped_doc_ids=tuple(dropped),
+        doc_ids=tuple(i for i, k in zip(ids, kept) if k),
+        dropped_doc_ids=tuple(i for i, k in zip(ids, kept) if not k),
     )
 
 

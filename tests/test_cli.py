@@ -5,6 +5,7 @@ smoke test for the installed console script), on a small three-block
 synthetic corpus so the full pipeline stays fast.
 """
 
+import dataclasses
 import errno
 import itertools
 import json
@@ -109,7 +110,7 @@ class TestSyngenCommand:
     def test_spec_file_matches_library_output(self, tmp_path):
         spec = _small_spec(seed=21)
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(syngen.spec_to_dict(spec)), encoding="utf-8")
+        spec_path.write_text(json.dumps(dataclasses.asdict(spec)), encoding="utf-8")
         out = tmp_path / "generated"
         assert main(["syngen", "--spec", str(spec_path), "--out", str(out)]) == 0
 
@@ -120,7 +121,7 @@ class TestSyngenCommand:
 
     def test_seed_flag_overrides_spec_seed(self, tmp_path):
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(syngen.spec_to_dict(_small_spec(seed=21))), encoding="utf-8")
+        spec_path.write_text(json.dumps(dataclasses.asdict(_small_spec(seed=21))), encoding="utf-8")
         out = tmp_path / "generated"
         assert main(["syngen", "--spec", str(spec_path), "--out", str(out), "--seed", "9"]) == 0
         assert artifacts.read_json(str(out / "truth.json"))["seed"] == 9
@@ -359,6 +360,23 @@ class TestStageSequencing:
         before = dir_hashes(out)
         assert main(["link", "--config", str(config), "--out", str(out)]) == 3
         assert "terms.csv" in capsys.readouterr().err
+        assert dir_hashes(out) == before
+
+    def test_terms_csv_unknown_category_exits_3_and_names_it(
+        self, corpus_dir, tmp_path, capsys
+    ):
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        header, first, *rest = (out / "terms.csv").read_text(encoding="utf-8").splitlines()
+        first = first.rsplit(",", 1)[0] + ",establishd"
+        (out / "terms.csv").write_text(
+            "".join(row + "\n" for row in (header, first, *rest)), encoding="utf-8"
+        )
+        before = dir_hashes(out)
+        assert main(["link", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "terms.csv" in err and "establishd" in err
         assert dir_hashes(out) == before
 
     @pytest.mark.parametrize(

@@ -53,7 +53,6 @@ def _stats(term, category):
         tf_p2=1,
         df_p1=1,
         df_p2=1,
-        idf_pooled=0.5,
         tfidf=1.0,
         gini=0.1,
         category=category,

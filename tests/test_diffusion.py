@@ -19,7 +19,6 @@ from diachron.diffusion import (
     doc_cells,
     gini,
     read_terms_csv,
-    term_gini,
     tfidf,
     write_terms_csv,
 )
@@ -215,35 +214,86 @@ class TestDocCells:
             doc_cells(slices, "periods")
 
 
+def _term_ginis(slices, **cell_options):
+    vocab = build_vocabulary(slices[0], slices[1], min_df=1)
+    return {s.term: s.gini for s in classify_terms(vocab, slices, **cell_options)}
+
+
 class TestTermGini:
+    """One term's Gini over the cell partition, read from classify_terms."""
+
     def test_uniform_spread_over_four_categories_is_zero(self):
         slices = _slices(
             [_rec(f"p1-{c}", 1996, ["t"], categories=(c,)) for c in "abcd"],
             [_rec("p2-a", 2001, ["other"], categories=("a",))],
         )
-        assert term_gini("t", slices) == 0.0
+        assert _term_ginis(slices)["t"] == 0.0
 
     def test_six_occurrences_in_one_of_four_categories(self):
         p1 = [_rec(f"p1-{i}", 1996, ["t"], categories=("a",)) for i in range(6)]
         p1 += [_rec(f"p1-pad-{c}", 1996, ["other"], categories=(c,)) for c in "bcd"]
         slices = _slices(p1, [_rec("p2-a", 2001, ["other"], categories=("a",))])
-        assert term_gini("t", slices) == 0.75
+        assert _term_ginis(slices)["t"] == 0.75
 
     def test_single_category_corpus_gives_zero_for_every_term(self):
         slices = _slices(
             [_rec("p1-a", 1996, ["t", "u"], categories=("only",))],
             [_rec("p2-a", 2001, ["t"], categories=("only",))],
         )
-        assert term_gini("t", slices) == 0.0
-        assert term_gini("u", slices) == 0.0
+        ginis = _term_ginis(slices)
+        assert ginis["t"] == 0.0
+        assert ginis["u"] == 0.0
 
-    def test_zero_occurrence_term_rejected(self):
+    def test_zero_count_term_reads_zero(self):
+        # "missing" occurs only in a record without a cluster cell
         slices = _slices(
             [_rec("p1-a", 1996, ["t"], categories=("a",))],
-            [_rec("p2-a", 2001, ["t"], categories=("a",))],
+            [_rec("p2-a", 2001, ["t"], categories=("a",)), _rec("p2-b", 2001, ["missing"])],
         )
-        with pytest.raises(InputError):
-            term_gini("missing", slices)
+        assignments = {"p1-a": "P1:0", "p2-a": "P2:0"}
+        ginis = _term_ginis(slices, cells="clusters", assignments=assignments)
+        assert ginis["t"] == 0.0
+        assert ginis["missing"] == 0.0
+
+
+corpus_records = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.lists(st.sampled_from(["t0", "t1", "t2", "t3", "t4"]), min_size=1, max_size=4, unique=True),
+        st.lists(st.sampled_from(["a", "b", "c"]), max_size=2),
+        st.sampled_from([None, "c0", "c1", "c2"]),
+    ),
+    min_size=2,
+    max_size=30,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=corpus_records, cells=st.sampled_from(["categories", "clusters"]))
+def test_gini_column_matches_per_record_counts(data, cells):
+    """classify_terms' gini column against gini() of counts tallied record by record;
+    in clusters mode a record with cluster None has no cell."""
+    # every record holds "core", so a min_df of 2 leaves the vocabulary non-empty
+    records = [
+        _rec(f"d{i:02d}", 1996 if in_p1 else 2001, ["core", *kws], categories=cats)
+        for i, (in_p1, kws, cats, _) in enumerate(data)
+    ]
+    slices = _slices([r for r in records if r.year == 1996], [r for r in records if r.year == 2001])
+    assume(slices[0].n_docs and slices[1].n_docs)
+    assignments = {f"d{i:02d}": c for i, (*_, c) in enumerate(data) if c is not None}
+    vocab = build_vocabulary(slices[0], slices[1], min_df=2)
+
+    labels, cell_map = doc_cells(slices, cells, assignments)
+    counts = np.zeros((len(vocab), len(labels)))
+    for slice_ in slices:
+        for rec in slice_.records:
+            for term in rec.keywords:
+                if term in vocab.index:
+                    for c in cell_map[rec.id]:
+                        counts[vocab.index[term], c] += 1
+    expected = [gini(row) if row.sum() > 0 else 0.0 for row in counts]
+    stats = classify_terms(vocab, slices, cells=cells, assignments=assignments)
+    assert [s.gini for s in stats] == expected
 
 
 def _decision_table_corpus():

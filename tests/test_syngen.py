@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -13,7 +14,6 @@ from diachron.syngen import (
     generate,
     preset,
     spec_from_dict,
-    spec_to_dict,
 )
 
 
@@ -247,16 +247,23 @@ class TestSpecDictRoundTrip:
             novel_block=Block("delta", vocab_size=10, docs_p1=0, docs_p2=20, tag="fresh"),
             bridges=(BridgeSpec("hub", members=("alpha", "beta"), vocab_size=8),),
         )
-        assert spec_from_dict(spec_to_dict(spec)) == spec
+        assert spec_from_dict(asdict(spec)) == spec
 
     def test_round_trip_survives_json(self):
         spec = _two_block_spec()
-        data = json.loads(json.dumps(spec_to_dict(spec)))
+        data = json.loads(json.dumps(asdict(spec)))
         assert spec_from_dict(data) == spec
 
     def test_malformed_block_rejected(self):
         with pytest.raises(ConfigError):
             spec_from_dict({"blocks": [{"vocab_size": 12}]})
+
+    @pytest.mark.parametrize(
+        "name", ["three-blocks", "diffusion-mix", "fresh-block", "two-networks", "large-scale"]
+    )
+    def test_presets_round_trip_through_json(self, name):
+        spec = preset(name, seed=7)
+        assert spec_from_dict(json.loads(json.dumps(asdict(spec)))) == spec
 
 
 class TestPresets:

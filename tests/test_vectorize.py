@@ -256,3 +256,57 @@ def test_random_corpora_produce_unit_rows(data):
         assert len(dtm.doc_ids) + len(dtm.dropped_doc_ids) == slices[0].n_docs
         norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
         assert np.allclose(norms, 1.0, atol=1e-12)
+
+
+def _reference_rows(slice_, vocabulary, weighting):
+    """Per-record oracle: (doc ids, dropped ids, [(column, weight), ...] per kept row)."""
+    idf = idf_vector(vocabulary)
+    doc_ids, dropped, rows = [], [], []
+    for rec in slice_.records:
+        cols = sorted(vocabulary.index[t] for t in rec.keywords if t in vocabulary.index)
+        entries = [(c, 1.0 if weighting == "binary" else float(idf[c])) for c in cols]
+        entries = [(c, w) for c, w in entries if w > 0.0]
+        if not entries:
+            dropped.append(rec.id)
+            continue
+        norm = math.sqrt(math.fsum(w * w for _, w in entries))
+        doc_ids.append(rec.id)
+        rows.append([(c, w / norm) for c, w in entries])
+    return doc_ids, dropped, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.lists(
+        st.tuples(
+            st.booleans(),
+            # a small pool, so that dfs and hence idf weights vary within a row
+            st.lists(st.sampled_from([f"k{i:02d}" for i in range(16)]), max_size=10, unique=True),
+        ),
+        min_size=2,
+        max_size=16,
+    ),
+    min_df=st.integers(min_value=1, max_value=2),
+)
+def test_build_matrix_is_bitwise_equal_to_per_record_reference(data, min_df):
+    # "common" is in every record, so its idf is 0 and a record holding
+    # only "common" (or only out-of-vocabulary terms besides it) has no
+    # tfidf weight left and is dropped
+    p1 = [_rec(f"d{i:03d}", 1996, ["common", *kws]) for i, (in_p1, kws) in enumerate(data) if in_p1]
+    p2 = [_rec(f"d{i:03d}", 2001, ["common", *kws]) for i, (in_p1, kws) in enumerate(data) if not in_p1]
+    slices = _slices(p1 or [_rec("pad-1", 1996, ["common"])], p2 or [_rec("pad-2", 2001, ["common"])])
+    vocab = build_vocabulary(slices[0], slices[1], min_df=min_df)
+    for slice_ in slices:
+        for weighting in ("binary", "tfidf"):
+            dtm = build_matrix(slice_, vocab, weighting)
+            doc_ids, dropped, rows = _reference_rows(slice_, vocab, weighting)
+            assert dtm.doc_ids == tuple(doc_ids)
+            assert dtm.dropped_doc_ids == tuple(dropped)
+            m = dtm.matrix
+            assert m.shape == (len(rows), len(vocab))
+            got = [
+                list(zip(m.indices[a:b].tolist(), m.data[a:b].tolist()))
+                for a, b in zip(m.indptr[:-1], m.indptr[1:])
+            ]
+            assert got == rows
+
