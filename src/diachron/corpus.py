@@ -71,13 +71,6 @@ class PeriodSpec:
                 f"got [{self.p1_start},{self.p1_end}] and [{self.p2_start},{self.p2_end}]"
             )
 
-    def window(self, period_id: str) -> tuple[int, int]:
-        if period_id == "P1":
-            return self.p1_start, self.p1_end
-        if period_id == "P2":
-            return self.p2_start, self.p2_end
-        raise ValueError(f"unknown period id {period_id!r}")
-
 
 @dataclass(frozen=True)
 class CorpusSlice:

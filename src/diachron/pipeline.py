@@ -17,6 +17,7 @@ themselves; the canonical stage list in the manifest reflects that.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
-from . import artifacts
+from . import __version__, artifacts
 from .cluster import ClusterConfig, fit_axial_kmeans, summarize_clusters
 from .corpus import (
     CorpusSlice,
@@ -40,7 +41,7 @@ from .corpus import (
 )
 from .diachrony import cross_table, link_periods
 from .diffusion import DiffusionThresholds, classify_terms, read_terms_csv, write_terms_csv
-from .errors import ConfigError
+from .errors import ConfigError, decode
 from .mapping import build_cluster_map
 from .seeding import derive_seed
 from .vectorize import WEIGHTINGS, build_matrix
@@ -50,6 +51,8 @@ log = logging.getLogger("diachron")
 PERIOD_IDS = ("P1", "P2")
 GINI_CELL_MODES = ("categories", "clusters")
 FORMATS = ("jsonl", "csv")
+# config keys of the "cluster" section, in manifest order; RunConfig holds them flat
+CLUSTER_KEYS = ("k", "k_p1", "k_p2", "max_iters", "tol", "restarts")
 
 
 @dataclass(frozen=True)
@@ -124,14 +127,7 @@ class RunConfig:
             "min_df": self.min_df,
             "weighting": self.weighting,
             "thresholds": dataclasses.asdict(self.thresholds),
-            "cluster": {
-                "k": self.k,
-                "k_p1": self.k_p1,
-                "k_p2": self.k_p2,
-                "max_iters": self.max_iters,
-                "tol": self.tol,
-                "restarts": self.restarts,
-            },
+            "cluster": {key: getattr(self, key) for key in CLUSTER_KEYS},
             "tau": self.tau,
             "rho": self.rho,
             "top_m": self.top_m,
@@ -141,80 +137,38 @@ class RunConfig:
         }
 
 
-def _strip_comments(obj):
-    if isinstance(obj, dict):
-        return {
-            k: _strip_comments(v)
-            for k, v in obj.items()
-            if not k.startswith("_comment")
-        }
-    if isinstance(obj, list):
-        return [_strip_comments(v) for v in obj]
-    return obj
-
-
-def _optional_int(value):
-    return None if value is None else int(value)
-
-
-# Keys of each config section (None: top level) and the coercion of a present
-# value. Absent keys are left out, so defaults are stated once, in dataclasses.
-_SECTION_KEYS = {
-    None: {
-        "format": str, "min_df": int, "weighting": str, "seed": int, "tau": float,
-        "rho": float, "top_m": int, "gini_cells": str, "dump_matrices": bool,
-    },
-    "cluster": {
-        "k": int, "k_p1": _optional_int, "k_p2": _optional_int,
-        "max_iters": int, "tol": float, "restarts": int,
-    },
-    "thresholds": {
-        "df_high_quantile": float, "gini_low_quantile": float, "novelty_share": float,
-    },
-}
-
-
-def _present(data: dict, section: str | None) -> dict:
-    values = data if section is None else data.get(section, {})
-    if not isinstance(values, dict):
-        raise ConfigError(f"config section {section!r} must be a JSON object")
-    return {key: cast(values[key]) for key, cast in _SECTION_KEYS[section].items() if key in values}
-
-
 def config_from_dict(data: dict, base_dir: str = ".") -> RunConfig:
-    data = _strip_comments(data)
-    try:
-        periods = data["periods"]
-        spec = PeriodSpec(
-            p1_start=int(periods["p1"][0]),
-            p1_end=int(periods["p1"][1]),
-            p2_start=int(periods["p2"][0]),
-            p2_end=int(periods["p2"][1]),
-        )
-        input_path = data["input"]
-    except (KeyError, IndexError, TypeError) as exc:
-        raise ConfigError(f"config is missing a required field: {exc}") from exc
-    if not isinstance(input_path, str):
-        raise ConfigError(f"config field 'input' must be a string, got {input_path!r}")
-    if not os.path.isabs(input_path):
-        input_path = os.path.normpath(os.path.join(base_dir, input_path))
-    try:
-        return RunConfig(
-            input=input_path,
-            periods=spec,
-            thresholds=DiffusionThresholds(**_present(data, "thresholds")),
-            **_present(data, None),
-            **_present(data, "cluster"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed config value: {exc}") from exc
+    """RunConfig from a decoded config file: the `cluster` section is
+    flattened, the `periods` pairs fill PeriodSpec's fields, and a relative
+    `input` is resolved against `base_dir`."""
+    for section in ("cluster", "periods"):
+        if not isinstance(data.get(section, {}), dict):
+            raise ConfigError(f"{section} must be a JSON object, got {data[section]!r}")
+    cluster = data.get("cluster", {})
+    flat = {key: value for key, value in data.items() if key not in CLUSTER_KEYS}
+    flat.update((key, cluster[key]) for key in CLUSTER_KEYS if key in cluster)
+    where = {key: f"cluster.{key}" for key in CLUSTER_KEYS}
+    if "periods" in data:
+        flat["periods"], where["periods"] = {}, {}
+        for key in ("p1", "p2"):
+            names = (f"{key}_start", f"{key}_end")
+            where["periods"].update((name, f"periods.{key}[{i}]") for i, name in enumerate(names))
+            if key in data["periods"]:
+                pair = data["periods"][key]
+                if not (isinstance(pair, list) and len(pair) == 2):
+                    raise ConfigError(f"periods.{key} must be a [start, end] pair, got {pair!r}")
+                flat["periods"].update(zip(names, pair))
+    config = decode(RunConfig, flat, where)
+    if os.path.isabs(config.input):
+        return config
+    return dataclasses.replace(config, input=os.path.normpath(os.path.join(base_dir, config.input)))
 
 
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -269,9 +223,7 @@ def _read_clusters(out: str, period_id: str, vocabulary: Vocabulary):
     return artifacts.read_clusters(artifacts.require(path, "cluster"), vocabulary)
 
 
-def stage_ingest(
-    config: RunConfig, out: str, corpus: CorpusCache, threads: int = 1
-) -> None:
+def stage_ingest(config: RunConfig, out: str, corpus: CorpusCache) -> None:
     records, load_report = load_corpus(config.input, config.format)
     p1, p2, split_report = split_periods(records, config.periods)
     save_corpus(records, os.path.join(out, artifacts.CORPUS), "jsonl")
@@ -290,17 +242,14 @@ def stage_ingest(
     corpus.put(p1, p2)
 
 
-def stage_terms(
-    config: RunConfig, out: str, corpus: CorpusCache, threads: int = 1
-) -> None:
+def stage_terms(config: RunConfig, out: str, corpus: CorpusCache) -> None:
     p1, p2, vocabulary = corpus.slices()
     assignments = None
-    if config.gini_cells == "clusters":
-        assignments = {}
-        for period_id in PERIOD_IDS:
-            model, _ = _read_clusters(out, period_id, vocabulary)
-            for row, doc_id in enumerate(model.doc_ids):
-                assignments[doc_id] = f"{period_id}:{int(model.assignment[row])}"
+    if config.gini_cells == "clusters":  # cells: first-period cluster memberships
+        model, _ = _read_clusters(out, "P1", vocabulary)
+        assignments = {
+            doc_id: f"P1:{int(c)}" for doc_id, c in zip(model.doc_ids, model.assignment)
+        }
     stats = classify_terms(
         vocabulary,
         (p1, p2),
@@ -337,9 +286,7 @@ def stage_cluster(
             )
 
 
-def stage_map(
-    config: RunConfig, out: str, corpus: CorpusCache, threads: int = 1
-) -> None:
+def stage_map(config: RunConfig, out: str, corpus: CorpusCache) -> None:
     vocabulary = corpus.vocabulary()
     for period_id in PERIOD_IDS:
         model, summaries = _read_clusters(out, period_id, vocabulary)
@@ -355,9 +302,7 @@ def stage_map(
         )
 
 
-def stage_link(
-    config: RunConfig, out: str, corpus: CorpusCache, threads: int = 1
-) -> None:
+def stage_link(config: RunConfig, out: str, corpus: CorpusCache) -> None:
     vocabulary = corpus.vocabulary()
     model_p1, _ = _read_clusters(out, "P1", vocabulary)
     model_p2, summaries_p2 = _read_clusters(out, "P2", vocabulary)
@@ -374,9 +319,7 @@ def stage_link(
     artifacts.write_crosstab(os.path.join(out, artifacts.CROSSTAB), crosstab)
 
 
-def stage_report(
-    config: RunConfig, out: str, corpus: CorpusCache, threads: int = 1
-) -> None:
+def stage_report(config: RunConfig, out: str, corpus: CorpusCache) -> None:
     for period_id in PERIOD_IDS:
         path = artifacts.require(
             os.path.join(out, artifacts.map_json_file(period_id)), "map"
@@ -393,7 +336,7 @@ def stage_report(
             "config": config.to_dict(),
             "input_sha256": input_sha256,
             "versions": {
-                "diachron": _package_version(),
+                "diachron": __version__,
                 "python": platform.python_version(),
                 "numpy": np.__version__,
                 "scipy": scipy.__version__,
@@ -402,12 +345,6 @@ def stage_report(
         },
         os.path.join(out, artifacts.MANIFEST),
     )
-
-
-def _package_version() -> str:
-    from . import __version__
-
-    return __version__
 
 
 STAGES = {
@@ -427,8 +364,11 @@ def _run_stages(names: list[str], config: RunConfig, out: str, threads: int) -> 
     corpus = CorpusCache(config, out)  # parsed on first use, after any ingest
     try:
         for name in names:
+            stage = STAGES[name]
+            if name == "cluster":
+                stage = functools.partial(stage, threads=threads)
             start = time.perf_counter()
-            STAGES[name](config, out, corpus, threads)
+            stage(config, out, corpus)
             log.info("stage %s finished in %.2fs", name, time.perf_counter() - start)
     except BaseException:
         for entry in set(os.listdir(out)) - before:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import Record
 from .diffusion import (
@@ -29,7 +29,7 @@ from .diffusion import (
     CATEGORY_ESTABLISHED,
     CATEGORY_UNUSUAL,
 )
-from .errors import ConfigError
+from .errors import ConfigError, decode
 
 CATEGORY_UNPLANTED = "unplanted"
 
@@ -41,8 +41,8 @@ MAX_KEYWORDS = 8
 class Block:
     name: str
     vocab_size: int
-    docs_p1: int
-    docs_p2: int
+    docs_p1: int = 0
+    docs_p2: int = 0
     tag: str = ""
 
     def __post_init__(self) -> None:
@@ -85,7 +85,7 @@ class PlantSpec:
     seed: int = 0
     p1_year: int = 1996
     p2_year: int = 2001
-    bridges: tuple[BridgeSpec, ...] = field(default=())
+    bridges: tuple[BridgeSpec, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.blocks:
@@ -243,49 +243,8 @@ def generate(spec: PlantSpec) -> tuple[list[Record], dict]:
 
 
 def spec_from_dict(data: dict) -> PlantSpec:
-    """Parse a PlantSpec from a JSON-shaped dict (CLI spec files)."""
-    try:
-        blocks = tuple(
-            Block(
-                name=b["name"],
-                vocab_size=int(b["vocab_size"]),
-                docs_p1=int(b.get("docs_p1", 0)),
-                docs_p2=int(b.get("docs_p2", 0)),
-                tag=b.get("tag", ""),
-            )
-            for b in data["blocks"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed block spec: {exc}") from exc
-    novel = None
-    if data.get("novel_block"):
-        nb = data["novel_block"]
-        novel = Block(
-            name=nb["name"],
-            vocab_size=int(nb["vocab_size"]),
-            docs_p1=0,
-            docs_p2=int(nb.get("docs_p2", 0)),
-            tag=nb.get("tag", ""),
-        )
-    bridges = tuple(
-        BridgeSpec(
-            name=b["name"],
-            members=tuple(b["members"]),
-            vocab_size=int(b["vocab_size"]),
-            draws_per_doc=int(b.get("draws_per_doc", 2)),
-        )
-        for b in data.get("bridges", [])
-    )
-    return PlantSpec(
-        blocks=blocks,
-        shared_terms=int(data.get("shared_terms", 0)),
-        novel_block=novel,
-        noise_rate=float(data.get("noise_rate", 0.0)),
-        seed=int(data.get("seed", 0)),
-        p1_year=int(data.get("p1_year", 1996)),
-        p2_year=int(data.get("p2_year", 2001)),
-        bridges=bridges,
-    )
+    """Decode a PlantSpec from a JSON-shaped dict (CLI spec files)."""
+    return decode(PlantSpec, data)
 
 
 def preset(name: str, seed: int = 0) -> PlantSpec:

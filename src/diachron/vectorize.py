@@ -98,17 +98,6 @@ def build_matrix(
     )
 
 
-def cosine(u, v) -> float:
-    """Cosine similarity; 0.0 if either vector is all-zero."""
-    u = np.asarray(u.toarray()).ravel() if sp.issparse(u) else np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v.toarray()).ravel() if sp.issparse(v) else np.asarray(v, dtype=float).ravel()
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(u @ v) / (nu * nv)
-
-
 def axis_cosines(A, B) -> np.ndarray:
     """Cosine of each row of A with each row of B, at most 1.0; 0.0 for a zero row."""
     A = np.ascontiguousarray(A, dtype=float)

@@ -12,12 +12,18 @@ import json
 import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diachron import artifacts, syngen
+import diachron
+from diachron import artifacts, pipeline, syngen
 from diachron.cli import main
 from diachron.corpus import load_corpus, save_corpus
+from diachron.errors import ConfigError
 
 CANONICAL_STAGES = ["ingest", "terms", "cluster", "map", "link", "report"]
 
@@ -220,6 +226,24 @@ class TestRunCommand:
         manifest = artifacts.read_json(str(out / "run_manifest.json"))
         assert manifest["stages"] == ["ingest", "cluster", "terms", "map", "link", "report"]
         assert set(os.listdir(out)) == EXPECTED_FILES
+
+    def test_gini_cells_clusters_are_first_period_clusters(
+        self, corpus_dir, tmp_path, monkeypatch
+    ):
+        seen = []
+        classify_terms = pipeline.classify_terms
+
+        def recording(*args, assignments=None, **kwargs):
+            seen.append(assignments)
+            return classify_terms(*args, assignments=assignments, **kwargs)
+
+        monkeypatch.setattr(pipeline, "classify_terms", recording)
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl", gini_cells="clusters")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        clusters = artifacts.read_json(str(out / "clusters_P1.json"))["clusters"]
+        expected = {doc: f"P1:{c['id']}" for c in clusters for doc in c["members"]}
+        assert seen == [expected]
 
     def test_dump_matrices_adds_matrix_files(self, corpus_dir, tmp_path):
         config = write_config(tmp_path, corpus_dir / "corpus.jsonl", dump_matrices=True)
@@ -512,6 +536,140 @@ class TestErrorExits:
         monkeypatch.setenv("DIACHRON_LOG", level)
         out = tmp_path / "corpus"
         assert main(["syngen", "--preset", "three-blocks", "--out", str(out)]) == 0
+
+
+def _json_paths(value, prefix=()):
+    """Every key path into a decoded JSON value, containers included."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    paths = []
+    for key, child in items:
+        paths += [prefix + (key,), *_json_paths(child, prefix + (key,))]
+    return paths
+
+
+def _put(data, path, value):
+    data = json.loads(json.dumps(data))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return data
+
+
+FULL_CONFIG = {
+    "input": "corpus.jsonl",
+    "periods": {"p1": [1996, 1998], "p2": [2001, 2003]},
+    "format": "jsonl",
+    "min_df": 2,
+    "weighting": "tfidf",
+    "thresholds": {"df_high_quantile": 0.75, "gini_low_quantile": 0.25, "novelty_share": 0.8},
+    "cluster": {"k": 4, "k_p1": 3, "k_p2": None, "max_iters": 100, "tol": 1e-9, "restarts": 2},
+    "seed": 0,
+    "tau": 0.2,
+    "rho": 0.3,
+    "top_m": 10,
+    "gini_cells": "categories",
+    "dump_matrices": False,
+}
+FULL_SPEC = json.loads(json.dumps(dataclasses.asdict(syngen.PlantSpec(
+    blocks=(
+        syngen.Block("alpha", vocab_size=12, docs_p1=3, docs_p2=3, tag="modeling"),
+        syngen.Block("beta", vocab_size=12, docs_p1=3, docs_p2=3),
+    ),
+    shared_terms=2,
+    novel_block=syngen.Block("delta", vocab_size=10, docs_p2=3),
+    noise_rate=0.1,
+    bridges=(syngen.BridgeSpec("hub", members=("alpha", "beta"), vocab_size=4),),
+))))
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestStrictDecoding:
+    @pytest.mark.parametrize(
+        "command, key, text, path",
+        [
+            ("run", "periods", '{"p1": [1996, "abc"], "p2": [2001, 2003]}', "periods.p1[1]"),
+            ("run", "cluster", '{"k": 1e400}', "cluster.k"),
+            ("run", "cluster", '{"k": 2.7}', "cluster.k"),
+            ("run", "dump_matrices", '"false"', "dump_matrices"),
+            ("run", "cluster", '{"k": 3, "tol": NaN}', "cluster.tol"),
+            ("syngen", "bridges", '[{"name": "h", "vocab_size": 4}]', "bridges[0].members"),
+        ],
+    )
+    def test_bad_value_exits_2_naming_its_key_path(
+        self, corpus_dir, tmp_path, capsys, command, key, text, path
+    ):
+        if command == "run":
+            base = {
+                "input": str(corpus_dir / "corpus.jsonl"),
+                "periods": {"p1": [1996, 1998], "p2": [2001, 2003]},
+            }
+            flag = "--config"
+        else:
+            base = {"blocks": [{"name": "a", "vocab_size": 8, "docs_p1": 2, "docs_p2": 2}]}
+            flag = "--spec"
+        source = tmp_path / "input.json"
+        source.write_text(json.dumps({**base, key: "@"}).replace('"@"', text), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, flag, str(source), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and f" {path}" in err
+        assert not out.exists()
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(value=json_values)
+    def test_any_value_at_any_config_path_decodes_or_is_a_config_error(self, value):
+        for path in _json_paths(FULL_CONFIG):
+            try:
+                pipeline.config_from_dict(_put(FULL_CONFIG, path, value))
+            except ConfigError:
+                pass
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(value=json_values)
+    def test_any_value_at_any_spec_path_decodes_or_is_a_config_error(self, value):
+        for path in _json_paths(FULL_SPEC):
+            try:
+                syngen.spec_from_dict(_put(FULL_SPEC, path, value))
+            except ConfigError:
+                pass
+
+    def test_readme_config_block_is_all_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1]
+        block = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        required = {"input": block["input"], "periods": block["periods"]}
+        assert pipeline.config_from_dict(block) == pipeline.config_from_dict(required)
+
+    def test_comment_keys_are_ignored(self):
+        commented = _put(FULL_CONFIG, ("_comment",), "top level")
+        commented = _put(commented, ("cluster", "_comment"), "k per period")
+        commented = _put(commented, ("thresholds", "_comment_2"), ["quantiles"])
+        assert pipeline.config_from_dict(commented) == pipeline.config_from_dict(FULL_CONFIG)
+
+
+class TestPackageImport:
+    def test_import_diachron_leaves_scipy_sparse_unloaded(self):
+        src = str(Path(diachron.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, diachron; print('scipy.sparse' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestConsoleScript:

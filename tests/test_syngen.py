@@ -258,6 +258,12 @@ class TestSpecDictRoundTrip:
         with pytest.raises(ConfigError):
             spec_from_dict({"blocks": [{"vocab_size": 12}]})
 
+    def test_spec_novel_block_with_first_period_docs_rejected(self):
+        data = asdict(_two_block_spec())
+        data["novel_block"] = {"name": "delta", "vocab_size": 10, "docs_p1": 5, "docs_p2": 20}
+        with pytest.raises(ConfigError, match="first-period docs"):
+            spec_from_dict(data)
+
     @pytest.mark.parametrize(
         "name", ["three-blocks", "diffusion-mix", "fresh-block", "two-networks", "large-scale"]
     )

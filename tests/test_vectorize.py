@@ -2,18 +2,30 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diachron.corpus import CorpusSlice, Record, build_vocabulary, normalize_term
 from diachron.errors import ConfigError
-from diachron.vectorize import axis_cosines, build_matrix, cosine, idf_vector
+from diachron.vectorize import axis_cosines, build_matrix, idf_vector
 
 keyword_strategy = (
     st.text(st.characters(min_codepoint=33, max_codepoint=0x2FF), min_size=1, max_size=12)
     .map(normalize_term)
     .filter(lambda s: s != "")
 )
+
+
+def cosine(u, v) -> float:
+    """Oracle cosine of two dense or sparse vectors; 0.0 if either is all-zero."""
+    u = np.asarray(u.toarray()).ravel() if sp.issparse(u) else np.asarray(u, dtype=float).ravel()
+    v = np.asarray(v.toarray()).ravel() if sp.issparse(v) else np.asarray(v, dtype=float).ravel()
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(u @ v) / (nu * nv)
 
 
 def _rec(rec_id, year, keywords):
