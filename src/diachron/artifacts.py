@@ -225,6 +225,14 @@ def read_map(path: str) -> tuple[ClusterMap, list[ClusterSummary]]:
             ClusterSummary(cluster_id=c, label=label, top_terms=(), size=int(size))
             for c, (label, size) in enumerate(zip(data["labels"], data["sizes"]))
         ]
+        k = len(cmap.coords)
+        if not k or len(data["labels"]) != k or len(data["sizes"]) != k:
+            raise InputError(
+                f"malformed artifact {path}: coords, labels and sizes must be "
+                "non-empty and of one length"
+            )
+        if any(not (0 <= i < k and 0 <= j < k) for i, j, _ in cmap.edges):
+            raise InputError(f"malformed artifact {path}: an edge ends outside range({k})")
     return cmap, summaries
 
 

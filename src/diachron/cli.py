@@ -16,9 +16,9 @@ import os
 import sys
 
 from . import artifacts, syngen
-from .errors import ConfigError, InputError, NumericError
+from .errors import ConfigError, InputError, NumericError, decode, read_json_object
 from .corpus import save_corpus
-from .pipeline import STAGES, load_config, run_pipeline, run_stage, with_overrides
+from .pipeline import STAGES, load_config, run_pipeline, run_stage
 
 LOG_LEVELS = {
     "error": logging.ERROR,
@@ -63,13 +63,12 @@ def _cmd_syngen(args) -> None:
     if args.preset:
         spec = syngen.preset(args.preset, seed=args.seed or 0)
     else:
-        data = artifacts.read_json(args.spec)
-        spec = syngen.spec_from_dict(data)
+        spec = decode(syngen.PlantSpec, read_json_object(args.spec, "spec"))
         if args.seed is not None:
             spec = dataclasses.replace(spec, seed=args.seed)
     records, truth = syngen.generate(spec)
     os.makedirs(args.out, exist_ok=True)
-    save_corpus(records, os.path.join(args.out, artifacts.CORPUS), "jsonl")
+    save_corpus(records, os.path.join(args.out, artifacts.CORPUS))
     artifacts.write_json(truth, os.path.join(args.out, artifacts.TRUTH))
     logging.getLogger("diachron").info(
         "wrote %d records to %s", len(records), args.out
@@ -92,9 +91,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "syngen":
             _cmd_syngen(args)
         else:
-            config = with_overrides(
-                load_config(args.config), seed=args.seed, format=args.format
-            )
+            config = load_config(args.config)
+            if args.seed is not None:
+                config = dataclasses.replace(config, seed=args.seed)
+            if args.format is not None:
+                config = dataclasses.replace(config, format=args.format)
             if args.threads < 1:
                 raise ConfigError(f"--threads must be >= 1, got {args.threads}")
             if args.command == "run":

@@ -20,7 +20,6 @@ from .errors import ConfigError, InputError
 
 _WS_RE = re.compile(r"\s+")
 
-CSV_COLUMNS = ("id", "year", "keywords", "categories", "title")
 CSV_LIST_SEP = ";"
 
 
@@ -57,18 +56,17 @@ class Record:
 
 @dataclass(frozen=True)
 class PeriodSpec:
-    """Two successive, disjoint year windows (inclusive bounds)."""
+    """Two successive, disjoint year windows, each an inclusive [start, end] pair."""
 
-    p1_start: int
-    p1_end: int
-    p2_start: int
-    p2_end: int
+    p1: tuple[int, int]
+    p2: tuple[int, int]
 
     def __post_init__(self) -> None:
-        if not (self.p1_start <= self.p1_end < self.p2_start <= self.p2_end):
+        (p1_start, p1_end), (p2_start, p2_end) = self.p1, self.p2
+        if not (p1_start <= p1_end < p2_start <= p2_end):
             raise ConfigError(
                 "invalid period spec: require p1_start <= p1_end < p2_start <= p2_end, "
-                f"got [{self.p1_start},{self.p1_end}] and [{self.p2_start},{self.p2_end}]"
+                f"got [{p1_start},{p1_end}] and [{p2_start},{p2_end}]"
             )
 
 
@@ -245,55 +243,32 @@ def load_corpus(path: str, format: str = "jsonl") -> tuple[list[Record], LoadRep
     return records, report
 
 
-def save_corpus(records: list[Record], path: str, format: str = "jsonl") -> None:
-    """Serialize records (sorted by id) so that a reload round-trips exactly."""
-    ordered = sorted(records, key=lambda r: r.id)
-    if format == "jsonl":
-        with atomic_open(path) as fh:
-            for rec in ordered:
-                obj = {
-                    "id": rec.id,
-                    "year": rec.year,
-                    "keywords": list(rec.keywords),
-                    "categories": list(rec.categories),
-                }
-                if rec.title is not None:
-                    obj["title"] = rec.title
-                fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
-    elif format == "csv":
-        with atomic_open(path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for rec in ordered:
-                for value in (*rec.keywords, *rec.categories):
-                    if CSV_LIST_SEP in value:
-                        raise InputError(
-                            f"record {rec.id!r}: value {value!r} contains the CSV list"
-                            f" separator {CSV_LIST_SEP!r} and cannot be written as csv"
-                        )
-                writer.writerow(
-                    [
-                        rec.id,
-                        rec.year,
-                        CSV_LIST_SEP.join(rec.keywords),
-                        CSV_LIST_SEP.join(rec.categories),
-                        rec.title or "",
-                    ]
-                )
-    else:
-        raise InputError(f"unknown corpus format {format!r} (expected 'jsonl' or 'csv')")
+def save_corpus(records: list[Record], path: str) -> None:
+    """Write records (sorted by id) as JSONL, so that a reload round-trips exactly."""
+    with atomic_open(path) as fh:
+        for rec in sorted(records, key=lambda r: r.id):
+            obj = {
+                "id": rec.id,
+                "year": rec.year,
+                "keywords": list(rec.keywords),
+                "categories": list(rec.categories),
+            }
+            if rec.title is not None:
+                obj["title"] = rec.title
+            fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def split_periods(
     records: list[Record], spec: PeriodSpec
 ) -> tuple[CorpusSlice, CorpusSlice, SplitReport]:
     """Assign records to P1/P2 by year; out-of-window records are dropped and counted."""
+    (p1_start, p1_end), (p2_start, p2_end) = spec.p1, spec.p2
     p1, p2 = [], []
     dropped = 0
     for rec in records:
-        if spec.p1_start <= rec.year <= spec.p1_end:
+        if p1_start <= rec.year <= p1_end:
             p1.append(rec)
-        elif spec.p2_start <= rec.year <= spec.p2_end:
+        elif p2_start <= rec.year <= p2_end:
             p2.append(rec)
         else:
             dropped += 1

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the pipeline, and the strict decoder of
-config and spec files.
+"""Exception hierarchy shared across the pipeline, and the strict reader and
+decoder of config and spec files.
 
 The CLI maps these onto exit codes: ConfigError -> 2, InputError -> 3,
 NumericError -> 4, OSError -> 5.
@@ -7,6 +7,7 @@ NumericError -> 4, OSError -> 5.
 
 import dataclasses
 import functools
+import json
 import math
 import typing
 
@@ -30,26 +31,34 @@ class NumericError(DiachronError):
 _type_hints = functools.cache(typing.get_type_hints)  # evaluating them dominates decode
 
 
+def read_json_object(path, kind):
+    """The JSON object in the user-written `kind` ("config", "spec") file `path`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
+        raise ConfigError(f"{kind} file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{kind} file {path} must hold a JSON object")
+    return data
+
+
 def decode(cls, data, where=""):
     """Frozen dataclass `cls` from decoded JSON `data`, typed by its annotations.
 
     Nothing is coerced: an int field takes a JSON integer but not a bool, a
     float field a finite number (a JSON integer too), `X | None` also null,
-    `tuple[X, ...]` a JSON array (or a tuple), and a nested dataclass a JSON
-    object. An absent key takes the field's default; other keys are ignored.
-    Every error is a ConfigError naming the key path. `where` is the path of
-    `data` in its file, or a dict from each field to its path (a dict again
-    for a nested dataclass) for an object the caller assembled.
+    `tuple[X, ...]` a JSON array (or a tuple), `tuple[X, X]` one of two
+    items, and a nested dataclass a JSON object. An absent key takes the
+    field's default; other keys are ignored. Every error is a ConfigError
+    naming the key path; `where` is the path of `data` in its file.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{where or 'config'} must be a JSON object, got {data!r}")
     types = _type_hints(cls)
     values = {}
     for f in dataclasses.fields(cls):
-        if isinstance(where, dict):
-            path = where.get(f.name, f.name)
-        else:
-            path = f"{where}.{f.name}" if where else f.name
+        path = f"{where}.{f.name}" if where else f.name
         if f.name in data:
             values[f.name] = _value(types[f.name], data[f.name], path)
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
@@ -66,6 +75,8 @@ def _value(tp, value, path):
     if typing.get_origin(tp) is tuple:
         if not isinstance(value, (list, tuple)):  # a tuple as from dataclasses.asdict
             raise ConfigError(f"{path} must be a JSON array, got {value!r}")
+        if args[-1] is not Ellipsis and len(value) != len(args):  # such as tuple[int, int]
+            raise ConfigError(f"{path} must be a JSON array of {len(args)} items, got {value!r}")
         return tuple(_value(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
     if tp is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         try:

@@ -171,14 +171,14 @@ def _scaled(values: list[float], lo: float, hi: float, invert: bool) -> list[flo
 
 
 def render_svg(cmap: ClusterMap, summaries: list[ClusterSummary]) -> str:
-    """Deterministic SVG: edges, then circles, then labels, fixed formatting."""
+    """Deterministic SVG: edges, then circles, then labels, fixed formatting.
+    `summaries` holds one entry per cluster, in the order of `cmap.coords`."""
     k = len(cmap.coords)
     xs = _scaled([c[0] for c in cmap.coords], SVG_MARGIN, SVG_WIDTH - SVG_MARGIN, False)
     # SVG y grows downward, so the vertical axis is inverted
     ys = _scaled([c[1] for c in cmap.coords], SVG_MARGIN, SVG_HEIGHT - SVG_MARGIN, True)
-    max_size = max((s.size for s in summaries), default=0)
-    sizes = [summaries[c].size if c < len(summaries) else 0 for c in range(k)]
-    radii = [MAX_RADIUS * (size / max_size) ** 0.5 if max_size > 0 else 4.0 for size in sizes]
+    max_size = max(s.size for s in summaries)
+    radii = [MAX_RADIUS * (s.size / max_size) ** 0.5 if max_size > 0 else 4.0 for s in summaries]
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
         f'height="{SVG_HEIGHT}" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
@@ -197,11 +197,10 @@ def render_svg(cmap: ClusterMap, summaries: list[ClusterSummary]) -> str:
             'fill="#4477aa" fill-opacity="0.6" stroke="#223355"/>'
         )
     for c in range(k):
-        label = summaries[c].label if c < len(summaries) else str(c)
         lines.append(
             f'<text x="{xs[c]:.2f}" y="{ys[c] - radii[c] - 4.0:.2f}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-            f"{escape(label)}</text>"
+            f"{escape(summaries[c].label)}</text>"
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import logging
 import os
 import platform
@@ -41,7 +40,7 @@ from .corpus import (
 )
 from .diachrony import cross_table, link_periods
 from .diffusion import DiffusionThresholds, classify_terms, read_terms_csv, write_terms_csv
-from .errors import ConfigError, decode
+from .errors import ConfigError, decode, read_json_object
 from .mapping import build_cluster_map
 from .seeding import derive_seed
 from .vectorize import WEIGHTINGS, build_matrix
@@ -51,29 +50,42 @@ log = logging.getLogger("diachron")
 PERIOD_IDS = ("P1", "P2")
 GINI_CELL_MODES = ("categories", "clusters")
 FORMATS = ("jsonl", "csv")
-# config keys of the "cluster" section, in manifest order; RunConfig holds them flat
-CLUSTER_KEYS = ("k", "k_p1", "k_p2", "max_iters", "tol", "restarts")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    input: str
-    periods: PeriodSpec
-    format: str = "jsonl"
-    min_df: int = 2
-    weighting: str = "tfidf"
-    thresholds: DiffusionThresholds = field(default_factory=DiffusionThresholds)
+@dataclass(frozen=True, kw_only=True)
+class ClusterSection:
+    """The config file's `cluster` section; `k_p1` and `k_p2` override `k`."""
+
     k: int = 20
     k_p1: int | None = None
     k_p2: int | None = None
     max_iters: int = ClusterConfig.max_iters
     tol: float = ClusterConfig.tol
     restarts: int = ClusterConfig.restarts
-    seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("k", "k_p1", "k_p2"):
+            value = getattr(self, name)
+            if value is not None and value < 2:
+                raise ConfigError(f"{name} must be >= 2 to map clusters, got {value}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class RunConfig:
+    """A config file, declared in its own shape and key order (the manifest's)."""
+
+    input: str
+    format: str = "jsonl"
+    periods: PeriodSpec
+    min_df: int = 2
+    weighting: str = "tfidf"
+    thresholds: DiffusionThresholds = field(default_factory=DiffusionThresholds)
+    cluster: ClusterSection = field(default_factory=ClusterSection)
     tau: float = 0.2
     rho: float = 0.3
     top_m: int = 10
     gini_cells: str = "categories"
+    seed: int = 0
     dump_matrices: bool = False
 
     def __post_init__(self) -> None:
@@ -87,9 +99,6 @@ class RunConfig:
             raise ConfigError(
                 f"gini_cells must be one of {GINI_CELL_MODES}, got {self.gini_cells!r}"
             )
-        for name, value in (("k", self.k), ("k_p1", self.k_p1), ("k_p2", self.k_p2)):
-            if value is not None and value < 2:
-                raise ConfigError(f"{name} must be >= 2 to map clusters, got {value}")
         if self.min_df < 1:
             raise ConfigError(f"min_df must be >= 1, got {self.min_df}")
         if self.top_m < 1:
@@ -100,14 +109,16 @@ class RunConfig:
             raise ConfigError(f"rho must be in (0, 1], got {self.rho}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        for period_id in PERIOD_IDS:  # ClusterConfig checks the rest of the section
+            self.cluster_config(period_id)
 
     def cluster_config(self, period_id: str) -> ClusterConfig:
-        k = {"P1": self.k_p1, "P2": self.k_p2}[period_id] or self.k
+        section = self.cluster
         return ClusterConfig(
-            k=k,
-            max_iters=self.max_iters,
-            tol=self.tol,
-            restarts=self.restarts,
+            k={"P1": section.k_p1, "P2": section.k_p2}[period_id] or section.k,
+            max_iters=section.max_iters,
+            tol=section.tol,
+            restarts=section.restarts,
             seed=derive_seed(self.seed, f"cluster.{period_id}"),
         )
 
@@ -116,73 +127,19 @@ class RunConfig:
             return ["ingest", "cluster", "terms", "map", "link", "report"]
         return ["ingest", "terms", "cluster", "map", "link", "report"]
 
-    def to_dict(self) -> dict:
-        return {
-            "input": self.input,
-            "format": self.format,
-            "periods": {
-                "p1": [self.periods.p1_start, self.periods.p1_end],
-                "p2": [self.periods.p2_start, self.periods.p2_end],
-            },
-            "min_df": self.min_df,
-            "weighting": self.weighting,
-            "thresholds": dataclasses.asdict(self.thresholds),
-            "cluster": {key: getattr(self, key) for key in CLUSTER_KEYS},
-            "tau": self.tau,
-            "rho": self.rho,
-            "top_m": self.top_m,
-            "gini_cells": self.gini_cells,
-            "seed": self.seed,
-            "dump_matrices": self.dump_matrices,
-        }
-
 
 def config_from_dict(data: dict, base_dir: str = ".") -> RunConfig:
-    """RunConfig from a decoded config file: the `cluster` section is
-    flattened, the `periods` pairs fill PeriodSpec's fields, and a relative
-    `input` is resolved against `base_dir`."""
-    for section in ("cluster", "periods"):
-        if not isinstance(data.get(section, {}), dict):
-            raise ConfigError(f"{section} must be a JSON object, got {data[section]!r}")
-    cluster = data.get("cluster", {})
-    flat = {key: value for key, value in data.items() if key not in CLUSTER_KEYS}
-    flat.update((key, cluster[key]) for key in CLUSTER_KEYS if key in cluster)
-    where = {key: f"cluster.{key}" for key in CLUSTER_KEYS}
-    if "periods" in data:
-        flat["periods"], where["periods"] = {}, {}
-        for key in ("p1", "p2"):
-            names = (f"{key}_start", f"{key}_end")
-            where["periods"].update((name, f"periods.{key}[{i}]") for i, name in enumerate(names))
-            if key in data["periods"]:
-                pair = data["periods"][key]
-                if not (isinstance(pair, list) and len(pair) == 2):
-                    raise ConfigError(f"periods.{key} must be a [start, end] pair, got {pair!r}")
-                flat["periods"].update(zip(names, pair))
-    config = decode(RunConfig, flat, where)
+    """RunConfig from a decoded config file, a relative `input` resolved
+    against `base_dir`."""
+    config = decode(RunConfig, data)
     if os.path.isabs(config.input):
         return config
     return dataclasses.replace(config, input=os.path.normpath(os.path.join(base_dir, config.input)))
 
 
 def load_config(path: str) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+    data = read_json_object(path, "config")
     return config_from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
-
-
-def with_overrides(
-    config: RunConfig, seed: int | None = None, format: str | None = None
-) -> RunConfig:
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
-    if format is not None:
-        config = dataclasses.replace(config, format=format)
-    return config
 
 
 class CorpusCache:
@@ -226,7 +183,7 @@ def _read_clusters(out: str, period_id: str, vocabulary: Vocabulary):
 def stage_ingest(config: RunConfig, out: str, corpus: CorpusCache) -> None:
     records, load_report = load_corpus(config.input, config.format)
     p1, p2, split_report = split_periods(records, config.periods)
-    save_corpus(records, os.path.join(out, artifacts.CORPUS), "jsonl")
+    save_corpus(records, os.path.join(out, artifacts.CORPUS))
     artifacts.write_json(
         {
             "input_sha256": artifacts.sha256_file(config.input),
@@ -333,7 +290,7 @@ def stage_report(config: RunConfig, out: str, corpus: CorpusCache) -> None:
         input_sha256 = artifacts.read_json(path)["input_sha256"]
     artifacts.write_json(
         {
-            "config": config.to_dict(),
+            "config": dataclasses.asdict(config),
             "input_sha256": input_sha256,
             "versions": {
                 "diachron": __version__,

@@ -29,7 +29,7 @@ from .diffusion import (
     CATEGORY_ESTABLISHED,
     CATEGORY_UNUSUAL,
 )
-from .errors import ConfigError, decode
+from .errors import ConfigError
 
 CATEGORY_UNPLANTED = "unplanted"
 
@@ -240,11 +240,6 @@ def generate(spec: PlantSpec) -> tuple[list[Record], dict]:
         "seed": spec.seed,
     }
     return records, truth
-
-
-def spec_from_dict(data: dict) -> PlantSpec:
-    """Decode a PlantSpec from a JSON-shaped dict (CLI spec files)."""
-    return decode(PlantSpec, data)
 
 
 def preset(name: str, seed: int = 0) -> PlantSpec:

@@ -43,7 +43,7 @@ from diachron.mapping import build_cluster_map, pca_2d, top_eigenpairs
 from diachron.seeding import derive_seed
 from diachron.vectorize import DocTermMatrix, build_matrix
 
-PERIODS = PeriodSpec(1996, 1998, 2001, 2003)
+PERIODS = PeriodSpec((1996, 1998), (2001, 2003))
 
 
 def criterion(number, label):

@@ -5,6 +5,7 @@ smoke test for the installed console script), on a small three-block
 synthetic corpus so the full pipeline stays fast.
 """
 
+import csv
 import dataclasses
 import errno
 import itertools
@@ -23,7 +24,7 @@ import diachron
 from diachron import artifacts, pipeline, syngen
 from diachron.cli import main
 from diachron.corpus import load_corpus, save_corpus
-from diachron.errors import ConfigError
+from diachron.errors import ConfigError, decode
 
 CANONICAL_STAGES = ["ingest", "terms", "cluster", "map", "link", "report"]
 
@@ -59,8 +60,12 @@ def corpus_dir(tmp_path_factory):
     """A small corpus saved in both formats, shared by the module's tests."""
     path = tmp_path_factory.mktemp("corpus")
     records, _ = syngen.generate(_small_spec())
-    save_corpus(records, str(path / "corpus.jsonl"), "jsonl")
-    save_corpus(records, str(path / "corpus.csv"), "csv")
+    save_corpus(records, str(path / "corpus.jsonl"))
+    with open(path / "corpus.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "year", "keywords", "categories", "title"])
+        for r in records:
+            writer.writerow([r.id, r.year, ";".join(r.keywords), ";".join(r.categories), ""])
     return path
 
 
@@ -122,7 +127,7 @@ class TestSyngenCommand:
 
         records, _ = syngen.generate(spec)
         expected = tmp_path / "expected.jsonl"
-        save_corpus(records, str(expected), "jsonl")
+        save_corpus(records, str(expected))
         assert (out / "corpus.jsonl").read_bytes() == expected.read_bytes()
 
     def test_seed_flag_overrides_spec_seed(self, tmp_path):
@@ -195,6 +200,33 @@ class TestRunCommand:
         assert manifest["config"]["seed"] == 123
         assert dir_hashes(out_a) == dir_hashes(out_b)
 
+    def test_manifest_echoes_the_config_file_with_overrides(self, corpus_dir, tmp_path):
+        data = {
+            "input": str(corpus_dir / "corpus.csv"),
+            "format": "jsonl",
+            "periods": {"p1": [1995, 1998], "p2": [2000, 2003]},
+            "min_df": 3,
+            "weighting": "binary",
+            "thresholds": {"df_high_quantile": 0.7, "gini_low_quantile": 0.3, "novelty_share": 0.75},
+            "cluster": {"k": 4, "k_p1": 3, "k_p2": None, "max_iters": 50, "tol": 0, "restarts": 2},
+            "tau": 0.25,
+            "rho": 0.35,
+            "top_m": 6,
+            "gini_cells": "clusters",
+            "seed": 7,
+            "dump_matrices": True,
+        }
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(config), "--out", str(out), "--seed", "5", "--format", "csv"]
+        assert main(argv) == 0
+        echo = artifacts.read_json(str(out / "run_manifest.json"))["config"]
+        assert list(echo) == list(data)
+        assert list(echo["cluster"]) == list(data["cluster"])
+        expected = dataclasses.replace(pipeline.load_config(str(config)), seed=5, format="csv")
+        assert pipeline.config_from_dict(echo) == expected
+
     def test_format_flag_overrides_config_format(self, corpus_dir, tmp_path):
         config = write_config(tmp_path, corpus_dir / "corpus.csv")
         out = tmp_path / "out"
@@ -254,7 +286,7 @@ class TestRunCommand:
     def test_input_hash_tracks_input_bytes(self, corpus_dir, tmp_path):
         records, _ = syngen.generate(_small_spec(seed=99))
         other_corpus = tmp_path / "other.jsonl"
-        save_corpus(records, str(other_corpus), "jsonl")
+        save_corpus(records, str(other_corpus))
 
         config_a = write_config(tmp_path, corpus_dir / "corpus.jsonl")
         other_dir = tmp_path / "othercfg"
@@ -371,6 +403,29 @@ class TestStageSequencing:
         assert target in capsys.readouterr().err
         assert dir_hashes(out) == before
 
+    @pytest.mark.parametrize(
+        "updates",
+        [
+            {"edges": [[0, 99, 0.5]]},
+            {"edges": [[-1, 0, 0.5]]},
+            {"coords": [], "labels": [], "sizes": [], "edges": [], "components": []},
+            {"labels": ["only"]},
+            {"sizes": [1]},
+        ],
+        ids=["edge-past-end", "edge-negative", "no-clusters", "labels-short", "sizes-short"],
+    )
+    def test_foreign_map_json_exits_3_and_names_it(self, corpus_dir, tmp_path, capsys, updates):
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        data = json.loads((out / "map_P1.json").read_text(encoding="utf-8"))
+        (out / "map_P1.json").write_text(json.dumps({**data, **updates}), encoding="utf-8")
+        before = dir_hashes(out)
+        rc = main(["report", "--config", str(config), "--out", str(out)])
+        assert rc == 3
+        assert "map_P1.json" in capsys.readouterr().err
+        assert dir_hashes(out) == before
+
     def test_terms_csv_missing_a_column_exits_3_and_names_it(
         self, corpus_dir, tmp_path, capsys
     ):
@@ -462,6 +517,19 @@ class TestErrorExits:
         config = tmp_path / "config.json"
         config.write_text("[1, 2]", encoding="utf-8")
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize(
+        "section", [{"restarts": 0}, {"max_iters": 0}, {"tol": -1}], ids=repr
+    )
+    def test_bad_cluster_value_exits_2_before_any_stage(
+        self, corpus_dir, tmp_path, capsys, section
+    ):
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl", cluster={"k": 3, **section})
+        out = tmp_path / "out"
+        assert main(["ingest", "--config", str(config), "--out", str(out)]) == 2
+        (key,) = section
+        assert f"config error: {key} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_missing_required_field_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -600,6 +668,7 @@ class TestStrictDecoding:
         "command, key, text, path",
         [
             ("run", "periods", '{"p1": [1996, "abc"], "p2": [2001, 2003]}', "periods.p1[1]"),
+            ("run", "periods", '{"p1": [1996], "p2": [2001, 2003]}', "periods.p1"),
             ("run", "cluster", '{"k": 1e400}', "cluster.k"),
             ("run", "cluster", '{"k": 2.7}', "cluster.k"),
             ("run", "dump_matrices", '"false"', "dump_matrices"),
@@ -627,6 +696,22 @@ class TestStrictDecoding:
         assert "config error:" in err and f" {path}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, flag, kind", [("run", "--config", "config"), ("syngen", "--spec", "spec")]
+    )
+    @pytest.mark.parametrize(
+        "text, problem", [("{not json", "is not valid JSON"), ("[1, 2]", "must hold a JSON object")]
+    )
+    def test_unreadable_file_exits_2_naming_it(
+        self, tmp_path, capsys, command, flag, kind, text, problem
+    ):
+        source = tmp_path / "input.json"
+        source.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, flag, str(source), "--out", str(out)]) == 2
+        assert f"config error: {kind} file {source} {problem}" in capsys.readouterr().err
+        assert not out.exists()
+
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(value=json_values)
     def test_any_value_at_any_config_path_decodes_or_is_a_config_error(self, value):
@@ -641,7 +726,7 @@ class TestStrictDecoding:
     def test_any_value_at_any_spec_path_decodes_or_is_a_config_error(self, value):
         for path in _json_paths(FULL_SPEC):
             try:
-                syngen.spec_from_dict(_put(FULL_SPEC, path, value))
+                decode(syngen.PlantSpec, _put(FULL_SPEC, path, value))
             except ConfigError:
                 pass
 

@@ -395,7 +395,7 @@ class TestCorpusParsedOncePerRun:
     def test_run_pipeline_parses_corpus_jsonl_once(self, tmp_path, monkeypatch, gini_cells):
         records, _ = syngen.generate(syngen.preset("three-blocks", seed=3))
         source = tmp_path / "input.jsonl"
-        save_corpus(records, str(source), "jsonl")
+        save_corpus(records, str(source))
         out = tmp_path / "out"
         config = pipeline.config_from_dict(
             {

@@ -3,7 +3,7 @@ from dataclasses import asdict
 
 import pytest
 
-from diachron.errors import ConfigError
+from diachron.errors import ConfigError, decode
 from diachron.syngen import (
     CATEGORY_UNPLANTED,
     MAX_KEYWORDS,
@@ -13,7 +13,6 @@ from diachron.syngen import (
     PlantSpec,
     generate,
     preset,
-    spec_from_dict,
 )
 
 
@@ -247,29 +246,29 @@ class TestSpecDictRoundTrip:
             novel_block=Block("delta", vocab_size=10, docs_p1=0, docs_p2=20, tag="fresh"),
             bridges=(BridgeSpec("hub", members=("alpha", "beta"), vocab_size=8),),
         )
-        assert spec_from_dict(asdict(spec)) == spec
+        assert decode(PlantSpec, asdict(spec)) == spec
 
     def test_round_trip_survives_json(self):
         spec = _two_block_spec()
         data = json.loads(json.dumps(asdict(spec)))
-        assert spec_from_dict(data) == spec
+        assert decode(PlantSpec, data) == spec
 
     def test_malformed_block_rejected(self):
         with pytest.raises(ConfigError):
-            spec_from_dict({"blocks": [{"vocab_size": 12}]})
+            decode(PlantSpec, {"blocks": [{"vocab_size": 12}]})
 
     def test_spec_novel_block_with_first_period_docs_rejected(self):
         data = asdict(_two_block_spec())
         data["novel_block"] = {"name": "delta", "vocab_size": 10, "docs_p1": 5, "docs_p2": 20}
         with pytest.raises(ConfigError, match="first-period docs"):
-            spec_from_dict(data)
+            decode(PlantSpec, data)
 
     @pytest.mark.parametrize(
         "name", ["three-blocks", "diffusion-mix", "fresh-block", "two-networks", "large-scale"]
     )
     def test_presets_round_trip_through_json(self, name):
         spec = preset(name, seed=7)
-        assert spec_from_dict(json.loads(json.dumps(asdict(spec)))) == spec
+        assert decode(PlantSpec, json.loads(json.dumps(asdict(spec)))) == spec
 
 
 class TestPresets:
