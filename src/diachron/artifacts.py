@@ -20,13 +20,8 @@ import numpy as np
 
 from .cluster import ClusterModel, ClusterSummary
 from .corpus import Vocabulary, atomic_open
-from .diachrony import (
-    CROSSTAB_CATEGORIES,
-    STATUS_NEW,
-    STATUS_ROOTED,
-    CrossTab,
-    Linkage,
-)
+from .diachrony import STATUS_NEW, STATUS_ROOTED, CrossTab, Linkage
+from .diffusion import CATEGORIES
 from .errors import InputError
 from .mapping import ClusterMap, render_svg
 
@@ -87,7 +82,7 @@ def read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a long integer, deep nesting
         raise InputError(f"cannot decode {path}: {exc}") from exc
 
 
@@ -269,15 +264,15 @@ def write_crosstab(path: str, crosstab: CrossTab) -> None:
     empty share cells and n_terms 0."""
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["status"] + list(CROSSTAB_CATEGORIES) + ["n_terms"])
+        writer.writerow(["status"] + list(CATEGORIES) + ["n_terms"])
         for status in (STATUS_ROOTED, STATUS_NEW):
             shares = crosstab.shares[status]
             if shares is None:
-                writer.writerow([status] + [""] * len(CROSSTAB_CATEGORIES) + [0])
+                writer.writerow([status] + [""] * len(CATEGORIES) + [0])
             else:
                 writer.writerow(
                     [status]
-                    + [f"{shares[c]:.6f}" for c in CROSSTAB_CATEGORIES]
+                    + [f"{shares[c]:.6f}" for c in CATEGORIES]
                     + [crosstab.n_terms[status]]
                 )
 

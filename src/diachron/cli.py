@@ -17,8 +17,8 @@ import sys
 
 from . import artifacts, syngen
 from .errors import ConfigError, InputError, NumericError, decode, read_json_object
-from .corpus import save_corpus
-from .pipeline import STAGES, load_config, run_pipeline, run_stage
+from .corpus import FORMATS, save_corpus
+from .pipeline import STAGES, load_config, run_stages
 
 LOG_LEVELS = {
     "error": logging.ERROR,
@@ -35,7 +35,7 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=1, help="parallelism cap")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument(
-        "--format", choices=["jsonl", "csv"], default=None, help="override input format"
+        "--format", choices=FORMATS, default=None, help="override input format"
     )
 
 
@@ -98,10 +98,8 @@ def main(argv: list[str] | None = None) -> int:
                 config = dataclasses.replace(config, format=args.format)
             if args.threads < 1:
                 raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-            if args.command == "run":
-                run_pipeline(config, args.out, threads=args.threads)
-            else:
-                run_stage(args.command, config, args.out, threads=args.threads)
+            names = config.stage_order() if args.command == "run" else [args.command]
+            run_stages(names, config, args.out, threads=args.threads)
     except ConfigError as exc:
         print(f"diachron: config error: {exc}", file=sys.stderr)
         return 2

@@ -21,6 +21,7 @@ from .errors import ConfigError, InputError
 _WS_RE = re.compile(r"\s+")
 
 CSV_LIST_SEP = ";"
+FORMATS = ("jsonl", "csv")
 
 
 @contextlib.contextmanager
@@ -165,42 +166,55 @@ def _make_record(obj: dict, where: str) -> Record:
     )
 
 
+@contextlib.contextmanager
+def _utf8_text(path: str):
+    """Report bytes that are not UTF-8, met while reading `path`, as an input
+    error naming it (the line is unknown: the file is decoded in blocks)."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+
+
 def _iter_jsonl(path: str):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, _utf8_text(path):
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{lineno}: malformed JSON line: {exc.msg}") from exc
+            except (ValueError, RecursionError) as exc:  # also a long integer, deep nesting
+                raise InputError(f"{path}:{lineno}: malformed JSON line: {exc}") from exc
             if not isinstance(obj, dict):
                 raise InputError(f"{path}:{lineno}: expected a JSON object")
             yield _make_record(obj, f"{path}:{lineno}")
 
 
 def _iter_csv(path: str):
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh, _utf8_text(path):
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in ("id", "year", "keywords") if c not in header]
-        if missing:
-            raise InputError(f"{path}: CSV header missing required columns {missing}")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            year_raw = (row.get("year") or "").strip()
-            try:
-                year = int(year_raw)
-            except ValueError as exc:
-                raise InputError(f"{where}: 'year' must be an integer, got {year_raw!r}") from exc
-            obj = {
-                "id": (row.get("id") or "").strip(),
-                "year": year,
-                "keywords": _split_cell(row.get("keywords")),
-                "categories": _split_cell(row.get("categories")),
-                "title": (row.get("title") or None),
-            }
-            yield _make_record(obj, where)
+        try:
+            header = reader.fieldnames or []
+            missing = [c for c in ("id", "year", "keywords") if c not in header]
+            if missing:
+                raise InputError(f"{path}: CSV header missing required columns {missing}")
+            for row in reader:
+                where = f"{path}:{reader.line_num}"
+                year_raw = (row.get("year") or "").strip()
+                try:
+                    year = int(year_raw)
+                except ValueError as exc:
+                    raise InputError(f"{where}: 'year' must be an integer, got {year_raw!r}") from exc
+                obj = {
+                    "id": (row.get("id") or "").strip(),
+                    "year": year,
+                    "keywords": _split_cell(row.get("keywords")),
+                    "categories": _split_cell(row.get("categories")),
+                    "title": (row.get("title") or None),
+                }
+                yield _make_record(obj, where)
+        except csv.Error as exc:  # such as a field over the csv module's size limit
+            raise InputError(f"{path}:{reader.reader.line_num}: malformed CSV: {exc}") from exc
 
 
 def _split_cell(cell: str | None) -> list[str]:
@@ -220,7 +234,7 @@ def load_corpus(path: str, format: str = "jsonl") -> tuple[list[Record], LoadRep
     elif format == "csv":
         source = _iter_csv(path)
     else:
-        raise InputError(f"unknown corpus format {format!r} (expected 'jsonl' or 'csv')")
+        raise InputError(f"unknown corpus format {format!r} (expected one of {FORMATS})")
 
     records: list[Record] = []
     seen_ids: set[str] = set()

@@ -19,25 +19,12 @@ import numpy as np
 
 from .cluster import ClusterModel, ClusterSummary
 from .corpus import Vocabulary
-from .diffusion import (
-    CATEGORY_CROSS_SECTION,
-    CATEGORY_ESTABLISHED,
-    CATEGORY_UNCLASSIFIED,
-    CATEGORY_UNUSUAL,
-    TermStats,
-)
+from .diffusion import CATEGORIES, TermStats
 from .errors import ConfigError, InputError
 from .vectorize import axis_cosines
 
 STATUS_ROOTED = "rooted"
 STATUS_NEW = "new"
-
-CROSSTAB_CATEGORIES = (
-    CATEGORY_ESTABLISHED,
-    CATEGORY_UNUSUAL,
-    CATEGORY_CROSS_SECTION,
-    CATEGORY_UNCLASSIFIED,
-)
 
 
 @dataclass(frozen=True)
@@ -103,8 +90,8 @@ def cross_table(
     category = {s.term: s.category for s in term_stats}
     status_of = linkage.statuses()
     counts: dict[str, dict[str, int]] = {
-        STATUS_ROOTED: {c: 0 for c in CROSSTAB_CATEGORIES},
-        STATUS_NEW: {c: 0 for c in CROSSTAB_CATEGORIES},
+        STATUS_ROOTED: {c: 0 for c in CATEGORIES},
+        STATUS_NEW: {c: 0 for c in CATEGORIES},
     }
     totals = {STATUS_ROOTED: 0, STATUS_NEW: 0}
     for summary in summaries_p2:
@@ -122,6 +109,6 @@ def cross_table(
             shares[status] = None
         else:
             shares[status] = {
-                c: counts[status][c] / totals[status] for c in CROSSTAB_CATEGORIES
+                c: counts[status][c] / totals[status] for c in CATEGORIES
             }
     return CrossTab(shares=shares, n_terms=totals)

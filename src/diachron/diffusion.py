@@ -106,52 +106,18 @@ def tfidf(term: str, vocabulary: Vocabulary, slices: tuple[CorpusSlice, CorpusSl
     return vocabulary.tf_pooled(term) * math.log(n_pooled / vocabulary.df_pooled(term))
 
 
-def doc_cells(
-    slices: tuple[CorpusSlice, CorpusSlice],
-    mode: str = "categories",
-    assignments: dict[str, str] | None = None,
-) -> tuple[tuple[str, ...], dict[str, tuple[int, ...]]]:
-    """Build the dispersion cell partition: (cell labels, record id -> cell indices).
-
-    'categories' uses each record's classification categories (records
-    without any go to a single uncategorized cell). 'clusters' uses an
-    explicit record id -> cluster cell label mapping, one cell per record.
-    """
-    if mode == "categories":
-        labels = set()
-        for slice_ in slices:
-            for rec in slice_.records:
-                labels.update(rec.categories if rec.categories else (UNCATEGORIZED_CELL,))
-        ordered = tuple(sorted(labels))
-        pos = {c: i for i, c in enumerate(ordered)}
-        mapping = {}
-        for slice_ in slices:
-            for rec in slice_.records:
-                cats = rec.categories if rec.categories else (UNCATEGORIZED_CELL,)
-                mapping[rec.id] = tuple(pos[c] for c in cats)
-        return ordered, mapping
-    if mode == "clusters":
-        if assignments is None:
-            raise ConfigError("cell mode 'clusters' needs a record id -> cluster mapping")
-        ordered = tuple(sorted(set(assignments.values())))
-        pos = {c: i for i, c in enumerate(ordered)}
-        mapping = {}
-        for slice_ in slices:
-            for rec in slice_.records:
-                cell = assignments.get(rec.id)
-                mapping[rec.id] = (pos[cell],) if cell is not None else ()
-        return ordered, mapping
-    raise ConfigError(f"unknown cell mode {mode!r} (expected 'categories' or 'clusters')")
-
-
 def classify_terms(
     vocabulary: Vocabulary,
     slices: tuple[CorpusSlice, CorpusSlice],
     thresholds: DiffusionThresholds | None = None,
-    cells: str = "categories",
-    assignments: dict[str, str] | None = None,
+    cells: dict[str, tuple[str, ...]] | None = None,
 ) -> list[TermStats]:
     """Assign exactly one diffusion category to every vocabulary term.
+
+    `cells` maps a record id to the labels of its dispersion cells; by
+    default a record's cells are its categories, or UNCATEGORIZED_CELL if
+    it has none. The Gini columns are the sorted labels, and a record
+    missing from `cells` counts in no cell.
 
     Decision table, first matching row wins:
       1. unusual       df_p2/df_pooled >= novelty_share and df_pooled below the high-df cut
@@ -163,10 +129,14 @@ def classify_terms(
         thresholds = DiffusionThresholds()
     if len(vocabulary) == 0:
         raise InputError("vocabulary is empty")
-    labels, cell_map = doc_cells(slices, cells, assignments)
+    if cells is None:
+        cells = {r.id: r.categories or (UNCATEGORIZED_CELL,) for s in slices for r in s.records}
+    column = {c: i for i, c in enumerate(sorted(set().union(*cells.values())))}
     # term x cell counts: the transposed doc x term incidence times doc x cell membership
     term_docs = sp.vstack([incidence(s, vocabulary) for s in slices], format="csr").T
-    doc_cell = binary_csr([cell_map[r.id] for s in slices for r in s.records], len(labels))
+    doc_cell = binary_csr(
+        [[column[c] for c in cells.get(r.id, ())] for s in slices for r in s.records], len(column)
+    )
     ginis = _gini_rows((term_docs @ doc_cell).toarray())
 
     n_pooled = slices[0].n_docs + slices[1].n_docs

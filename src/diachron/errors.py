@@ -36,7 +36,7 @@ def read_json_object(path, kind):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a long integer, deep nesting
         raise ConfigError(f"{kind} file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{kind} file {path} must hold a JSON object")

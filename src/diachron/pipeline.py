@@ -30,6 +30,7 @@ import scipy
 from . import __version__, artifacts
 from .cluster import ClusterConfig, fit_axial_kmeans, summarize_clusters
 from .corpus import (
+    FORMATS,
     CorpusSlice,
     PeriodSpec,
     Vocabulary,
@@ -40,7 +41,7 @@ from .corpus import (
 )
 from .diachrony import cross_table, link_periods
 from .diffusion import DiffusionThresholds, classify_terms, read_terms_csv, write_terms_csv
-from .errors import ConfigError, decode, read_json_object
+from .errors import ConfigError, InputError, decode, read_json_object
 from .mapping import build_cluster_map
 from .seeding import derive_seed
 from .vectorize import WEIGHTINGS, build_matrix
@@ -49,7 +50,6 @@ log = logging.getLogger("diachron")
 
 PERIOD_IDS = ("P1", "P2")
 GINI_CELL_MODES = ("categories", "clusters")
-FORMATS = ("jsonl", "csv")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -89,6 +89,11 @@ class RunConfig:
     dump_matrices: bool = False
 
     def __post_init__(self) -> None:
+        try:  # the checks open() makes on a path before it looks at the file system
+            if b"\0" in os.fsencode(self.input):
+                raise ValueError("embedded null byte")
+        except ValueError as exc:
+            raise ConfigError(f"input must be a file path, got {self.input!r}: {exc}") from exc
         if self.format not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}, got {self.format!r}")
         if self.weighting not in WEIGHTINGS:
@@ -183,7 +188,10 @@ def _read_clusters(out: str, period_id: str, vocabulary: Vocabulary):
 def stage_ingest(config: RunConfig, out: str, corpus: CorpusCache) -> None:
     records, load_report = load_corpus(config.input, config.format)
     p1, p2, split_report = split_periods(records, config.periods)
-    save_corpus(records, os.path.join(out, artifacts.CORPUS))
+    try:
+        save_corpus(records, os.path.join(out, artifacts.CORPUS))
+    except UnicodeEncodeError as exc:  # only a lone surrogate escape, such as "\ud800", does that
+        raise InputError(f"{config.input}: a record holds a lone surrogate") from exc
     artifacts.write_json(
         {
             "input_sha256": artifacts.sha256_file(config.input),
@@ -201,19 +209,11 @@ def stage_ingest(config: RunConfig, out: str, corpus: CorpusCache) -> None:
 
 def stage_terms(config: RunConfig, out: str, corpus: CorpusCache) -> None:
     p1, p2, vocabulary = corpus.slices()
-    assignments = None
-    if config.gini_cells == "clusters":  # cells: first-period cluster memberships
+    cells = None  # record categories
+    if config.gini_cells == "clusters":  # first-period cluster memberships
         model, _ = _read_clusters(out, "P1", vocabulary)
-        assignments = {
-            doc_id: f"P1:{int(c)}" for doc_id, c in zip(model.doc_ids, model.assignment)
-        }
-    stats = classify_terms(
-        vocabulary,
-        (p1, p2),
-        config.thresholds,
-        cells=config.gini_cells,
-        assignments=assignments,
-    )
+        cells = {doc_id: (f"P1:{c}",) for doc_id, c in zip(model.doc_ids, model.assignment)}
+    stats = classify_terms(vocabulary, (p1, p2), config.thresholds, cells)
     write_terms_csv(stats, os.path.join(out, artifacts.TERMS))
 
 
@@ -314,11 +314,12 @@ STAGES = {
 }
 
 
-def _run_stages(names: list[str], config: RunConfig, out: str, threads: int) -> None:
+def run_stages(names: list[str], config: RunConfig, out: str, threads: int = 1) -> None:
     """Run stages in order; on failure, remove files this invocation created."""
     os.makedirs(out, exist_ok=True)
     before = set(os.listdir(out))
     corpus = CorpusCache(config, out)  # parsed on first use, after any ingest
+    begin = time.perf_counter()
     try:
         for name in names:
             stage = STAGES[name]
@@ -334,15 +335,4 @@ def _run_stages(names: list[str], config: RunConfig, out: str, threads: int) -> 
             except OSError:
                 pass
         raise
-
-
-def run_stage(name: str, config: RunConfig, out: str, threads: int = 1) -> None:
-    """Run one stage; on failure, remove files this invocation created."""
-    _run_stages([name], config, out, threads)
-
-
-def run_pipeline(config: RunConfig, out: str, threads: int = 1) -> None:
-    """All stages in canonical order; partial outputs removed on failure."""
-    start = time.perf_counter()
-    _run_stages(config.stage_order(), config, out, threads)
-    log.info("pipeline finished in %.2fs", time.perf_counter() - start)
+    log.info("%d stage(s) finished in %.2fs", len(names), time.perf_counter() - begin)

@@ -289,7 +289,7 @@ def test_06_eigensolver_matches_jacobi_and_collinear_example():
 @criterion(7, "diffusion category recovery")
 def test_07_planted_categories_recovered():
     p1, p2, vocabulary, truth = preset_state("diffusion-mix", seed=7)
-    stats = classify_terms(vocabulary, (p1, p2), DiffusionThresholds(), cells="categories")
+    stats = classify_terms(vocabulary, (p1, p2), DiffusionThresholds())
     category = {s.term: s.category for s in stats}
 
     planted = {t: c for t, c in truth["term_category"].items() if c != syngen.CATEGORY_UNPLANTED}
@@ -307,7 +307,7 @@ def test_07_planted_categories_recovered():
 @criterion(8, "fresh-block linkage and cross table")
 def test_08_fresh_block_is_the_single_new_cluster():
     p1, p2, vocabulary, truth = preset_state("fresh-block", seed=8)
-    stats = classify_terms(vocabulary, (p1, p2), DiffusionThresholds(), cells="categories")
+    stats = classify_terms(vocabulary, (p1, p2), DiffusionThresholds())
     _, model_p1 = fit_period(p1, vocabulary, k=3, seed=8)
     matrix_p2, model_p2 = fit_period(p2, vocabulary, k=4, seed=8)
     summaries_p2 = summarize_clusters(model_p2, vocabulary, 10)

@@ -14,6 +14,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,13 @@ def corpus_dir(tmp_path_factory):
         for r in records:
             writer.writerow([r.id, r.year, ";".join(r.keywords), ";".join(r.categories), ""])
     return path
+
+
+GOOD_JSONL = b"".join(
+    b'{"id": "%s", "year": %d, "keywords": ["x", "y"]}\n' % (rec_id, year)
+    for rec_id, year in ((b"a", 1997), (b"b", 2002))
+)
+GOOD_CSV = b"id,year,keywords\na,1997,x;y\nb,2002,x;y\n"
 
 
 def write_config(directory, corpus_path, **overrides):
@@ -265,16 +273,16 @@ class TestRunCommand:
         seen = []
         classify_terms = pipeline.classify_terms
 
-        def recording(*args, assignments=None, **kwargs):
-            seen.append(assignments)
-            return classify_terms(*args, assignments=assignments, **kwargs)
+        def recording(vocabulary, slices, thresholds=None, cells=None):
+            seen.append(cells)
+            return classify_terms(vocabulary, slices, thresholds, cells)
 
         monkeypatch.setattr(pipeline, "classify_terms", recording)
         config = write_config(tmp_path, corpus_dir / "corpus.jsonl", gini_cells="clusters")
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
         clusters = artifacts.read_json(str(out / "clusters_P1.json"))["clusters"]
-        expected = {doc: f"P1:{c['id']}" for c in clusters for doc in c["members"]}
+        expected = {doc: (f"P1:{c['id']}",) for c in clusters for doc in c["members"]}
         assert seen == [expected]
 
     def test_dump_matrices_adds_matrix_files(self, corpus_dir, tmp_path):
@@ -383,6 +391,17 @@ class TestStageSequencing:
         assert rc == 3
         assert "clusters_P1.json" in capsys.readouterr().err
         assert set(os.listdir(out)) == before
+
+    def test_deeply_nested_artifact_exits_3_and_names_it(self, corpus_dir, tmp_path, capsys):
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        (out / "map_P1.json").write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        before = dir_hashes(out)
+        rc = main(["report", "--config", str(config), "--out", str(out)])
+        assert rc == 3
+        assert f"input error: cannot decode {out / 'map_P1.json'}" in capsys.readouterr().err
+        assert dir_hashes(out) == before
 
     @pytest.mark.parametrize(
         "stage, target, key",
@@ -566,6 +585,30 @@ class TestErrorExits:
         assert rc == 3
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, data, where",
+        [
+            ("corpus.jsonl", GOOD_JSONL + b'{"id": "c\xff", "year": 1997, "keywords": ["x"]}\n', ": not UTF-8"),
+            ("corpus.csv", GOOD_CSV + b"c\xff,1997,x\n", ": not UTF-8"),
+            ("corpus.jsonl", GOOD_JSONL + b'{"id": "c", "year": ' + b"1" * 4301 + b"}\n", ":3:"),
+            ("corpus.jsonl", GOOD_JSONL + b"[" * 100_000 + b"]" * 100_000 + b"\n", ":3:"),
+            ("corpus.csv", GOOD_CSV + b"c,1997," + b"x" * 131_073 + b"\n", ":4:"),
+            ("corpus.jsonl", GOOD_JSONL + b'{"id": "c\\ud800", "year": 1997, "keywords": ["x"]}\n',
+             ": a record holds a lone surrogate"),
+        ],
+        ids=[
+            "jsonl-not-utf8", "csv-not-utf8", "integer-over-4300-digits",
+            "nested-100000-deep", "csv-field-over-limit", "lone-surrogate",
+        ],
+    )
+    def test_unparsable_corpus_exits_3_naming_file_and_line(self, tmp_path, capsys, name, data, where):
+        corpus = tmp_path / name
+        corpus.write_bytes(data)
+        config = write_config(tmp_path, corpus, format=name.split(".")[1])
+        rc = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert f"input error: {corpus}{where}" in capsys.readouterr().err
+
     def test_zero_threads_exit_2(self, corpus_dir, tmp_path, capsys):
         config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
         rc = main(["run", "--config", str(config), "--out", str(tmp_path / "out"), "--threads", "0"])
@@ -673,6 +716,10 @@ class TestStrictDecoding:
             ("run", "cluster", '{"k": 2.7}', "cluster.k"),
             ("run", "dump_matrices", '"false"', "dump_matrices"),
             ("run", "cluster", '{"k": 3, "tol": NaN}', "cluster.tol"),
+            ("run", "input", '"corpus\\u0000.jsonl"', "input"),
+            ("run", "format", '"xml"', "format"),
+            ("run", "weighting", '"bm25"', "weighting"),
+            ("run", "gini_cells", '"periods"', "gini_cells"),
             ("syngen", "bridges", '[{"name": "h", "vocab_size": 4}]', "bridges[0].members"),
         ],
     )
@@ -700,7 +747,12 @@ class TestStrictDecoding:
         "command, flag, kind", [("run", "--config", "config"), ("syngen", "--spec", "spec")]
     )
     @pytest.mark.parametrize(
-        "text, problem", [("{not json", "is not valid JSON"), ("[1, 2]", "must hold a JSON object")]
+        "text, problem",
+        [
+            ("{not json", "is not valid JSON"),
+            pytest.param("[" * 100_000 + "]" * 100_000, "is not valid JSON", id="nested-100000-deep"),
+            ("[1, 2]", "must hold a JSON object"),
+        ],
     )
     def test_unreadable_file_exits_2_naming_it(
         self, tmp_path, capsys, command, flag, kind, text, problem
@@ -720,6 +772,16 @@ class TestStrictDecoding:
                 pipeline.config_from_dict(_put(FULL_CONFIG, path, value))
             except ConfigError:
                 pass
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(value=json_values)
+    def test_any_value_at_any_config_path_gives_main_an_exit_code(self, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            Path(tmp, "corpus.jsonl").write_bytes(GOOD_JSONL)
+            config, out = Path(tmp, "config.json"), Path(tmp, "out")
+            for path in _json_paths(FULL_CONFIG):
+                config.write_text(json.dumps(_put(FULL_CONFIG, path, value)), encoding="utf-8")
+                assert main(["ingest", "--config", str(config), "--out", str(out)]) in (0, 2, 3, 5)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(value=json_values)

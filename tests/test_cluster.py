@@ -413,7 +413,7 @@ class TestCorpusParsedOncePerRun:
             return load_corpus(path, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "load_corpus", counting_load)
-        pipeline.run_pipeline(config, str(out))
+        pipeline.run_stages(config.stage_order(), config, str(out))
         # ingest hands its records on, so the corpus is parsed once, as input
         assert paths.count(str(out / "corpus.jsonl")) == 0
         assert paths.count(str(source)) == 1

@@ -6,7 +6,6 @@ import pytest
 from diachron.cluster import ClusterModel, ClusterSummary
 from diachron.corpus import Vocabulary
 from diachron.diachrony import (
-    CROSSTAB_CATEGORIES,
     STATUS_NEW,
     STATUS_ROOTED,
     ClusterLink,
@@ -14,7 +13,7 @@ from diachron.diachrony import (
     cross_table,
     link_periods,
 )
-from diachron.diffusion import TermStats
+from diachron.diffusion import CATEGORIES, TermStats
 from diachron.errors import ConfigError, InputError
 
 
@@ -222,7 +221,7 @@ class TestCrossTable:
             row = tab.shares[status]
             assert row is not None
             assert sum(row.values()) == pytest.approx(1.0, abs=1e-9)
-            assert set(row) == set(CROSSTAB_CATEGORIES)
+            assert set(row) == set(CATEGORIES)
             assert all(0.0 <= v <= 1.0 for v in row.values())
 
     def test_top_m_truncates_the_pool(self):

@@ -16,7 +16,6 @@ from diachron.diffusion import (
     UNCATEGORIZED_CELL,
     DiffusionThresholds,
     classify_terms,
-    doc_cells,
     gini,
     read_terms_csv,
     tfidf,
@@ -177,46 +176,38 @@ class TestTfidf:
 
 
 class TestDocCells:
+    """The cell partition behind the gini column, read from classify_terms."""
+
     def test_categories_mode_collects_sorted_labels(self):
         slices = _slices(
-            [_rec("p1-a", 1996, ["t"], categories=("y", "x"))],
-            [_rec("p2-a", 2001, ["t"])],
+            [_rec("p1-a", 1996, ["t", "u"], categories=("y", "x"))],
+            [_rec("p2-a", 2001, ["t"]), _rec("p2-b", 2001, ["u"], categories=("x",))],
         )
-        labels, mapping = doc_cells(slices, "categories")
-        assert labels == (UNCATEGORIZED_CELL, "x", "y")
-        assert mapping["p1-a"] == (2, 1)
-        assert mapping["p2-a"] == (0,)
+        explicit = {"p1-a": ("y", "x"), "p2-a": (UNCATEGORIZED_CELL,), "p2-b": ("x",)}
+        ginis = _term_ginis(slices)
+        assert ginis == _term_ginis(slices, cells=explicit)
+        # over the cells ((none), x, y): t counts (1, 1, 1), u counts (0, 2, 1)
+        assert ginis["t"] == 0.0
+        assert ginis["u"] == pytest.approx(gini_pairwise_oracle([0, 2, 1]), abs=1e-12)
 
     def test_clusters_mode_uses_assignments(self):
         slices = _slices(
-            [_rec("p1-a", 1996, ["t"]), _rec("p1-b", 1996, ["t"])],
-            [_rec("p2-a", 2001, ["t"])],
+            [_rec("p1-a", 1996, ["t"], categories=("a",)), _rec("p1-b", 1996, ["t"], categories=("a",))],
+            [_rec("p2-a", 2001, ["t"], categories=("a",))],
         )
-        labels, mapping = doc_cells(
-            slices, "clusters", {"p1-a": "P1:1", "p1-b": "P1:0", "p2-a": "P2:0"}
-        )
-        assert labels == ("P1:0", "P1:1", "P2:0")
-        assert mapping == {"p1-a": (1,), "p1-b": (0,), "p2-a": (2,)}
+        cells = {"p1-a": ("c1",), "p1-b": ("c0",), "p2-a": ("c0",)}
+        assert _term_ginis(slices)["t"] == 0.0
+        assert _term_ginis(slices, cells=cells)["t"] == pytest.approx(gini_pairwise_oracle([2, 1]), abs=1e-12)
 
     def test_clusters_mode_skips_unassigned_records(self):
         slices = _slices([_rec("p1-a", 1996, ["t"]), _rec("p1-b", 1996, ["t"])], [_rec("p2-a", 2001, ["t"])])
-        _, mapping = doc_cells(slices, "clusters", {"p1-a": "c0", "p2-a": "c0"})
-        assert mapping["p1-b"] == ()
-
-    def test_clusters_mode_requires_assignments(self):
-        slices = _slices([_rec("p1-a", 1996, ["t"])], [_rec("p2-a", 2001, ["t"])])
-        with pytest.raises(ConfigError):
-            doc_cells(slices, "clusters")
-
-    def test_unknown_mode_rejected(self):
-        slices = _slices([_rec("p1-a", 1996, ["t"])], [_rec("p2-a", 2001, ["t"])])
-        with pytest.raises(ConfigError):
-            doc_cells(slices, "periods")
+        # counting p1-b in either cell would give counts (2, 1) and a positive Gini
+        assert _term_ginis(slices, cells={"p1-a": ("c0",), "p2-a": ("c1",)})["t"] == 0.0
 
 
-def _term_ginis(slices, **cell_options):
+def _term_ginis(slices, cells=None):
     vocab = build_vocabulary(slices[0], slices[1], min_df=1)
-    return {s.term: s.gini for s in classify_terms(vocab, slices, **cell_options)}
+    return {s.term: s.gini for s in classify_terms(vocab, slices, cells=cells)}
 
 
 class TestTermGini:
@@ -250,8 +241,7 @@ class TestTermGini:
             [_rec("p1-a", 1996, ["t"], categories=("a",))],
             [_rec("p2-a", 2001, ["t"], categories=("a",)), _rec("p2-b", 2001, ["missing"])],
         )
-        assignments = {"p1-a": "P1:0", "p2-a": "P2:0"}
-        ginis = _term_ginis(slices, cells="clusters", assignments=assignments)
+        ginis = _term_ginis(slices, cells={"p1-a": ("P1:0",), "p2-a": ("P2:0",)})
         assert ginis["t"] == 0.0
         assert ginis["missing"] == 0.0
 
@@ -269,10 +259,10 @@ corpus_records = st.lists(
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=corpus_records, cells=st.sampled_from(["categories", "clusters"]))
-def test_gini_column_matches_per_record_counts(data, cells):
+@given(data=corpus_records, by_cluster=st.booleans())
+def test_gini_column_matches_per_record_counts(data, by_cluster):
     """classify_terms' gini column against gini() of counts tallied record by record;
-    in clusters mode a record with cluster None has no cell."""
+    with cluster cells, a record with cluster None has no cell."""
     # every record holds "core", so a min_df of 2 leaves the vocabulary non-empty
     records = [
         _rec(f"d{i:02d}", 1996 if in_p1 else 2001, ["core", *kws], categories=cats)
@@ -280,19 +270,19 @@ def test_gini_column_matches_per_record_counts(data, cells):
     ]
     slices = _slices([r for r in records if r.year == 1996], [r for r in records if r.year == 2001])
     assume(slices[0].n_docs and slices[1].n_docs)
-    assignments = {f"d{i:02d}": c for i, (*_, c) in enumerate(data) if c is not None}
+    cells = {f"d{i:02d}": (c,) for i, (*_, c) in enumerate(data) if c is not None} if by_cluster else None
     vocab = build_vocabulary(slices[0], slices[1], min_df=2)
 
-    labels, cell_map = doc_cells(slices, cells, assignments)
+    tallied = {r.id: r.categories or (UNCATEGORIZED_CELL,) for r in records} if cells is None else cells
+    labels = sorted({c for cs in tallied.values() for c in cs})
     counts = np.zeros((len(vocab), len(labels)))
-    for slice_ in slices:
-        for rec in slice_.records:
-            for term in rec.keywords:
-                if term in vocab.index:
-                    for c in cell_map[rec.id]:
-                        counts[vocab.index[term], c] += 1
+    for rec in records:
+        for term in rec.keywords:
+            if term in vocab.index:
+                for c in tallied.get(rec.id, ()):
+                    counts[vocab.index[term], labels.index(c)] += 1
     expected = [gini(row) if row.sum() > 0 else 0.0 for row in counts]
-    stats = classify_terms(vocab, slices, cells=cells, assignments=assignments)
+    stats = classify_terms(vocab, slices, cells=cells)
     assert [s.gini for s in stats] == expected
 
 
@@ -399,8 +389,8 @@ class TestClassifyTerms:
 
     def test_cluster_cells_change_gini_but_not_counts(self):
         vocab, slices = _decision_table_corpus()
-        assignments = {r.id: f"{s.period_id}:0" for s in slices for r in s.records}
-        stats = {s.term: s for s in classify_terms(vocab, slices, cells="clusters", assignments=assignments)}
+        cells = {r.id: (f"{s.period_id}:0",) for s in slices for r in s.records}
+        stats = {s.term: s for s in classify_terms(vocab, slices, cells=cells)}
         # two cells (P1:0, P2:0): est has counts (3,3) -> gini 0
         assert stats["est"].gini == 0.0
         assert stats["est"].df_p1 == 3
