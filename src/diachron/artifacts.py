@@ -3,9 +3,10 @@
 Everything here is byte-stable: JSON floats are emitted by Python's
 shortest-round-trip repr (so full-precision values reload exactly),
 dict key order is fixed by construction, and CSV fields use pinned
-decimal formats. Cluster files carry the full-precision axes plus a
-vocabulary hash, which is what lets a later stage rebuild the exact
-in-memory model and detect stale artifacts after an input change.
+decimal formats. Cluster files carry the full-precision axes plus the
+hashes of the vocabulary and of corpus.jsonl, which is what lets a later
+stage rebuild the exact in-memory model and detect stale artifacts after
+an input change.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import hashlib
 import json
 import os
+from collections.abc import Callable
 
 import numpy as np
 
@@ -105,12 +107,17 @@ def require(path: str, producer: str):
     return path
 
 
+def _stale(name: str, reason: str, fix: str = "re-run upstream stages") -> InputError:
+    return InputError(f"stale artifact {name}: {reason} ({fix})")
+
+
 def write_clusters(
     path: str,
     model: ClusterModel,
     summaries: list[ClusterSummary],
     vocabulary: Vocabulary,
     config_echo: dict,
+    corpus_sha256: str,
 ) -> None:
     axes = model.axes
     clusters = []
@@ -134,6 +141,7 @@ def write_clusters(
             "period_id": model.period_id,
             "config": config_echo,
             "vocab_sha256": vocab_sha256(vocabulary),
+            "corpus_sha256": corpus_sha256,
             "objective_trace": list(model.objective_trace),
             "clusters": clusters,
         },
@@ -142,17 +150,38 @@ def write_clusters(
 
 
 def read_clusters(
-    path: str, vocabulary: Vocabulary
+    path: str,
+    get_vocabulary: Callable[[], Vocabulary],
+    corpus_sha256: str,
+    vocabulary_settings: dict,
 ) -> tuple[ClusterModel, list[ClusterSummary]]:
-    """Rebuild the exact model from the artifact's full-precision axes."""
+    """Rebuild the exact model from the artifact's full-precision axes.
+
+    The file must record the sha256 of corpus.jsonl, echo the running
+    `vocabulary_settings` (periods and min_df, as JSON holds them) and record
+    the sha256 of the vocabulary. `get_vocabulary` is called only once the
+    file has decoded and passed the first two checks, so a truncated or stale
+    cluster file is the file named even when the vocabulary's own artifacts
+    are missing. A vocabulary mismatch after those checks means the files the
+    vocabulary is read from are the stale ones.
+    """
     data = read_json(path)
+    name = os.path.basename(path)
     with parsing(path):
-        stored = data.get("vocab_sha256")
-        current = vocab_sha256(vocabulary)
-        if stored != current:
-            raise InputError(
-                f"stale artifact {os.path.basename(path)}: it was built over a "
-                "different vocabulary (re-run upstream stages)"
+        if data.get("corpus_sha256") != corpus_sha256:
+            raise _stale(name, "it was built over a different corpus.jsonl")
+        for key, value in vocabulary_settings.items():
+            built = data["config"].get(key)
+            if built != value:
+                reason = f"it was built with {key} {json.dumps(built)}, not {json.dumps(value)}"
+                raise _stale(name, reason)
+    vocabulary = get_vocabulary()
+    with parsing(path):
+        if data.get("vocab_sha256") != vocab_sha256(vocabulary):
+            raise _stale(
+                f"{TERMS} or {LOAD_REPORT}",
+                f"they do not hold the vocabulary {name} was built over",
+                "re-run the terms stage, or ingest",
             )
         clusters = data["clusters"]
         k = len(clusters)

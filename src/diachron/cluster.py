@@ -18,14 +18,18 @@ import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import Vocabulary
 from .errors import ConfigError, NumericError
 from .seeding import derive_seed
 from .vectorize import DocTermMatrix
+
+if TYPE_CHECKING:  # annotations only: map, link and report must not load scipy.sparse
+    import scipy.sparse as sp
+
 
 @dataclass(frozen=True)
 class ClusterConfig:

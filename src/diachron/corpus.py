@@ -46,7 +46,8 @@ def normalize_term(raw: str) -> str:
 
 @dataclass(frozen=True)
 class Record:
-    """One bibliographic document with normalized, deduplicated keywords."""
+    """One bibliographic document with normalized, deduplicated keywords
+    (sorted) and categories (in first-occurrence order)."""
 
     id: str
     year: int
@@ -129,6 +130,21 @@ class Vocabulary:
         t = self.index[term]
         return self.tf_p1[t] + self.tf_p2[t]
 
+    @classmethod
+    def from_df(cls, terms, df_p1, df_p2, n_docs_p1: int, n_docs_p2: int) -> Vocabulary:
+        """Terms in the given order with their per-period df, which is also tf."""
+        terms, df_p1, df_p2 = tuple(terms), tuple(df_p1), tuple(df_p2)
+        return cls(
+            terms=terms,
+            index={t: i for i, t in enumerate(terms)},
+            df_p1=df_p1,
+            df_p2=df_p2,
+            tf_p1=df_p1,
+            tf_p2=df_p2,
+            n_docs_p1=n_docs_p1,
+            n_docs_p2=n_docs_p2,
+        )
+
 
 def _normalized_keyword_set(raw_keywords) -> tuple[str, ...]:
     seen = set()
@@ -156,7 +172,8 @@ def _make_record(obj: dict, where: str) -> Record:
     if title is not None and not isinstance(title, str):
         raise InputError(f"{where}: 'title' must be a string")
     title = title or None
-    cats = tuple(c for c in (normalize_term(c) for c in categories) if c)
+    # deduplicated in first-occurrence order: a record counts once per cell
+    cats = tuple(dict.fromkeys(c for c in map(normalize_term, categories) if c))
     return Record(
         id=rec_id,
         year=year,
@@ -312,15 +329,10 @@ def build_vocabulary(p1: CorpusSlice, p2: CorpusSlice, min_df: int = 2) -> Vocab
     terms = sorted(t for t in set(df1) | set(df2) if df1.get(t, 0) + df2.get(t, 0) >= min_df)
     if not terms:
         raise InputError(f"empty vocabulary: no term reaches pooled df >= {min_df}")
-    d1 = tuple(df1.get(t, 0) for t in terms)
-    d2 = tuple(df2.get(t, 0) for t in terms)
-    return Vocabulary(
-        terms=tuple(terms),
-        index={t: i for i, t in enumerate(terms)},
-        df_p1=d1,
-        df_p2=d2,
-        tf_p1=d1,
-        tf_p2=d2,
-        n_docs_p1=p1.n_docs,
-        n_docs_p2=p2.n_docs,
+    return Vocabulary.from_df(
+        terms,
+        (df1.get(t, 0) for t in terms),
+        (df2.get(t, 0) for t in terms),
+        p1.n_docs,
+        p2.n_docs,
     )

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import CorpusSlice, Vocabulary, atomic_open
 from .errors import ConfigError, InputError
@@ -125,6 +124,8 @@ def classify_terms(
       3. established   df_pooled at or above the high-df cut and df_p1 >= 1
       4. unclassified  everything else
     """
+    import scipy.sparse as sp
+
     if thresholds is None:
         thresholds = DiffusionThresholds()
     if len(vocabulary) == 0:

@@ -18,7 +18,7 @@ to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
+from html import escape  # not xml.sax.saxutils, which imports urllib.request
 
 import numpy as np
 
@@ -182,7 +182,7 @@ def render_svg(cmap: ClusterMap, summaries: list[ClusterSummary]) -> str:
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
         f'height="{SVG_HEIGHT}" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
-        f"<!-- cluster map {escape(cmap.period_id)} -->",
+        f"<!-- cluster map {escape(cmap.period_id, quote=False)} -->",
         f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
     ]
     for i, j, sim in cmap.edges:
@@ -200,7 +200,7 @@ def render_svg(cmap: ClusterMap, summaries: list[ClusterSummary]) -> str:
         lines.append(
             f'<text x="{xs[c]:.2f}" y="{ys[c] - radii[c] - 4.0:.2f}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-            f"{escape(summaries[c].label)}</text>"
+            f"{escape(summaries[c].label, quote=False)}</text>"
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -2,12 +2,12 @@
 
 Every stage reads its inputs from prior-stage artifacts in the output
 directory and rebuilds cheap intermediates (period slices, vocabulary,
-matrices) from corpus.jsonl, so stages can run one at a time or chained
-by `run` with byte-identical results. Both go through one runner, which
-parses corpus.jsonl at most once per invocation (not at all after an
-ingest in the same invocation) and hands the result to every stage. All
-randomness flows from the single config seed through stage-labeled
-derived seeds.
+matrices) from them, so stages can run one at a time or chained by `run`
+with byte-identical results. Both go through one runner, which parses
+corpus.jsonl at most once per invocation (not at all after an ingest in
+the same invocation, nor for map, link and report) and hands the result
+to every stage. All randomness flows from the single config seed through
+stage-labeled derived seeds.
 
 The terms stage runs before clustering when dispersion cells come from
 record categories, and after it when cells are the period clusters
@@ -16,6 +16,7 @@ themselves; the canonical stage list in the manifest reflects that.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import logging
@@ -40,7 +41,7 @@ from .corpus import (
     split_periods,
 )
 from .diachrony import cross_table, link_periods
-from .diffusion import DiffusionThresholds, classify_terms, read_terms_csv, write_terms_csv
+from .diffusion import DiffusionThresholds, TermStats, classify_terms, read_terms_csv, write_terms_csv
 from .errors import ConfigError, InputError, decode, read_json_object
 from .mapping import build_cluster_map
 from .seeding import derive_seed
@@ -148,20 +149,33 @@ def load_config(path: str) -> RunConfig:
 
 
 class CorpusCache:
-    """corpus.jsonl of one invocation, parsed at most once (never after an
-    ingest) and shared by its stages. In both stage orders every slice reader
-    runs before the first vocabulary-only reader, so that read drops the
-    slices: map and link hold no records while they work."""
+    """What the stages of one invocation know of corpus.jsonl, each part
+    worked out at most once.
+
+    The slices come from parsing corpus.jsonl, never after an ingest (which
+    hands its own on). The vocabulary comes from the slices if a slice reader
+    ran first, and otherwise from terms.csv and load_report.json, so map and
+    link parse no corpus. Each cluster file ties those two files to the
+    clustering by the hashes of corpus.jsonl and of the vocabulary, and by
+    its echo of the periods and min_df it was built with."""
 
     def __init__(self, config: RunConfig, out: str) -> None:
         self._config = config
         self._out = out
         self._periods: tuple[CorpusSlice, CorpusSlice] | None = None
         self._vocabulary: Vocabulary | None = None
+        self._terms: list[TermStats] | None = None
+        self._sha256: str | None = None
 
     def put(self, p1: CorpusSlice, p2: CorpusSlice) -> None:
         """Periods of what ingest just wrote, which a parse would reproduce."""
         self._periods = p1, p2
+
+    def sha256(self) -> str:
+        if self._sha256 is None:
+            path = artifacts.require(os.path.join(self._out, artifacts.CORPUS), "ingest")
+            self._sha256 = artifacts.sha256_file(path)
+        return self._sha256
 
     def slices(self) -> tuple[CorpusSlice, CorpusSlice, Vocabulary]:
         if self._periods is None:
@@ -173,16 +187,44 @@ class CorpusCache:
             self._vocabulary = build_vocabulary(p1, p2, self._config.min_df)
         return p1, p2, self._vocabulary
 
+    def terms(self) -> list[TermStats]:
+        """terms.csv, read once: in both stage orders the terms stage writes
+        it before any stage reads it."""
+        if self._terms is None:
+            path = artifacts.require(os.path.join(self._out, artifacts.TERMS), "terms")
+            with artifacts.parsing(path):
+                self._terms = read_terms_csv(path)
+        return self._terms
+
     def vocabulary(self) -> Vocabulary:
         if self._vocabulary is None:
-            self.slices()
-        self._periods = None
+            stats = self.terms()
+            path = artifacts.require(os.path.join(self._out, artifacts.LOAD_REPORT), "ingest")
+            with artifacts.parsing(path):
+                report = artifacts.read_json(path)
+                self._vocabulary = Vocabulary.from_df(
+                    [s.term for s in stats],
+                    [s.df_p1 for s in stats],
+                    [s.df_p2 for s in stats],
+                    int(report["p1_docs"]),
+                    int(report["p2_docs"]),
+                )
         return self._vocabulary
 
 
-def _read_clusters(out: str, period_id: str, vocabulary: Vocabulary):
-    path = os.path.join(out, artifacts.clusters_file(period_id))
-    return artifacts.read_clusters(artifacts.require(path, "cluster"), vocabulary)
+def _vocabulary_settings(config: RunConfig) -> dict:
+    """The settings that decide the vocabulary besides corpus.jsonl, as
+    a cluster file's config echo holds them."""
+    periods = {name: list(years) for name, years in dataclasses.asdict(config.periods).items()}
+    return {"periods": periods, "min_df": config.min_df}
+
+
+def _read_clusters(config: RunConfig, out: str, period_id: str, corpus: CorpusCache):
+    corpus_sha256 = corpus.sha256()  # names a missing corpus.jsonl before a cluster file
+    path = artifacts.require(os.path.join(out, artifacts.clusters_file(period_id)), "cluster")
+    return artifacts.read_clusters(
+        path, corpus.vocabulary, corpus_sha256, _vocabulary_settings(config)
+    )
 
 
 def stage_ingest(config: RunConfig, out: str, corpus: CorpusCache) -> None:
@@ -211,7 +253,7 @@ def stage_terms(config: RunConfig, out: str, corpus: CorpusCache) -> None:
     p1, p2, vocabulary = corpus.slices()
     cells = None  # record categories
     if config.gini_cells == "clusters":  # first-period cluster memberships
-        model, _ = _read_clusters(out, "P1", vocabulary)
+        model, _ = _read_clusters(config, out, "P1", corpus)
         cells = {doc_id: (f"P1:{c}",) for doc_id, c in zip(model.doc_ids, model.assignment)}
     stats = classify_terms(vocabulary, (p1, p2), config.thresholds, cells)
     write_terms_csv(stats, os.path.join(out, artifacts.TERMS))
@@ -226,13 +268,18 @@ def stage_cluster(
         cluster_config = config.cluster_config(slice_.period_id)
         model = fit_axial_kmeans(matrix, cluster_config, threads=threads)
         summaries = summarize_clusters(model, vocabulary, config.top_m)
-        echo = {**dataclasses.asdict(cluster_config), "weighting": config.weighting}
+        echo = {
+            **dataclasses.asdict(cluster_config),
+            "weighting": config.weighting,
+            **_vocabulary_settings(config),
+        }
         artifacts.write_clusters(
             os.path.join(out, artifacts.clusters_file(slice_.period_id)),
             model,
             summaries,
             vocabulary,
             echo,
+            corpus.sha256(),
         )
         if config.dump_matrices:
             artifacts.write_matrix(
@@ -244,9 +291,8 @@ def stage_cluster(
 
 
 def stage_map(config: RunConfig, out: str, corpus: CorpusCache) -> None:
-    vocabulary = corpus.vocabulary()
-    for period_id in PERIOD_IDS:
-        model, summaries = _read_clusters(out, period_id, vocabulary)
+    clusters = [_read_clusters(config, out, period_id, corpus) for period_id in PERIOD_IDS]
+    for period_id, (model, summaries) in zip(PERIOD_IDS, clusters):
         cmap = build_cluster_map(period_id, model.axes, config.tau)
         artifacts.write_map(
             os.path.join(out, artifacts.map_json_file(period_id)),
@@ -260,14 +306,10 @@ def stage_map(config: RunConfig, out: str, corpus: CorpusCache) -> None:
 
 
 def stage_link(config: RunConfig, out: str, corpus: CorpusCache) -> None:
-    vocabulary = corpus.vocabulary()
-    model_p1, _ = _read_clusters(out, "P1", vocabulary)
-    model_p2, summaries_p2 = _read_clusters(out, "P2", vocabulary)
-    path = artifacts.require(os.path.join(out, artifacts.TERMS), "terms")
-    with artifacts.parsing(path):
-        stats = read_terms_csv(path)
-    linkage = link_periods(model_p1, model_p2, vocabulary, config.rho)
-    crosstab = cross_table(linkage, summaries_p2, stats, config.top_m)
+    model_p1, _ = _read_clusters(config, out, "P1", corpus)
+    model_p2, summaries_p2 = _read_clusters(config, out, "P2", corpus)
+    linkage = link_periods(model_p1, model_p2, corpus.vocabulary(), config.rho)
+    crosstab = cross_table(linkage, summaries_p2, corpus.terms(), config.top_m)
     artifacts.write_linkage(
         os.path.join(out, artifacts.LINKAGE),
         linkage,
@@ -315,7 +357,9 @@ STAGES = {
 
 
 def run_stages(names: list[str], config: RunConfig, out: str, threads: int = 1) -> None:
-    """Run stages in order; on failure, remove files this invocation created."""
+    """Run stages in order; on failure, remove the files this invocation
+    created, and `out` too if it created it and it is left empty."""
+    created = not os.path.exists(out)
     os.makedirs(out, exist_ok=True)
     before = set(os.listdir(out))
     corpus = CorpusCache(config, out)  # parsed on first use, after any ingest
@@ -330,9 +374,10 @@ def run_stages(names: list[str], config: RunConfig, out: str, threads: int = 1) 
             log.info("stage %s finished in %.2fs", name, time.perf_counter() - start)
     except BaseException:
         for entry in set(os.listdir(out)) - before:
-            try:
+            with contextlib.suppress(OSError):
                 os.remove(os.path.join(out, entry))
-            except OSError:
-                pass
+        if created:
+            with contextlib.suppress(OSError):  # rmdir removes only an empty directory
+                os.rmdir(out)
         raise
     log.info("%d stage(s) finished in %.2fs", len(names), time.perf_counter() - begin)

@@ -13,12 +13,15 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import CorpusSlice, Vocabulary
 from .errors import ConfigError
+
+if TYPE_CHECKING:  # imported where used, so that map, link and report never load it
+    import scipy.sparse as sp
 
 WEIGHTINGS = ("binary", "tfidf")
 
@@ -50,6 +53,8 @@ def idf_vector(vocabulary: Vocabulary) -> np.ndarray:
 
 def binary_csr(rows: list[Sequence[int]], n_cols: int) -> sp.csr_matrix:
     """CSR matrix with a 1.0 at each listed column of each row."""
+    import scipy.sparse as sp
+
     indptr = np.cumsum([0, *map(len, rows)], dtype=np.int32)
     indices = np.fromiter(chain.from_iterable(rows), dtype=np.int32, count=indptr[-1])
     matrix = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(len(rows), n_cols))

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import diachron
 from diachron import artifacts, pipeline, syngen
 from diachron.cli import main
-from diachron.corpus import load_corpus, save_corpus
+from diachron.corpus import Record, load_corpus, save_corpus
 from diachron.errors import ConfigError, decode
 
 CANONICAL_STAGES = ["ingest", "terms", "cluster", "map", "link", "report"]
@@ -97,6 +97,21 @@ def dir_hashes(path):
         name: artifacts.sha256_file(os.path.join(path, name))
         for name in os.listdir(path)
     }
+
+
+def _ingest_changed_corpus(corpus_dir, tmp_path, out, change, **overrides):
+    """Ingest into `out` the shared corpus with one change; returns its config."""
+    records, _ = load_corpus(str(corpus_dir / "corpus.jsonl"), "jsonl")
+    if change == "new-vocabulary":
+        records += [Record(f"zz{i}", 2002, ("brand new",)) for i in range(2)]
+    else:  # the same vocabulary from other bytes
+        records[0] = dataclasses.replace(records[0], title="a changed title")
+    other_dir = tmp_path / "other"
+    other_dir.mkdir()
+    save_corpus(records, str(other_dir / "corpus.jsonl"))
+    config = write_config(other_dir, other_dir / "corpus.jsonl", **overrides)
+    assert main(["ingest", "--config", str(config), "--out", str(out)]) == 0
+    return config
 
 
 def _disk_full_after(write, calls_allowed):
@@ -285,6 +300,24 @@ class TestRunCommand:
         expected = {doc: (f"P1:{c['id']}",) for c in clusters for doc in c["members"]}
         assert seen == [expected]
 
+    def test_repeated_categories_count_once_in_terms_csv(self, tmp_path):
+        def terms_csv(tagged_a):
+            rows = [
+                {"id": "a", "year": 1997, "keywords": ["x", "y"], "categories": tagged_a},
+                {"id": "b", "year": 1997, "keywords": ["x", "z"], "categories": ["chem"]},
+                {"id": "c", "year": 2002, "keywords": ["x", "y", "z"], "categories": ["bio"]},
+            ]
+            directory = tmp_path / "-".join(tagged_a)
+            directory.mkdir()
+            corpus = directory / "corpus.jsonl"
+            corpus.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+            config = write_config(directory, corpus)
+            for command in ("ingest", "terms"):
+                assert main([command, "--config", str(config), "--out", str(directory / "out")]) == 0
+            return (directory / "out" / "terms.csv").read_bytes()
+
+        assert terms_csv(["Bio", "bio", "chem"]) == terms_csv(["bio", "chem"])
+
     def test_dump_matrices_adds_matrix_files(self, corpus_dir, tmp_path):
         config = write_config(tmp_path, corpus_dir / "corpus.jsonl", dump_matrices=True)
         out = tmp_path / "out"
@@ -340,6 +373,93 @@ class TestStageSequencing:
         assert "clusters_P1.json" in err
         assert "cluster" in err
 
+    def test_map_requires_terms_artifact(self, corpus_dir, tmp_path, capsys):
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
+        out = tmp_path / "out"
+        assert main(["ingest", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["cluster", "--config", str(config), "--out", str(out)]) == 0
+        before = dir_hashes(out)
+        rc = main(["map", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "terms.csv" in err
+        assert "'terms' stage" in err
+        assert dir_hashes(out) == before
+
+    @pytest.mark.parametrize("stage", ["map", "link"])
+    @pytest.mark.parametrize("change", ["new-vocabulary", "new-title"])
+    def test_reingest_of_another_corpus_makes_cluster_files_stale(
+        self, corpus_dir, tmp_path, capsys, stage, change
+    ):
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        other_config = _ingest_changed_corpus(corpus_dir, tmp_path, out, change)
+        fresh = tmp_path / "fresh"
+        for command in ("ingest", "terms"):
+            assert main([command, "--config", str(other_config), "--out", str(fresh)]) == 0
+        same_terms = (fresh / "terms.csv").read_bytes() == (out / "terms.csv").read_bytes()
+        assert same_terms == (change == "new-title")
+        before = dir_hashes(out)
+        rc = main([stage, "--config", str(other_config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "stale artifact clusters_P1.json" in err
+        assert dir_hashes(out) == before
+
+    def test_terms_in_clusters_mode_checks_the_corpus_hash(self, corpus_dir, tmp_path, capsys):
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl", gini_cells="clusters")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        other_config = _ingest_changed_corpus(
+            corpus_dir, tmp_path, out, "new-title", gini_cells="clusters"
+        )
+        before = dir_hashes(out)
+        rc = main(["terms", "--config", str(other_config), "--out", str(out)])
+        assert rc == 3
+        assert "stale artifact clusters_P1.json" in capsys.readouterr().err
+        assert dir_hashes(out) == before
+
+    @pytest.mark.parametrize("stage", ["map", "link"])
+    @pytest.mark.parametrize(
+        "setting",
+        [{"min_df": 3}, {"periods": {"p1": [1996, 1997], "p2": [2001, 2003]}}],
+        ids=["min_df", "periods"],
+    )
+    def test_changed_vocabulary_setting_makes_cluster_files_stale(
+        self, corpus_dir, tmp_path, capsys, stage, setting
+    ):
+        # corpus.jsonl and terms.csv stay as they were; only the config moves
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        before = dir_hashes(out)
+        changed = write_config(tmp_path, corpus_dir / "corpus.jsonl", **setting)
+        rc = main([stage, "--config", str(changed), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        (key,) = setting
+        assert f"stale artifact clusters_P1.json: it was built with {key} " in err
+        assert dir_hashes(out) == before
+
+    def test_clustering_a_reingested_corpus_makes_terms_csv_stale(
+        self, corpus_dir, tmp_path, capsys
+    ):
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        other_config = _ingest_changed_corpus(corpus_dir, tmp_path, out, "new-vocabulary")
+        assert main(["cluster", "--config", str(other_config), "--out", str(out)]) == 0
+        before = dir_hashes(out)
+        rc = main(["map", "--config", str(other_config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "stale artifact terms.csv or load_report.json" in err
+        assert "re-run the terms stage" in err
+        assert dir_hashes(out) == before
+        for command in ("terms", "map"):
+            assert main([command, "--config", str(other_config), "--out", str(out)]) == 0
+
     def test_link_requires_terms_artifact(self, corpus_dir, tmp_path, capsys):
         config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
         out = tmp_path / "out"
@@ -374,6 +494,9 @@ class TestStageSequencing:
         out = tmp_path / "out"
         rc = main(["run", "--config", str(config), "--out", str(out)])
         assert rc == 4
+        assert not out.exists()  # the run created it, so it goes too
+        out.mkdir()
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 4
         assert os.listdir(out) == []
 
     def test_truncated_cluster_artifact_exits_3_and_names_it(
@@ -609,6 +732,23 @@ class TestErrorExits:
         assert rc == 3
         assert f"input error: {corpus}{where}" in capsys.readouterr().err
 
+    def test_failed_ingest_removes_only_the_out_it_created(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(GOOD_JSONL + b'{"id": "c\\ud800", "year": 1997, "keywords": ["x"]}\n')
+        config = write_config(tmp_path, corpus)
+        out = tmp_path / "out"
+        assert main(["ingest", "--config", str(config), "--out", str(out)]) == 3
+        assert not out.exists()
+        out.mkdir()
+        (out / "notes.txt").write_text("kept", encoding="utf-8")
+        assert main(["ingest", "--config", str(config), "--out", str(out)]) == 3
+        assert os.listdir(out) == ["notes.txt"]
+        nested = tmp_path / "empty" / "out"
+        nested.parent.mkdir()
+        assert main(["ingest", "--config", str(config), "--out", str(nested)]) == 3
+        assert os.listdir(tmp_path / "empty") == []
+        assert "lone surrogate" in capsys.readouterr().err
+
     def test_zero_threads_exit_2(self, corpus_dir, tmp_path, capsys):
         config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
         rc = main(["run", "--config", str(config), "--out", str(tmp_path / "out"), "--threads", "0"])
@@ -817,6 +957,30 @@ class TestPackageImport:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_rerun_stages_leave_scipy_sparse_unloaded(self, corpus_dir, tmp_path):
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        before = dir_hashes(out)
+        src = str(Path(diachron.__file__).parents[1])
+        code = (
+            "import sys\n"
+            "from diachron.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print('scipy.sparse' in sys.modules)\n"
+            "sys.exit(rc)\n"
+        )
+        for stage in ("map", "link", "report"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, stage, "--config", str(config), "--out", str(out)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == "False", stage
+        assert dir_hashes(out) == before
 
 
 class TestConsoleScript:

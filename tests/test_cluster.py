@@ -417,6 +417,11 @@ class TestCorpusParsedOncePerRun:
         # ingest hands its records on, so the corpus is parsed once, as input
         assert paths.count(str(out / "corpus.jsonl")) == 0
         assert paths.count(str(source)) == 1
+        # re-runs read the vocabulary from terms.csv and load_report.json
+        for stage in ("map", "link", "report"):
+            paths.clear()
+            pipeline.run_stages([stage], config, str(out))
+            assert paths == [], stage
 
 
 class TestSummarizeClusters:

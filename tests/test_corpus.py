@@ -61,6 +61,13 @@ class TestLoadCorpus:
         assert by_id["b"].keywords == ("gene mapping", "pcr")
         assert by_id["a"].categories == ("bio",)
 
+    def test_repeated_categories_collapse_in_first_occurrence_order(self, tmp_path):
+        rows = [{"id": "a", "year": 1997, "keywords": ["x"], "categories": ["Chem", "Bio", "bio", " chem"]}]
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, rows)
+        (record,), _ = load_corpus(str(path))
+        assert record.categories == ("chem", "bio")
+
     def test_empty_keywords_dropped_and_counted(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(
