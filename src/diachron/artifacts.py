@@ -117,6 +117,7 @@ def write_clusters(
     summaries: list[ClusterSummary],
     vocabulary: Vocabulary,
     config_echo: dict,
+    vocabulary_sha256: str,
     corpus_sha256: str,
 ) -> None:
     axes = model.axes
@@ -140,7 +141,7 @@ def write_clusters(
         {
             "period_id": model.period_id,
             "config": config_echo,
-            "vocab_sha256": vocab_sha256(vocabulary),
+            "vocab_sha256": vocabulary_sha256,
             "corpus_sha256": corpus_sha256,
             "objective_trace": list(model.objective_trace),
             "clusters": clusters,
@@ -151,7 +152,7 @@ def write_clusters(
 
 def read_clusters(
     path: str,
-    get_vocabulary: Callable[[], Vocabulary],
+    get_vocabulary: Callable[[], tuple[Vocabulary, str]],
     corpus_sha256: str,
     vocabulary_settings: dict,
 ) -> tuple[ClusterModel, list[ClusterSummary]]:
@@ -159,11 +160,12 @@ def read_clusters(
 
     The file must record the sha256 of corpus.jsonl, echo the running
     `vocabulary_settings` (periods and min_df, as JSON holds them) and record
-    the sha256 of the vocabulary. `get_vocabulary` is called only once the
-    file has decoded and passed the first two checks, so a truncated or stale
-    cluster file is the file named even when the vocabulary's own artifacts
-    are missing. A vocabulary mismatch after those checks means the files the
-    vocabulary is read from are the stale ones.
+    the sha256 of the vocabulary. `get_vocabulary` returns the vocabulary and
+    its `vocab_sha256`; it is called only once the file has decoded and
+    passed the first two checks, so a truncated or stale cluster file is the
+    file named even when the vocabulary's own artifacts are missing. A
+    vocabulary mismatch after those checks means the files the vocabulary is
+    read from are the stale ones.
     """
     data = read_json(path)
     name = os.path.basename(path)
@@ -175,9 +177,9 @@ def read_clusters(
             if built != value:
                 reason = f"it was built with {key} {json.dumps(built)}, not {json.dumps(value)}"
                 raise _stale(name, reason)
-    vocabulary = get_vocabulary()
+    vocabulary, vocabulary_sha256 = get_vocabulary()
     with parsing(path):
-        if data.get("vocab_sha256") != vocab_sha256(vocabulary):
+        if data.get("vocab_sha256") != vocabulary_sha256:
             raise _stale(
                 f"{TERMS} or {LOAD_REPORT}",
                 f"they do not hold the vocabulary {name} was built over",
@@ -190,10 +192,9 @@ def read_clusters(
         summaries = []
         for entry in clusters:
             c = int(entry["id"])
-            for term, weight in entry["axis"].items():
-                axes[c][vocabulary.index[term]] = float(weight)
-            for doc in entry["members"]:
-                member_cluster[doc] = c
+            axis = entry["axis"]
+            axes[c, [vocabulary.index[term] for term in axis]] = list(map(float, axis.values()))
+            member_cluster.update(dict.fromkeys(entry["members"], c))
             summaries.append(
                 ClusterSummary(
                     cluster_id=c,
@@ -306,7 +307,9 @@ def write_crosstab(path: str, crosstab: CrossTab) -> None:
                 )
 
 
-def write_matrix(path: str, matrix, vocabulary: Vocabulary, weighting: str) -> None:
+def write_matrix(
+    path: str, matrix, vocabulary: Vocabulary, weighting: str, vocabulary_sha256: str
+) -> None:
     """Optional inspection artifact: the weighted rows, term by term."""
     M = matrix.matrix
     rows = []
@@ -321,7 +324,7 @@ def write_matrix(path: str, matrix, vocabulary: Vocabulary, weighting: str) -> N
         {
             "period_id": matrix.period_id,
             "weighting": weighting,
-            "vocab_sha256": vocab_sha256(vocabulary),
+            "vocab_sha256": vocabulary_sha256,
             "shape": [matrix.n_rows, matrix.n_cols],
             "dropped_doc_ids": list(matrix.dropped_doc_ids),
             "rows": rows,

@@ -15,7 +15,7 @@ import logging
 import os
 import sys
 
-from . import artifacts, syngen
+from . import artifacts
 from .errors import ConfigError, InputError, NumericError, decode, read_json_object
 from .corpus import FORMATS, save_corpus
 from .pipeline import STAGES, load_config, run_stages
@@ -60,6 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_syngen(args) -> None:
+    from . import syngen  # here, so that the pipeline commands do not load it
+
     if args.preset:
         spec = syngen.preset(args.preset, seed=args.seed or 0)
     else:

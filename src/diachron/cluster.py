@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -126,58 +125,51 @@ def _assign(M: sp.csr_matrix, axes: np.ndarray):
     return P, assign, proj
 
 
-def _nonzero_rows(M: sp.csr_matrix) -> np.ndarray:
-    """Row index of every stored value of M, in storage order."""
-    return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
-
-
 def _update_axes(
     M: sp.csr_matrix,
-    rows: np.ndarray,
     axes: np.ndarray,
     assign: np.ndarray,
     P: np.ndarray,
+    proj: np.ndarray,
     k: int,
 ) -> np.ndarray:
     # every cluster's projection-weighted member sum as one segment sum:
-    # each nonzero M[d, t] adds M[d, t] * P[d, assign[d]] to bin (assign[d], t).
-    # Within a bin the products arrive in ascending d, as in M.T @ W with W
-    # holding each doc's projection in its own cluster's column, whose other
-    # terms are +0.0; so the sums equal that product bit for bit.
-    n, V = M.shape
-    proj = P[np.arange(n), assign]
+    # each nonzero M[d, t] adds M[d, t] * proj[d] to bin (assign[d], t), where
+    # proj[d] = P[d, assign[d]]. Within a bin the products arrive in ascending
+    # d, as in M.T @ W with W holding each doc's projection in its own
+    # cluster's column, whose other terms are +0.0; so the sums equal that
+    # product bit for bit.
+    V = M.shape[1]
+    per_row = np.diff(M.indptr)
     sums = np.bincount(
-        assign[rows] * V + M.indices, weights=M.data * proj[rows], minlength=k * V
+        np.repeat(assign, per_row) * V + M.indices,
+        weights=M.data * np.repeat(proj, per_row),
+        minlength=k * V,
     ).reshape(k, V)
     norms = np.linalg.norm(sums, axis=1)
-    sizes = np.bincount(assign, minlength=k)
-
-    new_axes = np.empty_like(axes)
+    positive = norms > 0.0
+    new_axes = sums / np.where(positive, norms, 1.0)[:, None]
+    # an axis whose members all lie orthogonal to it gets a zero sum; keep it
+    new_axes[~positive] = axes[~positive]
     reseeded: set[int] = set()
-    for c in range(k):
-        if sizes[c] == 0:
-            # farthest-point re-seed: the doc with the lowest projection
-            # onto this cluster's current axis becomes the new axis
-            order = np.argsort(P[:, c], kind="stable")
-            pick = next(int(r) for r in order if int(r) not in reseeded)
-            reseeded.add(pick)
-            new_axes[c] = np.asarray(M[pick].todense()).ravel()
-        elif norms[c] > 0.0:
-            new_axes[c] = sums[c] / norms[c]
-        else:
-            # members all orthogonal to the axis contribute nothing; keep it
-            new_axes[c] = axes[c]
+    for c in np.flatnonzero(np.bincount(assign, minlength=k) == 0):
+        # farthest-point re-seed: the doc with the lowest projection
+        # onto this cluster's current axis becomes the new axis
+        order = np.argsort(P[:, c], kind="stable")
+        pick = next(int(r) for r in order if int(r) not in reseeded)
+        reseeded.add(pick)
+        new_axes[c] = np.asarray(M[pick].todense()).ravel()
     return new_axes
 
 
-def _fit_single(M: sp.csr_matrix, rows: np.ndarray, config: ClusterConfig, seed: int):
+def _fit_single(M: sp.csr_matrix, config: ClusterConfig, seed: int):
     rng = random.Random(seed)
     axes = _init_axes(M, config.k, rng)
     P, assign, proj = _assign(M, axes)
     objective = _objective(proj)
     trace = [objective]
     for _ in range(config.max_iters):
-        new_axes = _update_axes(M, rows, axes, assign, P, config.k)
+        new_axes = _update_axes(M, axes, assign, P, proj, config.k)
         new_P, new_assign, new_proj = _assign(M, new_axes)
         new_objective = _objective(new_proj)
         if new_objective < objective:
@@ -210,12 +202,13 @@ def fit_axial_kmeans(
     M = matrix.matrix if identity else matrix.matrix[order]
 
     seeds = [derive_seed(config.seed, f"restart.{r}") for r in range(config.restarts)]
-    rows = _nonzero_rows(M)  # read-only, shared by every restart
 
     def run(r: int):
-        return _fit_single(M, rows, config, seeds[r])
+        return _fit_single(M, config, seeds[r])
 
     if threads > 1 and config.restarts > 1:
+        from concurrent.futures import ThreadPoolExecutor  # here, so --threads 1 never loads it
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, range(config.restarts)))
     else:

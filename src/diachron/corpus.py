@@ -146,16 +146,15 @@ class Vocabulary:
         )
 
 
-def _normalized_keyword_set(raw_keywords) -> tuple[str, ...]:
-    seen = set()
-    for raw in raw_keywords:
-        term = normalize_term(raw)
-        if term:
-            seen.add(term)
-    return tuple(sorted(seen))
+class _Normalized(dict):
+    """normalize_term of each raw string, worked out once per distinct string."""
+
+    def __missing__(self, raw: str) -> str:
+        term = self[raw] = normalize_term(raw)
+        return term
 
 
-def _make_record(obj: dict, where: str) -> Record:
+def _make_record(obj: dict, where: str, normalized: _Normalized) -> Record:
     rec_id = obj.get("id")
     if not isinstance(rec_id, str) or not rec_id:
         raise InputError(f"{where}: 'id' must be a non-empty string")
@@ -163,21 +162,23 @@ def _make_record(obj: dict, where: str) -> Record:
     if isinstance(year, bool) or not isinstance(year, int):
         raise InputError(f"{where}: 'year' must be an integer")
     keywords = obj.get("keywords")
-    if not isinstance(keywords, list) or any(not isinstance(k, str) for k in keywords):
+    if not isinstance(keywords, list) or not all(isinstance(k, str) for k in keywords):
         raise InputError(f"{where}: 'keywords' must be an array of strings")
     categories = obj.get("categories", [])
-    if not isinstance(categories, list) or any(not isinstance(c, str) for c in categories):
+    if not isinstance(categories, list) or not all(isinstance(c, str) for c in categories):
         raise InputError(f"{where}: 'categories' must be an array of strings")
     title = obj.get("title")
     if title is not None and not isinstance(title, str):
         raise InputError(f"{where}: 'title' must be a string")
     title = title or None
+    terms = {normalized[k] for k in keywords}
+    terms.discard("")
     # deduplicated in first-occurrence order: a record counts once per cell
-    cats = tuple(dict.fromkeys(c for c in map(normalize_term, categories) if c))
+    cats = tuple(dict.fromkeys(c for c in map(normalized.__getitem__, categories) if c))
     return Record(
         id=rec_id,
         year=year,
-        keywords=_normalized_keyword_set(keywords),
+        keywords=tuple(sorted(terms)),
         categories=cats,
         title=title,
     )
@@ -193,7 +194,7 @@ def _utf8_text(path: str):
         raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from exc
 
 
-def _iter_jsonl(path: str):
+def _iter_jsonl(path: str, normalized: _Normalized):
     with open(path, encoding="utf-8") as fh, _utf8_text(path):
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -204,10 +205,10 @@ def _iter_jsonl(path: str):
                 raise InputError(f"{path}:{lineno}: malformed JSON line: {exc}") from exc
             if not isinstance(obj, dict):
                 raise InputError(f"{path}:{lineno}: expected a JSON object")
-            yield _make_record(obj, f"{path}:{lineno}")
+            yield _make_record(obj, f"{path}:{lineno}", normalized)
 
 
-def _iter_csv(path: str):
+def _iter_csv(path: str, normalized: _Normalized):
     with open(path, encoding="utf-8", newline="") as fh, _utf8_text(path):
         reader = csv.DictReader(fh)
         try:
@@ -229,7 +230,7 @@ def _iter_csv(path: str):
                     "categories": _split_cell(row.get("categories")),
                     "title": (row.get("title") or None),
                 }
-                yield _make_record(obj, where)
+                yield _make_record(obj, where, normalized)
         except csv.Error as exc:  # such as a field over the csv module's size limit
             raise InputError(f"{path}:{reader.reader.line_num}: malformed CSV: {exc}") from exc
 
@@ -247,9 +248,9 @@ def load_corpus(path: str, format: str = "jsonl") -> tuple[list[Record], LoadRep
     counted. A duplicate id is an error naming the id.
     """
     if format == "jsonl":
-        source = _iter_jsonl(path)
+        source = _iter_jsonl(path, _Normalized())
     elif format == "csv":
-        source = _iter_csv(path)
+        source = _iter_csv(path, _Normalized())
     else:
         raise InputError(f"unknown corpus format {format!r} (expected one of {FORMATS})")
 

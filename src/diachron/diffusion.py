@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,9 +53,9 @@ class DiffusionThresholds:
             raise ConfigError(f"novelty_share must lie in (0, 1], got {self.novelty_share}")
 
 
-@dataclass(frozen=True)
-class TermStats:
-    """Per-term indicator values plus the assigned diffusion category."""
+class TermStats(NamedTuple):
+    """Per-term indicator values plus the assigned diffusion category, in
+    terms.csv's column order."""
 
     term: str
     tf_p1: int
@@ -179,7 +180,7 @@ def write_terms_csv(stats: list[TermStats], path: str) -> None:
     """Write terms.csv in vocabulary order with reals at 6 decimal places."""
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["term", "tf_p1", "tf_p2", "df_p1", "df_p2", "tfidf", "gini", "category"])
+        writer.writerow(TermStats._fields)
         for s in stats:
             writer.writerow(
                 [s.term, s.tf_p1, s.tf_p2, s.df_p1, s.df_p2, f"{s.tfidf:.6f}", f"{s.gini:.6f}", s.category]
@@ -189,23 +190,23 @@ def write_terms_csv(stats: list[TermStats], path: str) -> None:
 def read_terms_csv(path: str) -> list[TermStats]:
     """Reload terms.csv (rounded reals; categories are exact).
 
-    A category outside CATEGORIES is a ValueError naming the term.
+    The header must be the one write_terms_csv writes, and every row must
+    hold its eight fields; a category outside CATEGORIES is a ValueError
+    naming the term.
     """
     stats = []
     with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            if row["category"] not in CATEGORIES:
-                raise ValueError(f"term {row['term']!r} has unknown category {row['category']!r}")
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != list(TermStats._fields):
+            raise ValueError(f"header {header} is not {list(TermStats._fields)}")
+        for term, tf_p1, tf_p2, df_p1, df_p2, tfidf, gini, category in reader:
+            if category not in CATEGORIES:
+                raise ValueError(f"term {term!r} has unknown category {category!r}")
             stats.append(
                 TermStats(
-                    term=row["term"],
-                    tf_p1=int(row["tf_p1"]),
-                    tf_p2=int(row["tf_p2"]),
-                    df_p1=int(row["df_p1"]),
-                    df_p2=int(row["df_p2"]),
-                    tfidf=float(row["tfidf"]),
-                    gini=float(row["gini"]),
-                    category=row["category"],
+                    term, int(tf_p1), int(tf_p2), int(df_p1), int(df_p2),
+                    float(tfidf), float(gini), category,
                 )
             )
     return stats

@@ -26,7 +26,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from . import __version__, artifacts
 from .cluster import ClusterConfig, fit_axial_kmeans, summarize_clusters
@@ -166,6 +165,7 @@ class CorpusCache:
         self._vocabulary: Vocabulary | None = None
         self._terms: list[TermStats] | None = None
         self._sha256: str | None = None
+        self._vocab_sha256: str | None = None
 
     def put(self, p1: CorpusSlice, p2: CorpusSlice) -> None:
         """Periods of what ingest just wrote, which a parse would reproduce."""
@@ -211,6 +211,11 @@ class CorpusCache:
                 )
         return self._vocabulary
 
+    def vocab_sha256(self) -> str:
+        if self._vocab_sha256 is None:
+            self._vocab_sha256 = artifacts.vocab_sha256(self.vocabulary())
+        return self._vocab_sha256
+
 
 def _vocabulary_settings(config: RunConfig) -> dict:
     """The settings that decide the vocabulary besides corpus.jsonl, as
@@ -223,7 +228,10 @@ def _read_clusters(config: RunConfig, out: str, period_id: str, corpus: CorpusCa
     corpus_sha256 = corpus.sha256()  # names a missing corpus.jsonl before a cluster file
     path = artifacts.require(os.path.join(out, artifacts.clusters_file(period_id)), "cluster")
     return artifacts.read_clusters(
-        path, corpus.vocabulary, corpus_sha256, _vocabulary_settings(config)
+        path,
+        lambda: (corpus.vocabulary(), corpus.vocab_sha256()),
+        corpus_sha256,
+        _vocabulary_settings(config),
     )
 
 
@@ -279,6 +287,7 @@ def stage_cluster(
             summaries,
             vocabulary,
             echo,
+            corpus.vocab_sha256(),
             corpus.sha256(),
         )
         if config.dump_matrices:
@@ -287,6 +296,7 @@ def stage_cluster(
                 matrix,
                 vocabulary,
                 config.weighting,
+                corpus.vocab_sha256(),
             )
 
 
@@ -319,6 +329,8 @@ def stage_link(config: RunConfig, out: str, corpus: CorpusCache) -> None:
 
 
 def stage_report(config: RunConfig, out: str, corpus: CorpusCache) -> None:
+    import scipy  # for its version only, so the other stages never load it
+
     for period_id in PERIOD_IDS:
         path = artifacts.require(
             os.path.join(out, artifacts.map_json_file(period_id)), "map"

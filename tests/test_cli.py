@@ -568,18 +568,30 @@ class TestStageSequencing:
         assert "map_P1.json" in capsys.readouterr().err
         assert dir_hashes(out) == before
 
+    @pytest.mark.parametrize("stage", ["map", "link"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda header, rows: [row.rsplit(",", 1)[0] for row in (header, *rows)],
+            # every row still parses: only the header shows tfidf and gini swapped
+            lambda header, rows: [header.replace("tfidf,gini", "gini,tfidf"), *rows],
+            lambda header, rows: [header + ",extra", *(row + ",x" for row in rows)],
+            lambda header, rows: [header, rows[0].rsplit(",", 1)[0], *rows[1:]],
+        ],
+        ids=["missing-column", "reordered-header", "extra-column", "short-row"],
+    )
     def test_terms_csv_missing_a_column_exits_3_and_names_it(
-        self, corpus_dir, tmp_path, capsys
+        self, corpus_dir, tmp_path, capsys, stage, edit
     ):
         config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
-        rows = (out / "terms.csv").read_text(encoding="utf-8").splitlines()
+        header, *rows = (out / "terms.csv").read_text(encoding="utf-8").splitlines()
         (out / "terms.csv").write_text(
-            "".join(row.rsplit(",", 1)[0] + "\n" for row in rows), encoding="utf-8"
+            "".join(row + "\n" for row in edit(header, rows)), encoding="utf-8"
         )
         before = dir_hashes(out)
-        assert main(["link", "--config", str(config), "--out", str(out)]) == 3
+        assert main([stage, "--config", str(config), "--out", str(out)]) == 3
         assert "terms.csv" in capsys.readouterr().err
         assert dir_hashes(out) == before
 
@@ -980,6 +992,32 @@ class TestPackageImport:
             )
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.strip() == "False", stage
+        assert dir_hashes(out) == before
+
+    def test_rerun_stages_load_only_what_they_use(self, corpus_dir, tmp_path):
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        before = dir_hashes(out)
+        src = str(Path(diachron.__file__).parents[1])
+        code = (
+            "import sys\n"
+            "from diachron.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(sorted(m for m in ('scipy', 'concurrent.futures', 'diachron.syngen')"
+            " if m in sys.modules))\n"
+            "sys.exit(rc)\n"
+        )
+        # report imports scipy for the manifest's version string
+        for stage, loaded in (("map", "[]"), ("link", "[]"), ("report", "['scipy']")):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, stage, "--config", str(config), "--out", str(out)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == loaded, stage
         assert dir_hashes(out) == before
 
 

@@ -12,7 +12,6 @@ from diachron.cluster import (
     ClusterConfig,
     ClusterModel,
     _init_axes,
-    _nonzero_rows,
     _update_axes,
     fit_axial_kmeans,
     init_axes,
@@ -256,7 +255,7 @@ class TestEmptyClusterReseed:
         P = np.asarray(M @ axes.T)
         assign = np.argmax(P, axis=1)
         assert np.array_equal(assign, [0, 0, 0])  # cluster 1 is empty
-        new_axes = _update_axes(M, _nonzero_rows(M), axes, assign, P, 2)
+        new_axes = _update_axes(M, axes, assign, P, P[np.arange(M.shape[0]), assign], 2)
         # row 2 has the lowest projection onto the empty cluster's axis
         assert np.allclose(new_axes[1], [0.0, 1.0, 0.0], atol=1e-12)
 
@@ -279,7 +278,7 @@ class TestEmptyClusterReseed:
         )
         P = np.asarray(M @ axes.T)
         assign = np.zeros(3, dtype=np.int64)
-        new_axes = _update_axes(M, _nonzero_rows(M), axes, assign, P, 3)
+        new_axes = _update_axes(M, axes, assign, P, P[np.arange(M.shape[0]), assign], 3)
         assert np.allclose(new_axes[1], M.getrow(2).toarray().ravel(), atol=1e-12)
         assert np.allclose(new_axes[2], M.getrow(1).toarray().ravel(), atol=1e-12)
 
@@ -331,7 +330,7 @@ class TestUpdateAxesOracle:
             assign[assign == k - 1] = 0  # cluster k-1 is empty
         elif seed % 3 == 2:
             P[assign == 1, 1] = 0.0  # cluster 1's members add nothing
-        got = _update_axes(M, _nonzero_rows(M), axes, assign, P, k)
+        got = _update_axes(M, axes, assign, P, P[np.arange(M.shape[0]), assign], k)
         want = _reference_update(M, axes, assign, P, k)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=self.ATOL)
         if seed % 3 == 1:
