@@ -48,10 +48,6 @@ def map_svg_file(period_id: str) -> str:
     return f"map_{period_id}.svg"
 
 
-def matrix_file(period_id: str) -> str:
-    return f"matrix_{period_id}.json"
-
-
 def sha256_file(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -93,7 +89,7 @@ def parsing(path: str):
     """Report a decoded artifact of the wrong shape as an input error naming it."""
     try:
         yield
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError, csv.Error) as exc:
         raise InputError(f"malformed artifact {path}: {exc!r}") from exc
 
 
@@ -305,29 +301,3 @@ def write_crosstab(path: str, crosstab: CrossTab) -> None:
                     + [f"{shares[c]:.6f}" for c in CATEGORIES]
                     + [crosstab.n_terms[status]]
                 )
-
-
-def write_matrix(
-    path: str, matrix, vocabulary: Vocabulary, weighting: str, vocabulary_sha256: str
-) -> None:
-    """Optional inspection artifact: the weighted rows, term by term."""
-    M = matrix.matrix
-    rows = []
-    for r, doc_id in enumerate(matrix.doc_ids):
-        start, end = M.indptr[r], M.indptr[r + 1]
-        weights = {
-            vocabulary.terms[int(c)]: float(w)
-            for c, w in zip(M.indices[start:end], M.data[start:end])
-        }
-        rows.append({"id": doc_id, "weights": weights})
-    write_json(
-        {
-            "period_id": matrix.period_id,
-            "weighting": weighting,
-            "vocab_sha256": vocabulary_sha256,
-            "shape": [matrix.n_rows, matrix.n_cols],
-            "dropped_doc_ids": list(matrix.dropped_doc_ids),
-            "rows": rows,
-        },
-        path,
-    )

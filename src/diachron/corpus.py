@@ -100,47 +100,31 @@ class SplitReport:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Sorted term list with per-period df/tf counters and slice sizes.
+    """Sorted term list with per-period df counters and slice sizes.
 
-    With set-semantics keywords tf_px equals df_px; both are kept because
-    the indicator layer is defined over both counters.
+    Keywords are a set per record, so a term's tf in a period is its df:
+    df_p1 and df_p2 are the only counters.
     """
 
     terms: tuple[str, ...]
     index: dict[str, int] = field(repr=False)
     df_p1: tuple[int, ...]
     df_p2: tuple[int, ...]
-    tf_p1: tuple[int, ...]
-    tf_p2: tuple[int, ...]
     n_docs_p1: int
     n_docs_p2: int
 
     def __len__(self) -> int:
         return len(self.terms)
 
-    @property
-    def n_docs_pooled(self) -> int:
-        return self.n_docs_p1 + self.n_docs_p2
-
-    def df_pooled(self, term: str) -> int:
-        t = self.index[term]
-        return self.df_p1[t] + self.df_p2[t]
-
-    def tf_pooled(self, term: str) -> int:
-        t = self.index[term]
-        return self.tf_p1[t] + self.tf_p2[t]
-
     @classmethod
     def from_df(cls, terms, df_p1, df_p2, n_docs_p1: int, n_docs_p2: int) -> Vocabulary:
-        """Terms in the given order with their per-period df, which is also tf."""
-        terms, df_p1, df_p2 = tuple(terms), tuple(df_p1), tuple(df_p2)
+        """Terms in the given order with their per-period df."""
+        terms = tuple(terms)
         return cls(
             terms=terms,
             index={t: i for i, t in enumerate(terms)},
-            df_p1=df_p1,
-            df_p2=df_p2,
-            tf_p1=df_p1,
-            tf_p2=df_p2,
+            df_p1=tuple(df_p1),
+            df_p2=tuple(df_p2),
             n_docs_p1=n_docs_p1,
             n_docs_p2=n_docs_p2,
         )
@@ -173,6 +157,10 @@ def _make_record(obj: dict, where: str, normalized: _Normalized) -> Record:
     title = title or None
     terms = {normalized[k] for k in keywords}
     terms.discard("")
+    # terms.csv holds each term in one field, which the csv module reads up to this limit
+    limit = csv.field_size_limit()
+    if any(len(t) > limit for t in terms):
+        raise InputError(f"{where}: a keyword is longer than {limit} characters")
     # deduplicated in first-occurrence order: a record counts once per cell
     cats = tuple(dict.fromkeys(c for c in map(normalized.__getitem__, categories) if c))
     return Record(
@@ -317,7 +305,7 @@ def build_vocabulary(p1: CorpusSlice, p2: CorpusSlice, min_df: int = 2) -> Vocab
     """Pool both periods and keep terms with pooled document frequency >= min_df.
 
     Keywords are already normalized and deduplicated per record, so each
-    record contributes at most 1 to df and 1 to tf of a term per period.
+    record contributes at most 1 to a term's df per period.
     """
     if min_df < 1:
         raise ConfigError(f"min_df must be >= 1, got {min_df}")

@@ -1,11 +1,12 @@
 """Term-level diffusion indicators and the three-way term classification.
 
-Each vocabulary term gets a salience score (pooled tf times ln(N/df)) and a
-dispersion score (Gini over its occurrence counts per cell, classification
-categories by default). The decision table then labels it established,
-unusual, cross-section, or unclassified. Quantile cuts are taken over the
-empirical indicator distributions, so the labels are rank-based and
-invariant under duplicating the whole corpus.
+Each vocabulary term gets a salience score (pooled tf times ln(N/df), where
+tf is df because keywords are a set per record) and a dispersion score (Gini
+over its occurrence counts per cell, classification categories by default).
+The decision table then labels it established, unusual, cross-section, or
+unclassified. Quantile cuts are taken over the empirical indicator
+distributions, so the labels are rank-based and invariant under duplicating
+the whole corpus.
 """
 
 from __future__ import annotations
@@ -58,8 +59,6 @@ class TermStats(NamedTuple):
     terms.csv's column order."""
 
     term: str
-    tf_p1: int
-    tf_p2: int
     df_p1: int
     df_p2: int
     tfidf: float
@@ -96,14 +95,6 @@ def gini(shares) -> float:
     if x.sum() <= 0.0:
         raise InputError("gini is undefined for an all-zero vector")
     return float(_gini_rows(x[None, :])[0])
-
-
-def tfidf(term: str, vocabulary: Vocabulary, slices: tuple[CorpusSlice, CorpusSlice]) -> float:
-    """Pooled tf times ln(N_pooled / df_pooled); zero iff the term is in every document."""
-    if term not in vocabulary.index:
-        raise InputError(f"term {term!r} is not in the vocabulary")
-    n_pooled = slices[0].n_docs + slices[1].n_docs
-    return vocabulary.tf_pooled(term) * math.log(n_pooled / vocabulary.df_pooled(term))
 
 
 def classify_terms(
@@ -164,11 +155,9 @@ def classify_terms(
         stats.append(
             TermStats(
                 term=term,
-                tf_p1=vocabulary.tf_p1[t],
-                tf_p2=vocabulary.tf_p2[t],
                 df_p1=int(df1[t]),
                 df_p2=int(df2[t]),
-                tfidf=(vocabulary.tf_p1[t] + vocabulary.tf_p2[t]) * math.log(n_pooled / dfp),
+                tfidf=float(dfp * math.log(n_pooled / dfp)),
                 gini=float(ginis[t]),
                 category=category,
             )
@@ -183,7 +172,7 @@ def write_terms_csv(stats: list[TermStats], path: str) -> None:
         writer.writerow(TermStats._fields)
         for s in stats:
             writer.writerow(
-                [s.term, s.tf_p1, s.tf_p2, s.df_p1, s.df_p2, f"{s.tfidf:.6f}", f"{s.gini:.6f}", s.category]
+                [s.term, s.df_p1, s.df_p2, f"{s.tfidf:.6f}", f"{s.gini:.6f}", s.category]
             )
 
 
@@ -191,7 +180,7 @@ def read_terms_csv(path: str) -> list[TermStats]:
     """Reload terms.csv (rounded reals; categories are exact).
 
     The header must be the one write_terms_csv writes, and every row must
-    hold its eight fields; a category outside CATEGORIES is a ValueError
+    hold its six fields; a category outside CATEGORIES is a ValueError
     naming the term.
     """
     stats = []
@@ -200,13 +189,8 @@ def read_terms_csv(path: str) -> list[TermStats]:
         header = next(reader, None)
         if header != list(TermStats._fields):
             raise ValueError(f"header {header} is not {list(TermStats._fields)}")
-        for term, tf_p1, tf_p2, df_p1, df_p2, tfidf, gini, category in reader:
+        for term, df_p1, df_p2, tfidf, gini, category in reader:
             if category not in CATEGORIES:
                 raise ValueError(f"term {term!r} has unknown category {category!r}")
-            stats.append(
-                TermStats(
-                    term, int(tf_p1), int(tf_p2), int(df_p1), int(df_p2),
-                    float(tfidf), float(gini), category,
-                )
-            )
+            stats.append(TermStats(term, int(df_p1), int(df_p2), float(tfidf), float(gini), category))
     return stats

@@ -86,7 +86,6 @@ class RunConfig:
     top_m: int = 10
     gini_cells: str = "categories"
     seed: int = 0
-    dump_matrices: bool = False
 
     def __post_init__(self) -> None:
         try:  # the checks open() makes on a path before it looks at the file system
@@ -290,14 +289,6 @@ def stage_cluster(
             corpus.vocab_sha256(),
             corpus.sha256(),
         )
-        if config.dump_matrices:
-            artifacts.write_matrix(
-                os.path.join(out, artifacts.matrix_file(slice_.period_id)),
-                matrix,
-                vocabulary,
-                config.weighting,
-                corpus.vocab_sha256(),
-            )
 
 
 def stage_map(config: RunConfig, out: str, corpus: CorpusCache) -> None:

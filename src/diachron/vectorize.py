@@ -35,18 +35,10 @@ class DocTermMatrix:
     doc_ids: tuple[str, ...]
     dropped_doc_ids: tuple[str, ...]
 
-    @property
-    def n_rows(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.matrix.shape[1]
-
 
 def idf_vector(vocabulary: Vocabulary) -> np.ndarray:
     """Pooled idf per vocabulary column: ln(N_pooled / df_pooled)."""
-    n = vocabulary.n_docs_pooled
+    n = vocabulary.n_docs_p1 + vocabulary.n_docs_p2
     df = np.asarray(vocabulary.df_p1, dtype=float) + np.asarray(vocabulary.df_p2, dtype=float)
     return np.log(n / df)
 

@@ -27,7 +27,6 @@ from diachron.corpus import (
     CorpusSlice,
     PeriodSpec,
     Record,
-    Vocabulary,
     build_vocabulary,
     split_periods,
 )
@@ -37,7 +36,6 @@ from diachron.diffusion import (
     DiffusionThresholds,
     classify_terms,
     gini,
-    tfidf,
 )
 from diachron.mapping import build_cluster_map, pca_2d, top_eigenpairs
 from diachron.seeding import derive_seed
@@ -179,26 +177,18 @@ def test_01_gini_matches_pairwise_oracle():
 
 @criterion(2, "tf-idf anchors and monotonicity")
 def test_02_tfidf_anchors_and_monotonicity():
-    slices = (
-        CorpusSlice("P1", tuple(Record(f"p1-{i:03d}", 1996, ("x",), ()) for i in range(50))),
-        CorpusSlice("P2", tuple(Record(f"p2-{i:03d}", 2001, ("x",), ()) for i in range(50))),
-    )
-    scores = []
-    for df in range(1, 101):
-        vocabulary = Vocabulary(
-            terms=("t",),
-            index={"t": 0},
-            df_p1=(min(df, 50),),
-            df_p2=(df - min(df, 50),),
-            tf_p1=(10,),
-            tf_p2=(0,),
-            n_docs_p1=50,
-            n_docs_p2=50,
-        )
-        scores.append(tfidf("t", vocabulary, slices))
-    assert abs(scores[9] - 10 * math.log(10)) <= 1e-12
-    assert all(a > b for a, b in zip(scores, scores[1:])), "not strictly decreasing in df"
-    assert scores[99] == 0.0
+    # 100 records; term t{j} is in the first j of them
+    records = [
+        Record(f"d{i:03d}", 1996 if i < 50 else 2001, tuple(f"t{j:03d}" for j in range(i + 1, 101)))
+        for i in range(100)
+    ]
+    slices = (CorpusSlice("P1", tuple(records[:50])), CorpusSlice("P2", tuple(records[50:])))
+    vocabulary = build_vocabulary(*slices, min_df=1)
+    scores = {s.term: s.tfidf for s in classify_terms(vocabulary, slices)}
+    assert abs(scores["t010"] - 10 * math.log(10)) <= 1e-12
+    per_df = [scores[f"t{df:03d}"] / df for df in range(1, 101)]  # the score at a fixed tf of 1
+    assert all(a > b for a, b in zip(per_df, per_df[1:])), "not strictly decreasing in df"
+    assert scores["t100"] == 0.0
 
 
 @criterion(3, "monotone objective and fixed point")

@@ -237,7 +237,6 @@ class TestRunCommand:
             "top_m": 6,
             "gini_cells": "clusters",
             "seed": 7,
-            "dump_matrices": True,
         }
         config = tmp_path / "config.json"
         config.write_text(json.dumps(data), encoding="utf-8")
@@ -318,11 +317,11 @@ class TestRunCommand:
 
         assert terms_csv(["Bio", "bio", "chem"]) == terms_csv(["bio", "chem"])
 
-    def test_dump_matrices_adds_matrix_files(self, corpus_dir, tmp_path):
+    def test_removed_dump_matrices_key_is_ignored(self, corpus_dir, tmp_path):
         config = write_config(tmp_path, corpus_dir / "corpus.jsonl", dump_matrices=True)
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
-        assert set(os.listdir(out)) == EXPECTED_FILES | {"matrix_P1.json", "matrix_P2.json"}
+        assert set(os.listdir(out)) == EXPECTED_FILES
 
     def test_input_hash_tracks_input_bytes(self, corpus_dir, tmp_path):
         records, _ = syngen.generate(_small_spec(seed=99))
@@ -577,8 +576,10 @@ class TestStageSequencing:
             lambda header, rows: [header.replace("tfidf,gini", "gini,tfidf"), *rows],
             lambda header, rows: [header + ",extra", *(row + ",x" for row in rows)],
             lambda header, rows: [header, rows[0].rsplit(",", 1)[0], *rows[1:]],
+            # the csv module reads a field of at most 131,072 characters
+            lambda header, rows: [header, "k" * 140_000 + rows[0][rows[0].index(","):], *rows[1:]],
         ],
-        ids=["missing-column", "reordered-header", "extra-column", "short-row"],
+        ids=["missing-column", "reordered-header", "extra-column", "short-row", "field-over-limit"],
     )
     def test_terms_csv_missing_a_column_exits_3_and_names_it(
         self, corpus_dir, tmp_path, capsys, stage, edit
@@ -728,12 +729,21 @@ class TestErrorExits:
             ("corpus.jsonl", GOOD_JSONL + b'{"id": "c", "year": ' + b"1" * 4301 + b"}\n", ":3:"),
             ("corpus.jsonl", GOOD_JSONL + b"[" * 100_000 + b"]" * 100_000 + b"\n", ":3:"),
             ("corpus.csv", GOOD_CSV + b"c,1997," + b"x" * 131_073 + b"\n", ":4:"),
+            # in two of six records, so that the keyword reaches min_df and terms.csv
+            ("corpus.jsonl", GOOD_JSONL + b"".join(
+                b'{"id": "%s", "year": %d, "keywords": ["x", "%s"]}\n' % (rec_id, year, keyword)
+                for rec_id, year, keyword in (
+                    (b"c", 1997, b"k" * 140_000), (b"d", 2002, b"k" * 140_000),
+                    (b"e", 1997, b"z"), (b"f", 2002, b"z"),
+                )
+            ), ":3: a keyword is longer than 131072 characters"),
             ("corpus.jsonl", GOOD_JSONL + b'{"id": "c\\ud800", "year": 1997, "keywords": ["x"]}\n',
              ": a record holds a lone surrogate"),
         ],
         ids=[
             "jsonl-not-utf8", "csv-not-utf8", "integer-over-4300-digits",
-            "nested-100000-deep", "csv-field-over-limit", "lone-surrogate",
+            "nested-100000-deep", "csv-field-over-limit", "jsonl-keyword-over-limit",
+            "lone-surrogate",
         ],
     )
     def test_unparsable_corpus_exits_3_naming_file_and_line(self, tmp_path, capsys, name, data, where):
@@ -837,7 +847,6 @@ FULL_CONFIG = {
     "rho": 0.3,
     "top_m": 10,
     "gini_cells": "categories",
-    "dump_matrices": False,
 }
 FULL_SPEC = json.loads(json.dumps(dataclasses.asdict(syngen.PlantSpec(
     blocks=(
@@ -866,7 +875,6 @@ class TestStrictDecoding:
             ("run", "periods", '{"p1": [1996], "p2": [2001, 2003]}', "periods.p1"),
             ("run", "cluster", '{"k": 1e400}', "cluster.k"),
             ("run", "cluster", '{"k": 2.7}', "cluster.k"),
-            ("run", "dump_matrices", '"false"', "dump_matrices"),
             ("run", "cluster", '{"k": 3, "tol": NaN}', "cluster.tol"),
             ("run", "input", '"corpus\\u0000.jsonl"', "input"),
             ("run", "format", '"xml"', "format"),

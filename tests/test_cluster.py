@@ -45,8 +45,6 @@ def _vocab(terms):
         index={t: i for i, t in enumerate(terms)},
         df_p1=ones,
         df_p2=ones,
-        tf_p1=ones,
-        tf_p2=ones,
         n_docs_p1=len(terms),
         n_docs_p2=len(terms),
     )
@@ -137,7 +135,7 @@ class TestFitAxialKmeans:
         rng = np.random.default_rng(11)
         for _ in range(25):
             dtm = _random_instance(rng)
-            k = int(rng.integers(1, min(4, dtm.n_rows) + 1))
+            k = int(rng.integers(1, min(4, dtm.matrix.shape[0]) + 1))
             model = fit_axial_kmeans(dtm, ClusterConfig(k=k, restarts=2))
             trace = model.objective_trace
             assert all(a <= b for a, b in zip(trace, trace[1:]))
@@ -158,7 +156,7 @@ class TestFitAxialKmeans:
         counts = np.bincount(model.assignment, minlength=3)
         assert model.sizes == tuple(int(c) for c in counts)
         assert model.doc_ids == dtm.doc_ids
-        assert sum(model.sizes) == dtm.n_rows
+        assert sum(model.sizes) == dtm.matrix.shape[0]
 
     def test_row_permutation_returns_identical_objective_and_axes(self):
         rng = np.random.default_rng(19)
@@ -166,7 +164,7 @@ class TestFitAxialKmeans:
         config = ClusterConfig(k=3, restarts=4)
         base = fit_axial_kmeans(dtm, config)
 
-        perm = rng.permutation(dtm.n_rows)
+        perm = rng.permutation(dtm.matrix.shape[0])
         shuffled = DocTermMatrix(
             period_id=dtm.period_id,
             matrix=sp.csr_matrix(np.asarray(dtm.matrix.todense())[perm]),

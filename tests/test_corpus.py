@@ -236,7 +236,6 @@ class TestBuildVocabulary:
         vocab = build_vocabulary(p1, p2, min_df=1)
         t = vocab.index["shared"]
         assert vocab.df_p1[t] == 2 and vocab.df_p2[t] == 2
-        assert vocab.tf_p1[t] == vocab.df_p1[t]
         assert vocab.n_docs_p1 == 2 and vocab.n_docs_p2 == 2
 
     def test_terms_sorted(self):

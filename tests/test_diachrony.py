@@ -25,8 +25,6 @@ def _vocab(n_terms):
         index={t: i for i, t in enumerate(terms)},
         df_p1=ones,
         df_p2=ones,
-        tf_p1=ones,
-        tf_p2=ones,
         n_docs_p1=n_terms,
         n_docs_p2=n_terms,
     )
@@ -48,8 +46,6 @@ def _model(axes, period="P1"):
 def _stats(term, category):
     return TermStats(
         term=term,
-        tf_p1=1,
-        tf_p2=1,
         df_p1=1,
         df_p2=1,
         tfidf=1.0,

@@ -18,7 +18,6 @@ from diachron.diffusion import (
     classify_terms,
     gini,
     read_terms_csv,
-    tfidf,
     write_terms_csv,
 )
 from diachron.errors import ConfigError, InputError
@@ -41,21 +40,6 @@ def _slices(p1_records, p2_records):
     return (
         CorpusSlice(period_id="P1", records=tuple(sorted(p1_records, key=lambda r: r.id))),
         CorpusSlice(period_id="P2", records=tuple(sorted(p2_records, key=lambda r: r.id))),
-    )
-
-
-def _vocab_from_counts(entries, n_docs_p1, n_docs_p2):
-    """Hand-built Vocabulary: entries = {term: (df_p1, df_p2, tf_p1, tf_p2)}."""
-    terms = tuple(sorted(entries))
-    return Vocabulary(
-        terms=terms,
-        index={t: i for i, t in enumerate(terms)},
-        df_p1=tuple(entries[t][0] for t in terms),
-        df_p2=tuple(entries[t][1] for t in terms),
-        tf_p1=tuple(entries[t][2] for t in terms),
-        tf_p2=tuple(entries[t][3] for t in terms),
-        n_docs_p1=n_docs_p1,
-        n_docs_p2=n_docs_p2,
     )
 
 
@@ -131,48 +115,46 @@ class TestGini:
             gini([0.0, 0.0])
 
 
+def _term_tfidfs(slices):
+    vocab = build_vocabulary(slices[0], slices[1], min_df=1)
+    return {s.term: s.tfidf for s in classify_terms(vocab, slices)}
+
+
 class TestTfidf:
+    """The tfidf column of classify_terms: pooled df times ln(N_pooled / df_pooled)."""
+
     def test_anchor_df_ten_of_hundred(self):
-        vocab = _vocab_from_counts({"t": (5, 5, 5, 5)}, 50, 50)
         slices = _slices(
             [_rec(f"p1-{i:03d}", 1996, ["t"] if i < 5 else ["x"]) for i in range(50)],
             [_rec(f"p2-{i:03d}", 2001, ["t"] if i < 5 else ["x"]) for i in range(50)],
         )
-        assert tfidf("t", vocab, slices) == pytest.approx(10 * math.log(10), abs=1e-12)
+        assert _term_tfidfs(slices)["t"] == pytest.approx(10 * math.log(10), abs=1e-12)
 
     def test_anchor_hapax_of_hundred(self):
-        vocab = _vocab_from_counts({"t": (1, 0, 1, 0)}, 50, 50)
         slices = _slices(
-            [_rec(f"p1-{i:03d}", 1996, ["x"]) for i in range(50)],
+            [_rec(f"p1-{i:03d}", 1996, ["t"] if i == 0 else ["x"]) for i in range(50)],
             [_rec(f"p2-{i:03d}", 2001, ["x"]) for i in range(50)],
         )
-        assert tfidf("t", vocab, slices) == pytest.approx(math.log(100), abs=1e-12)
+        assert _term_tfidfs(slices)["t"] == pytest.approx(math.log(100), abs=1e-12)
 
     def test_term_in_every_document_scores_zero(self):
-        vocab = _vocab_from_counts({"t": (2, 2, 2, 2)}, 2, 2)
         slices = _slices(
             [_rec("p1-a", 1996, ["t"]), _rec("p1-b", 1996, ["t"])],
             [_rec("p2-a", 2001, ["t"]), _rec("p2-b", 2001, ["t"])],
         )
-        assert tfidf("t", vocab, slices) == 0.0
+        assert _term_tfidfs(slices)["t"] == 0.0
 
     def test_strictly_decreasing_in_df_at_fixed_tf(self):
-        slices = _slices(
-            [_rec(f"p1-{i:03d}", 1996, ["x"]) for i in range(50)],
-            [_rec(f"p2-{i:03d}", 2001, ["x"]) for i in range(50)],
-        )
-        scores = []
-        for df in range(1, 101):
-            vocab = _vocab_from_counts({"t": (df, 0, 10, 0)}, 50, 50)
-            scores.append(tfidf("t", vocab, slices))
-        assert all(a > b for a, b in zip(scores, scores[1:]))
-        assert scores[-1] == 0.0
-
-    def test_unknown_term_rejected(self):
-        vocab = _vocab_from_counts({"t": (1, 1, 1, 1)}, 1, 1)
-        slices = _slices([_rec("p1-a", 1996, ["t"])], [_rec("p2-a", 2001, ["t"])])
-        with pytest.raises(InputError):
-            tfidf("missing", vocab, slices)
+        # term t{j} is in the first j of 100 records; tfidf / df is its score at tf 1
+        records = [
+            _rec(f"d{i:03d}", 1996 if i < 50 else 2001, [f"t{j:03d}" for j in range(i + 1, 101)])
+            for i in range(100)
+        ]
+        slices = _slices(records[:50], records[50:])
+        scores = _term_tfidfs(slices)
+        per_df = [scores[f"t{df:03d}"] / df for df in range(1, 101)]
+        assert all(a > b for a, b in zip(per_df, per_df[1:]))
+        assert scores["t100"] == 0.0
 
 
 class TestDocCells:
@@ -325,7 +307,7 @@ class TestClassifyTerms:
         vocab, slices = _decision_table_corpus()
         stats = {s.term: s for s in classify_terms(vocab, slices)}
         est = stats["est"]
-        assert (est.df_p1, est.df_p2, est.tf_p1, est.tf_p2) == (3, 3, 3, 3)
+        assert (est.df_p1, est.df_p2) == (3, 3)
         assert est.tfidf == pytest.approx(6 * math.log(10 / 6), abs=1e-12)
         assert est.gini == pytest.approx(0.5, abs=1e-12)
         novel = stats["novel"]
@@ -383,7 +365,7 @@ class TestClassifyTerms:
             [_rec("p1-a", 1996, ["t"], categories=("a",))],
             [_rec("p2-a", 2001, ["t"], categories=("a",))],
         )
-        empty = _vocab_from_counts({}, 1, 1)
+        empty = Vocabulary.from_df([], [], [], 1, 1)
         with pytest.raises(InputError):
             classify_terms(empty, slices)
 
@@ -420,21 +402,16 @@ class TestTermsCsv:
 
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["term", "tf_p1", "tf_p2", "df_p1", "df_p2", "tfidf", "gini", "category"]
+        assert rows[0] == ["term", "df_p1", "df_p2", "tfidf", "gini", "category"]
         assert [r[0] for r in rows[1:]] == list(vocab.terms)
         for row in rows[1:]:
-            assert len(row[5].split(".")[1]) == 6
-            assert len(row[6].split(".")[1]) == 6
+            assert len(row[3].split(".")[1]) == 6
+            assert len(row[4].split(".")[1]) == 6
 
         loaded = read_terms_csv(str(path))
         for orig, back in zip(stats, loaded):
             assert back.term == orig.term
             assert back.category == orig.category
-            assert (back.df_p1, back.df_p2, back.tf_p1, back.tf_p2) == (
-                orig.df_p1,
-                orig.df_p2,
-                orig.tf_p1,
-                orig.tf_p2,
-            )
+            assert (back.df_p1, back.df_p2) == (orig.df_p1, orig.df_p2)
             assert back.tfidf == pytest.approx(orig.tfidf, abs=5e-7)
             assert back.gini == pytest.approx(orig.gini, abs=5e-7)

@@ -213,8 +213,8 @@ class TestCosine:
     def test_matrix_row_cosines_stay_in_unit_interval(self):
         vocab, slices = _small_corpus()
         dtm = build_matrix(slices[0], vocab)
-        for i in range(dtm.n_rows):
-            for j in range(dtm.n_rows):
+        for i in range(dtm.matrix.shape[0]):
+            for j in range(dtm.matrix.shape[0]):
                 value = cosine(dtm.matrix.getrow(i), dtm.matrix.getrow(j))
                 assert -1e-12 <= value <= 1.0 + 1e-12
 
