@@ -150,25 +150,25 @@ def read_clusters(
     path: str,
     get_vocabulary: Callable[[], tuple[Vocabulary, str]],
     corpus_sha256: str,
-    vocabulary_settings: dict,
+    config_echo: dict,
 ) -> tuple[ClusterModel, list[ClusterSummary]]:
     """Rebuild the exact model from the artifact's full-precision axes.
 
-    The file must record the sha256 of corpus.jsonl, echo the running
-    `vocabulary_settings` (periods and min_df, as JSON holds them) and record
-    the sha256 of the vocabulary. `get_vocabulary` returns the vocabulary and
-    its `vocab_sha256`; it is called only once the file has decoded and
-    passed the first two checks, so a truncated or stale cluster file is the
-    file named even when the vocabulary's own artifacts are missing. A
-    vocabulary mismatch after those checks means the files the vocabulary is
-    read from are the stale ones.
+    The file must record the sha256 of corpus.jsonl, echo every key of the
+    running `config_echo` (as JSON holds it), record the sha256 of the
+    vocabulary and number its clusters 0 to k-1 in order. `get_vocabulary`
+    returns the vocabulary and its `vocab_sha256`; it is called only once the
+    file has decoded and passed the first two checks, so a truncated or stale
+    cluster file is the file named even when the vocabulary's own artifacts
+    are missing. A vocabulary mismatch after those checks means the files the
+    vocabulary is read from are the stale ones.
     """
     data = read_json(path)
     name = os.path.basename(path)
     with parsing(path):
         if data.get("corpus_sha256") != corpus_sha256:
             raise _stale(name, "it was built over a different corpus.jsonl")
-        for key, value in vocabulary_settings.items():
+        for key, value in config_echo.items():
             built = data["config"].get(key)
             if built != value:
                 reason = f"it was built with {key} {json.dumps(built)}, not {json.dumps(value)}"
@@ -199,6 +199,8 @@ def read_clusters(
                     size=int(entry["size"]),
                 )
             )
+        if [s.cluster_id for s in summaries] != list(range(k)):  # the linkage's ids
+            raise ValueError(f"cluster ids are not 0 to {k - 1} in order")
         doc_ids = tuple(sorted(member_cluster))
         assignment = np.array([member_cluster[d] for d in doc_ids], dtype=int)
         model = ClusterModel(

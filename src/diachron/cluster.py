@@ -10,6 +10,8 @@ quotient of a positive semidefinite scatter.
 Determinism contract: same matrix, config, and seed give bit-identical
 models; restarts are independent and the winner is (highest J, lowest
 restart index), so threaded and serial execution agree byte for byte.
+Row order is fixed once, when `corpus.split_periods` sorts each period by
+record id; the fit takes the rows in the order `build_matrix` returns them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .corpus import Vocabulary
-from .errors import ConfigError, NumericError
+from .errors import NumericError
 from .seeding import derive_seed
 from .vectorize import DocTermMatrix
 
@@ -37,16 +39,6 @@ class ClusterConfig:
     tol: float = 1e-9
     restarts: int = 10
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.restarts < 1:
-            raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
-        if self.tol < 0:
-            raise ConfigError(f"tol must be >= 0, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -91,10 +83,7 @@ def _init_axes(M: sp.csr_matrix, k: int, rng: random.Random) -> np.ndarray:
     broken uniformly at random from the seeded generator, so the traversal
     is deterministic given the seed.
     """
-    n = M.shape[0]
-    if k > n:
-        raise NumericError(f"k={k} exceeds the number of documents ({n})")
-    first = rng.randrange(n)
+    first = rng.randrange(M.shape[0])
     chosen = [first]
     max_cos = _row_cosines(M, first)
     max_cos[first] = np.inf
@@ -188,18 +177,17 @@ def _fit_single(M: sp.csr_matrix, config: ClusterConfig, seed: int):
 def fit_axial_kmeans(
     matrix: DocTermMatrix, config: ClusterConfig, threads: int = 1
 ) -> ClusterModel:
-    """Best-of-restarts axial K-means on one period's document matrix."""
-    n = matrix.matrix.shape[0]
+    """Best-of-restarts axial K-means on one period's document matrix.
+
+    The rows must be in doc-id order, as `build_matrix` returns them, so that
+    a corpus whose records come in another order gives the same model.
+    """
+    M = matrix.matrix
+    n = M.shape[0]
     if n == 0:
         raise NumericError("cannot cluster an empty matrix")
     if config.k > n:
         raise NumericError(f"k={config.k} exceeds the number of documents ({n})")
-
-    # fit in doc-id order so that row permutations of the same corpus give
-    # bit-identical axes and J; rows from build_matrix are already id-sorted
-    order = sorted(range(n), key=lambda i: matrix.doc_ids[i])
-    identity = order == list(range(n))
-    M = matrix.matrix if identity else matrix.matrix[order]
 
     seeds = [derive_seed(config.seed, f"restart.{r}") for r in range(config.restarts)]
 
@@ -214,22 +202,13 @@ def fit_axial_kmeans(
     else:
         results = [run(r) for r in range(config.restarts)]
 
-    best = None
-    for r, (axes, assign, trace) in enumerate(results):
-        if best is None or trace[-1] > best[2][-1]:
-            best = (axes, assign, trace)
-    axes, assign, trace = best
-
-    if not identity:
-        assignment = np.empty(n, dtype=assign.dtype)
-        assignment[np.asarray(order)] = assign
-    else:
-        assignment = assign
+    # max returns the first maximum: highest J, then lowest restart index
+    axes, assign, trace = max(results, key=lambda result: result[2][-1])
     sizes = tuple(int(s) for s in np.bincount(assign, minlength=config.k))
     return ClusterModel(
         period_id=matrix.period_id,
         axes=axes,
-        assignment=assignment,
+        assignment=assign,
         objective_trace=tuple(trace),
         sizes=sizes,
         doc_ids=matrix.doc_ids,

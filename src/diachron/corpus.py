@@ -235,12 +235,7 @@ def load_corpus(path: str, format: str = "jsonl") -> tuple[list[Record], LoadRep
     Records whose keywords normalize to the empty set are dropped and
     counted. A duplicate id is an error naming the id.
     """
-    if format == "jsonl":
-        source = _iter_jsonl(path, _Normalized())
-    elif format == "csv":
-        source = _iter_csv(path, _Normalized())
-    else:
-        raise InputError(f"unknown corpus format {format!r} (expected one of {FORMATS})")
+    source = {"jsonl": _iter_jsonl, "csv": _iter_csv}[format](path, _Normalized())
 
     records: list[Record] = []
     seen_ids: set[str] = set()
@@ -307,8 +302,6 @@ def build_vocabulary(p1: CorpusSlice, p2: CorpusSlice, min_df: int = 2) -> Vocab
     Keywords are already normalized and deduplicated per record, so each
     record contributes at most 1 to a term's df per period.
     """
-    if min_df < 1:
-        raise ConfigError(f"min_df must be >= 1, got {min_df}")
     df1: dict[str, int] = {}
     df2: dict[str, int] = {}
     for slice_, df in ((p1, df1), (p2, df2)):

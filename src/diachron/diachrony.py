@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import ClusterModel, ClusterSummary
-from .corpus import Vocabulary
 from .diffusion import CATEGORIES, TermStats
-from .errors import ConfigError, InputError
+from .errors import InputError
 from .vectorize import axis_cosines
 
 STATUS_ROOTED = "rooted"
@@ -57,21 +56,12 @@ class CrossTab:
 def link_periods(
     model_p1: ClusterModel,
     model_p2: ClusterModel,
-    vocabulary: Vocabulary,
     rho: float,
 ) -> Linkage:
-    """Link each P2 cluster to its P1 parents by axis cosine >= rho."""
-    if not 0.0 < rho <= 1.0:
-        raise ConfigError(f"linkage threshold must be in (0, 1], got {rho}")
-    a1, a2 = model_p1.axes, model_p2.axes
-    v = len(vocabulary)
-    if a1.shape[1] != v or a2.shape[1] != v:
-        raise InputError(
-            "cluster models span different vocabularies "
-            f"({a1.shape[1]} and {a2.shape[1]} columns vs {v} terms)"
-        )
+    """Link each P2 cluster to its P1 parents by axis cosine >= rho; both
+    models' axes span the same vocabulary."""
     links = []
-    for c2, sims in enumerate(axis_cosines(a2, a1)):
+    for c2, sims in enumerate(axis_cosines(model_p2.axes, model_p1.axes)):
         ids = np.flatnonzero(sims >= rho)
         ids = ids[np.argsort(-sims[ids], kind="stable")]  # ties keep id order
         parents = tuple(zip(ids.tolist(), sims[ids].tolist()))
@@ -95,8 +85,6 @@ def cross_table(
     }
     totals = {STATUS_ROOTED: 0, STATUS_NEW: 0}
     for summary in summaries_p2:
-        if summary.cluster_id not in status_of:
-            raise InputError(f"cluster {summary.cluster_id} missing from linkage")
         status = status_of[summary.cluster_id]
         for term, _weight in summary.top_terms[:top_m]:
             if term not in category:

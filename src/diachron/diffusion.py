@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import CorpusSlice, Vocabulary, atomic_open
-from .errors import ConfigError, InputError
+from .errors import ConfigError
 from .vectorize import binary_csr, incidence
 
 CATEGORY_ESTABLISHED = "established"
@@ -82,25 +82,10 @@ def _gini_rows(x: np.ndarray) -> np.ndarray:
     return np.where(total > 0.0, g, 0.0)
 
 
-def gini(shares) -> float:
-    """Gini coefficient of a non-negative vector, in [0, 1 - 1/m].
-
-    Permutation- and scale-invariant; see `_gini_rows` for the formula.
-    """
-    x = np.asarray(shares, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise InputError("gini needs a non-empty 1-D vector")
-    if np.any(x < 0):
-        raise InputError("gini is undefined for negative shares")
-    if x.sum() <= 0.0:
-        raise InputError("gini is undefined for an all-zero vector")
-    return float(_gini_rows(x[None, :])[0])
-
-
 def classify_terms(
     vocabulary: Vocabulary,
     slices: tuple[CorpusSlice, CorpusSlice],
-    thresholds: DiffusionThresholds | None = None,
+    thresholds: DiffusionThresholds = DiffusionThresholds(),
     cells: dict[str, tuple[str, ...]] | None = None,
 ) -> list[TermStats]:
     """Assign exactly one diffusion category to every vocabulary term.
@@ -118,10 +103,6 @@ def classify_terms(
     """
     import scipy.sparse as sp
 
-    if thresholds is None:
-        thresholds = DiffusionThresholds()
-    if len(vocabulary) == 0:
-        raise InputError("vocabulary is empty")
     if cells is None:
         cells = {r.id: r.categories or (UNCATEGORIZED_CELL,) for s in slices for r in s.records}
     column = {c: i for i, c in enumerate(sorted(set().union(*cells.values())))}

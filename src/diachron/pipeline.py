@@ -7,7 +7,11 @@ with byte-identical results. Both go through one runner, which parses
 corpus.jsonl at most once per invocation (not at all after an ingest in
 the same invocation, nor for map, link and report) and hands the result
 to every stage. All randomness flows from the single config seed through
-stage-labeled derived seeds.
+stage-labeled derived seeds, and row order is fixed once, when
+`split_periods` sorts each period by record id.
+
+Config values are checked once, when a RunConfig is built; the stages and
+the library routines under them take them as given.
 
 The terms stage runs before clustering when dispersion cells come from
 record categories, and after it when cells are the period clusters
@@ -68,6 +72,12 @@ class ClusterSection:
             value = getattr(self, name)
             if value is not None and value < 2:
                 raise ConfigError(f"{name} must be >= 2 to map clusters, got {value}")
+        if self.max_iters < 1:
+            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.restarts < 1:
+            raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
+        if self.tol < 0:
+            raise ConfigError(f"tol must be >= 0, got {self.tol}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -113,8 +123,6 @@ class RunConfig:
             raise ConfigError(f"rho must be in (0, 1], got {self.rho}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        for period_id in PERIOD_IDS:  # ClusterConfig checks the rest of the section
-            self.cluster_config(period_id)
 
     def cluster_config(self, period_id: str) -> ClusterConfig:
         section = self.cluster
@@ -155,7 +163,7 @@ class CorpusCache:
     ran first, and otherwise from terms.csv and load_report.json, so map and
     link parse no corpus. Each cluster file ties those two files to the
     clustering by the hashes of corpus.jsonl and of the vocabulary, and by
-    its echo of the periods and min_df it was built with."""
+    its echo of the settings it was built with."""
 
     def __init__(self, config: RunConfig, out: str) -> None:
         self._config = config
@@ -216,11 +224,18 @@ class CorpusCache:
         return self._vocab_sha256
 
 
-def _vocabulary_settings(config: RunConfig) -> dict:
-    """The settings that decide the vocabulary besides corpus.jsonl, as
-    a cluster file's config echo holds them."""
+def _cluster_echo(config: RunConfig, period_id: str) -> dict:
+    """Every setting that shapes a period's cluster file besides corpus.jsonl,
+    as the file's config echo holds it. tau and rho are not among them, so
+    re-running map and link under new thresholds reuses the clusters."""
     periods = {name: list(years) for name, years in dataclasses.asdict(config.periods).items()}
-    return {"periods": periods, "min_df": config.min_df}
+    return {
+        **dataclasses.asdict(config.cluster_config(period_id)),
+        "weighting": config.weighting,
+        "top_m": config.top_m,
+        "periods": periods,
+        "min_df": config.min_df,
+    }
 
 
 def _read_clusters(config: RunConfig, out: str, period_id: str, corpus: CorpusCache):
@@ -230,7 +245,7 @@ def _read_clusters(config: RunConfig, out: str, period_id: str, corpus: CorpusCa
         path,
         lambda: (corpus.vocabulary(), corpus.vocab_sha256()),
         corpus_sha256,
-        _vocabulary_settings(config),
+        _cluster_echo(config, period_id),
     )
 
 
@@ -272,20 +287,14 @@ def stage_cluster(
     p1, p2, vocabulary = corpus.slices()
     for slice_ in (p1, p2):
         matrix = build_matrix(slice_, vocabulary, config.weighting)
-        cluster_config = config.cluster_config(slice_.period_id)
-        model = fit_axial_kmeans(matrix, cluster_config, threads=threads)
+        model = fit_axial_kmeans(matrix, config.cluster_config(slice_.period_id), threads=threads)
         summaries = summarize_clusters(model, vocabulary, config.top_m)
-        echo = {
-            **dataclasses.asdict(cluster_config),
-            "weighting": config.weighting,
-            **_vocabulary_settings(config),
-        }
         artifacts.write_clusters(
             os.path.join(out, artifacts.clusters_file(slice_.period_id)),
             model,
             summaries,
             vocabulary,
-            echo,
+            _cluster_echo(config, slice_.period_id),
             corpus.vocab_sha256(),
             corpus.sha256(),
         )
@@ -309,7 +318,7 @@ def stage_map(config: RunConfig, out: str, corpus: CorpusCache) -> None:
 def stage_link(config: RunConfig, out: str, corpus: CorpusCache) -> None:
     model_p1, _ = _read_clusters(config, out, "P1", corpus)
     model_p2, summaries_p2 = _read_clusters(config, out, "P2", corpus)
-    linkage = link_periods(model_p1, model_p2, corpus.vocabulary(), config.rho)
+    linkage = link_periods(model_p1, model_p2, config.rho)
     crosstab = cross_table(linkage, summaries_p2, corpus.terms(), config.top_m)
     artifacts.write_linkage(
         os.path.join(out, artifacts.LINKAGE),

@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .corpus import CorpusSlice, Vocabulary
-from .errors import ConfigError
 
 if TYPE_CHECKING:  # imported where used, so that map, link and report never load it
     import scipy.sparse as sp
@@ -73,8 +72,6 @@ def build_matrix(
     Zero-weight entries (idf 0 under tfidf weighting) are not stored, and
     rows with no surviving entries are dropped and reported.
     """
-    if weighting not in WEIGHTINGS:
-        raise ConfigError(f"unknown weighting {weighting!r} (expected one of {WEIGHTINGS})")
     matrix = incidence(slice_, vocabulary)
     if weighting == "tfidf":
         matrix.data = idf_vector(vocabulary)[matrix.indices]

@@ -34,8 +34,8 @@ from diachron.diachrony import STATUS_NEW, STATUS_ROOTED, cross_table, link_peri
 from diachron.diffusion import (
     CATEGORY_UNUSUAL,
     DiffusionThresholds,
+    _gini_rows,
     classify_terms,
-    gini,
 )
 from diachron.mapping import build_cluster_map, pca_2d, top_eigenpairs
 from diachron.seeding import derive_seed
@@ -64,6 +64,11 @@ def criterion(number, label):
 
 
 # ---------------------------------------------------------------- oracles
+
+
+def gini(shares):
+    """Gini of one share vector, through the library's row kernel."""
+    return float(_gini_rows(np.asarray(shares, dtype=float)[None, :])[0])
 
 
 def gini_pairwise(shares):
@@ -310,7 +315,7 @@ def test_08_fresh_block_is_the_single_new_cluster():
     assert len(novel_clusters) == 1, "fresh block split across clusters"
 
     for rho in (0.2, 0.3, 0.5):
-        linkage = link_periods(model_p1, model_p2, vocabulary, rho)
+        linkage = link_periods(model_p1, model_p2, rho)
         new_links = [l for l in linkage.links if l.status == STATUS_NEW]
         rooted_links = [l for l in linkage.links if l.status == STATUS_ROOTED]
         assert len(new_links) == 1, f"rho={rho}: {len(new_links)} new clusters"

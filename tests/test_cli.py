@@ -11,6 +11,7 @@ import errno
 import itertools
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -273,6 +274,23 @@ class TestRunCommand:
         for name in EXPECTED_FILES - {"run_manifest.json", "load_report.json"}:
             assert hashes_csv[name] == hashes_jsonl[name], name
 
+    def test_shuffled_input_lines_give_identical_artifacts(self, corpus_dir, tmp_path):
+        lines = (corpus_dir / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        random.Random(3).shuffle(lines)
+        shuffled = tmp_path / "shuffled.jsonl"
+        shuffled.write_text("".join(lines), encoding="utf-8")
+        assert shuffled.read_bytes() != (corpus_dir / "corpus.jsonl").read_bytes()
+        hashes = []
+        for name, corpus in (("sorted", corpus_dir / "corpus.jsonl"), ("shuffled", shuffled)):
+            directory = tmp_path / name
+            directory.mkdir()
+            config = write_config(directory, corpus)
+            assert main(["run", "--config", str(config), "--out", str(directory / "out")]) == 0
+            hashes.append(dir_hashes(directory / "out"))
+        # only the two files that hash the input differ
+        differing = {name for name in EXPECTED_FILES if hashes[0][name] != hashes[1][name]}
+        assert differing == {"load_report.json", "run_manifest.json"}
+
     def test_gini_cells_clusters_reorders_stages(self, corpus_dir, tmp_path):
         config = write_config(tmp_path, corpus_dir / "corpus.jsonl", gini_cells="clusters")
         out = tmp_path / "out"
@@ -421,12 +439,19 @@ class TestStageSequencing:
 
     @pytest.mark.parametrize("stage", ["map", "link"])
     @pytest.mark.parametrize(
-        "setting",
-        [{"min_df": 3}, {"periods": {"p1": [1996, 1997], "p2": [2001, 2003]}}],
-        ids=["min_df", "periods"],
+        "setting, key",
+        [
+            ({"min_df": 3}, "min_df"),
+            ({"periods": {"p1": [1996, 1997], "p2": [2001, 2003]}}, "periods"),
+            ({"cluster": {"k": 5, "restarts": 4, "max_iters": 60}}, "k"),
+            ({"weighting": "binary"}, "weighting"),
+            ({"top_m": 3}, "top_m"),
+            ({"seed": 8}, "seed"),
+        ],
+        ids=["min_df", "periods", "cluster.k", "weighting", "top_m", "seed"],
     )
     def test_changed_vocabulary_setting_makes_cluster_files_stale(
-        self, corpus_dir, tmp_path, capsys, stage, setting
+        self, corpus_dir, tmp_path, capsys, stage, setting, key
     ):
         # corpus.jsonl and terms.csv stay as they were; only the config moves
         config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
@@ -437,9 +462,20 @@ class TestStageSequencing:
         rc = main([stage, "--config", str(changed), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 3
-        (key,) = setting
         assert f"stale artifact clusters_P1.json: it was built with {key} " in err
         assert dir_hashes(out) == before
+
+    def test_changed_tau_and_rho_reuse_cluster_files(self, corpus_dir, tmp_path):
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        clusters = {n: h for n, h in dir_hashes(out).items() if n.startswith("clusters_")}
+        changed = write_config(tmp_path, corpus_dir / "corpus.jsonl", tau=0.5, rho=0.5)
+        for stage in ("map", "link", "report"):
+            assert main([stage, "--config", str(changed), "--out", str(out)]) == 0
+        assert artifacts.read_json(str(out / "map_P1.json"))["tau"] == 0.5
+        assert artifacts.read_json(str(out / "linkage.json"))["rho"] == 0.5
+        assert {n: h for n, h in dir_hashes(out).items() if n in clusters} == clusters
 
     def test_clustering_a_reingested_corpus_makes_terms_csv_stale(
         self, corpus_dir, tmp_path, capsys
@@ -542,6 +578,24 @@ class TestStageSequencing:
         rc = main([stage, "--config", str(config), "--out", str(out)])
         assert rc == 3
         assert target in capsys.readouterr().err
+        assert dir_hashes(out) == before
+
+    @pytest.mark.parametrize("stage", ["map", "link"])
+    @pytest.mark.parametrize("ids", [[-1, 1, 2], [0, 0, 2], [1, 0, 2]], ids=repr)
+    def test_foreign_cluster_ids_exit_3_and_name_the_file(
+        self, corpus_dir, tmp_path, capsys, stage, ids
+    ):
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        data = json.loads((out / "clusters_P2.json").read_text(encoding="utf-8"))
+        for entry, cluster_id in zip(data["clusters"], ids):
+            entry["id"] = cluster_id
+        (out / "clusters_P2.json").write_text(json.dumps(data), encoding="utf-8")
+        before = dir_hashes(out)
+        rc = main([stage, "--config", str(config), "--out", str(out)])
+        assert rc == 3
+        assert "clusters_P2.json" in capsys.readouterr().err
         assert dir_hashes(out) == before
 
     @pytest.mark.parametrize(
@@ -674,7 +728,9 @@ class TestErrorExits:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
 
     @pytest.mark.parametrize(
-        "section", [{"restarts": 0}, {"max_iters": 0}, {"tol": -1}], ids=repr
+        "section",
+        [{"restarts": 0}, {"max_iters": 0}, {"tol": -1}, {"k": 1}, {"k_p1": 1}],
+        ids=repr,
     )
     def test_bad_cluster_value_exits_2_before_any_stage(
         self, corpus_dir, tmp_path, capsys, section
@@ -880,6 +936,12 @@ class TestStrictDecoding:
             ("run", "format", '"xml"', "format"),
             ("run", "weighting", '"bm25"', "weighting"),
             ("run", "gini_cells", '"periods"', "gini_cells"),
+            ("run", "tau", "0", "tau"),
+            ("run", "tau", "1.5", "tau"),
+            ("run", "rho", "0", "rho"),
+            ("run", "rho", "1.5", "rho"),
+            ("run", "min_df", "0", "min_df"),
+            ("run", "top_m", "0", "top_m"),
             ("syngen", "bridges", '[{"name": "h", "vocab_size": 4}]', "bridges[0].members"),
         ],
     )

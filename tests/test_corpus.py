@@ -120,12 +120,6 @@ class TestLoadCorpus:
         assert by_id["a"].title == "Some, title"
         assert by_id["b"].title is None
 
-    def test_unknown_format_rejected(self, tmp_path):
-        path = tmp_path / "c.xml"
-        path.write_text("")
-        with pytest.raises(InputError):
-            load_corpus(str(path), "xml")
-
 
 # keywords generated already-normalized, since identity holds for records
 # the loader would leave unchanged

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diachron.corpus import CorpusSlice, Record, build_vocabulary, normalize_term
-from diachron.errors import ConfigError
 from diachron.vectorize import axis_cosines, build_matrix, idf_vector
 
 keyword_strategy = (
@@ -179,11 +178,6 @@ class TestBuildMatrix:
         again = build_matrix(shuffled, vocab)
         assert again.doc_ids == baseline.doc_ids
         assert (again.matrix != baseline.matrix).nnz == 0
-
-    def test_unknown_weighting_rejected(self):
-        vocab, slices = _small_corpus()
-        with pytest.raises(ConfigError):
-            build_matrix(slices[0], vocab, "counts")
 
 
 class TestCosine:
