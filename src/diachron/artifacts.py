@@ -17,15 +17,16 @@ import hashlib
 import json
 import os
 from collections.abc import Callable
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .cluster import ClusterModel, ClusterSummary
 from .corpus import Vocabulary, atomic_open
-from .diachrony import STATUS_NEW, STATUS_ROOTED, CrossTab, Linkage
 from .diffusion import CATEGORIES
 from .errors import InputError
 from .mapping import ClusterMap, render_svg
+
+if TYPE_CHECKING:  # numpy and the modules below are imported where used, so report never loads them
+    from .cluster import ClusterModel, ClusterSummary
+    from .diachrony import CrossTab, Linkage
 
 LOAD_REPORT = "load_report.json"
 CORPUS = "corpus.jsonl"
@@ -116,6 +117,8 @@ def write_clusters(
     vocabulary_sha256: str,
     corpus_sha256: str,
 ) -> None:
+    import numpy as np
+
     axes = model.axes
     clusters = []
     for c, summary in enumerate(summaries):
@@ -156,13 +159,17 @@ def read_clusters(
 
     The file must record the sha256 of corpus.jsonl, echo every key of the
     running `config_echo` (as JSON holds it), record the sha256 of the
-    vocabulary and number its clusters 0 to k-1 in order. `get_vocabulary`
-    returns the vocabulary and its `vocab_sha256`; it is called only once the
-    file has decoded and passed the first two checks, so a truncated or stale
-    cluster file is the file named even when the vocabulary's own artifacts
-    are missing. A vocabulary mismatch after those checks means the files the
-    vocabulary is read from are the stale ones.
+    vocabulary and hold the echoed k clusters, numbered 0 to k-1 in order.
+    `get_vocabulary` returns the vocabulary and its `vocab_sha256`; it is
+    called only once the file has decoded and passed the first two checks, so
+    a truncated or stale cluster file is the file named even when the
+    vocabulary's own artifacts are missing. A vocabulary mismatch after those
+    checks means the files the vocabulary is read from are the stale ones.
     """
+    import numpy as np
+
+    from .cluster import ClusterModel, ClusterSummary
+
     data = read_json(path)
     name = os.path.basename(path)
     with parsing(path):
@@ -182,7 +189,7 @@ def read_clusters(
                 "re-run the terms stage, or ingest",
             )
         clusters = data["clusters"]
-        k = len(clusters)
+        k = config_echo["k"]
         axes = np.zeros((k, len(vocabulary)))
         member_cluster: dict[str, int] = {}
         summaries = []
@@ -200,7 +207,7 @@ def read_clusters(
                 )
             )
         if [s.cluster_id for s in summaries] != list(range(k)):  # the linkage's ids
-            raise ValueError(f"cluster ids are not 0 to {k - 1} in order")
+            raise ValueError(f"the clusters are not k={k} with ids 0 to {k - 1} in order")
         doc_ids = tuple(sorted(member_cluster))
         assignment = np.array([member_cluster[d] for d in doc_ids], dtype=int)
         model = ClusterModel(
@@ -215,7 +222,7 @@ def read_clusters(
 
 
 def write_map(
-    path: str, cmap: ClusterMap, summaries: list[ClusterSummary], tau: float
+    path: str, cmap: ClusterMap, labels: list[str], sizes: list[int], tau: float
 ) -> None:
     write_json(
         {
@@ -226,14 +233,14 @@ def write_map(
             "explained_variance": cmap.explained_variance,
             "edges": [[i, j, s] for i, j, s in cmap.edges],
             "components": [list(c) for c in cmap.components],
-            "labels": [s.label for s in summaries],
-            "sizes": [s.size for s in summaries],
+            "labels": labels,
+            "sizes": sizes,
         },
         path,
     )
 
 
-def read_map(path: str) -> tuple[ClusterMap, list[ClusterSummary]]:
+def read_map(path: str) -> tuple[ClusterMap, list[str], list[int]]:
     data = read_json(path)
     with parsing(path):
         cmap = ClusterMap(
@@ -244,24 +251,24 @@ def read_map(path: str) -> tuple[ClusterMap, list[ClusterSummary]]:
             edges=tuple((int(i), int(j), float(s)) for i, j, s in data["edges"]),
             components=tuple(tuple(int(x) for x in c) for c in data["components"]),
         )
-        summaries = [
-            ClusterSummary(cluster_id=c, label=label, top_terms=(), size=int(size))
-            for c, (label, size) in enumerate(zip(data["labels"], data["sizes"]))
-        ]
+        labels = list(data["labels"])
+        sizes = [int(size) for size in data["sizes"]]
+        if not all(isinstance(label, str) for label in labels):
+            raise TypeError("a label is not a string")
         k = len(cmap.coords)
-        if not k or len(data["labels"]) != k or len(data["sizes"]) != k:
+        if not k or len(labels) != k or len(sizes) != k:
             raise InputError(
                 f"malformed artifact {path}: coords, labels and sizes must be "
                 "non-empty and of one length"
             )
         if any(not (0 <= i < k and 0 <= j < k) for i, j, _ in cmap.edges):
             raise InputError(f"malformed artifact {path}: an edge ends outside range({k})")
-    return cmap, summaries
+    return cmap, labels, sizes
 
 
-def write_svg(path: str, cmap: ClusterMap, summaries: list[ClusterSummary]) -> None:
+def write_svg(path: str, cmap: ClusterMap, labels: list[str], sizes: list[int]) -> None:
     with atomic_open(path) as fh:
-        fh.write(render_svg(cmap, summaries))
+        fh.write(render_svg(cmap, labels, sizes))
 
 
 def write_linkage(path: str, linkage: Linkage, labels: list[str]) -> None:
@@ -293,8 +300,7 @@ def write_crosstab(path: str, crosstab: CrossTab) -> None:
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["status"] + list(CATEGORIES) + ["n_terms"])
-        for status in (STATUS_ROOTED, STATUS_NEW):
-            shares = crosstab.shares[status]
+        for status, shares in crosstab.shares.items():  # rooted, then new, as cross_table builds it
             if shares is None:
                 writer.writerow([status] + [""] * len(CATEGORIES) + [0])
             else:

@@ -14,13 +14,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .corpus import CorpusSlice, Vocabulary, atomic_open
 from .errors import ConfigError
-from .vectorize import binary_csr, incidence
+
+if TYPE_CHECKING:  # numpy and the vectorizer are imported where used, so report never loads them
+    import numpy as np
 
 CATEGORY_ESTABLISHED = "established"
 CATEGORY_UNUSUAL = "unusual"
@@ -73,6 +73,8 @@ def _gini_rows(x: np.ndarray) -> np.ndarray:
     which agrees with the mean absolute pairwise difference over ordered
     pairs normalized by 2*m*sum(x).
     """
+    import numpy as np
+
     m = x.shape[1]
     if m == 0:  # no cells: every term has zero counts
         return np.zeros(len(x))
@@ -101,7 +103,10 @@ def classify_terms(
       3. established   df_pooled at or above the high-df cut and df_p1 >= 1
       4. unclassified  everything else
     """
+    import numpy as np
     import scipy.sparse as sp
+
+    from .vectorize import binary_csr, incidence
 
     if cells is None:
         cells = {r.id: r.categories or (UNCATEGORIZED_CELL,) for s in slices for r in s.records}

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from html import escape  # not xml.sax.saxutils, which imports urllib.request
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .cluster import ClusterSummary
 from .errors import NumericError
-from .vectorize import axis_cosines
+
+if TYPE_CHECKING:  # numpy and the vectorizer are imported where used, so report never loads them
+    import numpy as np
 
 SVG_WIDTH = 1000
 SVG_HEIGHT = 800
@@ -45,6 +45,8 @@ class ClusterMap:
 def top_eigenpairs(S: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-m eigenpairs of a symmetric matrix, largest magnitude first, by
     LAPACK's symmetric solver. Returns (eigenvalues, eigenvectors as columns)."""
+    import numpy as np
+
     vals, vecs = np.linalg.eigh(np.asarray(S, dtype=float))
     order = np.argsort(-np.abs(vals), kind="stable")[:m]
     return vals[order], vecs[:, order]
@@ -58,6 +60,8 @@ def pca_2d(axes: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
     y identically 0. Sign convention: within each component the coordinate
     of largest absolute value (first such index) is positive.
     """
+    import numpy as np
+
     X = np.asarray(axes, dtype=float)
     k = X.shape[0]
     if k < 2:
@@ -91,6 +95,10 @@ def pca_2d(axes: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
 
 def build_edges(axes: np.ndarray, tau: float) -> list[tuple[int, int, float]]:
     """Pairs (i, j, cosine) with i < j and cosine >= tau, in (i, j) order."""
+    import numpy as np
+
+    from .vectorize import axis_cosines
+
     sims = axis_cosines(axes, axes)
     rows, cols = np.triu_indices(sims.shape[0], 1)  # i < j, in (i, j) order
     upper = sims[rows, cols]
@@ -123,6 +131,8 @@ def connected_components(k: int, edges) -> list[tuple[int, ...]]:
 
 def explained_variance(axes: np.ndarray, eigenvalues: tuple[float, float]) -> float:
     """(lam1 + lam2) / total variance; defined as 1.0 when variance is zero."""
+    import numpy as np
+
     X = np.asarray(axes, dtype=float)
     Xc = X - X.mean(axis=0)
     total = float(np.sum(Xc * Xc)) / X.shape[0]
@@ -160,15 +170,15 @@ def _scaled(values: list[float], lo: float, hi: float, invert: bool) -> list[flo
     return out
 
 
-def render_svg(cmap: ClusterMap, summaries: list[ClusterSummary]) -> str:
+def render_svg(cmap: ClusterMap, labels: list[str], sizes: list[int]) -> str:
     """Deterministic SVG: edges, then circles, then labels, fixed formatting.
-    `summaries` holds one entry per cluster, in the order of `cmap.coords`."""
+    `labels` and `sizes` hold one entry per cluster, in the order of `cmap.coords`."""
     k = len(cmap.coords)
     xs = _scaled([c[0] for c in cmap.coords], SVG_MARGIN, SVG_WIDTH - SVG_MARGIN, False)
     # SVG y grows downward, so the vertical axis is inverted
     ys = _scaled([c[1] for c in cmap.coords], SVG_MARGIN, SVG_HEIGHT - SVG_MARGIN, True)
-    max_size = max(s.size for s in summaries)
-    radii = [MAX_RADIUS * (s.size / max_size) ** 0.5 if max_size > 0 else 4.0 for s in summaries]
+    max_size = max(sizes)
+    radii = [MAX_RADIUS * (size / max_size) ** 0.5 if max_size > 0 else 4.0 for size in sizes]
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
         f'height="{SVG_HEIGHT}" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
@@ -190,7 +200,7 @@ def render_svg(cmap: ClusterMap, summaries: list[ClusterSummary]) -> str:
         lines.append(
             f'<text x="{xs[c]:.2f}" y="{ys[c] - radii[c] - 4.0:.2f}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-            f"{escape(summaries[c].label, quote=False)}</text>"
+            f"{escape(labels[c], quote=False)}</text>"
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -11,7 +11,9 @@ stage-labeled derived seeds, and row order is fixed once, when
 `split_periods` sorts each period by record id.
 
 Config values are checked once, when a RunConfig is built; the stages and
-the library routines under them take them as given.
+the library routines under them take them as given. Each stage imports the
+modules of its own work, so report, which renders the map JSON and writes
+the manifest, loads neither numpy nor scipy.
 
 The terms stage runs before clustering when dispersion cells come from
 record categories, and after it when cells are the period clusters
@@ -29,10 +31,7 @@ import platform
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import __version__, artifacts
-from .cluster import ClusterConfig, fit_axial_kmeans, summarize_clusters
 from .corpus import (
     FORMATS,
     CorpusSlice,
@@ -43,16 +42,15 @@ from .corpus import (
     save_corpus,
     split_periods,
 )
-from .diachrony import cross_table, link_periods
 from .diffusion import DiffusionThresholds, TermStats, classify_terms, read_terms_csv, write_terms_csv
 from .errors import ConfigError, InputError, decode, read_json_object
 from .mapping import build_cluster_map
 from .seeding import derive_seed
-from .vectorize import WEIGHTINGS, build_matrix
 
 log = logging.getLogger("diachron")
 
 PERIOD_IDS = ("P1", "P2")
+WEIGHTINGS = ("binary", "tfidf")
 GINI_CELL_MODES = ("categories", "clusters")
 
 
@@ -63,9 +61,9 @@ class ClusterSection:
     k: int = 20
     k_p1: int | None = None
     k_p2: int | None = None
-    max_iters: int = ClusterConfig.max_iters
-    tol: float = ClusterConfig.tol
-    restarts: int = ClusterConfig.restarts
+    max_iters: int = 100
+    tol: float = 1e-9
+    restarts: int = 10
 
     def __post_init__(self) -> None:
         for name in ("k", "k_p1", "k_p2"):
@@ -124,7 +122,9 @@ class RunConfig:
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
-    def cluster_config(self, period_id: str) -> ClusterConfig:
+    def cluster_config(self, period_id: str):
+        from .cluster import ClusterConfig  # here, so that report never loads numpy
+
         section = self.cluster
         return ClusterConfig(
             k={"P1": section.k_p1, "P2": section.k_p2}[period_id] or section.k,
@@ -284,6 +284,9 @@ def stage_terms(config: RunConfig, out: str, corpus: CorpusCache) -> None:
 def stage_cluster(
     config: RunConfig, out: str, corpus: CorpusCache, threads: int = 1
 ) -> None:
+    from .cluster import fit_axial_kmeans, summarize_clusters
+    from .vectorize import build_matrix
+
     p1, p2, vocabulary = corpus.slices()
     for slice_ in (p1, p2):
         matrix = build_matrix(slice_, vocabulary, config.weighting)
@@ -304,18 +307,16 @@ def stage_map(config: RunConfig, out: str, corpus: CorpusCache) -> None:
     clusters = [_read_clusters(config, out, period_id, corpus) for period_id in PERIOD_IDS]
     for period_id, (model, summaries) in zip(PERIOD_IDS, clusters):
         cmap = build_cluster_map(period_id, model.axes, config.tau)
+        labels, sizes = [s.label for s in summaries], [s.size for s in summaries]
         artifacts.write_map(
-            os.path.join(out, artifacts.map_json_file(period_id)),
-            cmap,
-            summaries,
-            config.tau,
+            os.path.join(out, artifacts.map_json_file(period_id)), cmap, labels, sizes, config.tau
         )
-        artifacts.write_svg(
-            os.path.join(out, artifacts.map_svg_file(period_id)), cmap, summaries
-        )
+        artifacts.write_svg(os.path.join(out, artifacts.map_svg_file(period_id)), cmap, labels, sizes)
 
 
 def stage_link(config: RunConfig, out: str, corpus: CorpusCache) -> None:
+    from .diachrony import cross_table, link_periods
+
     model_p1, _ = _read_clusters(config, out, "P1", corpus)
     model_p2, summaries_p2 = _read_clusters(config, out, "P2", corpus)
     linkage = link_periods(model_p1, model_p2, config.rho)
@@ -329,16 +330,12 @@ def stage_link(config: RunConfig, out: str, corpus: CorpusCache) -> None:
 
 
 def stage_report(config: RunConfig, out: str, corpus: CorpusCache) -> None:
-    import scipy  # for its version only, so the other stages never load it
+    from importlib import metadata  # for the versions only, so the other stages never load it
 
     for period_id in PERIOD_IDS:
-        path = artifacts.require(
-            os.path.join(out, artifacts.map_json_file(period_id)), "map"
-        )
-        cmap, summaries = artifacts.read_map(path)
-        artifacts.write_svg(
-            os.path.join(out, artifacts.map_svg_file(period_id)), cmap, summaries
-        )
+        path = artifacts.require(os.path.join(out, artifacts.map_json_file(period_id)), "map")
+        cmap, labels, sizes = artifacts.read_map(path)
+        artifacts.write_svg(os.path.join(out, artifacts.map_svg_file(period_id)), cmap, labels, sizes)
     path = artifacts.require(os.path.join(out, artifacts.LOAD_REPORT), "ingest")
     with artifacts.parsing(path):
         input_sha256 = artifacts.read_json(path)["input_sha256"]
@@ -349,8 +346,8 @@ def stage_report(config: RunConfig, out: str, corpus: CorpusCache) -> None:
             "versions": {
                 "diachron": __version__,
                 "python": platform.python_version(),
-                "numpy": np.__version__,
-                "scipy": scipy.__version__,
+                "numpy": metadata.version("numpy"),
+                "scipy": metadata.version("scipy"),
             },
             "stages": config.stage_order(),
         },

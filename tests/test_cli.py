@@ -5,9 +5,11 @@ smoke test for the installed console script), on a small three-block
 synthetic corpus so the full pipeline stays fast.
 """
 
+import contextlib
 import csv
 import dataclasses
 import errno
+import io
 import itertools
 import json
 import os
@@ -18,7 +20,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,6 +73,16 @@ def corpus_dir(tmp_path_factory):
         for r in records:
             writer.writerow([r.id, r.year, ";".join(r.keywords), ";".join(r.categories), ""])
     return path
+
+
+@pytest.fixture(scope="module")
+def run_dir(corpus_dir, tmp_path_factory):
+    """The config and the output directory of one `run` on the shared corpus;
+    a test that changes an artifact works on a copy."""
+    path = tmp_path_factory.mktemp("run")
+    config = write_config(path, corpus_dir / "corpus.jsonl")
+    assert main(["run", "--config", str(config), "--out", str(path / "out")]) == 0
+    return config, path / "out"
 
 
 GOOD_JSONL = b"".join(
@@ -188,6 +202,8 @@ class TestRunCommand:
         assert manifest["config"]["cluster"]["k"] == 3
         assert manifest["input_sha256"] == artifacts.sha256_file(str(corpus_dir / "corpus.jsonl"))
         assert set(manifest["versions"]) == {"diachron", "python", "numpy", "scipy"}
+        assert manifest["versions"]["numpy"] == numpy.__version__
+        assert manifest["versions"]["scipy"] == scipy.__version__
 
         report = artifacts.read_json(str(out / "load_report.json"))
         assert report["p1_docs"] == 90
@@ -598,6 +614,45 @@ class TestStageSequencing:
         assert "clusters_P2.json" in capsys.readouterr().err
         assert dir_hashes(out) == before
 
+    @pytest.mark.parametrize("stage", ["map", "link"])
+    @pytest.mark.parametrize("target", ["clusters_P1.json", "clusters_P2.json"])
+    @pytest.mark.parametrize("keep", [1, 2])
+    def test_cluster_file_short_of_its_k_exits_3_and_names_it(
+        self, run_dir, tmp_path, capsys, stage, target, keep
+    ):
+        config, source = run_dir  # k is 3
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        data = json.loads((out / target).read_text(encoding="utf-8"))
+        data["clusters"] = data["clusters"][:keep]
+        (out / target).write_text(json.dumps(data), encoding="utf-8")
+        before = dir_hashes(out)
+        rc = main([stage, "--config", str(config), "--out", str(out)])
+        assert rc == 3
+        assert target in capsys.readouterr().err
+        assert dir_hashes(out) == before
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_report_on_a_truncated_input_exits_3_and_names_it(self, run_dir, data):
+        config, source = run_dir
+        name = data.draw(st.sampled_from(["map_P1.json", "map_P2.json", "load_report.json"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp, "out")
+            shutil.copytree(source, out)
+            whole = (out / name).read_bytes()
+            cut = data.draw(st.integers(0, len(whole) - 1), label="cut")
+            (out / name).write_bytes(whole[:cut])
+            before = dir_hashes(out)
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                rc = main(["report", "--config", str(config), "--out", str(out)])
+            assert dir_hashes(out) == before
+        if whole[cut:].strip():
+            assert rc == 3
+            assert name in err.getvalue()
+        else:  # only the closing newline was cut, which leaves the JSON whole
+            assert rc == 0
+
     @pytest.mark.parametrize(
         "updates",
         [
@@ -606,8 +661,12 @@ class TestStageSequencing:
             {"coords": [], "labels": [], "sizes": [], "edges": [], "components": []},
             {"labels": ["only"]},
             {"sizes": [1]},
+            {"labels": [5, 6, 7]},
         ],
-        ids=["edge-past-end", "edge-negative", "no-clusters", "labels-short", "sizes-short"],
+        ids=[
+            "edge-past-end", "edge-negative", "no-clusters", "labels-short", "sizes-short",
+            "labels-not-strings",
+        ],
     )
     def test_foreign_map_json_exits_3_and_names_it(self, corpus_dir, tmp_path, capsys, updates):
         config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
@@ -1040,46 +1099,32 @@ class TestPackageImport:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
-    def test_rerun_stages_leave_scipy_sparse_unloaded(self, corpus_dir, tmp_path):
-        config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
-        before = dir_hashes(out)
-        src = str(Path(diachron.__file__).parents[1])
-        code = (
-            "import sys\n"
-            "from diachron.cli import main\n"
-            "rc = main(sys.argv[1:])\n"
-            "print('scipy.sparse' in sys.modules)\n"
-            "sys.exit(rc)\n"
-        )
-        for stage in ("map", "link", "report"):
-            proc = subprocess.run(
-                [sys.executable, "-c", code, stage, "--config", str(config), "--out", str(out)],
-                capture_output=True,
-                text=True,
-                env={**os.environ, "PYTHONPATH": src},
-            )
-            assert proc.returncode == 0, proc.stderr
-            assert proc.stdout.strip() == "False", stage
-        assert dir_hashes(out) == before
-
     def test_rerun_stages_load_only_what_they_use(self, corpus_dir, tmp_path):
         config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
         before = dir_hashes(out)
         src = str(Path(diachron.__file__).parents[1])
+        probed = (
+            "numpy", "scipy", "concurrent.futures", "diachron.syngen",
+            "diachron.cluster", "diachron.diachrony", "diachron.vectorize",
+        )
         code = (
             "import sys\n"
             "from diachron.cli import main\n"
             "rc = main(sys.argv[1:])\n"
-            "print(sorted(m for m in ('scipy', 'concurrent.futures', 'diachron.syngen')"
-            " if m in sys.modules))\n"
+            f"print(sorted(m for m in {probed!r} if m in sys.modules))\n"
             "sys.exit(rc)\n"
         )
-        # report imports scipy for the manifest's version string
-        for stage, loaded in (("map", "[]"), ("link", "[]"), ("report", "['scipy']")):
+        # map and link do array math but build no sparse matrix, so they load no
+        # scipy; report takes the numpy and scipy versions from the installed
+        # distributions' metadata and loads no module of the fit, the linkage
+        # or the vectorizer
+        for stage, loaded in (
+            ("map", ["diachron.cluster", "diachron.vectorize", "numpy"]),
+            ("link", ["diachron.cluster", "diachron.diachrony", "diachron.vectorize", "numpy"]),
+            ("report", []),
+        ):
             proc = subprocess.run(
                 [sys.executable, "-c", code, stage, "--config", str(config), "--out", str(out)],
                 capture_output=True,
@@ -1087,7 +1132,7 @@ class TestPackageImport:
                 env={**os.environ, "PYTHONPATH": src},
             )
             assert proc.returncode == 0, proc.stderr
-            assert proc.stdout.strip() == loaded, stage
+            assert proc.stdout.strip() == repr(loaded), stage
         assert dir_hashes(out) == before
 
 

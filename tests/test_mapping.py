@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from diachron.cluster import ClusterSummary
 from diachron.errors import NumericError
 from diachron.mapping import (
     MAX_RADIUS,
@@ -289,11 +288,8 @@ class TestBuildClusterMap:
         assert 0.0 <= cmap.explained_variance <= 1.0
 
 
-def _summaries(labels_sizes):
-    return [
-        ClusterSummary(cluster_id=i, label=label, top_terms=((label, 1.0),), size=size)
-        for i, (label, size) in enumerate(labels_sizes)
-    ]
+def _labels_sizes(pairs):
+    return [label for label, _ in pairs], [size for _, size in pairs]
 
 
 class TestRenderSvg:
@@ -304,13 +300,13 @@ class TestRenderSvg:
 
     def test_deterministic_output(self):
         cmap = self._map()
-        summaries = _summaries([("alpha", 4), ("beta", 9), ("gamma", 1)])
-        assert render_svg(cmap, summaries) == render_svg(cmap, summaries)
+        labels_sizes = _labels_sizes([("alpha", 4), ("beta", 9), ("gamma", 1)])
+        assert render_svg(cmap, *labels_sizes) == render_svg(cmap, *labels_sizes)
 
     def test_structure_and_counts(self):
         cmap = self._map()
-        summaries = _summaries([("alpha", 4), ("beta", 9), ("gamma", 1)])
-        svg = render_svg(cmap, summaries)
+        labels_sizes = _labels_sizes([("alpha", 4), ("beta", 9), ("gamma", 1)])
+        svg = render_svg(cmap, *labels_sizes)
         assert svg.startswith("<svg ")
         assert svg.endswith("</svg>\n")
         assert 'width="1000"' in svg
@@ -322,8 +318,8 @@ class TestRenderSvg:
 
     def test_radius_scales_with_square_root_of_size(self):
         cmap = self._map()
-        summaries = _summaries([("alpha", 4), ("beta", 9), ("gamma", 1)])
-        svg = render_svg(cmap, summaries)
+        labels_sizes = _labels_sizes([("alpha", 4), ("beta", 9), ("gamma", 1)])
+        svg = render_svg(cmap, *labels_sizes)
         # max size 9 -> radius 40; size 4 -> 40*sqrt(4/9); size 1 -> 40/3
         assert f'r="{MAX_RADIUS * math.sqrt(4.0 / 9.0):.2f}"' in svg
         assert f'r="{MAX_RADIUS:.2f}"' in svg
@@ -331,8 +327,8 @@ class TestRenderSvg:
 
     def test_labels_are_xml_escaped(self):
         cmap = self._map()
-        summaries = _summaries([("a<b", 1), ("c&d", 1), ("e>f", 1)])
-        svg = render_svg(cmap, summaries)
+        labels_sizes = _labels_sizes([("a<b", 1), ("c&d", 1), ("e>f", 1)])
+        svg = render_svg(cmap, *labels_sizes)
         assert "a&lt;b" in svg
         assert "c&amp;d" in svg
         assert "e&gt;f" in svg
@@ -340,5 +336,5 @@ class TestRenderSvg:
 
     def test_edge_opacity_tracks_similarity(self):
         cmap = self._map()
-        svg = render_svg(cmap, _summaries([("a", 1), ("b", 1), ("c", 1)]))
+        svg = render_svg(cmap, *_labels_sizes([("a", 1), ("b", 1), ("c", 1)]))
         assert 'stroke-opacity="0.707"' in svg
