@@ -9,10 +9,16 @@ warning (or warn), or error, in any case, to control logging.
 
 from __future__ import annotations
 
+import os
+
+# before anything imports numpy: no stage gains from BLAS threads, and idle
+# OpenBLAS workers spin about 0.1 s of CPU after each import; a value already
+# set in the environment wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import dataclasses
 import logging
-import os
 import sys
 
 from . import artifacts

@@ -12,6 +12,13 @@ models; restarts are independent and the winner is (highest J, lowest
 restart index), so threaded and serial execution agree byte for byte.
 Row order is fixed once, when `corpus.split_periods` sorts each period by
 record id; the fit takes the rows in the order `build_matrix` returns them.
+
+Memory: a fit holds the matrix's nonzero index (built once, shared by the
+restarts), one restart's work arrays per worker and the best result so far.
+A restart allocates its work arrays once and every iteration writes into
+them; only the projections M @ axes.T and the member sums are new arrays
+each step. With several threads, restarts that finish before an earlier
+one are held until it is compared.
 """
 
 from __future__ import annotations
@@ -102,44 +109,81 @@ def init_axes(matrix: DocTermMatrix, k: int, seed: int) -> np.ndarray:
     return _init_axes(matrix.matrix, k, random.Random(seed))
 
 
-def _objective(proj: np.ndarray) -> float:
+class _Work:
+    """One restart's work arrays, allocated once and reused by every iteration.
+
+    `shared` is `_shared_index(M, k)`: it depends on M and k only, so a fit
+    builds it once and its restarts read it concurrently. np.take fills these
+    arrays with mode="clip": its indices are always in range, and the default
+    mode "raise" would first copy `out` to a temporary array.
+    """
+
+    def __init__(self, M: sp.csr_matrix, k: int, shared: tuple[np.ndarray, ...]):
+        n, V = M.shape
+        self.rows, self.cols, self.row_starts = shared
+        self.bins = np.empty(M.nnz, dtype=np.intp)
+        self.weights = np.empty(M.nnz)
+        self.axes_t = np.empty((V, k))
+        self.flat = np.empty(n, dtype=np.intp)
+        self.proj = np.empty(n)
+        self.squares = np.empty(n)
+
+
+def _shared_index(M: sp.csr_matrix, k: int) -> tuple[np.ndarray, ...]:
+    """The row and column of each nonzero of M, and the flat index d * k of
+    row d of an n×k array, all as intp."""
+    n = M.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(M.indptr))
+    return rows, M.indices.astype(np.intp), np.arange(n) * k
+
+
+def _objective(work: _Work) -> float:
     # exactly-rounded sum keeps the recorded trace monotone
-    return math.fsum((proj * proj).tolist())
+    return math.fsum(np.multiply(work.proj, work.proj, out=work.squares).tolist())
 
 
-def _assign(M: sp.csr_matrix, axes: np.ndarray):
-    P = M @ np.ascontiguousarray(axes.T)
-    assign = np.argmax(P, axis=1)  # ties resolve to the lowest cluster id
-    proj = P[np.arange(P.shape[0]), assign]
-    return P, assign, proj
+def _assign(M: sp.csr_matrix, work: _Work, axes: np.ndarray, assign: np.ndarray) -> np.ndarray:
+    """Writes each doc's cluster to `assign` and its projection onto that
+    cluster's axis to `work.proj`; returns the n×k projections P."""
+    np.copyto(work.axes_t, axes.T)
+    P = M @ work.axes_t
+    np.argmax(P, axis=1, out=assign)  # ties resolve to the lowest cluster id
+    np.add(work.row_starts, assign, out=work.flat)
+    np.take(P, work.flat, out=work.proj, mode="clip")
+    return P
 
 
 def _update_axes(
     M: sp.csr_matrix,
+    work: _Work,
     axes: np.ndarray,
     assign: np.ndarray,
     P: np.ndarray,
     proj: np.ndarray,
-    k: int,
+    out: np.ndarray,
 ) -> np.ndarray:
+    """Writes the next axes to `out` (not `axes`) and returns it."""
     # every cluster's projection-weighted member sum as one segment sum:
     # each nonzero M[d, t] adds M[d, t] * proj[d] to bin (assign[d], t), where
     # proj[d] = P[d, assign[d]]. Within a bin the products arrive in ascending
     # d, as in M.T @ W with W holding each doc's projection in its own
     # cluster's column, whose other terms are +0.0; so the sums equal that
     # product bit for bit.
-    V = M.shape[1]
-    per_row = np.diff(M.indptr)
-    sums = np.bincount(
-        np.repeat(assign, per_row) * V + M.indices,
-        weights=M.data * np.repeat(proj, per_row),
-        minlength=k * V,
-    ).reshape(k, V)
-    norms = np.linalg.norm(sums, axis=1)
+    k, V = out.shape
+    bins, weights = work.bins, work.weights
+    np.take(assign, work.rows, out=bins, mode="clip")
+    bins *= V
+    bins += work.cols
+    np.take(proj, work.rows, out=weights, mode="clip")
+    np.multiply(M.data, weights, out=weights)
+    sums = np.bincount(bins, weights=weights, minlength=k * V).reshape(k, V)
+    # np.linalg.norm(sums, axis=1) takes the same steps, with `out` as the
+    # scratch for the squares
+    norms = np.sqrt(np.add.reduce(np.multiply(sums, sums, out=out), axis=1))
     positive = norms > 0.0
-    new_axes = sums / np.where(positive, norms, 1.0)[:, None]
+    np.divide(sums, np.where(positive, norms, 1.0)[:, None], out=out)
     # an axis whose members all lie orthogonal to it gets a zero sum; keep it
-    new_axes[~positive] = axes[~positive]
+    np.copyto(out, axes, where=~positive[:, None])
     reseeded: set[int] = set()
     for c in np.flatnonzero(np.bincount(assign, minlength=k) == 0):
         # farthest-point re-seed: the doc with the lowest projection
@@ -147,25 +191,33 @@ def _update_axes(
         order = np.argsort(P[:, c], kind="stable")
         pick = next(int(r) for r in order if int(r) not in reseeded)
         reseeded.add(pick)
-        new_axes[c] = np.asarray(M[pick].todense()).ravel()
-    return new_axes
+        out[c] = np.asarray(M[pick].todense()).ravel()
+    return out
 
 
-def _fit_single(M: sp.csr_matrix, config: ClusterConfig, seed: int):
+def _fit_single(M: sp.csr_matrix, config: ClusterConfig, seed: int, shared: tuple[np.ndarray, ...]):
     rng = random.Random(seed)
+    work = _Work(M, config.k, shared)
     axes = _init_axes(M, config.k, rng)
-    P, assign, proj = _assign(M, axes)
-    objective = _objective(proj)
+    # a rejected step must leave the current state intact, so each step
+    # writes the spare axes and assignment, and an accepted one swaps them in
+    new_axes = np.empty_like(axes)
+    assign = np.empty(M.shape[0], dtype=np.intp)
+    new_assign = np.empty_like(assign)
+    P = _assign(M, work, axes, assign)
+    objective = _objective(work)
     trace = [objective]
     for _ in range(config.max_iters):
-        new_axes = _update_axes(M, axes, assign, P, proj, config.k)
-        new_P, new_assign, new_proj = _assign(M, new_axes)
-        new_objective = _objective(new_proj)
+        _update_axes(M, work, axes, assign, P, work.proj, new_axes)
+        new_P = _assign(M, work, new_axes, new_assign)
+        new_objective = _objective(work)
         if new_objective < objective:
             # mathematically the step cannot decrease J; a sub-ulp dip means
             # the run is converged, so keep the previous consistent state
             break
-        axes, P, assign, proj = new_axes, new_P, new_assign, new_proj
+        axes, new_axes = new_axes, axes
+        assign, new_assign = new_assign, assign
+        P = new_P
         delta = new_objective - objective
         objective = new_objective
         trace.append(objective)
@@ -190,20 +242,24 @@ def fit_axial_kmeans(
         raise NumericError(f"k={config.k} exceeds the number of documents ({n})")
 
     seeds = [derive_seed(config.seed, f"restart.{r}") for r in range(config.restarts)]
+    shared = _shared_index(M, config.k)
 
     def run(r: int):
-        return _fit_single(M, config, seeds[r])
+        return _fit_single(M, config, seeds[r], shared)
 
+    def final_objective(result) -> float:
+        return result[2][-1]
+
+    # max takes the restarts one by one as they are produced, so only the best
+    # so far is held; it returns the first maximum: highest J, then lowest
+    # restart index
     if threads > 1 and config.restarts > 1:
         from concurrent.futures import ThreadPoolExecutor  # here, so --threads 1 never loads it
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(config.restarts)))
+            axes, assign, trace = max(pool.map(run, range(config.restarts)), key=final_objective)
     else:
-        results = [run(r) for r in range(config.restarts)]
-
-    # max returns the first maximum: highest J, then lowest restart index
-    axes, assign, trace = max(results, key=lambda result: result[2][-1])
+        axes, assign, trace = max(map(run, range(config.restarts)), key=final_objective)
     sizes = tuple(int(s) for s in np.bincount(assign, minlength=config.k))
     return ClusterModel(
         period_id=matrix.period_id,

@@ -1099,6 +1099,26 @@ class TestPackageImport:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_cli_import_defaults_openblas_to_one_thread_before_numpy(self):
+        src = str(Path(diachron.__file__).parents[1])
+        code = (
+            "import os, sys, diachron.cli\n"
+            "print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])\n"
+        )
+        # this process may have imported diachron.cli already, which sets it
+        env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+        for preset, want in ((None, "False 1"), ("2", "False 2")):
+            if preset is not None:
+                env["OPENBLAS_NUM_THREADS"] = preset
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                env={**env, "PYTHONPATH": src},
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == want
+
     def test_rerun_stages_load_only_what_they_use(self, corpus_dir, tmp_path):
         config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
         out = tmp_path / "out"

@@ -1,6 +1,8 @@
 import math
 import os
 import random
+import sys
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -19,6 +21,7 @@ from diachron.cluster import (
 )
 from diachron.corpus import CorpusSlice, Record, Vocabulary, build_vocabulary, save_corpus
 from diachron.errors import NumericError
+from diachron.seeding import derive_seed
 from diachron.vectorize import DocTermMatrix, build_matrix
 
 
@@ -48,6 +51,10 @@ def _vocab(terms):
         n_docs_p1=len(terms),
         n_docs_p2=len(terms),
     )
+
+
+def _work(M, k):
+    return cluster._Work(M, k, cluster._shared_index(M, k))
 
 
 def _random_instance(rng, n=None, m=None):
@@ -163,7 +170,13 @@ class TestFitAxialKmeans:
         dtm = _random_instance(rng, n=8)
         config = ClusterConfig(k=3, restarts=6, seed=5)
         serial = fit_axial_kmeans(dtm, config, threads=1)
-        threaded = fit_axial_kmeans(dtm, config, threads=4)
+        # more workers than cores, switching often, over the shared index
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = fit_axial_kmeans(dtm, config, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
         assert serial.objective_trace == threaded.objective_trace
         assert np.array_equal(serial.axes, threaded.axes)
         assert np.array_equal(serial.assignment, threaded.assignment)
@@ -221,7 +234,9 @@ class TestEmptyClusterReseed:
         P = np.asarray(M @ axes.T)
         assign = np.argmax(P, axis=1)
         assert np.array_equal(assign, [0, 0, 0])  # cluster 1 is empty
-        new_axes = _update_axes(M, axes, assign, P, P[np.arange(M.shape[0]), assign], 2)
+        new_axes = _update_axes(
+            M, _work(M, 2), axes, assign, P, P[np.arange(M.shape[0]), assign], np.empty_like(axes)
+        )
         # row 2 has the lowest projection onto the empty cluster's axis
         assert np.allclose(new_axes[1], [0.0, 1.0, 0.0], atol=1e-12)
 
@@ -244,7 +259,9 @@ class TestEmptyClusterReseed:
         )
         P = np.asarray(M @ axes.T)
         assign = np.zeros(3, dtype=np.int64)
-        new_axes = _update_axes(M, axes, assign, P, P[np.arange(M.shape[0]), assign], 3)
+        new_axes = _update_axes(
+            M, _work(M, 3), axes, assign, P, P[np.arange(M.shape[0]), assign], np.empty_like(axes)
+        )
         assert np.allclose(new_axes[1], M.getrow(2).toarray().ravel(), atol=1e-12)
         assert np.allclose(new_axes[2], M.getrow(1).toarray().ravel(), atol=1e-12)
 
@@ -296,13 +313,79 @@ class TestUpdateAxesOracle:
             assign[assign == k - 1] = 0  # cluster k-1 is empty
         elif seed % 3 == 2:
             P[assign == 1, 1] = 0.0  # cluster 1's members add nothing
-        got = _update_axes(M, axes, assign, P, P[np.arange(M.shape[0]), assign], k)
+        got = _update_axes(
+            M, _work(M, k), axes, assign, P, P[np.arange(M.shape[0]), assign], np.empty_like(axes)
+        )
         want = _reference_update(M, axes, assign, P, k)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=self.ATOL)
         if seed % 3 == 1:
             assert np.array_equal(got[k - 1], want[k - 1])
         elif seed % 3 == 2 and np.any(assign == 1):
             assert np.array_equal(got[1], axes[1])
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_in_place_kernel_matches_allocating_form_bitwise(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n, m, k = int(rng.integers(6, 60)), int(rng.integers(3, 40)), int(rng.integers(2, 7))
+        M = sp.csr_matrix(_random_sparse_rows(rng, n, m))
+        axes = _random_sparse_rows(rng, k, m, density=0.6)
+        P = M @ axes.T
+        assign = rng.integers(0, k, size=n)
+        proj = P[np.arange(n), assign]
+        inputs = (axes, assign, P, proj)
+        before = [a.copy() for a in inputs]
+        got = _update_axes(M, _work(M, k), axes, assign, P, proj, np.empty_like(axes))
+        per_row = np.diff(M.indptr)
+        sums = np.bincount(
+            np.repeat(assign, per_row) * m + M.indices,
+            weights=M.data * np.repeat(proj, per_row),
+            minlength=k * m,
+        ).reshape(k, m)
+        norms = np.linalg.norm(sums, axis=1)
+        live = norms > 0.0
+        assert np.array_equal(got[live], sums[live] / norms[live, None])
+        # the step writes only `out`, so a rejected step keeps the old state
+        for now, then in zip(inputs, before):
+            assert np.array_equal(now, then)
+
+
+class TestRestartWinner:
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_first_restart_of_highest_objective_wins(self, monkeypatch, threads):
+        config = ClusterConfig(k=2, restarts=4, seed=5)
+        finals = (1.0, 3.0, 2.0, 3.0)  # restarts 1 and 3 tie; restart 0 is lower
+        canned = {
+            derive_seed(config.seed, f"restart.{r}"): (
+                np.full((2, 2), float(r)),
+                np.array([0, 1, 1, 0], dtype=np.intp),
+                [0.5, final],
+            )
+            for r, final in enumerate(finals)
+        }
+        monkeypatch.setattr(cluster, "_fit_single", lambda M, config, seed, shared: canned[seed])
+        model = fit_axial_kmeans(_dtm([[1, 0], [0, 1], [1, 1], [1, 2]]), config, threads=threads)
+        winner = canned[derive_seed(config.seed, "restart.1")]
+        assert model.axes is winner[0]
+        assert model.assignment is winner[1]
+        assert model.objective_trace == (0.5, 3.0)
+
+    def test_peak_memory_does_not_grow_with_restarts(self):
+        rng = np.random.default_rng(41)
+        n, m, k = 200, 400, 6
+        dtm = _dtm(_random_sparse_rows(rng, n, m, density=0.05), normalize=False)
+        fit_axial_kmeans(dtm, ClusterConfig(k=k, restarts=2, max_iters=5, tol=0.0))  # warm caches
+        peaks = []
+        for restarts in (2, 12):
+            config = ClusterConfig(k=k, restarts=restarts, max_iters=5, tol=0.0)
+            tracemalloc.start()
+            try:
+                fit_axial_kmeans(dtm, config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # only the best restart so far is held, not one result per restart
+        assert abs(peaks[1] - peaks[0]) < k * m * 8
 
 
 class TestInitAxes:
