@@ -160,6 +160,8 @@ def read_clusters(
     The file must record the sha256 of corpus.jsonl, echo every key of the
     running `config_echo` (as JSON holds it), record the sha256 of the
     vocabulary and hold the echoed k clusters, numbered 0 to k-1 in order.
+    Each cluster's size must be its member count, and no document may be
+    listed twice.
     `get_vocabulary` returns the vocabulary and its `vocab_sha256`; it is
     called only once the file has decoded and passed the first two checks, so
     a truncated or stale cluster file is the file named even when the
@@ -197,13 +199,20 @@ def read_clusters(
             c = int(entry["id"])
             axis = entry["axis"]
             axes[c, [vocabulary.index[term] for term in axis]] = list(map(float, axis.values()))
-            member_cluster.update(dict.fromkeys(entry["members"], c))
+            members = entry["members"]
+            listed = len(member_cluster)
+            member_cluster.update(dict.fromkeys(members, c))
+            if len(member_cluster) != listed + len(members):
+                raise ValueError(f"a document of cluster {c} is listed twice")
+            size = int(entry["size"])
+            if size != len(members):
+                raise ValueError(f"cluster {c} has size {size} but {len(members)} members")
             summaries.append(
                 ClusterSummary(
                     cluster_id=c,
                     label=entry["label"],
                     top_terms=tuple((t, float(w)) for t, w in entry["top_terms"]),
-                    size=int(entry["size"]),
+                    size=size,
                 )
             )
         if [s.cluster_id for s in summaries] != list(range(k)):  # the linkage's ids

@@ -13,17 +13,20 @@ restart index), so threaded and serial execution agree byte for byte.
 Row order is fixed once, when `corpus.split_periods` sorts each period by
 record id; the fit takes the rows in the order `build_matrix` returns them.
 
+Layout: within a restart the axes are a V×k array, the right operand of the
+projections M @ axes, so no step transposes them; only the winner is turned
+back into the k×V rows of `ClusterModel.axes`.
+
 Memory: a fit holds the matrix's nonzero index (built once, shared by the
 restarts), one restart's work arrays per worker and the best result so far.
 A restart allocates its work arrays once and every iteration writes into
-them; only the projections M @ axes.T and the member sums are new arrays
+them; only the projections M @ axes and the member sums are new arrays
 each step. With several threads, restarts that finish before an earlier
 one are held until it is compared.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -113,40 +116,71 @@ class _Work:
     """One restart's work arrays, allocated once and reused by every iteration.
 
     `shared` is `_shared_index(M, k)`: it depends on M and k only, so a fit
-    builds it once and its restarts read it concurrently. np.take fills these
-    arrays with mode="clip": its indices are always in range, and the default
-    mode "raise" would first copy `out` to a temporary array.
+    builds it once and its restarts read it concurrently. The member sums are
+    binned by the flat index t * k + c of a V×k array, the layout of the axes.
+    np.take fills these arrays with mode="clip": its indices are always in
+    range, and the default mode "raise" would first copy `out` to a temporary
+    array. `squares`, `exponents` and `high` are the scratch of `_exact_sum`.
     """
 
     def __init__(self, M: sp.csr_matrix, k: int, shared: tuple[np.ndarray, ...]):
-        n, V = M.shape
-        self.rows, self.cols, self.row_starts = shared
+        n = M.shape[0]
+        self.rows, self.col_bins, self.row_starts = shared
         self.bins = np.empty(M.nnz, dtype=np.intp)
         self.weights = np.empty(M.nnz)
-        self.axes_t = np.empty((V, k))
         self.flat = np.empty(n, dtype=np.intp)
         self.proj = np.empty(n)
         self.squares = np.empty(n)
+        self.exponents = np.empty(n, dtype=np.intp)
+        self.high = np.empty(n)
 
 
 def _shared_index(M: sp.csr_matrix, k: int) -> tuple[np.ndarray, ...]:
-    """The row and column of each nonzero of M, and the flat index d * k of
-    row d of an n×k array, all as intp."""
+    """The row of each nonzero of M, its column t times k, and the flat index
+    d * k of row d of an n×k array, all as intp."""
     n = M.shape[0]
     rows = np.repeat(np.arange(n), np.diff(M.indptr))
-    return rows, M.indices.astype(np.intp), np.arange(n) * k
+    return rows, M.indices.astype(np.intp) * k, np.arange(n) * k
+
+
+def _exact_sum(x: np.ndarray, exponents: np.ndarray, high: np.ndarray) -> float:
+    """The correctly rounded sum of the finite non-negative floats `x`, which
+    is unique, so it equals math.fsum(x) bit for bit. Overwrites `x`, and
+    writes `exponents` (intp) and `high`, both of x's length.
+
+    Each value is m * 2**(e - 53) with m a 53-bit integer, split into its top
+    27 and low 26 bits. Per exponent, np.bincount sums the top halves as
+    integers below 2**27 and the low halves as multiples of 2**-26 below 1;
+    with fewer than 2**26 values every partial sum has at most 53 significant
+    bits, so both sums are exact. Python ints then add them up, and one
+    division rounds the total.
+    """
+    np.frexp(x, out=(x, exponents))  # x = f * 2**e with f in [0.5, 1), or 0
+    np.multiply(x, 2.0**27, out=x)
+    np.modf(x, out=(x, high))  # high: the top 27 bits of m; x: the rest, over 2**26
+    lowest = int(exponents.min())
+    exponents -= lowest
+    highs = np.bincount(exponents, weights=high).tolist()
+    lows = np.bincount(exponents, weights=x).tolist()
+    total = 0
+    for i, (h, low) in enumerate(zip(highs, lows)):
+        if h or low:
+            total += ((int(h) << 26) + int(low * 2.0**26)) << i
+    scale = lowest - 53
+    return float(total << scale) if scale >= 0 else total / (1 << -scale)
 
 
 def _objective(work: _Work) -> float:
-    # exactly-rounded sum keeps the recorded trace monotone
-    return math.fsum(np.multiply(work.proj, work.proj, out=work.squares).tolist())
+    # a correctly rounded sum keeps the recorded trace monotone
+    np.multiply(work.proj, work.proj, out=work.squares)
+    return _exact_sum(work.squares, work.exponents, work.high)
 
 
 def _assign(M: sp.csr_matrix, work: _Work, axes: np.ndarray, assign: np.ndarray) -> np.ndarray:
     """Writes each doc's cluster to `assign` and its projection onto that
-    cluster's axis to `work.proj`; returns the n×k projections P."""
-    np.copyto(work.axes_t, axes.T)
-    P = M @ work.axes_t
+    cluster's axis (a column of the V×k `axes`) to `work.proj`; returns the
+    n×k projections P."""
+    P = M @ axes
     np.argmax(P, axis=1, out=assign)  # ties resolve to the lowest cluster id
     np.add(work.row_starts, assign, out=work.flat)
     np.take(P, work.flat, out=work.proj, mode="clip")
@@ -162,28 +196,29 @@ def _update_axes(
     proj: np.ndarray,
     out: np.ndarray,
 ) -> np.ndarray:
-    """Writes the next axes to `out` (not `axes`) and returns it."""
+    """Writes the next V×k axes to `out` (not `axes`) and returns it."""
     # every cluster's projection-weighted member sum as one segment sum:
-    # each nonzero M[d, t] adds M[d, t] * proj[d] to bin (assign[d], t), where
+    # each nonzero M[d, t] adds M[d, t] * proj[d] to bin (t, assign[d]), where
     # proj[d] = P[d, assign[d]]. Within a bin the products arrive in ascending
     # d, as in M.T @ W with W holding each doc's projection in its own
     # cluster's column, whose other terms are +0.0; so the sums equal that
     # product bit for bit.
-    k, V = out.shape
+    V, k = out.shape
     bins, weights = work.bins, work.weights
     np.take(assign, work.rows, out=bins, mode="clip")
-    bins *= V
-    bins += work.cols
+    bins += work.col_bins
     np.take(proj, work.rows, out=weights, mode="clip")
     np.multiply(M.data, weights, out=weights)
-    sums = np.bincount(bins, weights=weights, minlength=k * V).reshape(k, V)
-    # np.linalg.norm(sums, axis=1) takes the same steps, with `out` as the
-    # scratch for the squares
-    norms = np.sqrt(np.add.reduce(np.multiply(sums, sums, out=out), axis=1))
+    sums = np.bincount(bins, weights=weights, minlength=V * k).reshape(V, k)
+    # np.linalg.norm(sums.T, axis=1) takes the same steps: the squares go to
+    # `out` seen as k×V, so each norm is a pairwise sum over a contiguous row
+    squares = out.reshape(k, V)
+    norms = np.sqrt(np.add.reduce(np.multiply(sums.T, sums.T, out=squares), axis=1))
     positive = norms > 0.0
-    np.divide(sums, np.where(positive, norms, 1.0)[:, None], out=out)
-    # an axis whose members all lie orthogonal to it gets a zero sum; keep it
-    np.copyto(out, axes, where=~positive[:, None])
+    np.divide(sums, np.where(positive, norms, 1.0), out=out)
+    if not positive.all():
+        # an axis whose members all lie orthogonal to it gets a zero sum; keep it
+        np.copyto(out, axes, where=~positive)
     reseeded: set[int] = set()
     for c in np.flatnonzero(np.bincount(assign, minlength=k) == 0):
         # farthest-point re-seed: the doc with the lowest projection
@@ -191,14 +226,14 @@ def _update_axes(
         order = np.argsort(P[:, c], kind="stable")
         pick = next(int(r) for r in order if int(r) not in reseeded)
         reseeded.add(pick)
-        out[c] = np.asarray(M[pick].todense()).ravel()
+        out[:, c] = np.asarray(M[pick].todense()).ravel()
     return out
 
 
 def _fit_single(M: sp.csr_matrix, config: ClusterConfig, seed: int, shared: tuple[np.ndarray, ...]):
     rng = random.Random(seed)
     work = _Work(M, config.k, shared)
-    axes = _init_axes(M, config.k, rng)
+    axes = np.ascontiguousarray(_init_axes(M, config.k, rng).T)
     # a rejected step must leave the current state intact, so each step
     # writes the spare axes and assignment, and an accepted one swaps them in
     new_axes = np.empty_like(axes)
@@ -260,6 +295,7 @@ def fit_axial_kmeans(
             axes, assign, trace = max(pool.map(run, range(config.restarts)), key=final_objective)
     else:
         axes, assign, trace = max(map(run, range(config.restarts)), key=final_objective)
+    axes = np.ascontiguousarray(axes.T)
     sizes = tuple(int(s) for s in np.bincount(assign, minlength=config.k))
     return ClusterModel(
         period_id=matrix.period_id,

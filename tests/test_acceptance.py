@@ -155,6 +155,60 @@ def dir_hashes(path):
     }
 
 
+def write_run_config(path, corpus_path, k, seed):
+    path.write_text(
+        json.dumps(
+            {
+                "input": str(corpus_path),
+                "periods": {"p1": [1996, 1998], "p2": [2001, 2003]},
+                "cluster": {"k": k},
+                "seed": seed,
+            }
+        ),
+        encoding="utf-8",
+    )
+    return path
+
+
+# The sha256 of each artifact of two `run`s, pinned across commits; a change
+# that alters artifact bytes on purpose updates them and says so in
+# CHANGES.md. run_manifest.json is left out: it records library versions.
+PINNED_SHA256 = {
+    ("three-blocks", 3): {
+        "clusters_P1.json": "89ea7114be8b7fa0a22e5b98341024ece5cadbc9226384ff8c52d9ca7ea0674a",
+        "clusters_P2.json": "02e37253e6b3c4fc67b56c227c04e3747181a6e85d0b13dd11a2c7a9d4f8ca07",
+        "corpus.jsonl": "8128ae784c9dbd12179f3e223a4817c31d9829ec7274f2b6cb46f3eab8eab50e",
+        "crosstab.csv": "111eb28761c8be74a858d89be675efbdba3f135dc2f9695f69e429cc5451f38f",
+        "linkage.json": "e2023af23412fb0fe0dfa2f1655a8c969e80fbea0d1d116fe3dc5b03138fc542",
+        "load_report.json": "a8ea5f5c4f82e3d1019f9e5501ae0460c279926c2bf9e4ee8ed412a507ea6df8",
+        "map_P1.json": "49c93a3ba6f53601134e0d32cf779a0a5f677a15ef74ce0790fd4179a88820e2",
+        "map_P1.svg": "12cc47bc0a815c4832f7d0cca88e3bddbd407df4190b631e2d0cd7a2d7397817",
+        "map_P2.json": "6bb4f1248edeac946714f1a64ec49cf767fc81cd6086aa721cbf699dfacdb7a3",
+        "map_P2.svg": "fb18ccac691784a5f9eb381794737b36f7757978981131f4771997af8fc10140",
+        "terms.csv": "b29e9917e2e9544cf8b8d9d54e91bc8b302310d79e97fa84422d59fc630e7c4f",
+    },
+    ("large-scale", 10): {
+        "clusters_P1.json": "50d5ef6332bb1c02663106c697a772ef144b46c7db9ec6e16318cff145e4ada4",
+        "clusters_P2.json": "593d65d0a1d4864a53b7c9090ece5353535d49beeb9b44928eb8131c4cdb807f",
+        "corpus.jsonl": "f863005fbd74d47bf41f7b0f21f26da17ded90ee8acb158e115375a629f13119",
+        "crosstab.csv": "378af4da1d1eaaf38e778e6ebf8a17259cbe471a4b9c8e519b5e6f77ff1d97f9",
+        "linkage.json": "5b07068e4de16bd4acc8f4047f4091c77a597f7330aa9b737dd9c00eb55cef9e",
+        "load_report.json": "a9801e03c29012c77ae340e1f2894f24ec65379d9ac4803b907773f68f39f3b1",
+        "map_P1.json": "e3111e2265c6f57c74c7a6f392d12834826adecccbc215dd73c7cebfce1a79d5",
+        "map_P1.svg": "9eb94d718f4fbce5600cabbe59c24546e1f003d0a98da113b0f2f2cf2d364d83",
+        "map_P2.json": "ef866b9e61831983716cc347bce92a9fd017a008a9441be3274eb04ad6325a67",
+        "map_P2.svg": "19a5f6fcbf812ab1f04fffbf3d2e297ea7d251aeee35cf347d27d23fefe19c0e",
+        "terms.csv": "2464ff1da5b871c2cbdec1543072adac1dbcadfb4026c24af19b5bcf32fab7d2",
+    },
+}
+
+
+def assert_pinned_bytes(out, preset, seed):
+    hashes = dir_hashes(out)
+    del hashes[artifacts.MANIFEST]
+    assert hashes == PINNED_SHA256[(preset, seed)], f"{preset} seed {seed}: artifact bytes moved"
+
+
 # ---------------------------------------------------------------- criteria
 
 
@@ -349,18 +403,7 @@ def test_10_large_run_is_fast_and_byte_identical(tmp_path):
     corpus_dir = tmp_path / "corpus"
     assert cli_main(["syngen", "--preset", "large-scale", "--out", str(corpus_dir), "--seed", "10"]) == 0
 
-    config_path = tmp_path / "config.json"
-    config_path.write_text(
-        json.dumps(
-            {
-                "input": str(corpus_dir / "corpus.jsonl"),
-                "periods": {"p1": [1996, 1998], "p2": [2001, 2003]},
-                "cluster": {"k": 20},
-                "seed": 10,
-            }
-        ),
-        encoding="utf-8",
-    )
+    config_path = write_run_config(tmp_path / "config.json", corpus_dir / "corpus.jsonl", 20, 10)
 
     out_a, out_b, out_c = (str(tmp_path / name) for name in ("a", "b", "c"))
     start = time.perf_counter()
@@ -372,3 +415,13 @@ def test_10_large_run_is_fast_and_byte_identical(tmp_path):
     assert cli_main(["run", "--config", str(config_path), "--out", out_c, "--threads", "4"]) == 0
     assert dir_hashes(out_a) == dir_hashes(out_b), "identical reruns differ"
     assert dir_hashes(out_a) == dir_hashes(out_c), "--threads 4 differs from --threads 1"
+    assert_pinned_bytes(out_a, "large-scale", 10)
+
+
+def test_small_run_bytes_are_pinned(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    argv = ["syngen", "--preset", "three-blocks", "--out", str(corpus_dir), "--seed", "3"]
+    assert cli_main(argv) == 0
+    config_path = write_run_config(tmp_path / "config.json", corpus_dir / "corpus.jsonl", 3, 3)
+    assert cli_main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+    assert_pinned_bytes(tmp_path / "out", "three-blocks", 3)

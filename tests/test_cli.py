@@ -615,6 +615,28 @@ class TestStageSequencing:
         assert dir_hashes(out) == before
 
     @pytest.mark.parametrize("stage", ["map", "link"])
+    @pytest.mark.parametrize("fault", ["size", "member-in-two-clusters"])
+    def test_cluster_file_with_foreign_members_exits_3_and_names_it(
+        self, run_dir, tmp_path, capsys, stage, fault
+    ):
+        config, source = run_dir
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        data = json.loads((out / "clusters_P1.json").read_text(encoding="utf-8"))
+        first, second = data["clusters"][:2]
+        if fault == "size":
+            second["size"] += 7
+        else:
+            second["members"].append(first["members"][0])
+        (out / "clusters_P1.json").write_text(json.dumps(data), encoding="utf-8")
+        before = dir_hashes(out)
+        rc = main([stage, "--config", str(config), "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "malformed artifact" in err and "clusters_P1.json" in err
+        assert dir_hashes(out) == before
+
+    @pytest.mark.parametrize("stage", ["map", "link"])
     @pytest.mark.parametrize("target", ["clusters_P1.json", "clusters_P2.json"])
     @pytest.mark.parametrize("keep", [1, 2])
     def test_cluster_file_short_of_its_k_exits_3_and_names_it(

@@ -3,16 +3,20 @@ import os
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diachron import cluster, pipeline, syngen
 from diachron.cluster import (
     ClusterConfig,
     ClusterModel,
+    _exact_sum,
     _init_axes,
     _update_axes,
     fit_axial_kmeans,
@@ -234,9 +238,16 @@ class TestEmptyClusterReseed:
         P = np.asarray(M @ axes.T)
         assign = np.argmax(P, axis=1)
         assert np.array_equal(assign, [0, 0, 0])  # cluster 1 is empty
+        # the kernel's axes are V×k
         new_axes = _update_axes(
-            M, _work(M, 2), axes, assign, P, P[np.arange(M.shape[0]), assign], np.empty_like(axes)
-        )
+            M,
+            _work(M, 2),
+            axes.T.copy(),
+            assign,
+            P,
+            P[np.arange(M.shape[0]), assign],
+            np.empty((3, 2)),
+        ).T
         # row 2 has the lowest projection onto the empty cluster's axis
         assert np.allclose(new_axes[1], [0.0, 1.0, 0.0], atol=1e-12)
 
@@ -260,8 +271,14 @@ class TestEmptyClusterReseed:
         P = np.asarray(M @ axes.T)
         assign = np.zeros(3, dtype=np.int64)
         new_axes = _update_axes(
-            M, _work(M, 3), axes, assign, P, P[np.arange(M.shape[0]), assign], np.empty_like(axes)
-        )
+            M,
+            _work(M, 3),
+            axes.T.copy(),
+            assign,
+            P,
+            P[np.arange(M.shape[0]), assign],
+            np.empty((3, 3)),
+        ).T
         assert np.allclose(new_axes[1], M.getrow(2).toarray().ravel(), atol=1e-12)
         assert np.allclose(new_axes[2], M.getrow(1).toarray().ravel(), atol=1e-12)
 
@@ -314,8 +331,14 @@ class TestUpdateAxesOracle:
         elif seed % 3 == 2:
             P[assign == 1, 1] = 0.0  # cluster 1's members add nothing
         got = _update_axes(
-            M, _work(M, k), axes, assign, P, P[np.arange(M.shape[0]), assign], np.empty_like(axes)
-        )
+            M,
+            _work(M, k),
+            axes.T.copy(),
+            assign,
+            P,
+            P[np.arange(M.shape[0]), assign],
+            np.empty((m, k)),
+        ).T
         want = _reference_update(M, axes, assign, P, k)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=self.ATOL)
         if seed % 3 == 1:
@@ -333,9 +356,10 @@ class TestUpdateAxesOracle:
         P = M @ axes.T
         assign = rng.integers(0, k, size=n)
         proj = P[np.arange(n), assign]
-        inputs = (axes, assign, P, proj)
+        axes_t = axes.T.copy()  # the kernel's axes are V×k
+        inputs = (axes_t, assign, P, proj)
         before = [a.copy() for a in inputs]
-        got = _update_axes(M, _work(M, k), axes, assign, P, proj, np.empty_like(axes))
+        got = _update_axes(M, _work(M, k), axes_t, assign, P, proj, np.empty((m, k))).T
         per_row = np.diff(M.indptr)
         sums = np.bincount(
             np.repeat(assign, per_row) * m + M.indices,
@@ -348,6 +372,133 @@ class TestUpdateAxesOracle:
         # the step writes only `out`, so a rejected step keeps the old state
         for now, then in zip(inputs, before):
             assert np.array_equal(now, then)
+
+
+# a value below this keeps a sum of up to 6,000 of them finite
+_SUMMAND_MAX = 2.0**1010
+
+
+@st.composite
+def _summands(draw):
+    """1 to 6,000 finite non-negative floats: a seeded draw over a span of
+    exponents, a share of zeros, and Hypothesis's own edge values (subnormals,
+    the smallest and largest allowed) at random places."""
+    n = draw(st.integers(1, 6000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = draw(st.integers(-1080, 1009))
+    high = draw(st.integers(low, 1009))
+    x = np.ldexp(rng.random(n), rng.integers(low, high + 1, size=n))
+    x[rng.random(n) < draw(st.floats(0.0, 1.0))] = 0.0
+    edges = draw(st.lists(st.floats(0.0, _SUMMAND_MAX, exclude_max=True), max_size=16))
+    x[rng.integers(0, n, size=len(edges))] = edges
+    return x
+
+
+class TestExactSum:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(x=_summands())
+    def test_equals_fsum_bit_for_bit(self, x):
+        want = math.fsum(x.tolist())
+        got = _exact_sum(x.copy(), np.empty(x.size, dtype=np.intp), np.empty(x.size))
+        assert got.hex() == want.hex()
+
+    def test_overflowing_sum_raises(self):
+        x = np.full(4, np.finfo(float).max)
+        with pytest.raises(OverflowError):
+            _exact_sum(x, np.empty(4, dtype=np.intp), np.empty(4))
+
+
+def _kxv_assign(M, axes):
+    """The k×V assignment step: P = M @ axes.T (through a contiguous V×k
+    copy), each doc's best cluster and its projection onto it."""
+    P = M @ np.ascontiguousarray(axes.T)
+    assign = np.argmax(P, axis=1)
+    return P, assign, P[np.arange(M.shape[0]), assign]
+
+
+def _kxv_update(M, axes, assign, P, proj, events):
+    """The k×V axis update: one segment sum binned at c * V + t, norms over
+    the contiguous rows, a zero sum keeps its old axis, and an empty cluster
+    re-seeds to the unused row of lowest projection. Counts each zero-sum
+    cluster and each re-seed in `events`."""
+    k, V = axes.shape
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    sums = np.bincount(
+        assign[rows] * V + M.indices, weights=M.data * proj[rows], minlength=k * V
+    ).reshape(k, V)
+    norms = np.sqrt(np.add.reduce(sums * sums, axis=1))
+    positive = norms > 0.0
+    new_axes = sums / np.where(positive, norms, 1.0)[:, None]
+    new_axes[~positive] = axes[~positive]
+    sizes = np.bincount(assign, minlength=k)
+    events["zero-sum"] += int(np.count_nonzero(~positive & (sizes > 0)))
+    taken = set()
+    for c in np.flatnonzero(sizes == 0):
+        order = np.argsort(P[:, c], kind="stable")
+        pick = next(int(r) for r in order if int(r) not in taken)
+        taken.add(pick)
+        new_axes[c] = M[pick].toarray().ravel()
+        events["reseed"] += 1
+    return new_axes
+
+
+def _kxv_restart(M, config, seed, events):
+    """Reference restart on k×V axes with math.fsum for J: the accepted
+    states, the stop on a dip and the stop on a relative gain below tol."""
+    axes = _init_axes(M, config.k, random.Random(seed))
+    P, assign, proj = _kxv_assign(M, axes)
+    trace = [math.fsum((proj * proj).tolist())]
+    for _ in range(config.max_iters):
+        new_axes = _kxv_update(M, axes, assign, P, proj, events)
+        new_P, new_assign, new_proj = _kxv_assign(M, new_axes)
+        objective = math.fsum((new_proj * new_proj).tolist())
+        if objective < trace[-1]:
+            break
+        delta = objective - trace[-1]
+        axes, assign, P, proj = new_axes, new_assign, new_P, new_proj
+        trace.append(objective)
+        if delta < config.tol * max(objective, 1e-300):
+            break
+    return axes, assign, trace
+
+
+def _duplicated_rows_with_an_empty_doc(rng):
+    """Half the docs repeat others, which empties clusters whose axes tie; an
+    empty document (a zero row) can start an axis of zero, whose cluster then
+    holds only docs orthogonal to every axis: its sum is zero."""
+    n, m = int(rng.integers(6, 16)), int(rng.integers(3, 7))
+    dense = _random_sparse_rows(rng, n, m, density=0.5)
+    dense[n // 2 :] = dense[rng.integers(0, n // 2, size=n - n // 2)]
+    dense[rng.integers(0, n)] = 0.0
+    return dense
+
+
+class TestFitMatchesKxVReference:
+    def test_restarts_and_winner_are_bitwise_equal(self):
+        events = Counter()
+        for seed in range(24):
+            rng = np.random.default_rng(seed)
+            dtm = _dtm(_duplicated_rows_with_an_empty_doc(rng), normalize=False)
+            M = dtm.matrix
+            config = ClusterConfig(k=int(rng.integers(2, 6)), restarts=3, max_iters=30, seed=seed)
+            restarts = []
+            for r in range(config.restarts):
+                restart_seed = derive_seed(config.seed, f"restart.{r}")
+                want = _kxv_restart(M, config, restart_seed, events)
+                axes, assign, trace = cluster._fit_single(
+                    M, config, restart_seed, cluster._shared_index(M, config.k)
+                )
+                assert np.array_equal(axes.T, want[0]), (seed, r)
+                assert np.array_equal(assign, want[1]) and trace == want[2], (seed, r)
+                restarts.append(want)
+            axes, assign, trace = max(restarts, key=lambda result: result[2][-1])
+            for threads in (1, 3):
+                model = fit_axial_kmeans(dtm, config, threads=threads)
+                assert np.array_equal(model.axes, axes), (seed, threads)
+                assert np.array_equal(model.assignment, assign), (seed, threads)
+                assert model.objective_trace == tuple(trace), (seed, threads)
+        # the instances reach both guarded branches of the update
+        assert events["reseed"] > 0 and events["zero-sum"] > 0, events
 
 
 class TestRestartWinner:
@@ -366,7 +517,8 @@ class TestRestartWinner:
         monkeypatch.setattr(cluster, "_fit_single", lambda M, config, seed, shared: canned[seed])
         model = fit_axial_kmeans(_dtm([[1, 0], [0, 1], [1, 1], [1, 2]]), config, threads=threads)
         winner = canned[derive_seed(config.seed, "restart.1")]
-        assert model.axes is winner[0]
+        # a restart's axes are V×k; only the winner's are turned into k×V rows
+        assert np.array_equal(model.axes, winner[0].T) and model.axes.flags.c_contiguous
         assert model.assignment is winner[1]
         assert model.objective_trace == (0.5, 3.0)
 
