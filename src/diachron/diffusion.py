@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .corpus import CorpusSlice, Vocabulary, atomic_open
 from .errors import ConfigError
 
-if TYPE_CHECKING:  # numpy and the vectorizer are imported where used, so report never loads them
+if TYPE_CHECKING:  # numpy is imported where used, so report never loads it
     import numpy as np
 
 CATEGORY_ESTABLISHED = "established"
@@ -104,19 +104,23 @@ def classify_terms(
       4. unclassified  everything else
     """
     import numpy as np
-    import scipy.sparse as sp
 
-    from .vectorize import binary_csr, incidence
+    from .vectorize import incidence
 
     if cells is None:
         cells = {r.id: r.categories or (UNCATEGORIZED_CELL,) for s in slices for r in s.records}
     column = {c: i for i, c in enumerate(sorted(set().union(*cells.values())))}
-    # term x cell counts: the transposed doc x term incidence times doc x cell membership
-    term_docs = sp.vstack([incidence(s, vocabulary) for s in slices], format="csr").T
-    doc_cell = binary_csr(
-        [[column[c] for c in cells.get(r.id, ())] for s in slices for r in s.records], len(column)
-    )
-    ginis = _gini_rows((term_docs @ doc_cell).toarray())
+    # term x cell counts: one bin t * n_cells + c per term t and cell c of each record
+    n_cells = len(column)
+    bins = [
+        t * n_cells + column[c]
+        for s in slices
+        for r, terms in zip(s.records, incidence(s, vocabulary))
+        for c in cells.get(r.id, ())
+        for t in terms
+    ]
+    counts = np.bincount(np.array(bins, dtype=np.int64), minlength=len(vocabulary) * n_cells)
+    ginis = _gini_rows(counts.reshape(len(vocabulary), n_cells).astype(float))
 
     n_pooled = slices[0].n_docs + slices[1].n_docs
     df1 = np.asarray(vocabulary.df_p1, dtype=float)

@@ -13,7 +13,8 @@ stage-labeled derived seeds, and row order is fixed once, when
 Config values are checked once, when a RunConfig is built; the stages and
 the library routines under them take them as given. Each stage imports the
 modules of its own work, so report, which renders the map JSON and writes
-the manifest, loads neither numpy nor scipy.
+the manifest, loads neither numpy nor scipy, and only the cluster stage,
+which builds the sparse document-term matrices, loads scipy.
 
 The terms stage runs before clustering when dispersion cells come from
 record categories, and after it when cells are the period clusters

@@ -101,6 +101,8 @@ class PlantSpec:
             raise ConfigError(f"noise_rate must be in [0, 0.2], got {self.noise_rate}")
         if self.shared_terms < 0:
             raise ConfigError(f"shared_terms must be >= 0, got {self.shared_terms}")
+        if self.seed < 0:  # random.Random(-s) would replay seed s's corpus
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         regular = {b.name for b in self.blocks}
         for bridge in self.bridges:
             for member in bridge.members:

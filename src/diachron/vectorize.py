@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING
@@ -19,10 +18,8 @@ import numpy as np
 
 from .corpus import CorpusSlice, Vocabulary
 
-if TYPE_CHECKING:  # imported where used, so that map, link and report never load it
+if TYPE_CHECKING:  # imported in build_matrix only: terms, map, link and report never load it
     import scipy.sparse as sp
-
-WEIGHTINGS = ("binary", "tfidf")
 
 
 @dataclass(frozen=True)
@@ -42,26 +39,11 @@ def idf_vector(vocabulary: Vocabulary) -> np.ndarray:
     return np.log(n / df)
 
 
-def binary_csr(rows: list[Sequence[int]], n_cols: int) -> sp.csr_matrix:
-    """CSR matrix with a 1.0 at each listed column of each row."""
-    import scipy.sparse as sp
-
-    indptr = np.cumsum([0, *map(len, rows)], dtype=np.int32)
-    indices = np.fromiter(chain.from_iterable(rows), dtype=np.int32, count=indptr[-1])
-    matrix = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(len(rows), n_cols))
-    matrix.sort_indices()
-    return matrix
-
-
-def incidence(slice_: CorpusSlice, vocabulary: Vocabulary) -> sp.csr_matrix:
-    """Binary docs x V matrix of one period: row i marks the vocabulary
-    columns of record i's keywords, in the slice's id order. Keywords outside
-    the vocabulary are skipped."""
+def incidence(slice_: CorpusSlice, vocabulary: Vocabulary) -> list[list[int]]:
+    """Vocabulary columns of each record's keywords, in the slice's id order.
+    Keywords outside the vocabulary are skipped."""
     index = vocabulary.index
-    return binary_csr(
-        [[index[t] for t in rec.keywords if t in index] for rec in slice_.records],
-        len(vocabulary),
-    )
+    return [[index[t] for t in rec.keywords if t in index] for rec in slice_.records]
 
 
 def build_matrix(
@@ -72,10 +54,15 @@ def build_matrix(
     Zero-weight entries (idf 0 under tfidf weighting) are not stored, and
     rows with no surviving entries are dropped and reported.
     """
-    matrix = incidence(slice_, vocabulary)
-    if weighting == "tfidf":
-        matrix.data = idf_vector(vocabulary)[matrix.indices]
-        matrix.eliminate_zeros()
+    import scipy.sparse as sp
+
+    rows = incidence(slice_, vocabulary)
+    indptr = np.cumsum([0, *map(len, rows)], dtype=np.int32)
+    indices = np.fromiter(chain.from_iterable(rows), dtype=np.int32, count=indptr[-1])
+    data = idf_vector(vocabulary)[indices] if weighting == "tfidf" else np.ones(indices.size)
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(len(rows), len(vocabulary)))
+    matrix.sort_indices()
+    matrix.eliminate_zeros()
     kept = np.diff(matrix.indptr) > 0
     matrix = matrix[kept]
     # an exactly rounded sum of squares per row, so the norm is order-free

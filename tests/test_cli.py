@@ -180,6 +180,21 @@ class TestSyngenCommand:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2_without_output(self, tmp_path, capsys):
+        # random.Random(-3) is random.Random(3): a negative seed would copy seed 3's corpus
+        spec = dataclasses.asdict(_small_spec(seed=21))
+        (tmp_path / "good.json").write_text(json.dumps(spec), encoding="utf-8")
+        (tmp_path / "bad.json").write_text(json.dumps(spec | {"seed": -3}), encoding="utf-8")
+        for argv in (
+            ["--preset", "three-blocks", "--seed", "-3"],
+            ["--spec", str(tmp_path / "bad.json")],
+            ["--spec", str(tmp_path / "good.json"), "--seed", "-3"],
+        ):
+            out = tmp_path / "x"
+            assert main(["syngen", *argv, "--out", str(out)]) == 2, argv
+            assert "seed" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_preset_and_spec_are_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main([
@@ -1142,10 +1157,6 @@ class TestPackageImport:
             assert proc.stdout.strip() == want
 
     def test_rerun_stages_load_only_what_they_use(self, corpus_dir, tmp_path):
-        config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
-        before = dir_hashes(out)
         src = str(Path(diachron.__file__).parents[1])
         probed = (
             "numpy", "scipy", "concurrent.futures", "diachron.syngen",
@@ -1158,24 +1169,36 @@ class TestPackageImport:
             f"print(sorted(m for m in {probed!r} if m in sys.modules))\n"
             "sys.exit(rc)\n"
         )
-        # map and link do array math but build no sparse matrix, so they load no
-        # scipy; report takes the numpy and scipy versions from the installed
-        # distributions' metadata and loads no module of the fit, the linkage
-        # or the vectorizer
-        for stage, loaded in (
-            ("map", ["diachron.cluster", "diachron.vectorize", "numpy"]),
-            ("link", ["diachron.cluster", "diachron.diachrony", "diachron.vectorize", "numpy"]),
-            ("report", []),
+        # terms counts term x cell pairs in numpy (reading the cluster files when
+        # they are its cells), map and link do array math, but none of them builds
+        # a sparse matrix, so they load no scipy; report takes the numpy and scipy
+        # versions from the installed distributions' metadata and loads no module
+        # of the fit, the linkage or the vectorizer
+        for gini_cells, stages in (
+            ("categories", (
+                ("terms", ["diachron.vectorize", "numpy"]),
+                ("map", ["diachron.cluster", "diachron.vectorize", "numpy"]),
+                ("link", ["diachron.cluster", "diachron.diachrony", "diachron.vectorize", "numpy"]),
+                ("report", []),
+            )),
+            ("clusters", (("terms", ["diachron.cluster", "diachron.vectorize", "numpy"]),)),
         ):
-            proc = subprocess.run(
-                [sys.executable, "-c", code, stage, "--config", str(config), "--out", str(out)],
-                capture_output=True,
-                text=True,
-                env={**os.environ, "PYTHONPATH": src},
-            )
-            assert proc.returncode == 0, proc.stderr
-            assert proc.stdout.strip() == repr(loaded), stage
-        assert dir_hashes(out) == before
+            directory = tmp_path / gini_cells
+            directory.mkdir()
+            config = write_config(directory, corpus_dir / "corpus.jsonl", gini_cells=gini_cells)
+            out = directory / "out"
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+            before = dir_hashes(out)
+            for stage, loaded in stages:
+                proc = subprocess.run(
+                    [sys.executable, "-c", code, stage, "--config", str(config), "--out", str(out)],
+                    capture_output=True,
+                    text=True,
+                    env={**os.environ, "PYTHONPATH": src},
+                )
+                assert proc.returncode == 0, proc.stderr
+                assert proc.stdout.strip() == repr(loaded), (gini_cells, stage)
+            assert dir_hashes(out) == before
 
 
 class TestConsoleScript:

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diachron
 from diachron.corpus import CorpusSlice, Record, build_vocabulary, normalize_term
 from diachron.vectorize import axis_cosines, build_matrix, idf_vector
 
@@ -316,3 +319,37 @@ def test_build_matrix_is_bitwise_equal_to_per_record_reference(data, min_df):
             ]
             assert got == rows
 
+
+def _scipy_imports(tree):
+    """The enclosing function of each runtime import of scipy in a module;
+    imports under `if TYPE_CHECKING:` serve annotations only and are skipped."""
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            return
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            names = []
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            yield function
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    return list(visit(tree, None))
+
+
+def test_scipy_is_imported_at_runtime_only_in_build_matrix():
+    """test_cli's subprocess probe runs terms, map, link and report; this scan
+    covers every module, ingest and syngen included."""
+    package = Path(diachron.__file__).parent
+    found = [
+        (path.stem, function)
+        for path in sorted(package.glob("*.py"))
+        for function in _scipy_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == [("vectorize", "build_matrix")]
