@@ -114,6 +114,50 @@ def dir_hashes(path):
     }
 
 
+# A syngen spec whose corpus draws from every pool.
+EVERY_POOL_SPEC = {
+    "blocks": [
+        {"name": "alpha", "vocab_size": 12, "docs_p1": 30, "docs_p2": 30, "tag": "modeling"},
+        {"name": "beta", "vocab_size": 12, "docs_p1": 30, "docs_p2": 30, "tag": "assay"},
+        {"name": "gamma", "vocab_size": 12, "docs_p1": 30, "docs_p2": 30},
+    ],
+    "shared_terms": 4,
+    "novel_block": {"name": "delta", "vocab_size": 10, "docs_p2": 30, "tag": "fresh"},
+    "noise_rate": 0.2,
+    "bridges": [{"name": "hub", "members": ["alpha", "beta"], "vocab_size": 8}],
+    "seed": 11,
+}
+
+# The sha256 of what `syngen` writes, pinned across commits like the run
+# artifacts in test_acceptance.PINNED_SHA256.
+SYNGEN_SHA256 = {
+    "three-blocks": {
+        "corpus.jsonl": "8128ae784c9dbd12179f3e223a4817c31d9829ec7274f2b6cb46f3eab8eab50e",
+        "truth.json": "6212908caee1c08e8cc2c4949ae84bee80e540aa12a6df009343a2356b94fc7b",
+    },
+    "diffusion-mix": {
+        "corpus.jsonl": "5d4128befc4bc707992facc63fe57e7cef6dfa7313ed8bb63e77015b77076b04",
+        "truth.json": "a1246fd22c5a0d5a398e035d6d1944d7d77622fee1cfeb86b90f6b7bcc230ac9",
+    },
+    "fresh-block": {
+        "corpus.jsonl": "6d08aea3fc1f0b3e61165242a47dde535048d46af9a54e7ba9ec4a0f8c565c5f",
+        "truth.json": "3461bea646f0896a6fcf1a4ad3ae7b713e2d5295bbe49f33c4b2938e3546bf86",
+    },
+    "two-networks": {
+        "corpus.jsonl": "48910ee3438c3b7e22e93d4e7d274bd9dcf6f6c9debae595a8cbacc594a8fa5d",
+        "truth.json": "b81d1a8522790422e477b4c592b0144bc709ab06f786213245d07d8dbbacd85a",
+    },
+    "large-scale": {
+        "corpus.jsonl": "981b0c8770bef2d83c9640ce88853591e7d4e3dac7c16198021b760e8a5d879b",
+        "truth.json": "6a107830cb5059dec57ef3a4ed6aba34b4131e94b1f46fd54400735d3a42fba8",
+    },
+    "spec": {
+        "corpus.jsonl": "fec97a738b6ac8b3b1994ae38eec58d83524ded2b4085bd47ad3383e4c428f8d",
+        "truth.json": "eab9f830722fafca1489c19c3d9acd503908ff4b9689c91da0d0312a8ec813ac",
+    },
+}
+
+
 def _ingest_changed_corpus(corpus_dir, tmp_path, out, change, **overrides):
     """Ingest into `out` the shared corpus with one change; returns its config."""
     records, _ = load_corpus(str(corpus_dir / "corpus.jsonl"), "jsonl")
@@ -194,6 +238,24 @@ class TestSyngenCommand:
             assert main(["syngen", *argv, "--out", str(out)]) == 2, argv
             assert "seed" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("source", list(SYNGEN_SHA256))
+    def test_output_bytes_are_pinned(self, tmp_path, source):
+        # every preset at seed 3, and a spec drawing from every pool: the
+        # regular blocks, a novel block, shared terms, a bridge and noise
+        if source == "spec":
+            spec_path = tmp_path / "spec.json"
+            spec_path.write_text(json.dumps(EVERY_POOL_SPEC), encoding="utf-8")
+            argv = ["--spec", str(spec_path)]
+        else:
+            argv = ["--preset", source, "--seed", "3"]
+        out = tmp_path / "generated"
+        assert main(["syngen", *argv, "--out", str(out)]) == 0
+        assert dir_hashes(out) == SYNGEN_SHA256[source], f"{source}: syngen bytes moved"
+        if source == "spec":  # the novel block's noise pool is drawn from too
+            records, _ = load_corpus(str(out / "corpus.jsonl"), "jsonl")
+            novel = [r for r in records if "-delta-" in r.id]
+            assert any(kw.startswith(("alpha", "beta", "gamma")) for r in novel for kw in r.keywords)
 
     def test_preset_and_spec_are_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
