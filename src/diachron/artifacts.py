@@ -78,9 +78,12 @@ def write_json(obj, path: str) -> None:
 
 
 def read_json(path: str):
+    def non_finite(constant: str):  # json's NaN and Infinity, which no artifact holds
+        raise InputError(f"malformed artifact {path}: {constant} is not a finite number")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=non_finite)
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a long integer, deep nesting
         raise InputError(f"cannot decode {path}: {exc}") from exc
 
@@ -264,6 +267,8 @@ def read_map(path: str) -> tuple[ClusterMap, list[str], list[int]]:
         sizes = [int(size) for size in data["sizes"]]
         if not all(isinstance(label, str) for label in labels):
             raise TypeError("a label is not a string")
+        if any(size < 0 for size in sizes):
+            raise ValueError("a cluster size is negative")
         k = len(cmap.coords)
         if not k or len(labels) != k or len(sizes) != k:
             raise InputError(

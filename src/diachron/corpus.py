@@ -14,14 +14,18 @@ import csv
 import json
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Literal, get_args
 
 from .errors import ConfigError, InputError
 
 _WS_RE = re.compile(r"\s+")
 
 CSV_LIST_SEP = ";"
-FORMATS = ("jsonl", "csv")
+Format = Literal["jsonl", "csv"]
+FORMATS = get_args(Format)
 
 
 @contextlib.contextmanager
@@ -302,19 +306,14 @@ def build_vocabulary(p1: CorpusSlice, p2: CorpusSlice, min_df: int = 2) -> Vocab
     Keywords are already normalized and deduplicated per record, so each
     record contributes at most 1 to a term's df per period.
     """
-    df1: dict[str, int] = {}
-    df2: dict[str, int] = {}
-    for slice_, df in ((p1, df1), (p2, df2)):
-        for rec in slice_.records:
-            for term in rec.keywords:
-                df[term] = df.get(term, 0) + 1
-    terms = sorted(t for t in set(df1) | set(df2) if df1.get(t, 0) + df2.get(t, 0) >= min_df)
+    df1, df2 = (Counter(chain.from_iterable(rec.keywords for rec in s.records)) for s in (p1, p2))
+    terms = sorted(t for t, n in (df1 + df2).items() if n >= min_df)
     if not terms:
         raise InputError(f"empty vocabulary: no term reaches pooled df >= {min_df}")
     return Vocabulary.from_df(
         terms,
-        (df1.get(t, 0) for t in terms),
-        (df2.get(t, 0) for t in terms),
+        (df1[t] for t in terms),
+        (df2[t] for t in terms),
         p1.n_docs,
         p2.n_docs,
     )

@@ -13,6 +13,7 @@ in the top lists of two clusters of the same status counts twice.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,24 +80,15 @@ def cross_table(
     """Share of each term category among pooled top terms, per cluster status."""
     category = {s.term: s.category for s in term_stats}
     status_of = linkage.statuses()
-    counts: dict[str, dict[str, int]] = {
-        STATUS_ROOTED: {c: 0 for c in CATEGORIES},
-        STATUS_NEW: {c: 0 for c in CATEGORIES},
-    }
-    totals = {STATUS_ROOTED: 0, STATUS_NEW: 0}
+    counts = {STATUS_ROOTED: Counter(), STATUS_NEW: Counter()}
     for summary in summaries_p2:
-        status = status_of[summary.cluster_id]
         for term, _weight in summary.top_terms[:top_m]:
             if term not in category:
                 raise InputError(f"term {term!r} missing from term statistics")
-            counts[status][category[term]] += 1
-            totals[status] += 1
-    shares: dict[str, dict[str, float] | None] = {}
-    for status in (STATUS_ROOTED, STATUS_NEW):
-        if totals[status] == 0:
-            shares[status] = None
-        else:
-            shares[status] = {
-                c: counts[status][c] / totals[status] for c in CATEGORIES
-            }
+            counts[status_of[summary.cluster_id]][category[term]] += 1
+    totals = {status: tally.total() for status, tally in counts.items()}
+    shares = {
+        status: {c: tally[c] / totals[status] for c in CATEGORIES} if totals[status] else None
+        for status, tally in counts.items()
+    }
     return CrossTab(shares=shares, n_terms=totals)

@@ -47,11 +47,12 @@ def decode(cls, data, where=""):
     """Frozen dataclass `cls` from decoded JSON `data`, typed by its annotations.
 
     Nothing is coerced: an int field takes a JSON integer but not a bool, a
-    float field a finite number (a JSON integer too), `X | None` also null,
-    `tuple[X, ...]` a JSON array (or a tuple), `tuple[X, X]` one of two
-    items, and a nested dataclass a JSON object. An absent key takes the
-    field's default; other keys are ignored. Every error is a ConfigError
-    naming the key path; `where` is the path of `data` in its file.
+    float field a finite number (a JSON integer too), a `Literal` choice
+    only one of its strings, `X | None` also null, `tuple[X, ...]` a JSON
+    array (or a tuple), `tuple[X, X]` one of two items, and a nested
+    dataclass a JSON object. An absent key takes the field's default; other
+    keys are ignored. Every error is a ConfigError naming the key path;
+    `where` is the path of `data` in its file.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{where or 'config'} must be a JSON object, got {data!r}")
@@ -78,6 +79,10 @@ def _value(tp, value, path):
         if args[-1] is not Ellipsis and len(value) != len(args):  # such as tuple[int, int]
             raise ConfigError(f"{path} must be a JSON array of {len(args)} items, got {value!r}")
         return tuple(_value(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if typing.get_origin(tp) is typing.Literal:
+        if value in args:
+            return value
+        raise ConfigError(f"{path} must be one of {args}, got {value!r}")
     if tp is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             number = float(value)

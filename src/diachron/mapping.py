@@ -52,13 +52,15 @@ def top_eigenpairs(S: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return vals[order], vecs[:, order]
 
 
-def pca_2d(axes: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
+def pca_2d(axes: np.ndarray) -> tuple[np.ndarray, tuple[float, float], float]:
     """Project k cluster axes to 2D principal coordinates.
 
-    Returns (coords, (lam1, lam2)) where coords is k x 2 and lam1 >= lam2 >= 0
-    are the top population eigenvalues. Collinear inputs give lam2 = 0 and
-    y identically 0. Sign convention: within each component the coordinate
-    of largest absolute value (first such index) is positive.
+    Returns (coords, (lam1, lam2), explained) where coords is k x 2,
+    lam1 >= lam2 >= 0 are the top population eigenvalues and explained is
+    (lam1 + lam2) / total variance, 1.0 when the variance is zero. Collinear
+    inputs give lam2 = 0 and y identically 0. Sign convention: within each
+    component the coordinate of largest absolute value (first such index)
+    is positive.
     """
     import numpy as np
 
@@ -68,29 +70,25 @@ def pca_2d(axes: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
         raise NumericError(f"need at least 2 cluster axes to map, got {k}")
     Xc = X - X.mean(axis=0)
     G = (Xc @ Xc.T) / k
+    total = float(np.sum(Xc * Xc)) / k
     # identical axes leave only centering roundoff (~eps^2 of the data
     # scale); floor that to an exactly-zero spectrum
-    scale = float(np.sum(X * X)) / k
-    if float(np.max(np.abs(G))) <= scale * 1e-24:
-        return np.zeros((k, 2)), (0.0, 0.0)
+    zero = float(np.sum(X * X)) / k * 1e-24
+    if float(np.max(np.abs(G))) <= zero:
+        return np.zeros((k, 2)), (0.0, 0.0), 1.0 if total <= zero else 0.0
     vals, vecs = top_eigenpairs(G, 2)
     # Gram matrices are PSD, so negatives are roundoff; so is a value under a
     # few k * eps * lam1, which eigh leaves where collinear axes give exactly 0
     floor = 4.0 * k * np.finfo(float).eps * float(vals[0])
     coords = np.zeros((k, 2))
-    out_vals = []
-    for j in range(2):
-        lam = float(vals[j])
-        if lam <= floor:
-            lam = 0.0
-        out_vals.append(lam)
+    lams = [0.0 if lam <= floor else float(lam) for lam in vals]
+    for j, lam in enumerate(lams):
         if lam > 0.0:
             col = np.sqrt(k * lam) * vecs[:, j]
             pivot = int(np.argmax(np.abs(col)))
-            if col[pivot] < 0.0:
-                col = -col
-            coords[:, j] = col
-    return coords, (out_vals[0], out_vals[1])
+            coords[:, j] = -col if col[pivot] < 0.0 else col
+    explained = 1.0 if total <= zero else min(1.0, (lams[0] + lams[1]) / total)
+    return coords, (lams[0], lams[1]), explained
 
 
 def build_edges(axes: np.ndarray, tau: float) -> list[tuple[int, int, float]]:
@@ -129,28 +127,15 @@ def connected_components(k: int, edges) -> list[tuple[int, ...]]:
     return comps
 
 
-def explained_variance(axes: np.ndarray, eigenvalues: tuple[float, float]) -> float:
-    """(lam1 + lam2) / total variance; defined as 1.0 when variance is zero."""
-    import numpy as np
-
-    X = np.asarray(axes, dtype=float)
-    Xc = X - X.mean(axis=0)
-    total = float(np.sum(Xc * Xc)) / X.shape[0]
-    scale = float(np.sum(X * X)) / X.shape[0]
-    if total <= scale * 1e-24:
-        return 1.0
-    return min(1.0, (eigenvalues[0] + eigenvalues[1]) / total)
-
-
 def build_cluster_map(period_id: str, axes: np.ndarray, tau: float) -> ClusterMap:
-    coords, vals = pca_2d(axes)
+    coords, vals, explained = pca_2d(axes)
     edges = build_edges(axes, tau)
     comps = connected_components(axes.shape[0], edges)
     return ClusterMap(
         period_id=period_id,
         coords=tuple((float(x), float(y)) for x, y in coords),
         eigenvalues=vals,
-        explained_variance=explained_variance(axes, vals),
+        explained_variance=explained,
         edges=tuple(edges),
         components=tuple(comps),
     )

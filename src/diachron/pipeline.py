@@ -10,8 +10,9 @@ to every stage. All randomness flows from the single config seed through
 stage-labeled derived seeds, and row order is fixed once, when
 `split_periods` sorts each period by record id.
 
-Config values are checked once, when a RunConfig is built; the stages and
-the library routines under them take them as given. Each stage imports the
+Config values are checked once, as the config file is decoded (types and
+choices) and a RunConfig built (ranges); the stages and the library
+routines under them take them as given. Each stage imports the
 modules of its own work, so report, which renders the map JSON and writes
 the manifest, loads neither numpy nor scipy, and only the cluster stage,
 which builds the sparse document-term matrices, loads scipy.
@@ -31,11 +32,12 @@ import os
 import platform
 import time
 from dataclasses import dataclass, field
+from typing import Literal
 
 from . import __version__, artifacts
 from .corpus import (
-    FORMATS,
     CorpusSlice,
+    Format,
     PeriodSpec,
     Vocabulary,
     build_vocabulary,
@@ -51,8 +53,6 @@ from .seeding import derive_seed
 log = logging.getLogger("diachron")
 
 PERIOD_IDS = ("P1", "P2")
-WEIGHTINGS = ("binary", "tfidf")
-GINI_CELL_MODES = ("categories", "clusters")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -84,16 +84,16 @@ class RunConfig:
     """A config file, declared in its own shape and key order (the manifest's)."""
 
     input: str
-    format: str = "jsonl"
+    format: Format = "jsonl"
     periods: PeriodSpec
     min_df: int = 2
-    weighting: str = "tfidf"
+    weighting: Literal["binary", "tfidf"] = "tfidf"
     thresholds: DiffusionThresholds = field(default_factory=DiffusionThresholds)
     cluster: ClusterSection = field(default_factory=ClusterSection)
     tau: float = 0.2
     rho: float = 0.3
     top_m: int = 10
-    gini_cells: str = "categories"
+    gini_cells: Literal["categories", "clusters"] = "categories"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -102,16 +102,6 @@ class RunConfig:
                 raise ValueError("embedded null byte")
         except ValueError as exc:
             raise ConfigError(f"input must be a file path, got {self.input!r}: {exc}") from exc
-        if self.format not in FORMATS:
-            raise ConfigError(f"format must be one of {FORMATS}, got {self.format!r}")
-        if self.weighting not in WEIGHTINGS:
-            raise ConfigError(
-                f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}"
-            )
-        if self.gini_cells not in GINI_CELL_MODES:
-            raise ConfigError(
-                f"gini_cells must be one of {GINI_CELL_MODES}, got {self.gini_cells!r}"
-            )
         if self.min_df < 1:
             raise ConfigError(f"min_df must be >= 1, got {self.min_df}")
         if self.top_m < 1:

@@ -115,82 +115,56 @@ class PlantSpec:
             raise ConfigError("bridge names must be unique")
 
 
-def _core_size(vocab_size: int) -> int:
-    return max(4, vocab_size // 4)
-
-
-def _block_terms(block: Block) -> list[str]:
-    return [f"{block.name}-t{j:03d}" for j in range(block.vocab_size)]
-
-
 def generate(spec: PlantSpec) -> tuple[list[Record], dict]:
     """Build the corpus and its ground truth from one seeded stream."""
     rng = random.Random(spec.seed)
+    novel = (spec.novel_block,) if spec.novel_block is not None else ()
 
     term_block: dict[str, str] = {}
     term_category: dict[str, str] = {}
+
+    def plant(pool: list[str], owner: str, category: str) -> list[str]:
+        term_block.update(dict.fromkeys(pool, owner))
+        term_category.update(dict.fromkeys(pool, category))
+        return pool
+
     core: dict[str, list[str]] = {}
     tail: dict[str, list[str]] = {}
     for block in spec.blocks:
-        terms = _block_terms(block)
-        c = _core_size(block.vocab_size)
-        core[block.name] = terms[:c]
-        tail[block.name] = terms[c:]
-        for t in terms[:c]:
-            term_block[t] = block.name
-            term_category[t] = CATEGORY_ESTABLISHED
-        for t in terms[c:]:
-            term_block[t] = block.name
-            term_category[t] = CATEGORY_UNPLANTED
-
-    novel_terms: list[str] = []
-    if spec.novel_block is not None:
-        novel_terms = [
-            f"{spec.novel_block.name}-n{j:03d}"
-            for j in range(spec.novel_block.vocab_size)
-        ]
-        for t in novel_terms:
-            term_block[t] = spec.novel_block.name
-            term_category[t] = CATEGORY_UNUSUAL
-
-    shared_pool = [f"shared-s{j:03d}" for j in range(spec.shared_terms)]
-    for t in shared_pool:
-        term_block[t] = "shared"
-        term_category[t] = CATEGORY_CROSS_SECTION
-
-    bridge_pool: dict[str, list[str]] = {}
-    bridges_of: dict[str, list[BridgeSpec]] = {b.name: [] for b in spec.blocks}
-    for bridge in spec.bridges:
-        pool = [f"{bridge.name}-b{j:03d}" for j in range(bridge.vocab_size)]
-        bridge_pool[bridge.name] = pool
-        for t in pool:
-            term_block[t] = bridge.name
-            term_category[t] = CATEGORY_UNPLANTED
-        for member in bridge.members:
-            bridges_of[member].append(bridge)
+        terms = [f"{block.name}-t{j:03d}" for j in range(block.vocab_size)]
+        c = max(4, block.vocab_size // 4)  # the high-frequency core
+        core[block.name] = plant(terms[:c], block.name, CATEGORY_ESTABLISHED)
+        tail[block.name] = plant(terms[c:], block.name, CATEGORY_UNPLANTED)
+    novel_terms = []
+    for block in novel:
+        novel_terms = plant([f"{block.name}-n{j:03d}" for j in range(block.vocab_size)],
+                            block.name, CATEGORY_UNUSUAL)
+    shared_pool = plant([f"shared-s{j:03d}" for j in range(spec.shared_terms)],
+                        "shared", CATEGORY_CROSS_SECTION)
+    bridge_pool = {
+        bridge.name: plant([f"{bridge.name}-b{j:03d}" for j in range(bridge.vocab_size)],
+                           bridge.name, CATEGORY_UNPLANTED)
+        for bridge in spec.bridges
+    }
 
     # off-block noise draws come from the other regular blocks' vocabularies
     # (never the novel block, so its zero first-period frequency is exact)
-    block_vocab = {b.name: _block_terms(b) for b in spec.blocks}
-    noise_pool: dict[str, list[str]] = {}
-    all_names = [b.name for b in spec.blocks]
-    for name in all_names:
-        noise_pool[name] = sorted(
-            t for other in all_names if other != name for t in block_vocab[other]
+    noise_pool = {
+        block.name: sorted(
+            t for other in spec.blocks if other.name != block.name
+            for t in core[other.name] + tail[other.name]
         )
-    if spec.novel_block is not None:
-        noise_pool[spec.novel_block.name] = sorted(
-            t for other in all_names for t in block_vocab[other]
-        )
+        for block in spec.blocks + novel
+    }
 
     records: list[Record] = []
     doc_block: dict[str, str] = {}
 
-    def emit(block: Block, period: str, year: int, count: int, novel: bool) -> None:
+    def emit(block: Block, period: str, year: int, count: int) -> None:
         for i in range(count):
             doc_id = f"{period}-{block.name}-{i:05d}"
             L = rng.randint(MIN_KEYWORDS, MAX_KEYWORDS)
-            if novel:
+            if block is spec.novel_block:
                 kws = rng.sample(novel_terms, min(L, len(novel_terms)))
             else:
                 n_core = min(math.ceil(L / 2), len(core[block.name]))
@@ -199,8 +173,8 @@ def generate(spec: PlantSpec) -> tuple[list[Record], dict]:
                 kws += rng.sample(tail[block.name], n_tail)
             if shared_pool:
                 kws.append(rng.choice(shared_pool))
-            if not novel:
-                for bridge in bridges_of[block.name]:
+            for bridge in spec.bridges:  # members are regular blocks only
+                if block.name in bridge.members:
                     kws += rng.sample(bridge_pool[bridge.name], bridge.draws_per_doc)
             if spec.noise_rate > 0.0 and rng.random() < spec.noise_rate:
                 pool = noise_pool[block.name]
@@ -217,17 +191,9 @@ def generate(spec: PlantSpec) -> tuple[list[Record], dict]:
             doc_block[doc_id] = block.name
 
     for block in spec.blocks:
-        emit(block, "P1", spec.p1_year, block.docs_p1, novel=False)
-    for block in spec.blocks:
-        emit(block, "P2", spec.p2_year, block.docs_p2, novel=False)
-    if spec.novel_block is not None:
-        emit(
-            spec.novel_block,
-            "P2",
-            spec.p2_year,
-            spec.novel_block.docs_p2,
-            novel=True,
-        )
+        emit(block, "P1", spec.p1_year, block.docs_p1)
+    for block in spec.blocks + novel:
+        emit(block, "P2", spec.p2_year, block.docs_p2)
 
     truth = {
         "doc_block": doc_block,
@@ -250,32 +216,18 @@ def preset(name: str, seed: int = 0) -> PlantSpec:
             "genomics", "proteomics", "kinetics", "membranes", "signaling",
             "folding", "transport", "repair", "motility", "synthesis",
             "regulation", "binding", "expression", "structure", "dynamics"]
-    if name == "three-blocks":
+    # three blocks of vocab_size terms each, shared_terms, and optionally the novel block
+    shapes = {"three-blocks": (30, 0, False), "diffusion-mix": (40, 12, True),
+              "fresh-block": (30, 12, True)}
+    if name in shapes:
+        vocab_size, shared_terms, has_novel = shapes[name]
         return PlantSpec(
             blocks=tuple(
-                Block(n, vocab_size=30, docs_p1=200, docs_p2=200, tag=t)
-                for n, t in (("alpha", tags[0]), ("beta", tags[1]), ("gamma", tags[2]))
+                Block(n, vocab_size=vocab_size, docs_p1=200, docs_p2=200, tag=t)
+                for n, t in zip(("alpha", "beta", "gamma"), tags)
             ),
-            seed=seed,
-        )
-    if name == "diffusion-mix":
-        return PlantSpec(
-            blocks=tuple(
-                Block(n, vocab_size=40, docs_p1=200, docs_p2=200, tag=t)
-                for n, t in (("alpha", tags[0]), ("beta", tags[1]), ("gamma", tags[2]))
-            ),
-            shared_terms=12,
-            novel_block=Block("delta", vocab_size=30, docs_p1=0, docs_p2=200, tag=tags[3]),
-            seed=seed,
-        )
-    if name == "fresh-block":
-        return PlantSpec(
-            blocks=tuple(
-                Block(n, vocab_size=30, docs_p1=200, docs_p2=200, tag=t)
-                for n, t in (("alpha", tags[0]), ("beta", tags[1]), ("gamma", tags[2]))
-            ),
-            shared_terms=12,
-            novel_block=Block("delta", vocab_size=30, docs_p1=0, docs_p2=200, tag=tags[3]),
+            shared_terms=shared_terms,
+            novel_block=Block("delta", vocab_size=30, docs_p2=200, tag=tags[3]) if has_novel else None,
             seed=seed,
         )
     if name == "two-networks":

@@ -326,7 +326,7 @@ def test_06_eigensolver_matches_jacobi_and_collinear_example():
         values, _ = top_eigenpairs(S, 5)
         assert np.allclose(sorted(values, reverse=True), jacobi_eigenvalues(S), atol=1e-8)
 
-    coords, eigenvalues = pca_2d(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
+    coords, eigenvalues, _ = pca_2d(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
     assert abs(eigenvalues[0] - 4.0 / 3.0) <= 1e-10
     assert abs(eigenvalues[1]) <= 1e-10
     expected_x = np.array([-math.sqrt(2.0), 0.0, math.sqrt(2.0)])

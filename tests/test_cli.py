@@ -692,7 +692,9 @@ class TestStageSequencing:
         assert dir_hashes(out) == before
 
     @pytest.mark.parametrize("stage", ["map", "link"])
-    @pytest.mark.parametrize("fault", ["size", "member-in-two-clusters"])
+    @pytest.mark.parametrize(
+        "fault", ["size", "member-in-two-clusters", "weight-nan", "objective-infinite"]
+    )
     def test_cluster_file_with_foreign_members_exits_3_and_names_it(
         self, run_dir, tmp_path, capsys, stage, fault
     ):
@@ -703,8 +705,12 @@ class TestStageSequencing:
         first, second = data["clusters"][:2]
         if fault == "size":
             second["size"] += 7
-        else:
+        elif fault == "member-in-two-clusters":
             second["members"].append(first["members"][0])
+        elif fault == "weight-nan":  # before, map crashed in eigh and link linked on NaN cosines
+            first["axis"][next(iter(first["axis"]))] = float("nan")
+        else:
+            data["objective_trace"][-1] = float("-inf")
         (out / "clusters_P1.json").write_text(json.dumps(data), encoding="utf-8")
         before = dir_hashes(out)
         rc = main([stage, "--config", str(config), "--out", str(out)])
@@ -761,10 +767,13 @@ class TestStageSequencing:
             {"labels": ["only"]},
             {"sizes": [1]},
             {"labels": [5, 6, 7]},
+            {"sizes": [-5, 1, 1]},
+            {"eigenvalues": [float("nan"), 0.0]},
+            {"coords": [[float("inf"), 0.0], [0.0, 0.0], [0.0, 0.0]]},
         ],
         ids=[
             "edge-past-end", "edge-negative", "no-clusters", "labels-short", "sizes-short",
-            "labels-not-strings",
+            "labels-not-strings", "size-negative", "eigenvalue-nan", "coordinate-infinite",
         ],
     )
     def test_foreign_map_json_exits_3_and_names_it(self, corpus_dir, tmp_path, capsys, updates):
@@ -1092,6 +1101,7 @@ class TestStrictDecoding:
             ("run", "cluster", '{"k": 3, "tol": NaN}', "cluster.tol"),
             ("run", "input", '"corpus\\u0000.jsonl"', "input"),
             ("run", "format", '"xml"', "format"),
+            ("run", "format", "1", "format"),
             ("run", "weighting", '"bm25"', "weighting"),
             ("run", "gini_cells", '"periods"', "gini_cells"),
             ("run", "tau", "0", "tau"),

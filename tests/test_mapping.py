@@ -9,7 +9,6 @@ from diachron.mapping import (
     build_cluster_map,
     build_edges,
     connected_components,
-    explained_variance,
     pca_2d,
     render_svg,
     top_eigenpairs,
@@ -109,7 +108,7 @@ class TestTopEigenpairs:
 class TestPca2d:
     def test_three_collinear_points(self):
         axes = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        coords, (lam1, lam2) = pca_2d(axes)
+        coords, (lam1, lam2), _ = pca_2d(axes)
         assert lam1 == pytest.approx(4.0 / 3.0, abs=1e-10)
         assert lam2 == pytest.approx(0.0, abs=1e-12)
         # first index of maximal |x| is made positive
@@ -124,14 +123,14 @@ class TestPca2d:
         for _ in range(50):
             k, v = int(rng.integers(2, 12)), int(rng.integers(2, 40))
             axes = np.outer(rng.random(k), rng.random(v)) + rng.random(v)
-            coords, (lam1, lam2) = pca_2d(axes)
+            coords, (lam1, lam2), _ = pca_2d(axes)
             assert lam1 > 0.0
             assert lam2 == 0.0
             assert np.all(coords[:, 1] == 0.0)
 
     def test_identical_axes_collapse_to_origin(self):
         axes = np.tile(np.array([0.6, 0.8]), (4, 1))
-        coords, (lam1, lam2) = pca_2d(axes)
+        coords, (lam1, lam2), _ = pca_2d(axes)
         assert np.allclose(coords, 0.0, atol=1e-12)
         assert lam1 == 0.0
         assert lam2 == 0.0
@@ -139,7 +138,7 @@ class TestPca2d:
     def test_coords_are_mean_centered(self):
         rng = np.random.default_rng(6)
         axes = rng.random((6, 4))
-        coords, _ = pca_2d(axes)
+        coords, _, _ = pca_2d(axes)
         assert abs(coords[:, 0].sum()) < 1e-9
         assert abs(coords[:, 1].sum()) < 1e-9
 
@@ -147,7 +146,7 @@ class TestPca2d:
         rng = np.random.default_rng(7)
         for _ in range(10):
             axes = rng.random((5, 3))
-            coords, (lam1, lam2) = pca_2d(axes)
+            coords, (lam1, lam2), _ = pca_2d(axes)
             if lam1 > 1e-9 and lam2 > 1e-9:
                 u = coords[:, 0] / np.linalg.norm(coords[:, 0])
                 v = coords[:, 1] / np.linalg.norm(coords[:, 1])
@@ -157,22 +156,22 @@ class TestPca2d:
         rng = np.random.default_rng(8)
         for _ in range(20):
             axes = rng.random((int(rng.integers(2, 8)), int(rng.integers(2, 6))))
-            _, (lam1, lam2) = pca_2d(axes)
+            _, (lam1, lam2), _ = pca_2d(axes)
             assert lam1 >= lam2 >= 0.0
 
     def test_vocabulary_column_permutation_preserves_eigenvalues(self):
         rng = np.random.default_rng(9)
         axes = rng.random((5, 6))
-        _, before = pca_2d(axes)
+        _, before, _ = pca_2d(axes)
         perm = rng.permutation(6)
-        _, after = pca_2d(axes[:, perm])
+        _, after, _ = pca_2d(axes[:, perm])
         assert after[0] == pytest.approx(before[0], abs=1e-10)
         assert after[1] == pytest.approx(before[1], abs=1e-10)
 
     def test_matches_full_eigendecomposition(self):
         rng = np.random.default_rng(10)
         axes = rng.random((6, 5))
-        _, (lam1, lam2) = pca_2d(axes)
+        _, (lam1, lam2), _ = pca_2d(axes)
         Xc = axes - axes.mean(axis=0)
         ref = sorted(np.linalg.eigvalsh((Xc @ Xc.T) / 6.0), reverse=True)
         assert lam1 == pytest.approx(ref[0], abs=1e-9)
@@ -254,19 +253,19 @@ class TestExplainedVariance:
     def test_two_term_space_is_fully_explained(self):
         rng = np.random.default_rng(15)
         axes = rng.random((5, 2))
-        _, vals = pca_2d(axes)
-        assert explained_variance(axes, vals) == pytest.approx(1.0, abs=1e-9)
+        _, _, explained = pca_2d(axes)
+        assert explained == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_variance_defined_as_one(self):
         axes = np.tile(np.array([0.6, 0.8]), (3, 1))
-        assert explained_variance(axes, (0.0, 0.0)) == 1.0
+        _, _, explained = pca_2d(axes)
+        assert explained == 1.0
 
     def test_in_unit_interval(self):
         rng = np.random.default_rng(16)
         for _ in range(10):
             axes = rng.random((6, 5))
-            _, vals = pca_2d(axes)
-            ev = explained_variance(axes, vals)
+            _, _, ev = pca_2d(axes)
             assert 0.0 <= ev <= 1.0
 
 
