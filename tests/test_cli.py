@@ -707,7 +707,7 @@ class TestStageSequencing:
             second["size"] += 7
         elif fault == "member-in-two-clusters":
             second["members"].append(first["members"][0])
-        elif fault == "weight-nan":  # before, map crashed in eigh and link linked on NaN cosines
+        elif fault == "weight-nan":
             first["axis"][next(iter(first["axis"]))] = float("nan")
         else:
             data["objective_trace"][-1] = float("-inf")
