@@ -5,8 +5,8 @@ shortest-round-trip repr (so full-precision values reload exactly),
 dict key order is fixed by construction, and CSV fields use pinned
 decimal formats. Cluster files carry the full-precision axes plus the
 hashes of the vocabulary and of corpus.jsonl, which is what lets a later
-stage rebuild the exact in-memory model and detect stale artifacts after
-an input change.
+stage read back the exact axes, summaries and memberships and detect
+stale artifacts after an input change.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ import contextlib
 import csv
 import hashlib
 import json
+import math
 import os
 from collections.abc import Callable
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from .corpus import Vocabulary, atomic_open
@@ -25,6 +27,8 @@ from .errors import InputError
 from .mapping import ClusterMap, render_svg
 
 if TYPE_CHECKING:  # numpy and the modules below are imported where used, so report never loads them
+    import numpy as np
+
     from .cluster import ClusterModel, ClusterSummary
     from .diachrony import CrossTab, Linkage
 
@@ -93,7 +97,7 @@ def parsing(path: str):
     """Report a decoded artifact of the wrong shape as an input error naming it."""
     try:
         yield
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError, csv.Error) as exc:
+    except (AttributeError, LookupError, OverflowError, TypeError, ValueError, csv.Error) as exc:
         raise InputError(f"malformed artifact {path}: {exc!r}") from exc
 
 
@@ -157,14 +161,15 @@ def read_clusters(
     get_vocabulary: Callable[[], tuple[Vocabulary, str]],
     corpus_sha256: str,
     config_echo: dict,
-) -> tuple[ClusterModel, list[ClusterSummary]]:
-    """Rebuild the exact model from the artifact's full-precision axes.
+) -> tuple[np.ndarray, list[ClusterSummary], dict[str, int]]:
+    """The k×V full-precision axes, the cluster summaries and each member
+    document's cluster id, from a checked cluster file.
 
     The file must record the sha256 of corpus.jsonl, echo every key of the
     running `config_echo` (as JSON holds it), record the sha256 of the
-    vocabulary and hold the echoed k clusters, numbered 0 to k-1 in order.
-    Each cluster's size must be its member count, and no document may be
-    listed twice.
+    vocabulary and hold the echoed k clusters, numbered 0 to k-1 in order,
+    with finite axis weights. Each cluster's size must be its member count,
+    and no document may be listed twice.
     `get_vocabulary` returns the vocabulary and its `vocab_sha256`; it is
     called only once the file has decoded and passed the first two checks, so
     a truncated or stale cluster file is the file named even when the
@@ -173,7 +178,7 @@ def read_clusters(
     """
     import numpy as np
 
-    from .cluster import ClusterModel, ClusterSummary
+    from .cluster import ClusterSummary
 
     data = read_json(path)
     name = os.path.basename(path)
@@ -193,12 +198,11 @@ def read_clusters(
                 f"they do not hold the vocabulary {name} was built over",
                 "re-run the terms stage, or ingest",
             )
-        clusters = data["clusters"]
         k = config_echo["k"]
         axes = np.zeros((k, len(vocabulary)))
         member_cluster: dict[str, int] = {}
         summaries = []
-        for entry in clusters:
+        for entry in data["clusters"]:
             c = int(entry["id"])
             axis = entry["axis"]
             axes[c, [vocabulary.index[term] for term in axis]] = list(map(float, axis.values()))
@@ -220,17 +224,9 @@ def read_clusters(
             )
         if [s.cluster_id for s in summaries] != list(range(k)):  # the linkage's ids
             raise ValueError(f"the clusters are not k={k} with ids 0 to {k - 1} in order")
-        doc_ids = tuple(sorted(member_cluster))
-        assignment = np.array([member_cluster[d] for d in doc_ids], dtype=int)
-        model = ClusterModel(
-            period_id=data["period_id"],
-            axes=axes,
-            assignment=assignment,
-            objective_trace=tuple(float(j) for j in data["objective_trace"]),
-            sizes=tuple(s.size for s in summaries),
-            doc_ids=doc_ids,
-        )
-    return model, summaries
+        if not np.isfinite(axes).all():  # json reads an overflowing literal such as 1e999 as inf
+            raise ValueError("an axis weight is not a finite number")
+    return axes, summaries, member_cluster
 
 
 def write_map(
@@ -269,6 +265,9 @@ def read_map(path: str) -> tuple[ClusterMap, list[str], list[int]]:
             raise TypeError("a label is not a string")
         if any(size < 0 for size in sizes):
             raise ValueError("a cluster size is negative")
+        numbers = chain(*cmap.coords, *cmap.edges, cmap.eigenvalues, [cmap.explained_variance])
+        if not all(map(math.isfinite, numbers)):  # an edge's two ends are ints
+            raise ValueError("a coordinate, eigenvalue, explained variance or edge is not finite")
         k = len(cmap.coords)
         if not k or len(labels) != k or len(sizes) != k:
             raise InputError(

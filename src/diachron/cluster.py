@@ -64,10 +64,6 @@ class ClusterModel:
     def k(self) -> int:
         return self.axes.shape[0]
 
-    @property
-    def objective(self) -> float:
-        return self.objective_trace[-1]
-
 
 @dataclass(frozen=True)
 class ClusterSummary:
@@ -193,21 +189,20 @@ def _update_axes(
     axes: np.ndarray,
     assign: np.ndarray,
     P: np.ndarray,
-    proj: np.ndarray,
     out: np.ndarray,
 ) -> np.ndarray:
     """Writes the next V×k axes to `out` (not `axes`) and returns it."""
     # every cluster's projection-weighted member sum as one segment sum:
     # each nonzero M[d, t] adds M[d, t] * proj[d] to bin (t, assign[d]), where
-    # proj[d] = P[d, assign[d]]. Within a bin the products arrive in ascending
-    # d, as in M.T @ W with W holding each doc's projection in its own
-    # cluster's column, whose other terms are +0.0; so the sums equal that
-    # product bit for bit.
+    # proj[d] = P[d, assign[d]] is work.proj[d], as _assign wrote it. Within a
+    # bin the products arrive in ascending d, as in M.T @ W with W holding each
+    # doc's projection in its own cluster's column, whose other terms are
+    # +0.0; so the sums equal that product bit for bit.
     V, k = out.shape
     bins, weights = work.bins, work.weights
     np.take(assign, work.rows, out=bins, mode="clip")
     bins += work.col_bins
-    np.take(proj, work.rows, out=weights, mode="clip")
+    np.take(work.proj, work.rows, out=weights, mode="clip")
     np.multiply(M.data, weights, out=weights)
     sums = np.bincount(bins, weights=weights, minlength=V * k).reshape(V, k)
     # np.linalg.norm(sums.T, axis=1) takes the same steps: the squares go to
@@ -243,7 +238,7 @@ def _fit_single(M: sp.csr_matrix, config: ClusterConfig, seed: int, shared: tupl
     objective = _objective(work)
     trace = [objective]
     for _ in range(config.max_iters):
-        _update_axes(M, work, axes, assign, P, work.proj, new_axes)
+        _update_axes(M, work, axes, assign, P, new_axes)
         new_P = _assign(M, work, new_axes, new_assign)
         new_objective = _objective(work)
         if new_objective < objective:

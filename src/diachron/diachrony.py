@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import ClusterModel, ClusterSummary
+from .cluster import ClusterSummary
 from .diffusion import CATEGORIES, TermStats
 from .errors import InputError
 from .vectorize import axis_cosines
@@ -54,15 +54,11 @@ class CrossTab:
     n_terms: dict[str, int]
 
 
-def link_periods(
-    model_p1: ClusterModel,
-    model_p2: ClusterModel,
-    rho: float,
-) -> Linkage:
-    """Link each P2 cluster to its P1 parents by axis cosine >= rho; both
-    models' axes span the same vocabulary."""
+def link_periods(axes_p1: np.ndarray, axes_p2: np.ndarray, rho: float) -> Linkage:
+    """Link each P2 cluster to its P1 parents by axis cosine >= rho; the rows
+    of both k×V axes arrays span the same vocabulary."""
     links = []
-    for c2, sims in enumerate(axis_cosines(model_p2.axes, model_p1.axes)):
+    for c2, sims in enumerate(axis_cosines(axes_p2, axes_p1)):
         ids = np.flatnonzero(sims >= rho)
         ids = ids[np.argsort(-sims[ids], kind="stable")]  # ties keep id order
         parents = tuple(zip(ids.tolist(), sims[ids].tolist()))

@@ -3,10 +3,11 @@
 Every stage reads its inputs from prior-stage artifacts in the output
 directory and rebuilds cheap intermediates (period slices, vocabulary,
 matrices) from them, so stages can run one at a time or chained by `run`
-with byte-identical results. Both go through one runner, which parses
-corpus.jsonl at most once per invocation (not at all after an ingest in
-the same invocation, nor for map, link and report) and hands the result
-to every stage. All randomness flows from the single config seed through
+with byte-identical results. Both go through one runner, which hands
+every stage one argument, the invocation's `Run`: the config, the output
+directory, the fit's thread count, and corpus.jsonl parsed at most once
+(not at all after an ingest in the same invocation, nor for map, link and
+report). All randomness flows from the single config seed through
 stage-labeled derived seeds, and row order is fixed once, when
 `split_periods` sorts each period by record id.
 
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import logging
 import os
 import platform
@@ -145,9 +145,10 @@ def load_config(path: str) -> RunConfig:
     return config_from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-class CorpusCache:
-    """What the stages of one invocation know of corpus.jsonl, each part
-    worked out at most once.
+class Run:
+    """One invocation: the config, the output directory, the thread count of
+    the fit, and what the stages know of corpus.jsonl, each part worked out
+    at most once.
 
     The slices come from parsing corpus.jsonl, never after an ingest (which
     hands its own on). The vocabulary comes from the slices if a slice reader
@@ -156,14 +157,21 @@ class CorpusCache:
     clustering by the hashes of corpus.jsonl and of the vocabulary, and by
     its echo of the settings it was built with."""
 
-    def __init__(self, config: RunConfig, out: str) -> None:
-        self._config = config
-        self._out = out
+    def __init__(self, config: RunConfig, out: str, threads: int = 1) -> None:
+        self.config = config
+        self.out = out
+        self.threads = threads
         self._periods: tuple[CorpusSlice, CorpusSlice] | None = None
         self._vocabulary: Vocabulary | None = None
         self._terms: list[TermStats] | None = None
         self._sha256: str | None = None
         self._vocab_sha256: str | None = None
+
+    def path(self, name: str) -> str:
+        return os.path.join(self.out, name)
+
+    def require(self, name: str, producer: str) -> str:
+        return artifacts.require(self.path(name), producer)
 
     def put(self, p1: CorpusSlice, p2: CorpusSlice) -> None:
         """Periods of what ingest just wrote, which a parse would reproduce."""
@@ -171,25 +179,23 @@ class CorpusCache:
 
     def sha256(self) -> str:
         if self._sha256 is None:
-            path = artifacts.require(os.path.join(self._out, artifacts.CORPUS), "ingest")
-            self._sha256 = artifacts.sha256_file(path)
+            self._sha256 = artifacts.sha256_file(self.require(artifacts.CORPUS, "ingest"))
         return self._sha256
 
     def slices(self) -> tuple[CorpusSlice, CorpusSlice, Vocabulary]:
         if self._periods is None:
-            path = artifacts.require(os.path.join(self._out, artifacts.CORPUS), "ingest")
-            records, _ = load_corpus(path, "jsonl")
-            self._periods = split_periods(records, self._config.periods)[:2]
+            records, _ = load_corpus(self.require(artifacts.CORPUS, "ingest"), "jsonl")
+            self._periods = split_periods(records, self.config.periods)[:2]
         p1, p2 = self._periods
         if self._vocabulary is None:
-            self._vocabulary = build_vocabulary(p1, p2, self._config.min_df)
+            self._vocabulary = build_vocabulary(p1, p2, self.config.min_df)
         return p1, p2, self._vocabulary
 
     def terms(self) -> list[TermStats]:
         """terms.csv, read once: in both stage orders the terms stage writes
         it before any stage reads it."""
         if self._terms is None:
-            path = artifacts.require(os.path.join(self._out, artifacts.TERMS), "terms")
+            path = self.require(artifacts.TERMS, "terms")
             with artifacts.parsing(path):
                 self._terms = read_terms_csv(path)
         return self._terms
@@ -197,7 +203,7 @@ class CorpusCache:
     def vocabulary(self) -> Vocabulary:
         if self._vocabulary is None:
             stats = self.terms()
-            path = artifacts.require(os.path.join(self._out, artifacts.LOAD_REPORT), "ingest")
+            path = self.require(artifacts.LOAD_REPORT, "ingest")
             with artifacts.parsing(path):
                 report = artifacts.read_json(path)
                 self._vocabulary = Vocabulary.from_df(
@@ -214,37 +220,37 @@ class CorpusCache:
             self._vocab_sha256 = artifacts.vocab_sha256(self.vocabulary())
         return self._vocab_sha256
 
+    def cluster_echo(self, period_id: str) -> dict:
+        """Every setting besides corpus.jsonl that shapes a period's cluster
+        file, as its config echo holds it. tau and rho are not among them, so
+        re-running map and link under new thresholds reuses the clusters."""
+        config = self.config
+        periods = {name: list(years) for name, years in dataclasses.asdict(config.periods).items()}
+        return {
+            **dataclasses.asdict(config.cluster_config(period_id)),
+            "weighting": config.weighting,
+            "top_m": config.top_m,
+            "periods": periods,
+            "min_df": config.min_df,
+        }
 
-def _cluster_echo(config: RunConfig, period_id: str) -> dict:
-    """Every setting that shapes a period's cluster file besides corpus.jsonl,
-    as the file's config echo holds it. tau and rho are not among them, so
-    re-running map and link under new thresholds reuses the clusters."""
-    periods = {name: list(years) for name, years in dataclasses.asdict(config.periods).items()}
-    return {
-        **dataclasses.asdict(config.cluster_config(period_id)),
-        "weighting": config.weighting,
-        "top_m": config.top_m,
-        "periods": periods,
-        "min_df": config.min_df,
-    }
+    def read_clusters(self, period_id: str):
+        """A period's (axes, summaries, members) from its checked cluster file."""
+        corpus_sha256 = self.sha256()  # names a missing corpus.jsonl before a cluster file
+        return artifacts.read_clusters(
+            self.require(artifacts.clusters_file(period_id), "cluster"),
+            lambda: (self.vocabulary(), self.vocab_sha256()),
+            corpus_sha256,
+            self.cluster_echo(period_id),
+        )
 
 
-def _read_clusters(config: RunConfig, out: str, period_id: str, corpus: CorpusCache):
-    corpus_sha256 = corpus.sha256()  # names a missing corpus.jsonl before a cluster file
-    path = artifacts.require(os.path.join(out, artifacts.clusters_file(period_id)), "cluster")
-    return artifacts.read_clusters(
-        path,
-        lambda: (corpus.vocabulary(), corpus.vocab_sha256()),
-        corpus_sha256,
-        _cluster_echo(config, period_id),
-    )
-
-
-def stage_ingest(config: RunConfig, out: str, corpus: CorpusCache) -> None:
+def stage_ingest(run: Run) -> None:
+    config = run.config
     records, load_report = load_corpus(config.input, config.format)
     p1, p2, split_report = split_periods(records, config.periods)
     try:
-        save_corpus(records, os.path.join(out, artifacts.CORPUS))
+        save_corpus(records, run.path(artifacts.CORPUS))
     except UnicodeEncodeError as exc:  # only a lone surrogate escape, such as "\ud800", does that
         raise InputError(f"{config.input}: a record holds a lone surrogate") from exc
     artifacts.write_json(
@@ -257,82 +263,75 @@ def stage_ingest(config: RunConfig, out: str, corpus: CorpusCache) -> None:
             "p2_docs": split_report.p2_docs,
             "dropped_outside_periods": split_report.dropped_outside_periods,
         },
-        os.path.join(out, artifacts.LOAD_REPORT),
+        run.path(artifacts.LOAD_REPORT),
     )
-    corpus.put(p1, p2)
+    run.put(p1, p2)
 
 
-def stage_terms(config: RunConfig, out: str, corpus: CorpusCache) -> None:
-    p1, p2, vocabulary = corpus.slices()
+def stage_terms(run: Run) -> None:
+    p1, p2, vocabulary = run.slices()
     cells = None  # record categories
-    if config.gini_cells == "clusters":  # first-period cluster memberships
-        model, _ = _read_clusters(config, out, "P1", corpus)
-        cells = {doc_id: (f"P1:{c}",) for doc_id, c in zip(model.doc_ids, model.assignment)}
-    stats = classify_terms(vocabulary, (p1, p2), config.thresholds, cells)
-    write_terms_csv(stats, os.path.join(out, artifacts.TERMS))
+    if run.config.gini_cells == "clusters":  # first-period cluster memberships
+        _, _, members = run.read_clusters("P1")
+        cells = {doc_id: (f"P1:{c}",) for doc_id, c in members.items()}
+    stats = classify_terms(vocabulary, (p1, p2), run.config.thresholds, cells)
+    write_terms_csv(stats, run.path(artifacts.TERMS))
 
 
-def stage_cluster(
-    config: RunConfig, out: str, corpus: CorpusCache, threads: int = 1
-) -> None:
+def stage_cluster(run: Run) -> None:
     from .cluster import fit_axial_kmeans, summarize_clusters
     from .vectorize import build_matrix
 
-    p1, p2, vocabulary = corpus.slices()
+    config = run.config
+    p1, p2, vocabulary = run.slices()
     for slice_ in (p1, p2):
         matrix = build_matrix(slice_, vocabulary, config.weighting)
-        model = fit_axial_kmeans(matrix, config.cluster_config(slice_.period_id), threads=threads)
+        model = fit_axial_kmeans(matrix, config.cluster_config(slice_.period_id), threads=run.threads)
         summaries = summarize_clusters(model, vocabulary, config.top_m)
         artifacts.write_clusters(
-            os.path.join(out, artifacts.clusters_file(slice_.period_id)),
+            run.path(artifacts.clusters_file(slice_.period_id)),
             model,
             summaries,
             vocabulary,
-            _cluster_echo(config, slice_.period_id),
-            corpus.vocab_sha256(),
-            corpus.sha256(),
+            run.cluster_echo(slice_.period_id),
+            run.vocab_sha256(),
+            run.sha256(),
         )
 
 
-def stage_map(config: RunConfig, out: str, corpus: CorpusCache) -> None:
-    clusters = [_read_clusters(config, out, period_id, corpus) for period_id in PERIOD_IDS]
-    for period_id, (model, summaries) in zip(PERIOD_IDS, clusters):
-        cmap = build_cluster_map(period_id, model.axes, config.tau)
+def stage_map(run: Run) -> None:
+    tau = run.config.tau
+    clusters = [run.read_clusters(period_id) for period_id in PERIOD_IDS]
+    for period_id, (axes, summaries, _) in zip(PERIOD_IDS, clusters):
+        cmap = build_cluster_map(period_id, axes, tau)
         labels, sizes = [s.label for s in summaries], [s.size for s in summaries]
-        artifacts.write_map(
-            os.path.join(out, artifacts.map_json_file(period_id)), cmap, labels, sizes, config.tau
-        )
-        artifacts.write_svg(os.path.join(out, artifacts.map_svg_file(period_id)), cmap, labels, sizes)
+        artifacts.write_map(run.path(artifacts.map_json_file(period_id)), cmap, labels, sizes, tau)
+        artifacts.write_svg(run.path(artifacts.map_svg_file(period_id)), cmap, labels, sizes)
 
 
-def stage_link(config: RunConfig, out: str, corpus: CorpusCache) -> None:
+def stage_link(run: Run) -> None:
     from .diachrony import cross_table, link_periods
 
-    model_p1, _ = _read_clusters(config, out, "P1", corpus)
-    model_p2, summaries_p2 = _read_clusters(config, out, "P2", corpus)
-    linkage = link_periods(model_p1, model_p2, config.rho)
-    crosstab = cross_table(linkage, summaries_p2, corpus.terms(), config.top_m)
-    artifacts.write_linkage(
-        os.path.join(out, artifacts.LINKAGE),
-        linkage,
-        [s.label for s in summaries_p2],
-    )
-    artifacts.write_crosstab(os.path.join(out, artifacts.CROSSTAB), crosstab)
+    axes_p1, _, _ = run.read_clusters("P1")
+    axes_p2, summaries_p2, _ = run.read_clusters("P2")
+    linkage = link_periods(axes_p1, axes_p2, run.config.rho)
+    crosstab = cross_table(linkage, summaries_p2, run.terms(), run.config.top_m)
+    artifacts.write_linkage(run.path(artifacts.LINKAGE), linkage, [s.label for s in summaries_p2])
+    artifacts.write_crosstab(run.path(artifacts.CROSSTAB), crosstab)
 
 
-def stage_report(config: RunConfig, out: str, corpus: CorpusCache) -> None:
+def stage_report(run: Run) -> None:
     from importlib import metadata  # for the versions only, so the other stages never load it
 
     for period_id in PERIOD_IDS:
-        path = artifacts.require(os.path.join(out, artifacts.map_json_file(period_id)), "map")
-        cmap, labels, sizes = artifacts.read_map(path)
-        artifacts.write_svg(os.path.join(out, artifacts.map_svg_file(period_id)), cmap, labels, sizes)
-    path = artifacts.require(os.path.join(out, artifacts.LOAD_REPORT), "ingest")
+        cmap, labels, sizes = artifacts.read_map(run.require(artifacts.map_json_file(period_id), "map"))
+        artifacts.write_svg(run.path(artifacts.map_svg_file(period_id)), cmap, labels, sizes)
+    path = run.require(artifacts.LOAD_REPORT, "ingest")
     with artifacts.parsing(path):
         input_sha256 = artifacts.read_json(path)["input_sha256"]
     artifacts.write_json(
         {
-            "config": dataclasses.asdict(config),
+            "config": dataclasses.asdict(run.config),
             "input_sha256": input_sha256,
             "versions": {
                 "diachron": __version__,
@@ -340,9 +339,9 @@ def stage_report(config: RunConfig, out: str, corpus: CorpusCache) -> None:
                 "numpy": metadata.version("numpy"),
                 "scipy": metadata.version("scipy"),
             },
-            "stages": config.stage_order(),
+            "stages": run.config.stage_order(),
         },
-        os.path.join(out, artifacts.MANIFEST),
+        run.path(artifacts.MANIFEST),
     )
 
 
@@ -362,15 +361,12 @@ def run_stages(names: list[str], config: RunConfig, out: str, threads: int = 1) 
     created = not os.path.exists(out)
     os.makedirs(out, exist_ok=True)
     before = set(os.listdir(out))
-    corpus = CorpusCache(config, out)  # parsed on first use, after any ingest
+    run = Run(config, out, threads)  # corpus.jsonl is parsed on first use, after any ingest
     begin = time.perf_counter()
     try:
         for name in names:
-            stage = STAGES[name]
-            if name == "cluster":
-                stage = functools.partial(stage, threads=threads)
             start = time.perf_counter()
-            stage(config, out, corpus)
+            STAGES[name](run)
             log.info("stage %s finished in %.2fs", name, time.perf_counter() - start)
     except BaseException:
         for entry in set(os.listdir(out)) - before:

@@ -29,7 +29,6 @@ class DocTermMatrix:
     period_id: str
     matrix: sp.csr_matrix = field(repr=False)
     doc_ids: tuple[str, ...]
-    dropped_doc_ids: tuple[str, ...]
 
 
 def idf_vector(vocabulary: Vocabulary) -> np.ndarray:
@@ -52,7 +51,7 @@ def build_matrix(
     """Vectorize one period's records in id order; rows are L2-normalized.
 
     Zero-weight entries (idf 0 under tfidf weighting) are not stored, and
-    rows with no surviving entries are dropped and reported.
+    rows with no surviving entries are dropped; `doc_ids` names the rows kept.
     """
     import scipy.sparse as sp
 
@@ -75,7 +74,6 @@ def build_matrix(
         period_id=slice_.period_id,
         matrix=matrix,
         doc_ids=tuple(i for i, k in zip(ids, kept) if k),
-        dropped_doc_ids=tuple(i for i, k in zip(ids, kept) if not k),
     )
 
 

@@ -308,6 +308,21 @@ class TestRunCommand:
         assert main(["run", "--config", str(config), "--out", str(out_4), "--threads", "4"]) == 0
         assert dir_hashes(out_1) == dir_hashes(out_4)
 
+    def test_threads_flag_reaches_the_fit(self, corpus_dir, tmp_path, monkeypatch):
+        from diachron import cluster
+
+        fit, calls = cluster.fit_axial_kmeans, []
+
+        def recording_fit(matrix, config, threads=1):
+            calls.append((matrix.period_id, threads))
+            return fit(matrix, config, threads=threads)
+
+        monkeypatch.setattr(cluster, "fit_axial_kmeans", recording_fit)
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", str(config), "--out", out, "--threads", "2"]) == 0
+        assert calls == [("P1", 2), ("P2", 2)]
+
     def test_seed_flag_overrides_config_seed(self, corpus_dir, tmp_path):
         config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -693,7 +708,11 @@ class TestStageSequencing:
 
     @pytest.mark.parametrize("stage", ["map", "link"])
     @pytest.mark.parametrize(
-        "fault", ["size", "member-in-two-clusters", "weight-nan", "objective-infinite"]
+        "fault",
+        [
+            "size", "size-overflow", "member-in-two-clusters", "weight-nan", "weight-overflow",
+            "objective-infinite",
+        ],
     )
     def test_cluster_file_with_foreign_members_exits_3_and_names_it(
         self, run_dir, tmp_path, capsys, stage, fault
@@ -705,13 +724,18 @@ class TestStageSequencing:
         first, second = data["clusters"][:2]
         if fault == "size":
             second["size"] += 7
+        elif fault == "size-overflow":  # json.dumps cannot write it, so it goes in as text
+            second["size"] = "1e999"
         elif fault == "member-in-two-clusters":
             second["members"].append(first["members"][0])
         elif fault == "weight-nan":
             first["axis"][next(iter(first["axis"]))] = float("nan")
+        elif fault == "weight-overflow":  # json.dumps cannot write it, so it goes in as text
+            first["axis"][next(iter(first["axis"]))] = "1e999"
         else:
             data["objective_trace"][-1] = float("-inf")
-        (out / "clusters_P1.json").write_text(json.dumps(data), encoding="utf-8")
+        text = json.dumps(data).replace('"1e999"', "1e999")
+        (out / "clusters_P1.json").write_text(text, encoding="utf-8")
         before = dir_hashes(out)
         rc = main([stage, "--config", str(config), "--out", str(out)])
         assert rc == 3
@@ -770,10 +794,13 @@ class TestStageSequencing:
             {"sizes": [-5, 1, 1]},
             {"eigenvalues": [float("nan"), 0.0]},
             {"coords": [[float("inf"), 0.0], [0.0, 0.0], [0.0, 0.0]]},
+            {"coords": [["1e999", 0.0], [0.0, 0.0], [0.0, 0.0]]},
+            {"sizes": ["1e999", 1, 1]},
         ],
         ids=[
             "edge-past-end", "edge-negative", "no-clusters", "labels-short", "sizes-short",
             "labels-not-strings", "size-negative", "eigenvalue-nan", "coordinate-infinite",
+            "coordinate-overflow", "size-overflow",
         ],
     )
     def test_foreign_map_json_exits_3_and_names_it(self, corpus_dir, tmp_path, capsys, updates):
@@ -781,7 +808,9 @@ class TestStageSequencing:
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
         data = json.loads((out / "map_P1.json").read_text(encoding="utf-8"))
-        (out / "map_P1.json").write_text(json.dumps({**data, **updates}), encoding="utf-8")
+        # json.dumps cannot write an overflowing literal, so "1e999" goes in as a string
+        text = json.dumps({**data, **updates}).replace('"1e999"', "1e999")
+        (out / "map_P1.json").write_text(text, encoding="utf-8")
         before = dir_hashes(out)
         rc = main(["report", "--config", str(config), "--out", str(out)])
         assert rc == 3

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from diachron.cluster import ClusterModel, ClusterSummary
+from diachron.cluster import ClusterSummary
 from diachron.diachrony import (
     STATUS_NEW,
     STATUS_ROOTED,
@@ -14,19 +14,6 @@ from diachron.diachrony import (
 )
 from diachron.diffusion import CATEGORIES, TermStats
 from diachron.errors import InputError
-
-
-def _model(axes, period="P1"):
-    axes = np.asarray(axes, dtype=float)
-    k, _ = axes.shape
-    return ClusterModel(
-        period_id=period,
-        axes=axes,
-        assignment=np.zeros(k, dtype=np.int64),
-        objective_trace=(1.0,),
-        sizes=tuple(1 for _ in range(k)),
-        doc_ids=tuple(f"{period}-d{i}" for i in range(k)),
-    )
 
 
 def _stats(term, category):
@@ -52,14 +39,14 @@ def _summary(cluster_id, terms, size=1):
 class TestLinkPeriods:
     def test_identity_linkage_roots_every_cluster_onto_its_twin(self):
         axes = np.eye(3)
-        linkage = link_periods(_model(axes, "P1"), _model(axes, "P2"), rho=0.3)
+        linkage = link_periods(axes, axes, rho=0.3)
         assert [link.status for link in linkage.links] == [STATUS_ROOTED] * 3
         for c, link in enumerate(linkage.links):
             assert link.best_parent == (c, 1.0)
 
     def test_disjoint_support_is_new(self):
-        p1 = _model(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]), "P1")
-        p2 = _model(np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]), "P2")
+        p1 = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+        p2 = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
         linkage = link_periods(p1, p2, rho=0.3)
         assert [link.status for link in linkage.links] == [STATUS_NEW, STATUS_NEW]
         assert all(link.best_parent is None for link in linkage.links)
@@ -67,8 +54,8 @@ class TestLinkPeriods:
 
     def test_parents_sorted_by_similarity_then_id(self):
         s = 1.0 / math.sqrt(2.0)
-        p1 = _model(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [s, s, 0.0]]), "P1")
-        p2 = _model(np.array([[s, s, 0.0]]), "P2")
+        p1 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [s, s, 0.0]])
+        p2 = np.array([[s, s, 0.0]])
         linkage = link_periods(p1, p2, rho=0.5)
         (link,) = linkage.links
         assert link.status == STATUS_ROOTED
@@ -82,25 +69,25 @@ class TestLinkPeriods:
 
     def test_rho_one_requires_identical_axes(self):
         s = 1.0 / math.sqrt(2.0)
-        p1 = _model(np.array([[1.0, 0.0], [0.0, 1.0]]), "P1")
-        p2 = _model(np.array([[1.0, 0.0], [s, s]]), "P2")
+        p1 = np.array([[1.0, 0.0], [0.0, 1.0]])
+        p2 = np.array([[1.0, 0.0], [s, s]])
         linkage = link_periods(p1, p2, rho=1.0)
         assert linkage.links[0].status == STATUS_ROOTED
         assert linkage.links[0].parents == ((0, 1.0),)
         assert linkage.links[1].status == STATUS_NEW
 
     def test_tiny_rho_roots_any_overlap(self):
-        p1 = _model(np.array([[1.0, 0.0, 0.0]]), "P1")
+        p1 = np.array([[1.0, 0.0, 0.0]])
         overlap = np.array([[0.999, 0.0447, 0.0]])
         overlap /= np.linalg.norm(overlap)
-        p2 = _model(np.vstack([overlap, [[0.0, 0.0, 1.0]]]), "P2")
+        p2 = np.vstack([overlap, [[0.0, 0.0, 1.0]]])
         linkage = link_periods(p1, p2, rho=1e-9)
         assert linkage.links[0].status == STATUS_ROOTED
         assert linkage.links[1].status == STATUS_NEW  # exactly zero overlap
 
     def test_similarities_capped_at_one(self):
         axes = np.array([[0.6, 0.8], [0.6, 0.8]])
-        linkage = link_periods(_model(axes, "P1"), _model(axes, "P2"), rho=0.2)
+        linkage = link_periods(axes, axes, rho=0.2)
         for link in linkage.links:
             for _, sim in link.parents:
                 assert sim <= 1.0
@@ -109,9 +96,9 @@ class TestLinkPeriods:
         rng = np.random.default_rng(21)
         a1 = rng.random((4, 5))
         a2 = rng.random((3, 5))
-        base = link_periods(_model(a1, "P1"), _model(a2, "P2"), rho=0.3)
+        base = link_periods(a1, a2, rho=0.3)
         perm = [2, 0, 3, 1]  # new position of old cluster i is perm.index(i)
-        permuted = link_periods(_model(a1[perm], "P1"), _model(a2, "P2"), rho=0.3)
+        permuted = link_periods(a1[perm], a2, rho=0.3)
         for before, after in zip(base.links, permuted.links):
             assert before.status == after.status
             mapped = sorted(

@@ -34,6 +34,12 @@ def _rec(rec_id, year, keywords):
     return Record(id=rec_id, year=year, keywords=tuple(sorted(set(keywords))), categories=())
 
 
+def _dropped(slice_, dtm):
+    """The slice's ids that build_matrix left out of the matrix, in id order."""
+    kept = set(dtm.doc_ids)
+    return tuple(r.id for r in slice_.records if r.id not in kept)
+
+
 def _slices(p1_records, p2_records):
     return (
         CorpusSlice(period_id="P1", records=tuple(sorted(p1_records, key=lambda r: r.id))),
@@ -141,7 +147,7 @@ class TestBuildMatrix:
         vocab = build_vocabulary(slices[0], slices[1], min_df=1)
         dtm = build_matrix(slices[0], vocab, "tfidf")
         assert dtm.doc_ids == ("p1-a",)
-        assert dtm.dropped_doc_ids == ("p1-b",)
+        assert _dropped(slices[0], dtm) == ("p1-b",)
         assert dtm.matrix.shape == (1, len(vocab))
         row = dtm.matrix.getrow(0).toarray().ravel()
         assert row[vocab.index["common"]] == 0.0
@@ -154,7 +160,7 @@ class TestBuildMatrix:
         vocab = build_vocabulary(slices[0], slices[1], min_df=1)
         dtm = build_matrix(slices[0], vocab, "binary")
         assert dtm.doc_ids == ("p1-a", "p1-b")
-        assert dtm.dropped_doc_ids == ()
+        assert _dropped(slices[0], dtm) == ()
 
     def test_out_of_vocabulary_keywords_ignored(self):
         vocab, slices = _small_corpus()
@@ -262,7 +268,7 @@ def test_random_corpora_produce_unit_rows(data):
     for weighting in ("binary", "tfidf"):
         dtm = build_matrix(slices[0], vocab, weighting)
         m = dtm.matrix
-        assert len(dtm.doc_ids) + len(dtm.dropped_doc_ids) == slices[0].n_docs
+        assert len(dtm.doc_ids) + len(_dropped(slices[0], dtm)) == slices[0].n_docs
         norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
         assert np.allclose(norms, 1.0, atol=1e-12)
 
@@ -310,7 +316,7 @@ def test_build_matrix_is_bitwise_equal_to_per_record_reference(data, min_df):
             dtm = build_matrix(slice_, vocab, weighting)
             doc_ids, dropped, rows = _reference_rows(slice_, vocab, weighting)
             assert dtm.doc_ids == tuple(doc_ids)
-            assert dtm.dropped_doc_ids == tuple(dropped)
+            assert _dropped(slice_, dtm) == tuple(dropped)
             m = dtm.matrix
             assert m.shape == (len(rows), len(vocab))
             got = [
