@@ -13,17 +13,16 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import json
-import math
 import os
 from collections.abc import Callable
-from itertools import chain
 from typing import TYPE_CHECKING
 
 from .corpus import Vocabulary, atomic_open
 from .diffusion import CATEGORIES
-from .errors import InputError
+from .errors import ConfigError, InputError, decode
 from .mapping import ClusterMap, render_svg
 
 if TYPE_CHECKING:  # numpy and the modules below are imported where used, so report never loads them
@@ -39,6 +38,19 @@ TRUTH = "truth.json"
 MANIFEST = "run_manifest.json"
 CROSSTAB = "crosstab.csv"
 LINKAGE = "linkage.json"
+
+
+@dataclasses.dataclass(frozen=True)
+class LoadReport:
+    """load_report.json: the input's sha256 and the records ingest read, kept and dropped."""
+
+    input_sha256: str
+    records_read: int
+    records_kept: int
+    dropped_empty_keywords: int
+    p1_docs: int
+    p2_docs: int
+    dropped_outside_periods: int
 
 
 def clusters_file(period_id: str) -> str:
@@ -97,8 +109,17 @@ def parsing(path: str):
     """Report a decoded artifact of the wrong shape as an input error naming it."""
     try:
         yield
-    except (AttributeError, LookupError, OverflowError, TypeError, ValueError, csv.Error) as exc:
+    except (
+        AttributeError, LookupError, OverflowError, TypeError, ValueError, csv.Error, ConfigError
+    ) as exc:  # ConfigError: a field that decode rejects
         raise InputError(f"malformed artifact {path}: {exc!r}") from exc
+
+
+def read_artifact(cls, path: str):
+    """The frozen dataclass `cls` from the JSON artifact `path`, decoded strictly."""
+    data = read_json(path)
+    with parsing(path):
+        return decode(cls, data)
 
 
 def require(path: str, producer: str):
@@ -229,59 +250,22 @@ def read_clusters(
     return axes, summaries, member_cluster
 
 
-def write_map(
-    path: str, cmap: ClusterMap, labels: list[str], sizes: list[int], tau: float
-) -> None:
-    write_json(
-        {
-            "period_id": cmap.period_id,
-            "tau": tau,
-            "coords": [[x, y] for x, y in cmap.coords],
-            "eigenvalues": list(cmap.eigenvalues),
-            "explained_variance": cmap.explained_variance,
-            "edges": [[i, j, s] for i, j, s in cmap.edges],
-            "components": [list(c) for c in cmap.components],
-            "labels": labels,
-            "sizes": sizes,
-        },
-        path,
-    )
+def write_map(path: str, cmap: ClusterMap) -> None:
+    write_json(dataclasses.asdict(cmap), path)
 
 
-def read_map(path: str) -> tuple[ClusterMap, list[str], list[int]]:
-    data = read_json(path)
-    with parsing(path):
-        cmap = ClusterMap(
-            period_id=data["period_id"],
-            coords=tuple((float(x), float(y)) for x, y in data["coords"]),
-            eigenvalues=(float(data["eigenvalues"][0]), float(data["eigenvalues"][1])),
-            explained_variance=float(data["explained_variance"]),
-            edges=tuple((int(i), int(j), float(s)) for i, j, s in data["edges"]),
-            components=tuple(tuple(int(x) for x in c) for c in data["components"]),
-        )
-        labels = list(data["labels"])
-        sizes = [int(size) for size in data["sizes"]]
-        if not all(isinstance(label, str) for label in labels):
-            raise TypeError("a label is not a string")
-        if any(size < 0 for size in sizes):
-            raise ValueError("a cluster size is negative")
-        numbers = chain(*cmap.coords, *cmap.edges, cmap.eigenvalues, [cmap.explained_variance])
-        if not all(map(math.isfinite, numbers)):  # an edge's two ends are ints
-            raise ValueError("a coordinate, eigenvalue, explained variance or edge is not finite")
-        k = len(cmap.coords)
-        if not k or len(labels) != k or len(sizes) != k:
-            raise InputError(
-                f"malformed artifact {path}: coords, labels and sizes must be "
-                "non-empty and of one length"
-            )
-        if any(not (0 <= i < k and 0 <= j < k) for i, j, _ in cmap.edges):
-            raise InputError(f"malformed artifact {path}: an edge ends outside range({k})")
-    return cmap, labels, sizes
+def read_map(path: str, tau: float) -> ClusterMap:
+    """The map in `path`, which must have been built with `tau`."""
+    cmap = read_artifact(ClusterMap, path)
+    if cmap.tau != tau:
+        reason = f"it was built with tau {cmap.tau}, not {tau}"
+        raise _stale(os.path.basename(path), reason, "re-run the map stage")
+    return cmap
 
 
-def write_svg(path: str, cmap: ClusterMap, labels: list[str], sizes: list[int]) -> None:
+def write_svg(path: str, cmap: ClusterMap) -> None:
     with atomic_open(path) as fh:
-        fh.write(render_svg(cmap, labels, sizes))
+        fh.write(render_svg(cmap))
 
 
 def write_linkage(path: str, linkage: Linkage, labels: list[str]) -> None:

@@ -89,20 +89,6 @@ class CorpusSlice:
 
 
 @dataclass(frozen=True)
-class LoadReport:
-    records_read: int
-    records_kept: int
-    dropped_empty_keywords: int
-
-
-@dataclass(frozen=True)
-class SplitReport:
-    p1_docs: int
-    p2_docs: int
-    dropped_outside_periods: int
-
-
-@dataclass(frozen=True)
 class Vocabulary:
     """Sorted term list with per-period df counters and slice sizes.
 
@@ -233,8 +219,8 @@ def _split_cell(cell: str | None) -> list[str]:
     return [part for part in (p.strip() for p in cell.split(CSV_LIST_SEP)) if part]
 
 
-def load_corpus(path: str, format: str = "jsonl") -> tuple[list[Record], LoadReport]:
-    """Load and validate records; returns (records, load report).
+def load_corpus(path: str, format: str = "jsonl") -> tuple[list[Record], int]:
+    """Load and validate records; returns (records, the number dropped).
 
     Records whose keywords normalize to the empty set are dropped and
     counted. A duplicate id is an error naming the id.
@@ -243,10 +229,8 @@ def load_corpus(path: str, format: str = "jsonl") -> tuple[list[Record], LoadRep
 
     records: list[Record] = []
     seen_ids: set[str] = set()
-    read = 0
     dropped_empty = 0
     for rec in source:
-        read += 1
         if rec.id in seen_ids:
             raise InputError(f"duplicate record id {rec.id!r}")
         seen_ids.add(rec.id)
@@ -254,12 +238,7 @@ def load_corpus(path: str, format: str = "jsonl") -> tuple[list[Record], LoadRep
             dropped_empty += 1
             continue
         records.append(rec)
-    report = LoadReport(
-        records_read=read,
-        records_kept=len(records),
-        dropped_empty_keywords=dropped_empty,
-    )
-    return records, report
+    return records, dropped_empty
 
 
 def save_corpus(records: list[Record], path: str) -> None:
@@ -277,9 +256,7 @@ def save_corpus(records: list[Record], path: str) -> None:
             fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
 
 
-def split_periods(
-    records: list[Record], spec: PeriodSpec
-) -> tuple[CorpusSlice, CorpusSlice, SplitReport]:
+def split_periods(records: list[Record], spec: PeriodSpec) -> tuple[CorpusSlice, CorpusSlice, int]:
     """Assign records to P1/P2 by year; out-of-window records are dropped and counted."""
     (p1_start, p1_end), (p2_start, p2_end) = spec.p1, spec.p2
     p1, p2 = [], []
@@ -296,8 +273,7 @@ def split_periods(
             raise InputError(f"empty period {name}: no record falls inside its window")
     p1.sort(key=lambda r: r.id)
     p2.sort(key=lambda r: r.id)
-    report = SplitReport(p1_docs=len(p1), p2_docs=len(p2), dropped_outside_periods=dropped)
-    return CorpusSlice("P1", tuple(p1)), CorpusSlice("P2", tuple(p2)), report
+    return CorpusSlice("P1", tuple(p1)), CorpusSlice("P2", tuple(p2)), dropped
 
 
 def build_vocabulary(p1: CorpusSlice, p2: CorpusSlice, min_df: int = 2) -> Vocabulary:

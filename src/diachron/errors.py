@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the pipeline, and the strict reader and
-decoder of config and spec files.
+"""Exception hierarchy shared across the pipeline, the strict reader of config
+and spec files, and the decoder of those files and of the small JSON artifacts.
 
 The CLI maps these onto exit codes: ConfigError -> 2, InputError -> 3,
 NumericError -> 4, OSError -> 5.
@@ -49,13 +49,13 @@ def decode(cls, data, where=""):
     Nothing is coerced: an int field takes a JSON integer but not a bool, a
     float field a finite number (a JSON integer too), a `Literal` choice
     only one of its strings, `X | None` also null, `tuple[X, ...]` a JSON
-    array (or a tuple), `tuple[X, X]` one of two items, and a nested
+    array (or a tuple), `tuple[X, Y]` two items, an X and a Y, and a nested
     dataclass a JSON object. An absent key takes the field's default; other
-    keys are ignored. Every error is a ConfigError naming the key path;
-    `where` is the path of `data` in its file.
+    keys are ignored. Every error is a ConfigError naming the key path (an
+    artifact reader reports it as an InputError); `where` is `data`'s path.
     """
     if not isinstance(data, dict):
-        raise ConfigError(f"{where or 'config'} must be a JSON object, got {data!r}")
+        raise ConfigError(f"{where or 'the top level'} must be a JSON object, got {data!r}")
     types = _type_hints(cls)
     values = {}
     for f in dataclasses.fields(cls):
@@ -63,7 +63,7 @@ def decode(cls, data, where=""):
         if f.name in data:
             values[f.name] = _value(types[f.name], data[f.name], path)
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            raise ConfigError(f"config is missing a required field: {path}")
+            raise ConfigError(f"missing a required field: {path}")
     return cls(**values)
 
 
@@ -76,9 +76,10 @@ def _value(tp, value, path):
     if typing.get_origin(tp) is tuple:
         if not isinstance(value, (list, tuple)):  # a tuple as from dataclasses.asdict
             raise ConfigError(f"{path} must be a JSON array, got {value!r}")
-        if args[-1] is not Ellipsis and len(value) != len(args):  # such as tuple[int, int]
+        types = args[:1] * len(value) if args[-1] is Ellipsis else args  # or tuple[X, Y]
+        if len(value) != len(types):
             raise ConfigError(f"{path} must be a JSON array of {len(args)} items, got {value!r}")
-        return tuple(_value(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+        return tuple(_value(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(types, value)))
     if typing.get_origin(tp) is typing.Literal:
         if value in args:
             return value

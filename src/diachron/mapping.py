@@ -34,12 +34,27 @@ MAX_RADIUS = 40.0
 
 @dataclass(frozen=True)
 class ClusterMap:
+    """A period's map, in map_P*.json's field order: edges are (i, j, cosine)
+    at or above tau, and coords, labels and sizes hold one item per cluster."""
+
     period_id: str
+    tau: float
     coords: tuple[tuple[float, float], ...]
     eigenvalues: tuple[float, float]
     explained_variance: float
     edges: tuple[tuple[int, int, float], ...]
     components: tuple[tuple[int, ...], ...]
+    labels: tuple[str, ...]
+    sizes: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        k = len(self.coords)
+        if not k or len(self.labels) != k or len(self.sizes) != k:
+            raise ValueError("coords, labels and sizes must be non-empty and of one length")
+        if min(self.sizes) < 0:
+            raise ValueError("a cluster size is negative")
+        if any(not (0 <= i < k and 0 <= j < k) for i, j, _ in self.edges):
+            raise ValueError(f"an edge ends outside range({k})")
 
 
 def top_eigenpairs(S: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -127,17 +142,21 @@ def connected_components(k: int, edges) -> list[tuple[int, ...]]:
     return comps
 
 
-def build_cluster_map(period_id: str, axes: np.ndarray, tau: float) -> ClusterMap:
+def build_cluster_map(period_id: str, axes: np.ndarray, tau: float, labels, sizes) -> ClusterMap:
+    """The map of k cluster axes, with their labels and sizes in axis order."""
     coords, vals, explained = pca_2d(axes)
     edges = build_edges(axes, tau)
     comps = connected_components(axes.shape[0], edges)
     return ClusterMap(
         period_id=period_id,
+        tau=tau,
         coords=tuple((float(x), float(y)) for x, y in coords),
         eigenvalues=vals,
         explained_variance=explained,
         edges=tuple(edges),
         components=tuple(comps),
+        labels=tuple(labels),
+        sizes=tuple(sizes),
     )
 
 
@@ -155,10 +174,9 @@ def _scaled(values: list[float], lo: float, hi: float, invert: bool) -> list[flo
     return out
 
 
-def render_svg(cmap: ClusterMap, labels: list[str], sizes: list[int]) -> str:
-    """Deterministic SVG: edges, then circles, then labels, fixed formatting.
-    `labels` and `sizes` hold one entry per cluster, in the order of `cmap.coords`."""
-    k = len(cmap.coords)
+def render_svg(cmap: ClusterMap) -> str:
+    """Deterministic SVG: edges, then circles, then labels, fixed formatting."""
+    k, labels, sizes = len(cmap.coords), cmap.labels, cmap.sizes
     xs = _scaled([c[0] for c in cmap.coords], SVG_MARGIN, SVG_WIDTH - SVG_MARGIN, False)
     # SVG y grows downward, so the vertical axis is inverted
     ys = _scaled([c[1] for c in cmap.coords], SVG_MARGIN, SVG_HEIGHT - SVG_MARGIN, True)

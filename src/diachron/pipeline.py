@@ -166,6 +166,7 @@ class Run:
         self._terms: list[TermStats] | None = None
         self._sha256: str | None = None
         self._vocab_sha256: str | None = None
+        self._load_report: artifacts.LoadReport | None = None
 
     def path(self, name: str) -> str:
         return os.path.join(self.out, name)
@@ -200,19 +201,19 @@ class Run:
                 self._terms = read_terms_csv(path)
         return self._terms
 
+    def load_report(self) -> artifacts.LoadReport:
+        if self._load_report is None:
+            path = self.require(artifacts.LOAD_REPORT, "ingest")
+            self._load_report = artifacts.read_artifact(artifacts.LoadReport, path)
+        return self._load_report
+
     def vocabulary(self) -> Vocabulary:
         if self._vocabulary is None:
-            stats = self.terms()
-            path = self.require(artifacts.LOAD_REPORT, "ingest")
-            with artifacts.parsing(path):
-                report = artifacts.read_json(path)
-                self._vocabulary = Vocabulary.from_df(
-                    [s.term for s in stats],
-                    [s.df_p1 for s in stats],
-                    [s.df_p2 for s in stats],
-                    int(report["p1_docs"]),
-                    int(report["p2_docs"]),
-                )
+            stats, report = self.terms(), self.load_report()
+            self._vocabulary = Vocabulary.from_df(
+                [s.term for s in stats], [s.df_p1 for s in stats], [s.df_p2 for s in stats],
+                report.p1_docs, report.p2_docs,
+            )
         return self._vocabulary
 
     def vocab_sha256(self) -> str:
@@ -247,24 +248,22 @@ class Run:
 
 def stage_ingest(run: Run) -> None:
     config = run.config
-    records, load_report = load_corpus(config.input, config.format)
-    p1, p2, split_report = split_periods(records, config.periods)
+    records, dropped_empty = load_corpus(config.input, config.format)
+    p1, p2, dropped_outside = split_periods(records, config.periods)
     try:
         save_corpus(records, run.path(artifacts.CORPUS))
     except UnicodeEncodeError as exc:  # only a lone surrogate escape, such as "\ud800", does that
         raise InputError(f"{config.input}: a record holds a lone surrogate") from exc
-    artifacts.write_json(
-        {
-            "input_sha256": artifacts.sha256_file(config.input),
-            "records_read": load_report.records_read,
-            "records_kept": load_report.records_kept,
-            "dropped_empty_keywords": load_report.dropped_empty_keywords,
-            "p1_docs": split_report.p1_docs,
-            "p2_docs": split_report.p2_docs,
-            "dropped_outside_periods": split_report.dropped_outside_periods,
-        },
-        run.path(artifacts.LOAD_REPORT),
+    report = artifacts.LoadReport(
+        input_sha256=artifacts.sha256_file(config.input),
+        records_read=len(records) + dropped_empty,
+        records_kept=len(records),
+        dropped_empty_keywords=dropped_empty,
+        p1_docs=p1.n_docs,
+        p2_docs=p2.n_docs,
+        dropped_outside_periods=dropped_outside,
     )
+    artifacts.write_json(dataclasses.asdict(report), run.path(artifacts.LOAD_REPORT))
     run.put(p1, p2)
 
 
@@ -300,13 +299,12 @@ def stage_cluster(run: Run) -> None:
 
 
 def stage_map(run: Run) -> None:
-    tau = run.config.tau
     clusters = [run.read_clusters(period_id) for period_id in PERIOD_IDS]
     for period_id, (axes, summaries, _) in zip(PERIOD_IDS, clusters):
-        cmap = build_cluster_map(period_id, axes, tau)
         labels, sizes = [s.label for s in summaries], [s.size for s in summaries]
-        artifacts.write_map(run.path(artifacts.map_json_file(period_id)), cmap, labels, sizes, tau)
-        artifacts.write_svg(run.path(artifacts.map_svg_file(period_id)), cmap, labels, sizes)
+        cmap = build_cluster_map(period_id, axes, run.config.tau, labels, sizes)
+        artifacts.write_map(run.path(artifacts.map_json_file(period_id)), cmap)
+        artifacts.write_svg(run.path(artifacts.map_svg_file(period_id)), cmap)
 
 
 def stage_link(run: Run) -> None:
@@ -323,12 +321,11 @@ def stage_link(run: Run) -> None:
 def stage_report(run: Run) -> None:
     from importlib import metadata  # for the versions only, so the other stages never load it
 
-    for period_id in PERIOD_IDS:
-        cmap, labels, sizes = artifacts.read_map(run.require(artifacts.map_json_file(period_id), "map"))
-        artifacts.write_svg(run.path(artifacts.map_svg_file(period_id)), cmap, labels, sizes)
-    path = run.require(artifacts.LOAD_REPORT, "ingest")
-    with artifacts.parsing(path):
-        input_sha256 = artifacts.read_json(path)["input_sha256"]
+    tau = run.config.tau
+    maps = [artifacts.read_map(run.require(artifacts.map_json_file(p), "map"), tau) for p in PERIOD_IDS]
+    input_sha256 = run.load_report().input_sha256
+    for period_id, cmap in zip(PERIOD_IDS, maps):  # every input checked before the first write
+        artifacts.write_svg(run.path(artifacts.map_svg_file(period_id)), cmap)
     artifacts.write_json(
         {
             "config": dataclasses.asdict(run.config),

@@ -389,7 +389,8 @@ def test_09_two_supergroups_form_two_components():
     p1, p2, vocabulary, _ = preset_state("two-networks", seed=9)
     for slice_ in (p1, p2):
         _, model = fit_period(slice_, vocabulary, k=12, seed=9)
-        cluster_map = build_cluster_map(slice_.period_id, model.axes, 0.2)
+        labels = [str(c) for c in range(model.k)]
+        cluster_map = build_cluster_map(slice_.period_id, model.axes, 0.2, labels, model.sizes)
         non_singleton = [c for c in cluster_map.components if len(c) > 1]
         assert len(non_singleton) == 2, (
             f"{slice_.period_id}: {len(non_singleton)} non-singleton components"

@@ -194,9 +194,9 @@ class TestSyngenCommand:
     def test_preset_writes_corpus_and_truth(self, tmp_path):
         out = tmp_path / "corpus"
         assert main(["syngen", "--preset", "three-blocks", "--out", str(out), "--seed", "3"]) == 0
-        records, report = load_corpus(str(out / "corpus.jsonl"), "jsonl")
+        records, _ = load_corpus(str(out / "corpus.jsonl"), "jsonl")
         truth = artifacts.read_json(str(out / "truth.json"))
-        assert report.records_kept == len(records) == 1200
+        assert len(records) == 1200
         assert truth["seed"] == 3
         assert set(truth["doc_block"]) == {r.id for r in records}
 
@@ -796,11 +796,14 @@ class TestStageSequencing:
             {"coords": [[float("inf"), 0.0], [0.0, 0.0], [0.0, 0.0]]},
             {"coords": [["1e999", 0.0], [0.0, 0.0], [0.0, 0.0]]},
             {"sizes": ["1e999", 1, 1]},
+            {"sizes": [1.5, 1, 1]},
+            {"sizes": [True, 1, 1]},
+            {"coords": None},
         ],
         ids=[
             "edge-past-end", "edge-negative", "no-clusters", "labels-short", "sizes-short",
             "labels-not-strings", "size-negative", "eigenvalue-nan", "coordinate-infinite",
-            "coordinate-overflow", "size-overflow",
+            "coordinate-overflow", "size-overflow", "size-fractional", "size-boolean", "no-coords",
         ],
     )
     def test_foreign_map_json_exits_3_and_names_it(self, corpus_dir, tmp_path, capsys, updates):
@@ -808,13 +811,43 @@ class TestStageSequencing:
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
         data = json.loads((out / "map_P1.json").read_text(encoding="utf-8"))
+        # an update to None deletes the key
+        data = {key: value for key, value in {**data, **updates}.items() if value is not None}
         # json.dumps cannot write an overflowing literal, so "1e999" goes in as a string
-        text = json.dumps({**data, **updates}).replace('"1e999"', "1e999")
+        text = json.dumps(data).replace('"1e999"', "1e999")
         (out / "map_P1.json").write_text(text, encoding="utf-8")
         before = dir_hashes(out)
         rc = main(["report", "--config", str(config), "--out", str(out)])
         assert rc == 3
         assert "map_P1.json" in capsys.readouterr().err
+        assert dir_hashes(out) == before
+
+    @pytest.mark.parametrize(
+        "updates", [{"input_sha256": 5}, {"p1_docs": True}, {"records_read": 1.5}], ids=repr
+    )
+    def test_foreign_load_report_exits_3_and_names_it(self, run_dir, tmp_path, capsys, updates):
+        config, source = run_dir
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        data = json.loads((out / "load_report.json").read_text(encoding="utf-8"))
+        (out / "load_report.json").write_text(json.dumps({**data, **updates}), encoding="utf-8")
+        before = dir_hashes(out)
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "malformed artifact" in err and "load_report.json" in err
+        assert dir_hashes(out) == before
+
+    def test_report_under_another_tau_exits_3_and_names_the_map(self, corpus_dir, tmp_path, capsys):
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl")  # the default tau, 0.2
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl", tau=0.9)
+        before = dir_hashes(out)
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 3
+        assert (
+            "stale artifact map_P1.json: it was built with tau 0.2, not 0.9 (re-run the map stage)"
+            in capsys.readouterr().err
+        )
         assert dir_hashes(out) == before
 
     @pytest.mark.parametrize("stage", ["map", "link"])
@@ -1119,6 +1152,11 @@ json_values = st.recursive(
 )
 
 
+@dataclasses.dataclass(frozen=True)
+class _Pair:
+    pair: tuple[int, float]
+
+
 class TestStrictDecoding:
     @pytest.mark.parametrize(
         "command, key, text, path",
@@ -1210,6 +1248,11 @@ class TestStrictDecoding:
                 decode(syngen.PlantSpec, _put(FULL_SPEC, path, value))
             except ConfigError:
                 pass
+
+    def test_fixed_length_tuple_decodes_each_item_with_its_own_type(self):
+        assert decode(_Pair, {"pair": [1, 0.5]}) == _Pair((1, 0.5))
+        with pytest.raises(ConfigError, match=r"^pair\[0\] must be of type int, got 1\.5$"):
+            decode(_Pair, {"pair": [1.5, 0.5]})
 
     def test_readme_config_block_is_all_defaults(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

@@ -53,9 +53,9 @@ class TestLoadCorpus:
         ]
         path = tmp_path / "c.jsonl"
         write_jsonl(path, rows)
-        records, report = load_corpus(str(path))
-        assert report.records_read == 2
-        assert report.records_kept == 2
+        records, dropped = load_corpus(str(path))
+        assert dropped == 0
+        assert len(records) == 2
         by_id = {r.id: r for r in records}
         # set semantics: duplicates collapse after normalization
         assert by_id["b"].keywords == ("gene mapping", "pcr")
@@ -78,9 +78,9 @@ class TestLoadCorpus:
                 {"id": "c", "year": 1996, "keywords": ["x"]},
             ],
         )
-        records, report = load_corpus(str(path))
+        records, dropped = load_corpus(str(path))
         assert [r.id for r in records] == ["c"]
-        assert report.dropped_empty_keywords == 2
+        assert dropped == 2
 
     def test_malformed_line_names_line_number(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -198,10 +198,10 @@ class TestSplitPeriods:
             Record("m", 2000, ("c",)),
             Record("q", 1990, ("d",)),
         ]
-        p1, p2, report = split_periods(records, SPEC)
+        p1, p2, dropped = split_periods(records, SPEC)
         assert [r.id for r in p1.records] == ["a", "z"]
         assert [r.id for r in p2.records] == ["m"]
-        assert report.dropped_outside_periods == 1
+        assert dropped == 1
 
     def test_empty_period_is_an_error(self):
         records = [Record("a", 1996, ("x",))]

@@ -273,7 +273,7 @@ class TestBuildClusterMap:
     def test_invariants_hold(self):
         rng = np.random.default_rng(17)
         axes = rng.random((6, 4))
-        cmap = build_cluster_map("P1", axes, tau=0.2)
+        cmap = build_cluster_map("P1", axes, 0.2, list("abcdef"), [1] * 6)
         assert cmap.period_id == "P1"
         xs = [c[0] for c in cmap.coords]
         ys = [c[1] for c in cmap.coords]
@@ -292,20 +292,18 @@ def _labels_sizes(pairs):
 
 
 class TestRenderSvg:
-    def _map(self):
+    def _map(self, pairs):
         s = 1.0 / math.sqrt(2.0)
         axes = np.array([[1.0, 0.0], [0.0, 1.0], [s, s]])
-        return build_cluster_map("P1", axes, tau=0.5)
+        return build_cluster_map("P1", axes, 0.5, *_labels_sizes(pairs))
 
     def test_deterministic_output(self):
-        cmap = self._map()
-        labels_sizes = _labels_sizes([("alpha", 4), ("beta", 9), ("gamma", 1)])
-        assert render_svg(cmap, *labels_sizes) == render_svg(cmap, *labels_sizes)
+        cmap = self._map([("alpha", 4), ("beta", 9), ("gamma", 1)])
+        assert render_svg(cmap) == render_svg(cmap)
 
     def test_structure_and_counts(self):
-        cmap = self._map()
-        labels_sizes = _labels_sizes([("alpha", 4), ("beta", 9), ("gamma", 1)])
-        svg = render_svg(cmap, *labels_sizes)
+        cmap = self._map([("alpha", 4), ("beta", 9), ("gamma", 1)])
+        svg = render_svg(cmap)
         assert svg.startswith("<svg ")
         assert svg.endswith("</svg>\n")
         assert 'width="1000"' in svg
@@ -316,24 +314,22 @@ class TestRenderSvg:
         assert "alpha" in svg and "beta" in svg and "gamma" in svg
 
     def test_radius_scales_with_square_root_of_size(self):
-        cmap = self._map()
-        labels_sizes = _labels_sizes([("alpha", 4), ("beta", 9), ("gamma", 1)])
-        svg = render_svg(cmap, *labels_sizes)
+        cmap = self._map([("alpha", 4), ("beta", 9), ("gamma", 1)])
+        svg = render_svg(cmap)
         # max size 9 -> radius 40; size 4 -> 40*sqrt(4/9); size 1 -> 40/3
         assert f'r="{MAX_RADIUS * math.sqrt(4.0 / 9.0):.2f}"' in svg
         assert f'r="{MAX_RADIUS:.2f}"' in svg
         assert f'r="{MAX_RADIUS / 3.0:.2f}"' in svg
 
     def test_labels_are_xml_escaped(self):
-        cmap = self._map()
-        labels_sizes = _labels_sizes([("a<b", 1), ("c&d", 1), ("e>f", 1)])
-        svg = render_svg(cmap, *labels_sizes)
+        cmap = self._map([("a<b", 1), ("c&d", 1), ("e>f", 1)])
+        svg = render_svg(cmap)
         assert "a&lt;b" in svg
         assert "c&amp;d" in svg
         assert "e&gt;f" in svg
         assert "a<b" not in svg
 
     def test_edge_opacity_tracks_similarity(self):
-        cmap = self._map()
-        svg = render_svg(cmap, *_labels_sizes([("a", 1), ("b", 1), ("c", 1)]))
+        cmap = self._map([("a", 1), ("b", 1), ("c", 1)])
+        svg = render_svg(cmap)
         assert 'stroke-opacity="0.707"' in svg
