@@ -112,7 +112,8 @@ def parsing(path: str):
     except (
         AttributeError, LookupError, OverflowError, TypeError, ValueError, csv.Error, ConfigError
     ) as exc:  # ConfigError: a field that decode rejects
-        raise InputError(f"malformed artifact {path}: {exc!r}") from exc
+        detail = repr(exc) if isinstance(exc, KeyError) else exc  # a KeyError's message is the bare key
+        raise InputError(f"malformed artifact {path}: {detail}") from exc
 
 
 def read_artifact(cls, path: str):
@@ -134,6 +135,12 @@ def require(path: str, producer: str):
 
 def _stale(name: str, reason: str, fix: str = "re-run upstream stages") -> InputError:
     return InputError(f"stale artifact {name}: {reason} ({fix})")
+
+
+def _check_built_with(path: str, key: str, built, value, fix: str = "re-run upstream stages") -> None:
+    if built != value:
+        reason = f"it was built with {key} {json.dumps(built)}, not {json.dumps(value)}"
+        raise _stale(os.path.basename(path), reason, fix)
 
 
 def write_clusters(
@@ -207,10 +214,7 @@ def read_clusters(
         if data.get("corpus_sha256") != corpus_sha256:
             raise _stale(name, "it was built over a different corpus.jsonl")
         for key, value in config_echo.items():
-            built = data["config"].get(key)
-            if built != value:
-                reason = f"it was built with {key} {json.dumps(built)}, not {json.dumps(value)}"
-                raise _stale(name, reason)
+            _check_built_with(path, key, data["config"].get(key), value)
     vocabulary, vocabulary_sha256 = get_vocabulary()
     with parsing(path):
         if data.get("vocab_sha256") != vocabulary_sha256:
@@ -257,10 +261,14 @@ def write_map(path: str, cmap: ClusterMap) -> None:
 def read_map(path: str, tau: float) -> ClusterMap:
     """The map in `path`, which must have been built with `tau`."""
     cmap = read_artifact(ClusterMap, path)
-    if cmap.tau != tau:
-        reason = f"it was built with tau {cmap.tau}, not {tau}"
-        raise _stale(os.path.basename(path), reason, "re-run the map stage")
+    _check_built_with(path, "tau", cmap.tau, tau, "re-run the map stage")
     return cmap
+
+
+def check_linkage(path: str, rho: float) -> None:
+    """Raises unless the linkage in `path` was built with `rho`."""
+    with parsing(path):
+        _check_built_with(path, "rho", read_json(path)["rho"], rho, "re-run the link stage")
 
 
 def write_svg(path: str, cmap: ClusterMap) -> None:

@@ -35,10 +35,15 @@ LOG_LEVELS = {
 }
 
 
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)  # not on macOS or Windows
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--out", required=True, help="artifact directory")
-    parser.add_argument("--threads", type=int, default=1, help="parallelism cap")
+    parser.add_argument("--threads", type=int, help="threads for the fit (default: the usable CPUs)")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument(
         "--format", choices=FORMATS, default=None, help="override input format"
@@ -104,10 +109,11 @@ def main(argv: list[str] | None = None) -> int:
                 config = dataclasses.replace(config, seed=args.seed)
             if args.format is not None:
                 config = dataclasses.replace(config, format=args.format)
-            if args.threads < 1:
-                raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+            threads = _usable_cpus() if args.threads is None else args.threads
+            if threads < 1:
+                raise ConfigError(f"--threads must be >= 1, got {threads}")
             names = config.stage_order() if args.command == "run" else [args.command]
-            run_stages(names, config, args.out, threads=args.threads)
+            run_stages(names, config, args.out, threads=threads)
     except ConfigError as exc:
         print(f"diachron: config error: {exc}", file=sys.stderr)
         return 2

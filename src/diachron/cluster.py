@@ -17,17 +17,18 @@ Layout: within a restart the axes are a V×k array, the right operand of the
 projections M @ axes, so no step transposes them; only the winner is turned
 back into the k×V rows of `ClusterModel.axes`.
 
-Memory: a fit holds the matrix's nonzero index (built once, shared by the
-restarts), one restart's work arrays per worker and the best result so far.
-A restart allocates its work arrays once and every iteration writes into
-them; only the projections M @ axes and the member sums are new arrays
-each step. With several threads, restarts that finish before an earlier
-one are held until it is compared.
+Memory and threads: a fit holds the shared nonzero index, the best result so
+far and, per thread, one restart: two V×k axes, per-document work arrays and
+each step's new projections, then member sums, whose bins and weights borrow
+the spare axes. The calling thread and `threads - 1` helpers take restart
+indices from one iterator and merge each finished one into the best under a
+lock; an error in any thread is raised once every thread has stopped.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -112,18 +113,15 @@ class _Work:
     """One restart's work arrays, allocated once and reused by every iteration.
 
     `shared` is `_shared_index(M, k)`: it depends on M and k only, so a fit
-    builds it once and its restarts read it concurrently. The member sums are
-    binned by the flat index t * k + c of a V×k array, the layout of the axes.
-    np.take fills these arrays with mode="clip": its indices are always in
-    range, and the default mode "raise" would first copy `out` to a temporary
-    array. `squares`, `exponents` and `high` are the scratch of `_exact_sum`.
+    builds it once and its restarts read it concurrently. np.take writes with
+    mode="clip": its indices are always in range, and the default mode
+    "raise" would first copy `out` to a temporary array. `squares`,
+    `exponents` and `high` are the scratch of `_exact_sum`.
     """
 
     def __init__(self, M: sp.csr_matrix, k: int, shared: tuple[np.ndarray, ...]):
         n = M.shape[0]
         self.rows, self.col_bins, self.row_starts = shared
-        self.bins = np.empty(M.nnz, dtype=np.intp)
-        self.weights = np.empty(M.nnz)
         self.flat = np.empty(n, dtype=np.intp)
         self.proj = np.empty(n)
         self.squares = np.empty(n)
@@ -172,34 +170,30 @@ def _objective(work: _Work) -> float:
     return _exact_sum(work.squares, work.exponents, work.high)
 
 
-def _assign(M: sp.csr_matrix, work: _Work, axes: np.ndarray, assign: np.ndarray) -> np.ndarray:
+def _assign(M: sp.csr_matrix, work: _Work, axes: np.ndarray, assign: np.ndarray) -> None:
     """Writes each doc's cluster to `assign` and its projection onto that
-    cluster's axis (a column of the V×k `axes`) to `work.proj`; returns the
-    n×k projections P."""
-    P = M @ axes
+    cluster's axis (a column of the V×k `axes`) to `work.proj`."""
+    P = M @ axes  # the n×k projections, dropped on return
     np.argmax(P, axis=1, out=assign)  # ties resolve to the lowest cluster id
     np.add(work.row_starts, assign, out=work.flat)
     np.take(P, work.flat, out=work.proj, mode="clip")
-    return P
 
 
 def _update_axes(
-    M: sp.csr_matrix,
-    work: _Work,
-    axes: np.ndarray,
-    assign: np.ndarray,
-    P: np.ndarray,
-    out: np.ndarray,
+    M: sp.csr_matrix, work: _Work, axes: np.ndarray, assign: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """Writes the next V×k axes to `out` (not `axes`) and returns it."""
     # every cluster's projection-weighted member sum as one segment sum:
     # each nonzero M[d, t] adds M[d, t] * proj[d] to bin (t, assign[d]), where
-    # proj[d] = P[d, assign[d]] is work.proj[d], as _assign wrote it. Within a
-    # bin the products arrive in ascending d, as in M.T @ W with W holding each
-    # doc's projection in its own cluster's column, whose other terms are
-    # +0.0; so the sums equal that product bit for bit.
+    # proj[d] = (M @ axes)[d, assign[d]] is work.proj[d], as _assign wrote it.
+    # Within a bin the products arrive in ascending d, as in M.T @ W with W
+    # holding each doc's projection in its own cluster's column, whose other
+    # terms are +0.0; so the sums equal that product bit for bit. The bins (at
+    # the flat index t * k + c of a V×k array) and the weights live in `out`
+    # until the squares overwrite it, unless they do not fit there
     V, k = out.shape
-    bins, weights = work.bins, work.weights
+    spare = out.reshape(-1) if 2 * M.nnz <= V * k else np.empty(2 * M.nnz)
+    bins, weights = spare[: M.nnz].view(np.intp), spare[M.nnz : 2 * M.nnz]
     np.take(assign, work.rows, out=bins, mode="clip")
     bins += work.col_bins
     np.take(work.proj, work.rows, out=weights, mode="clip")
@@ -216,9 +210,10 @@ def _update_axes(
         np.copyto(out, axes, where=~positive)
     reseeded: set[int] = set()
     for c in np.flatnonzero(np.bincount(assign, minlength=k) == 0):
-        # farthest-point re-seed: the doc with the lowest projection
-        # onto this cluster's current axis becomes the new axis
-        order = np.argsort(P[:, c], kind="stable")
+        # farthest-point re-seed: the doc with the lowest projection onto this
+        # cluster's current axis becomes the new axis; M @ axes[:, c] adds the
+        # same products in the same order as column c of _assign's M @ axes
+        order = np.argsort(M @ axes[:, c], kind="stable")
         pick = next(int(r) for r in order if int(r) not in reseeded)
         reseeded.add(pick)
         out[:, c] = np.asarray(M[pick].todense()).ravel()
@@ -234,12 +229,12 @@ def _fit_single(M: sp.csr_matrix, config: ClusterConfig, seed: int, shared: tupl
     new_axes = np.empty_like(axes)
     assign = np.empty(M.shape[0], dtype=np.intp)
     new_assign = np.empty_like(assign)
-    P = _assign(M, work, axes, assign)
+    _assign(M, work, axes, assign)
     objective = _objective(work)
     trace = [objective]
     for _ in range(config.max_iters):
-        _update_axes(M, work, axes, assign, P, new_axes)
-        new_P = _assign(M, work, new_axes, new_assign)
+        _update_axes(M, work, axes, assign, new_axes)
+        _assign(M, work, new_axes, new_assign)
         new_objective = _objective(work)
         if new_objective < objective:
             # mathematically the step cannot decrease J; a sub-ulp dip means
@@ -247,7 +242,6 @@ def _fit_single(M: sp.csr_matrix, config: ClusterConfig, seed: int, shared: tupl
             break
         axes, new_axes = new_axes, axes
         assign, new_assign = new_assign, assign
-        P = new_P
         delta = new_objective - objective
         objective = new_objective
         trace.append(objective)
@@ -271,35 +265,39 @@ def fit_axial_kmeans(
     if config.k > n:
         raise NumericError(f"k={config.k} exceeds the number of documents ({n})")
 
-    seeds = [derive_seed(config.seed, f"restart.{r}") for r in range(config.restarts)]
     shared = _shared_index(M, config.k)
+    restarts, lock, errors = iter(range(config.restarts)), threading.Lock(), []
+    best = None  # ((J, -r), axes, assign, trace): highest J, then lowest restart index
 
-    def run(r: int):
-        return _fit_single(M, config, seeds[r], shared)
+    def next_restart() -> int | None:
+        with lock:  # after an error, no thread starts another restart
+            return None if errors else next(restarts, None)
 
-    def final_objective(result) -> float:
-        return result[2][-1]
+    def merge(r: int, result) -> None:
+        nonlocal best
+        with lock:
+            if best is None or (result[2][-1], -r) > best[0]:
+                best = ((result[2][-1], -r), *result)
 
-    # max takes the restarts one by one as they are produced, so only the best
-    # so far is held; it returns the first maximum: highest J, then lowest
-    # restart index
-    if threads > 1 and config.restarts > 1:
-        from concurrent.futures import ThreadPoolExecutor  # here, so --threads 1 never loads it
+    def run_restarts() -> None:
+        try:
+            for r in iter(next_restart, None):
+                merge(r, _fit_single(M, config, derive_seed(config.seed, f"restart.{r}"), shared))
+        except BaseException as exc:  # raised below, once every thread has stopped
+            errors.append(exc)
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            axes, assign, trace = max(pool.map(run, range(config.restarts)), key=final_objective)
-    else:
-        axes, assign, trace = max(map(run, range(config.restarts)), key=final_objective)
-    axes = np.ascontiguousarray(axes.T)
+    helpers = [threading.Thread(target=run_restarts) for _ in range(min(threads, config.restarts) - 1)]
+    for helper in helpers:
+        helper.start()
+    run_restarts()  # the calling thread runs restarts too
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+    _, axes, assign, trace = best
     sizes = tuple(int(s) for s in np.bincount(assign, minlength=config.k))
-    return ClusterModel(
-        period_id=matrix.period_id,
-        axes=axes,
-        assignment=assign,
-        objective_trace=tuple(trace),
-        sizes=sizes,
-        doc_ids=matrix.doc_ids,
-    )
+    axes = np.ascontiguousarray(axes.T)  # the winner's k×V rows
+    return ClusterModel(matrix.period_id, axes, assign, tuple(trace), sizes, matrix.doc_ids)
 
 
 def summarize_clusters(

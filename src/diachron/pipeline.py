@@ -286,16 +286,16 @@ def stage_cluster(run: Run) -> None:
     for slice_ in (p1, p2):
         matrix = build_matrix(slice_, vocabulary, config.weighting)
         model = fit_axial_kmeans(matrix, config.cluster_config(slice_.period_id), threads=run.threads)
-        summaries = summarize_clusters(model, vocabulary, config.top_m)
         artifacts.write_clusters(
             run.path(artifacts.clusters_file(slice_.period_id)),
             model,
-            summaries,
+            summarize_clusters(model, vocabulary, config.top_m),
             vocabulary,
             run.cluster_echo(slice_.period_id),
             run.vocab_sha256(),
             run.sha256(),
         )
+        del matrix, model  # so that P2's matrix and fit do not join P1's in memory
 
 
 def stage_map(run: Run) -> None:
@@ -323,6 +323,7 @@ def stage_report(run: Run) -> None:
 
     tau = run.config.tau
     maps = [artifacts.read_map(run.require(artifacts.map_json_file(p), "map"), tau) for p in PERIOD_IDS]
+    artifacts.check_linkage(run.require(artifacts.LINKAGE, "link"), run.config.rho)
     input_sha256 = run.load_report().input_sha256
     for period_id, cmap in zip(PERIOD_IDS, maps):  # every input checked before the first write
         artifacts.write_svg(run.path(artifacts.map_svg_file(period_id)), cmap)

@@ -308,7 +308,9 @@ class TestRunCommand:
         assert main(["run", "--config", str(config), "--out", str(out_4), "--threads", "4"]) == 0
         assert dir_hashes(out_1) == dir_hashes(out_4)
 
-    def test_threads_flag_reaches_the_fit(self, corpus_dir, tmp_path, monkeypatch):
+    @pytest.fixture
+    def fit_calls(self, monkeypatch):
+        """The (period, threads) of every fit, recorded as they are made."""
         from diachron import cluster
 
         fit, calls = cluster.fit_axial_kmeans, []
@@ -318,10 +320,22 @@ class TestRunCommand:
             return fit(matrix, config, threads=threads)
 
         monkeypatch.setattr(cluster, "fit_axial_kmeans", recording_fit)
+        return calls
+
+    def test_threads_flag_reaches_the_fit(self, corpus_dir, tmp_path, fit_calls):
         config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
         out = str(tmp_path / "out")
         assert main(["run", "--config", str(config), "--out", out, "--threads", "2"]) == 0
-        assert calls == [("P1", 2), ("P2", 2)]
+        assert fit_calls == [("P1", 2), ("P2", 2)]
+
+    @pytest.mark.parametrize("flag, want", [([], 3), (["--threads", "1"], 1)], ids=["default", "one"])
+    def test_threads_default_to_the_usable_cpus(
+        self, corpus_dir, tmp_path, monkeypatch, fit_calls, flag, want
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out"), *flag]) == 0
+        assert fit_calls == [("P1", want), ("P2", want)]
 
     def test_seed_flag_overrides_config_seed(self, corpus_dir, tmp_path):
         config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
@@ -783,22 +797,28 @@ class TestStageSequencing:
             assert rc == 0
 
     @pytest.mark.parametrize(
-        "updates",
+        "updates, message",
         [
-            {"edges": [[0, 99, 0.5]]},
-            {"edges": [[-1, 0, 0.5]]},
-            {"coords": [], "labels": [], "sizes": [], "edges": [], "components": []},
-            {"labels": ["only"]},
-            {"sizes": [1]},
-            {"labels": [5, 6, 7]},
-            {"sizes": [-5, 1, 1]},
-            {"eigenvalues": [float("nan"), 0.0]},
-            {"coords": [[float("inf"), 0.0], [0.0, 0.0], [0.0, 0.0]]},
-            {"coords": [["1e999", 0.0], [0.0, 0.0], [0.0, 0.0]]},
-            {"sizes": ["1e999", 1, 1]},
-            {"sizes": [1.5, 1, 1]},
-            {"sizes": [True, 1, 1]},
-            {"coords": None},
+            ({"edges": [[0, 99, 0.5]]}, "an edge ends outside range(3)"),
+            ({"edges": [[-1, 0, 0.5]]}, "an edge ends outside range(3)"),
+            (
+                {"coords": [], "labels": [], "sizes": [], "edges": [], "components": []},
+                "coords, labels and sizes must be non-empty and of one length",
+            ),
+            ({"labels": ["only"]}, "coords, labels and sizes must be non-empty and of one length"),
+            ({"sizes": [1]}, "coords, labels and sizes must be non-empty and of one length"),
+            ({"labels": [5, 6, 7]}, "labels[0] must be of type str, got 5"),
+            ({"sizes": [-5, 1, 1]}, "a cluster size is negative"),
+            ({"eigenvalues": [float("nan"), 0.0]}, "NaN is not a finite number"),
+            ({"coords": [[float("inf"), 0.0], [0.0, 0.0], [0.0, 0.0]]}, "Infinity is not a finite number"),
+            (
+                {"coords": [["1e999", 0.0], [0.0, 0.0], [0.0, 0.0]]},
+                "coords[0][0] must be a finite number, got inf",
+            ),
+            ({"sizes": ["1e999", 1, 1]}, "sizes[0] must be of type int, got inf"),
+            ({"sizes": [1.5, 1, 1]}, "sizes[0] must be of type int, got 1.5"),
+            ({"sizes": [True, 1, 1]}, "sizes[0] must be of type int, got True"),
+            ({"coords": None}, "missing a required field: coords"),
         ],
         ids=[
             "edge-past-end", "edge-negative", "no-clusters", "labels-short", "sizes-short",
@@ -806,7 +826,9 @@ class TestStageSequencing:
             "coordinate-overflow", "size-overflow", "size-fractional", "size-boolean", "no-coords",
         ],
     )
-    def test_foreign_map_json_exits_3_and_names_it(self, corpus_dir, tmp_path, capsys, updates):
+    def test_foreign_map_json_exits_3_and_names_it(
+        self, corpus_dir, tmp_path, capsys, updates, message
+    ):
         config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
@@ -819,7 +841,9 @@ class TestStageSequencing:
         before = dir_hashes(out)
         rc = main(["report", "--config", str(config), "--out", str(out)])
         assert rc == 3
-        assert "map_P1.json" in capsys.readouterr().err
+        # the decoder's own words, without an exception's class name
+        want = f"diachron: input error: malformed artifact {out / 'map_P1.json'}: {message}\n"
+        assert capsys.readouterr().err == want
         assert dir_hashes(out) == before
 
     @pytest.mark.parametrize(
@@ -835,6 +859,31 @@ class TestStageSequencing:
         assert main(["report", "--config", str(config), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "malformed artifact" in err and "load_report.json" in err
+        assert dir_hashes(out) == before
+
+    def test_report_under_another_rho_exits_3_and_names_the_linkage(self, corpus_dir, tmp_path, capsys):
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl")  # the default rho, 0.3
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl", rho=0.9)
+        before = dir_hashes(out)
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 3
+        assert (
+            "stale artifact linkage.json: it was built with rho 0.3, not 0.9 (re-run the link stage)"
+            in capsys.readouterr().err
+        )
+        assert dir_hashes(out) == before
+
+    @pytest.mark.parametrize("text", ["[]", "{}", '{"links": []}'], ids=["array", "empty", "no-rho"])
+    def test_foreign_linkage_json_exits_3_and_names_it(self, run_dir, tmp_path, capsys, text):
+        config, source = run_dir
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        (out / "linkage.json").write_text(text, encoding="utf-8")
+        before = dir_hashes(out)
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "malformed artifact" in err and "linkage.json" in err
         assert dir_hashes(out) == before
 
     def test_report_under_another_tau_exits_3_and_names_the_map(self, corpus_dir, tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 import os
 import random
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 from itertools import combinations
@@ -239,7 +240,7 @@ class TestEmptyClusterReseed:
         # the kernel's axes are V×k
         work = _work(M, 2)
         work.proj[:] = P[np.arange(M.shape[0]), assign]
-        new_axes = _update_axes(M, work, axes.T.copy(), assign, P, np.empty((3, 2))).T
+        new_axes = _update_axes(M, work, axes.T.copy(), assign, np.empty((3, 2))).T
         # row 2 has the lowest projection onto the empty cluster's axis
         assert np.allclose(new_axes[1], [0.0, 1.0, 0.0], atol=1e-12)
 
@@ -264,7 +265,7 @@ class TestEmptyClusterReseed:
         assign = np.zeros(3, dtype=np.int64)
         work = _work(M, 3)
         work.proj[:] = P[np.arange(M.shape[0]), assign]
-        new_axes = _update_axes(M, work, axes.T.copy(), assign, P, np.empty((3, 3))).T
+        new_axes = _update_axes(M, work, axes.T.copy(), assign, np.empty((3, 3))).T
         assert np.allclose(new_axes[1], M.getrow(2).toarray().ravel(), atol=1e-12)
         assert np.allclose(new_axes[2], M.getrow(1).toarray().ravel(), atol=1e-12)
 
@@ -318,7 +319,7 @@ class TestUpdateAxesOracle:
             P[assign == 1, 1] = 0.0  # cluster 1's members add nothing
         work = _work(M, k)
         work.proj[:] = P[np.arange(M.shape[0]), assign]
-        got = _update_axes(M, work, axes.T.copy(), assign, P, np.empty((m, k))).T
+        got = _update_axes(M, work, axes.T.copy(), assign, np.empty((m, k))).T
         want = _reference_update(M, axes, assign, P, k)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=self.ATOL)
         if seed % 3 == 1:
@@ -331,7 +332,19 @@ class TestUpdateAxesOracle:
     def test_in_place_kernel_matches_allocating_form_bitwise(self, seed):
         rng = np.random.default_rng(100 + seed)
         n, m, k = int(rng.integers(6, 60)), int(rng.integers(3, 40)), int(rng.integers(2, 7))
-        M = sp.csr_matrix(_random_sparse_rows(rng, n, m))
+        self._check_against_allocating_form(rng, sp.csr_matrix(_random_sparse_rows(rng, n, m)), k)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bins_kept_in_the_spare_axes_match_allocating_form_bitwise(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        n, m, k = int(rng.integers(6, 30)), int(rng.integers(100, 160)), int(rng.integers(2, 7))
+        M = sp.csr_matrix(_random_sparse_rows(rng, n, m, density=0.02))
+        assert 2 * M.nnz <= m * k  # so the kernel keeps its bins and weights in `out`
+        self._check_against_allocating_form(rng, M, k)
+
+    @staticmethod
+    def _check_against_allocating_form(rng, M, k):
+        n, m = M.shape
         axes = _random_sparse_rows(rng, k, m, density=0.6)
         P = M @ axes.T
         assign = rng.integers(0, k, size=n)
@@ -341,7 +354,7 @@ class TestUpdateAxesOracle:
         work.proj[:] = proj
         inputs = (axes_t, assign, P, work.proj)
         before = [a.copy() for a in inputs]
-        got = _update_axes(M, work, axes_t, assign, P, np.empty((m, k))).T
+        got = _update_axes(M, work, axes_t, assign, np.empty((m, k))).T
         per_row = np.diff(M.indptr)
         sums = np.bincount(
             np.repeat(assign, per_row) * m + M.indices,
@@ -520,6 +533,47 @@ class TestRestartWinner:
                 tracemalloc.stop()
         # only the best restart so far is held, not one result per restart
         assert abs(peaks[1] - peaks[0]) < k * m * 8
+
+    def test_a_second_thread_costs_at_most_one_restart(self):
+        rng = np.random.default_rng(43)
+        n, V, k = 4000, 300, 10
+        dtm = _dtm(_random_sparse_rows(rng, n, V, density=0.01), normalize=False)
+        config = ClusterConfig(k=k, restarts=6, max_iters=4, tol=0.0)
+        fit_axial_kmeans(dtm, config, threads=2)  # warm caches
+        peaks = {}
+        for threads in (1, 2):
+            tracemalloc.start()
+            try:
+                fit_axial_kmeans(dtm, config, threads=threads)
+                peaks[threads] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # one restart at its largest: the axes, the spare axes and the member
+        # sums (V×k each), the projections (n×k), two work arrays per nonzero
+        # and seven per document, in 8-byte items, plus numpy's iterator
+        # buffers for a strided multiply (two operands of np.getbufsize() items)
+        restart = 8 * (3 * V * k + n * k + 2 * dtm.matrix.nnz + 7 * n) + 16 * np.getbufsize()
+        assert peaks[2] - peaks[1] <= restart, (peaks, restart)
+
+    @pytest.mark.parametrize("where", ["helper", "caller"])
+    def test_an_error_in_a_restart_is_raised_once_every_thread_stops(self, monkeypatch, where):
+        fit_single, failed, lock = cluster._fit_single, [], threading.Lock()
+
+        def failing_once(M, config, seed, shared):
+            in_caller = threading.current_thread() is threading.main_thread()
+            with lock:  # the first restart that runs in `where` fails
+                if not failed and in_caller == (where == "caller"):
+                    failed.append(seed)
+                    raise FloatingPointError(f"restart seed {seed}")
+            return fit_single(M, config, seed, shared)
+
+        monkeypatch.setattr(cluster, "_fit_single", failing_once)
+        before = threading.active_count()
+        rng = np.random.default_rng(47)
+        with pytest.raises(FloatingPointError, match="restart seed") as raised:
+            fit_axial_kmeans(_random_instance(rng, n=8), ClusterConfig(k=2, restarts=6), threads=3)
+        assert str(raised.value) == f"restart seed {failed[0]}"
+        assert threading.active_count() == before
 
 
 class TestInitAxes:
