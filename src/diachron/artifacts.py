@@ -23,12 +23,10 @@ from typing import TYPE_CHECKING
 from .corpus import Vocabulary, atomic_open
 from .diffusion import CATEGORIES
 from .errors import ConfigError, InputError, decode
-from .mapping import ClusterMap, render_svg
+from .mapping import Axis, ClusterMap, render_svg
 
-if TYPE_CHECKING:  # numpy and the modules below are imported where used, so report never loads them
-    import numpy as np
-
-    from .cluster import ClusterModel, ClusterSummary
+if TYPE_CHECKING:  # annotations only: these load numpy, which map, link and report never do
+    from .cluster import ClusterModel
     from .diachrony import CrossTab, Linkage
 
 LOAD_REPORT = "load_report.json"
@@ -51,6 +49,16 @@ class LoadReport:
     p1_docs: int
     p2_docs: int
     dropped_outside_periods: int
+
+
+@dataclasses.dataclass(frozen=True)
+class ClusterSummary:
+    """A cluster's id, label, top (term, weight) pairs and size, as its cluster file holds them."""
+
+    cluster_id: int
+    label: str
+    top_terms: tuple[tuple[str, float], ...]
+    size: int
 
 
 def clusters_file(period_id: str) -> str:
@@ -189,25 +197,21 @@ def read_clusters(
     get_vocabulary: Callable[[], tuple[Vocabulary, str]],
     corpus_sha256: str,
     config_echo: dict,
-) -> tuple[np.ndarray, list[ClusterSummary], dict[str, int]]:
-    """The k×V full-precision axes, the cluster summaries and each member
+) -> tuple[list[Axis], list[ClusterSummary], dict[str, int]]:
+    """The full-precision sparse axes, the cluster summaries and each member
     document's cluster id, from a checked cluster file.
 
     The file must record the sha256 of corpus.jsonl, echo every key of the
     running `config_echo` (as JSON holds it), record the sha256 of the
     vocabulary and hold the echoed k clusters, numbered 0 to k-1 in order,
-    with finite axis weights. Each cluster's size must be its member count,
-    and no document may be listed twice.
+    with axis weights in [-1, 1] on vocabulary terms. Each cluster's size must
+    be its member count, and no document may be listed twice.
     `get_vocabulary` returns the vocabulary and its `vocab_sha256`; it is
     called only once the file has decoded and passed the first two checks, so
     a truncated or stale cluster file is the file named even when the
     vocabulary's own artifacts are missing. A vocabulary mismatch after those
     checks means the files the vocabulary is read from are the stale ones.
     """
-    import numpy as np
-
-    from .cluster import ClusterSummary
-
     data = read_json(path)
     name = os.path.basename(path)
     with parsing(path):
@@ -224,13 +228,19 @@ def read_clusters(
                 "re-run the terms stage, or ingest",
             )
         k = config_echo["k"]
-        axes = np.zeros((k, len(vocabulary)))
+        axes = []
         member_cluster: dict[str, int] = {}
         summaries = []
         for entry in data["clusters"]:
             c = int(entry["id"])
-            axis = entry["axis"]
-            axes[c, [vocabulary.index[term] for term in axis]] = list(map(float, axis.values()))
+            axis = dict(zip(entry["axis"], map(float, entry["axis"].values())))
+            if not axis.keys() <= vocabulary.index.keys():
+                stray = next(term for term in axis if term not in vocabulary.index)
+                raise ValueError(f"axis term {stray!r} of cluster {c} is not in the vocabulary")
+            # the axes are unit vectors; json reads 1e999 as inf, which fails too
+            if not all(abs(weight) <= 1.0 for weight in axis.values()):
+                raise ValueError(f"an axis weight of cluster {c} is not in [-1, 1]")
+            axes.append(axis)
             members = entry["members"]
             listed = len(member_cluster)
             member_cluster.update(dict.fromkeys(members, c))
@@ -249,8 +259,6 @@ def read_clusters(
             )
         if [s.cluster_id for s in summaries] != list(range(k)):  # the linkage's ids
             raise ValueError(f"the clusters are not k={k} with ids 0 to {k - 1} in order")
-        if not np.isfinite(axes).all():  # json reads an overflowing literal such as 1e999 as inf
-            raise ValueError("an axis weight is not a finite number")
     return axes, summaries, member_cluster
 
 

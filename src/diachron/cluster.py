@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .artifacts import ClusterSummary
 from .corpus import Vocabulary
 from .errors import NumericError
 from .seeding import derive_seed
@@ -42,14 +43,7 @@ from .vectorize import DocTermMatrix
 if TYPE_CHECKING:  # annotations only: map, link and report must not load scipy.sparse
     import scipy.sparse as sp
 
-
-@dataclass(frozen=True)
-class ClusterConfig:
-    k: int
-    max_iters: int = 100
-    tol: float = 1e-9
-    restarts: int = 10
-    seed: int = 0
+    from .pipeline import ClusterConfig
 
 
 @dataclass(frozen=True)
@@ -64,14 +58,6 @@ class ClusterModel:
     @property
     def k(self) -> int:
         return self.axes.shape[0]
-
-
-@dataclass(frozen=True)
-class ClusterSummary:
-    cluster_id: int
-    label: str
-    top_terms: tuple[tuple[str, float], ...]
-    size: int
 
 
 def _row_cosines(M: sp.csr_matrix, row: int) -> np.ndarray:

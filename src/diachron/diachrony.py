@@ -16,12 +16,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
-from .cluster import ClusterSummary
+from .artifacts import ClusterSummary
 from .diffusion import CATEGORIES, TermStats
 from .errors import InputError
-from .vectorize import axis_cosines
+from .mapping import Axis, cosine, dot
 
 STATUS_ROOTED = "rooted"
 STATUS_NEW = "new"
@@ -54,14 +52,16 @@ class CrossTab:
     n_terms: dict[str, int]
 
 
-def link_periods(axes_p1: np.ndarray, axes_p2: np.ndarray, rho: float) -> Linkage:
-    """Link each P2 cluster to its P1 parents by axis cosine >= rho; the rows
-    of both k×V axes arrays span the same vocabulary."""
+def link_periods(axes_p1: list[Axis], axes_p2: list[Axis], rho: float) -> Linkage:
+    """Link each P2 cluster to its P1 parents by axis cosine >= rho; the axes
+    are sparse rows, dicts of term -> weight."""
+    norms_p1 = [dot(a1, a1) for a1 in axes_p1]
     links = []
-    for c2, sims in enumerate(axis_cosines(axes_p2, axes_p1)):
-        ids = np.flatnonzero(sims >= rho)
-        ids = ids[np.argsort(-sims[ids], kind="stable")]  # ties keep id order
-        parents = tuple(zip(ids.tolist(), sims[ids].tolist()))
+    for c2, a2 in enumerate(axes_p2):
+        norm = dot(a2, a2)
+        sims = [cosine(dot(a2, a1), norm, n1) for a1, n1 in zip(axes_p1, norms_p1)]
+        ranked = sorted(enumerate(sims), key=lambda p: -p[1])  # ties keep id order
+        parents = tuple(p for p in ranked if p[1] >= rho)
         status = STATUS_ROOTED if parents else STATUS_NEW
         links.append(ClusterLink(cluster_id=c2, status=status, parents=parents))
     return Linkage(rho=rho, links=tuple(links))

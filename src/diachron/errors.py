@@ -50,13 +50,17 @@ def decode(cls, data, where=""):
     float field a finite number (a JSON integer too), a `Literal` choice
     only one of its strings, `X | None` also null, `tuple[X, ...]` a JSON
     array (or a tuple), `tuple[X, Y]` two items, an X and a Y, and a nested
-    dataclass a JSON object. An absent key takes the field's default; other
-    keys are ignored. Every error is a ConfigError naming the key path (an
+    dataclass a JSON object. An absent key takes the field's default; a key
+    that names no field is an error, unless it starts with `_comment` (a
+    note, at any depth). Every error is a ConfigError naming the key path (an
     artifact reader reports it as an InputError); `where` is `data`'s path.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{where or 'the top level'} must be a JSON object, got {data!r}")
     types = _type_hints(cls)
+    for key in data:
+        if key not in types and not key.startswith("_comment"):
+            raise ConfigError(f"unknown key {where}.{key}" if where else f"unknown key {key}")
     values = {}
     for f in dataclasses.fields(cls):
         path = f"{where}.{f.name}" if where else f.name

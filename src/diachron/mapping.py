@@ -1,35 +1,37 @@
 """2D cluster maps: PCA of cluster axes, similarity edges, cluster networks.
 
-The k cluster axes are treated as k points in term space. Because k is
-far smaller than the vocabulary, the eigenproblem is solved on the k x k
-Gram matrix of the mean-centered rows (population scaling, divide by k):
-a unit eigenvector u of the Gram with eigenvalue lam gives projections
-sqrt(k * lam) * u onto the corresponding principal direction. The all-ones
-vector is a 0-eigenvector of the centered Gram, so nonzero-eigenvalue
-coordinates are automatically mean-centered.
+The k cluster axes are sparse points in term space, dicts of term -> weight
+as the cluster files store them. A map computes their k x k Gram matrix
+once, exactly: each entry is the correctly rounded sum (math.fsum) of the
+products over the terms two axes share. The edges are its cosines. The PCA
+takes the top eigenpairs of its double-centered form, the Gram matrix of
+the mean-centered axes over k: a unit eigenvector u with eigenvalue lam
+gives the projections sqrt(k * lam) * u onto that principal direction, and
+they are mean-centered, since the all-ones vector is a 0-eigenvector.
 
-Eigenpairs come from LAPACK's symmetric eigensolver (numpy.linalg.eigh),
-ordered by eigenvalue magnitude, which for the (positive semidefinite)
-Gram matrix coincides with algebraic order. The source paper uses power
-iteration; on a k x k Gram matrix the direct solver gives the same pairs
-to rounding.
+The eigenpairs come from Householder tridiagonalization and implicit QL
+(EISPACK's tred2 and tql2) on Python floats in a fixed order, with only +,
+-, *, /, math.sqrt and math.fsum, which are correctly rounded everywhere.
+No BLAS or LAPACK is used, so the bytes do not depend on the CPU kernel
+those would pick. The source paper uses power iteration; on a k x k matrix
+the direct solver gives the same pairs to rounding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from html import escape  # not xml.sax.saxutils, which imports urllib.request
-from typing import TYPE_CHECKING
 
 from .errors import NumericError
-
-if TYPE_CHECKING:  # numpy and the vectorizer are imported where used, so report never loads them
-    import numpy as np
 
 SVG_WIDTH = 1000
 SVG_HEIGHT = 800
 SVG_MARGIN = 50.0
 MAX_RADIUS = 40.0
+EPS = 2.0**-52
+Axis = dict[str, float]  # a sparse row: term -> weight
+Matrix = list[list[float]]  # a list of rows
 
 
 @dataclass(frozen=True)
@@ -57,66 +59,159 @@ class ClusterMap:
             raise ValueError(f"an edge ends outside range({k})")
 
 
-def top_eigenpairs(S: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-m eigenpairs of a symmetric matrix, largest magnitude first, by
-    LAPACK's symmetric solver. Returns (eigenvalues, eigenvectors as columns)."""
-    import numpy as np
-
-    vals, vecs = np.linalg.eigh(np.asarray(S, dtype=float))
-    order = np.argsort(-np.abs(vals), kind="stable")[:m]
-    return vals[order], vecs[:, order]
+def dot(a: Axis, b: Axis) -> float:
+    """The correctly rounded dot product of two sparse rows. That rounding is
+    unique, so the order of the shared terms does not matter."""
+    return math.fsum([a[t] * b[t] for t in a.keys() & b.keys()])
 
 
-def pca_2d(axes: np.ndarray) -> tuple[np.ndarray, tuple[float, float], float]:
-    """Project k cluster axes to 2D principal coordinates.
+def cosine(ab: float, aa: float, bb: float) -> float:
+    """The cosine of rows a and b from their dot products, at most 1.0 and
+    0.0 for a zero row. Equal rows give exactly 1.0, since sqrt(g * g) is g
+    unless g * g overflows or underflows."""
+    norms = math.sqrt(aa * bb)
+    return min(1.0, ab / norms) if norms > 0.0 else 0.0
 
-    Returns (coords, (lam1, lam2), explained) where coords is k x 2,
-    lam1 >= lam2 >= 0 are the top population eigenvalues and explained is
-    (lam1 + lam2) / total variance, 1.0 when the variance is zero. Collinear
-    inputs give lam2 = 0 and y identically 0. Sign convention: within each
-    component the coordinate of largest absolute value (first such index)
-    is positive.
+
+def gram_matrix(axes: list[Axis]) -> Matrix:
+    """The exact k x k Gram matrix of k sparse rows."""
+    k = len(axes)
+    gram = [[0.0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            gram[i][j] = gram[j][i] = dot(axes[i], axes[j])
+    return gram
+
+
+def symmetric_eigenpairs(S: Matrix) -> tuple[list[float], Matrix]:
+    """Every eigenpair of the symmetric matrix S (a list of rows), eigenvalues
+    ascending, the i-th eigenvector (unit length) for the i-th eigenvalue.
+
+    Householder reduction to tridiagonal form, then implicit QL with
+    Wilkinson shifts: EISPACK's tred2 and tql2, in the loop order of JAMA's
+    public-domain translation, with sqrt(p * p + q * q) in place of hypot.
     """
-    import numpy as np
+    n = len(S)
+    V = [list(map(float, row)) for row in S]
+    d, e = V[n - 1][:], [0.0] * n
+    for i in range(n - 1, 0, -1):  # reduce row i, from the last up
+        scale, h = math.fsum(map(abs, d[:i])), 0.0
+        if scale == 0.0:
+            e[i], d[:i] = d[i - 1], V[i - 1][:i]
+            for j in range(i):
+                V[i][j] = V[j][i] = 0.0
+        else:
+            d[:i] = [x / scale for x in d[:i]]
+            h, f = math.fsum([x * x for x in d[:i]]), d[i - 1]
+            g = -math.sqrt(h) if f > 0.0 else math.sqrt(h)
+            e[i], h, d[i - 1] = scale * g, h - f * g, f - g
+            e[:i] = [0.0] * i
+            for j in range(i):
+                f = V[j][i] = d[j]
+                g = e[j] + V[j][j] * f
+                for k in range(j + 1, i):
+                    g += V[k][j] * d[k]
+                    e[k] += V[k][j] * f
+                e[j] = g / h
+            hh = math.fsum([x * y for x, y in zip(e[:i], d[:i])]) / (h + h)
+            e[:i] = [x - hh * y for x, y in zip(e[:i], d[:i])]
+            for j in range(i):
+                f, g = d[j], e[j]
+                for k in range(j, i):
+                    V[k][j] -= f * e[k] + g * d[k]
+                d[j], V[i][j] = V[i - 1][j], 0.0
+        d[i] = h
+    for i in range(n - 1):  # accumulate the transformations
+        V[n - 1][i], V[i][i], h = V[i][i], 1.0, d[i + 1]
+        if h != 0.0:
+            d[: i + 1] = [V[k][i + 1] / h for k in range(i + 1)]
+            for j in range(i + 1):
+                g = math.fsum([V[k][i + 1] * V[k][j] for k in range(i + 1)])
+                for k in range(i + 1):
+                    V[k][j] -= g * d[k]
+        for k in range(i + 1):
+            V[k][i + 1] = 0.0
+    d, V[n - 1] = V[n - 1][:], [0.0] * (n - 1) + [1.0]
+    Z = [list(column) for column in zip(*V)]  # Z[i] is the i-th eigenvector
+    e, f, tst1 = e[1:] + [0.0], 0.0, 0.0  # implicit QL on the tridiagonal (d, e)
+    for l in range(n):
+        tst1 = max(tst1, abs(d[l]) + abs(e[l]))
+        m = l
+        while abs(e[m]) > EPS * tst1:  # e[n - 1] is 0, so m stops at n - 1
+            m += 1
+        for _ in range(30 * n):
+            if abs(e[l]) <= EPS * tst1:  # d[l] + f is an eigenvalue
+                break
+            g, p = d[l], (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = -math.sqrt(p * p + 1.0) if p < 0.0 else math.sqrt(p * p + 1.0)
+            d[l], d[l + 1] = e[l] / (p + r), e[l] * (p + r)
+            dl1, h = d[l + 1], g - d[l]
+            d[l + 2 :] = [x - h for x in d[l + 2 :]]
+            f += h
+            p, c, c2, c3, el1, s, s2 = d[m], 1.0, 1.0, 1.0, e[l + 1], 0.0, 0.0
+            for i in range(m - 1, l - 1, -1):  # chase the bulge up, rotating Z alike
+                c3, c2, s2 = c2, c, s
+                g, h, r = c * e[i], c * p, math.sqrt(p * p + e[i] * e[i])
+                e[i + 1], s, c = s * r, e[i] / r, p / r
+                p = c * d[i] - s * g
+                d[i + 1] = h + s * (c * g + s * d[i])
+                zi, zj = Z[i], Z[i + 1]
+                Z[i] = [c * a - s * b for a, b in zip(zi, zj)]
+                Z[i + 1] = [s * a + c * b for a, b in zip(zi, zj)]
+            p = -s * s2 * c3 * el1 * e[l] / dl1
+            e[l], d[l] = s * p, c * p
+        if abs(e[l]) > EPS * tst1:
+            raise NumericError("the symmetric eigensolver did not converge")
+        d[l], e[l] = d[l] + f, 0.0
+    order = sorted(range(n), key=d.__getitem__)
+    return [d[i] for i in order], [Z[i] for i in order]
 
-    X = np.asarray(axes, dtype=float)
-    k = X.shape[0]
+
+def pca_2d(gram: Matrix) -> tuple[tuple[tuple[float, float], ...], tuple[float, float], float]:
+    """Project k cluster axes to 2D principal coordinates, from their Gram matrix.
+
+    Returns (coords, (lam1, lam2), explained) where coords holds one (x, y)
+    per axis, lam1 >= lam2 >= 0 are the top population eigenvalues and
+    explained is (lam1 + lam2) / total variance, 1.0 when the variance is
+    zero. Collinear inputs give lam2 = 0 and y identically 0. Sign
+    convention: within each component the coordinate of largest absolute
+    value (first such index) is positive.
+    """
+    k = len(gram)
     if k < 2:
         raise NumericError(f"need at least 2 cluster axes to map, got {k}")
-    Xc = X - X.mean(axis=0)
-    G = (Xc @ Xc.T) / k
-    total = float(np.sum(Xc * Xc)) / k
-    # identical axes leave only centering roundoff (~eps^2 of the data
-    # scale); floor that to an exactly-zero spectrum
-    zero = float(np.sum(X * X)) / k * 1e-24
-    if float(np.max(np.abs(G))) <= zero:
-        return np.zeros((k, 2)), (0.0, 0.0), 1.0 if total <= zero else 0.0
-    vals, vecs = top_eigenpairs(G, 2)
-    # Gram matrices are PSD, so negatives are roundoff; so is a value under a
-    # few k * eps * lam1, which eigh leaves where collinear axes give exactly 0
-    floor = 4.0 * k * np.finfo(float).eps * float(vals[0])
-    coords = np.zeros((k, 2))
-    lams = [0.0 if lam <= floor else float(lam) for lam in vals]
-    for j, lam in enumerate(lams):
-        if lam > 0.0:
-            col = np.sqrt(k * lam) * vecs[:, j]
-            pivot = int(np.argmax(np.abs(col)))
-            coords[:, j] = -col if col[pivot] < 0.0 else col
-    explained = 1.0 if total <= zero else min(1.0, (lams[0] + lams[1]) / total)
-    return coords, (lams[0], lams[1]), explained
+    means = [math.fsum(row) / k for row in gram]
+    grand = math.fsum(means) / k
+    centered = [
+        [math.fsum([g, -mi, -mj, grand]) / k for g, mj in zip(row, means)]
+        for row, mi in zip(gram, means)
+    ]
+    total = math.fsum(centered[i][i] for i in range(k))
+    # rounding moves each centered entry by at most 4 * eps / k times the
+    # largest Gram entry, at most the trace; identical axes leave only that
+    zero = 4.0 * EPS * math.fsum(gram[i][i] for i in range(k)) / k
+    if max(abs(x) for row in centered for x in row) <= zero:
+        return ((0.0, 0.0),) * k, (0.0, 0.0), 1.0
+    vals, vecs = symmetric_eigenpairs(centered)
+    # the centered Gram is PSD, so negatives are roundoff; so is a value
+    # under a few k * eps * lam1, or under the entries' roundoff
+    floor = max(4.0 * k * EPS * vals[-1], k * zero)
+    lams, columns = [], []
+    for j in (k - 1, k - 2):
+        lam = vals[j] if vals[j] > floor else 0.0
+        col = [math.sqrt(k * lam) * u for u in vecs[j]] if lam else [0.0] * k
+        lams.append(lam)
+        columns.append([-x for x in col] if max(col, key=abs) < 0.0 else col)
+    explained = min(1.0, (lams[0] + lams[1]) / total) if total > zero else 1.0
+    return tuple(zip(*columns)), (lams[0], lams[1]), explained
 
 
-def build_edges(axes: np.ndarray, tau: float) -> list[tuple[int, int, float]]:
-    """Pairs (i, j, cosine) with i < j and cosine >= tau, in (i, j) order."""
-    import numpy as np
-
-    from .vectorize import axis_cosines
-
-    sims = axis_cosines(axes, axes)
-    rows, cols = np.triu_indices(sims.shape[0], 1)  # i < j, in (i, j) order
-    upper = sims[rows, cols]
-    keep = upper >= tau
-    return list(zip(rows[keep].tolist(), cols[keep].tolist(), upper[keep].tolist()))
+def build_edges(gram: Matrix, tau: float) -> list[tuple[int, int, float]]:
+    """Pairs (i, j, cosine) of the axes whose Gram matrix is `gram`, with
+    i < j and cosine >= tau, in (i, j) order."""
+    pairs = [(i, j) for i in range(len(gram)) for j in range(i + 1, len(gram))]
+    sims = [cosine(gram[i][j], gram[i][i], gram[j][j]) for i, j in pairs]
+    return [(i, j, sim) for (i, j), sim in zip(pairs, sims) if sim >= tau]
 
 
 def connected_components(k: int, edges) -> list[tuple[int, ...]]:
@@ -142,19 +237,19 @@ def connected_components(k: int, edges) -> list[tuple[int, ...]]:
     return comps
 
 
-def build_cluster_map(period_id: str, axes: np.ndarray, tau: float, labels, sizes) -> ClusterMap:
-    """The map of k cluster axes, with their labels and sizes in axis order."""
-    coords, vals, explained = pca_2d(axes)
-    edges = build_edges(axes, tau)
-    comps = connected_components(axes.shape[0], edges)
+def build_cluster_map(period_id: str, axes: list[Axis], tau: float, labels, sizes) -> ClusterMap:
+    """The map of k sparse cluster axes, with their labels and sizes in axis order."""
+    gram = gram_matrix(axes)
+    coords, vals, explained = pca_2d(gram)
+    edges = build_edges(gram, tau)
     return ClusterMap(
         period_id=period_id,
         tau=tau,
-        coords=tuple((float(x), float(y)) for x, y in coords),
+        coords=coords,
         eigenvalues=vals,
         explained_variance=explained,
         edges=tuple(edges),
-        components=tuple(comps),
+        components=tuple(connected_components(len(axes), edges)),
         labels=tuple(labels),
         sizes=tuple(sizes),
     )

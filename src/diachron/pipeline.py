@@ -14,8 +14,8 @@ stage-labeled derived seeds, and row order is fixed once, when
 Config values are checked once, as the config file is decoded (types and
 choices) and a RunConfig built (ranges); the stages and the library
 routines under them take them as given. Each stage imports the
-modules of its own work, so report, which renders the map JSON and writes
-the manifest, loads neither numpy nor scipy, and only the cluster stage,
+modules of its own work, so map, link and report load neither numpy nor
+scipy (their arithmetic is in Python floats), and only the cluster stage,
 which builds the sparse document-term matrices, loads scipy.
 
 The terms stage runs before clustering when dispersion cells come from
@@ -79,6 +79,17 @@ class ClusterSection:
             raise ConfigError(f"tol must be >= 0, got {self.tol}")
 
 
+@dataclass(frozen=True)
+class ClusterConfig:
+    """One period's fit settings, in the key order of its cluster file's echo."""
+
+    k: int
+    max_iters: int = 100
+    tol: float = 1e-9
+    restarts: int = 10
+    seed: int = 0
+
+
 @dataclass(frozen=True, kw_only=True)
 class RunConfig:
     """A config file, declared in its own shape and key order (the manifest's)."""
@@ -113,9 +124,7 @@ class RunConfig:
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
-    def cluster_config(self, period_id: str):
-        from .cluster import ClusterConfig  # here, so that report never loads numpy
-
+    def cluster_config(self, period_id: str) -> ClusterConfig:
         section = self.cluster
         return ClusterConfig(
             k={"P1": section.k_p1, "P2": section.k_p2}[period_id] or section.k,
@@ -142,6 +151,7 @@ def config_from_dict(data: dict, base_dir: str = ".") -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     data = read_json_object(path, "config")
+    data.pop("dump_matrices", None)  # a retired key, still accepted
     return config_from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
 
 

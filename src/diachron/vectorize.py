@@ -8,7 +8,6 @@ from the matrix but stay in the slice, so idf keeps seeing the full corpus.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from itertools import chain
@@ -76,17 +75,3 @@ def build_matrix(
         doc_ids=tuple(i for i, k in zip(ids, kept) if k),
     )
 
-
-def axis_cosines(A, B) -> np.ndarray:
-    """Cosine of each row of A with each row of B, at most 1.0; 0.0 for a zero row."""
-    A = np.ascontiguousarray(A, dtype=float)
-    B = np.ascontiguousarray(B, dtype=float)
-    # not A @ B.T: OpenBLAS threads this small product, then spins ~0.1 s CPU
-    gram = np.einsum("ik,jk->ij", A, B)
-    denom = np.outer(np.linalg.norm(A, axis=1), np.linalg.norm(B, axis=1))
-    sims = np.minimum(np.divide(gram, denom, out=np.zeros_like(gram), where=denom > 0.0), 1.0)
-    # the product can fall an ulp short of 1 on equal rows; set those exactly
-    seen: dict[bytes, int] = {}
-    row_id = np.array([seen.setdefault(hashlib.sha256(r).digest(), len(seen)) for r in (*A, *B)])
-    sims[(row_id[: len(A), None] == row_id[None, len(A) :]) & (denom > 0.0)] = 1.0
-    return sims

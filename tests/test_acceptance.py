@@ -14,6 +14,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -22,7 +24,7 @@ import scipy.sparse as sp
 
 from diachron import artifacts, syngen
 from diachron.cli import main as cli_main
-from diachron.cluster import ClusterConfig, fit_axial_kmeans, summarize_clusters
+from diachron.cluster import fit_axial_kmeans, summarize_clusters
 from diachron.corpus import (
     CorpusSlice,
     PeriodSpec,
@@ -37,9 +39,12 @@ from diachron.diffusion import (
     _gini_rows,
     classify_terms,
 )
-from diachron.mapping import build_cluster_map, pca_2d, top_eigenpairs
+from diachron.mapping import build_cluster_map, gram_matrix, pca_2d, symmetric_eigenpairs
+from diachron.pipeline import ClusterConfig
 from diachron.seeding import derive_seed
 from diachron.vectorize import DocTermMatrix, build_matrix
+
+from oracles import jacobi_eigenvalues, sparse_rows
 
 PERIODS = PeriodSpec((1996, 1998), (2001, 2003))
 
@@ -77,32 +82,6 @@ def gini_pairwise(shares):
     total = math.fsum(shares)
     diff = math.fsum(abs(a - b) for a, b in itertools.combinations(shares, 2))
     return diff / (m * total)
-
-
-def jacobi_eigenvalues(S, sweeps=100, off_tol=1e-13):
-    """Cyclic Jacobi rotation oracle: full spectrum of a symmetric matrix."""
-    A = np.array(S, dtype=float)
-    n = A.shape[0]
-    for _ in range(sweeps):
-        off = math.sqrt(sum(A[i, j] ** 2 for i in range(n) for j in range(n) if i != j))
-        if off < off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(A[p, q]) < 1e-300:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * A[p, q])
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                J = np.eye(n)
-                J[p, p] = J[q, q] = c
-                J[p, q] = s
-                J[q, p] = -s
-                A = J.T @ A @ J
-    return sorted(np.diag(A), reverse=True)
 
 
 def lambda_max(rows):
@@ -180,10 +159,10 @@ PINNED_SHA256 = {
         "crosstab.csv": "111eb28761c8be74a858d89be675efbdba3f135dc2f9695f69e429cc5451f38f",
         "linkage.json": "e2023af23412fb0fe0dfa2f1655a8c969e80fbea0d1d116fe3dc5b03138fc542",
         "load_report.json": "a8ea5f5c4f82e3d1019f9e5501ae0460c279926c2bf9e4ee8ed412a507ea6df8",
-        "map_P1.json": "49c93a3ba6f53601134e0d32cf779a0a5f677a15ef74ce0790fd4179a88820e2",
-        "map_P1.svg": "12cc47bc0a815c4832f7d0cca88e3bddbd407df4190b631e2d0cd7a2d7397817",
-        "map_P2.json": "6bb4f1248edeac946714f1a64ec49cf767fc81cd6086aa721cbf699dfacdb7a3",
-        "map_P2.svg": "fb18ccac691784a5f9eb381794737b36f7757978981131f4771997af8fc10140",
+        "map_P1.json": "3677ec68d7c27b74025f3f1780abc477e374fcb6b021aca7ddcdc2d44b2a48a3",
+        "map_P1.svg": "cba3bb393f7c50f07ad7c5ee7ae29e9a27bff82b5d7a1fba0780dd1f733a042a",
+        "map_P2.json": "188b0b9761e25a29f239a642f1958ee8247309e31260f36668ceb15d5ee4df60",
+        "map_P2.svg": "508b5fbbf5b66f60db0c3881976a2823dceb04d83b21ffc1f26eebf453c8a97e",
         "terms.csv": "b29e9917e2e9544cf8b8d9d54e91bc8b302310d79e97fa84422d59fc630e7c4f",
     },
     ("large-scale", 10): {
@@ -193,9 +172,9 @@ PINNED_SHA256 = {
         "crosstab.csv": "378af4da1d1eaaf38e778e6ebf8a17259cbe471a4b9c8e519b5e6f77ff1d97f9",
         "linkage.json": "5b07068e4de16bd4acc8f4047f4091c77a597f7330aa9b737dd9c00eb55cef9e",
         "load_report.json": "a9801e03c29012c77ae340e1f2894f24ec65379d9ac4803b907773f68f39f3b1",
-        "map_P1.json": "e3111e2265c6f57c74c7a6f392d12834826adecccbc215dd73c7cebfce1a79d5",
+        "map_P1.json": "c0fdf2369fdb17091bb5954ec442741e6fd7e3ce14da5f9934396953d08ef111",
         "map_P1.svg": "9eb94d718f4fbce5600cabbe59c24546e1f003d0a98da113b0f2f2cf2d364d83",
-        "map_P2.json": "ef866b9e61831983716cc347bce92a9fd017a008a9441be3274eb04ad6325a67",
+        "map_P2.json": "c37288d0d0f21101cbf53d1447ea6d6c279d0bd4c8630c30bb12e9271b19df5e",
         "map_P2.svg": "19a5f6fcbf812ab1f04fffbf3d2e297ea7d251aeee35cf347d27d23fefe19c0e",
         "terms.csv": "2464ff1da5b871c2cbdec1543072adac1dbcadfb4026c24af19b5bcf32fab7d2",
     },
@@ -323,10 +302,12 @@ def test_06_eigensolver_matches_jacobi_and_collinear_example():
     for _ in range(100):
         A = rng.standard_normal((5, 5))
         S = (A + A.T) / 2.0
-        values, _ = top_eigenpairs(S, 5)
+        values, _ = symmetric_eigenpairs(S.tolist())
         assert np.allclose(sorted(values, reverse=True), jacobi_eigenvalues(S), atol=1e-8)
 
-    coords, eigenvalues, _ = pca_2d(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
+    gram = gram_matrix(sparse_rows([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
+    coords, eigenvalues, _ = pca_2d(gram)
+    coords = np.array(coords)
     assert abs(eigenvalues[0] - 4.0 / 3.0) <= 1e-10
     assert abs(eigenvalues[1]) <= 1e-10
     expected_x = np.array([-math.sqrt(2.0), 0.0, math.sqrt(2.0)])
@@ -369,7 +350,7 @@ def test_08_fresh_block_is_the_single_new_cluster():
     assert len(novel_clusters) == 1, "fresh block split across clusters"
 
     for rho in (0.2, 0.3, 0.5):
-        linkage = link_periods(model_p1.axes, model_p2.axes, rho)
+        linkage = link_periods(sparse_rows(model_p1.axes), sparse_rows(model_p2.axes), rho)
         new_links = [l for l in linkage.links if l.status == STATUS_NEW]
         rooted_links = [l for l in linkage.links if l.status == STATUS_ROOTED]
         assert len(new_links) == 1, f"rho={rho}: {len(new_links)} new clusters"
@@ -390,7 +371,8 @@ def test_09_two_supergroups_form_two_components():
     for slice_ in (p1, p2):
         _, model = fit_period(slice_, vocabulary, k=12, seed=9)
         labels = [str(c) for c in range(model.k)]
-        cluster_map = build_cluster_map(slice_.period_id, model.axes, 0.2, labels, model.sizes)
+        axes = sparse_rows(model.axes)
+        cluster_map = build_cluster_map(slice_.period_id, axes, 0.2, labels, model.sizes)
         non_singleton = [c for c in cluster_map.components if len(c) > 1]
         assert len(non_singleton) == 2, (
             f"{slice_.period_id}: {len(non_singleton)} non-singleton components"
@@ -426,3 +408,47 @@ def test_small_run_bytes_are_pinned(tmp_path):
     config_path = write_run_config(tmp_path / "config.json", corpus_dir / "corpus.jsonl", 3, 3)
     assert cli_main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
     assert_pinned_bytes(tmp_path / "out", "three-blocks", 3)
+
+
+def test_run_bytes_do_not_depend_on_blas_kernel_or_simd_targets(tmp_path):
+    """`run` in a fresh process gives the same bytes whichever OpenBLAS kernel
+    and numpy SIMD loops it gets. A BLAS without runtime kernel choice ignores
+    OPENBLAS_CORETYPE, and the SIMD targets are the ones this numpy build
+    dispatches (naming any other makes numpy refuse to start), so each case
+    runs everywhere."""
+    from numpy._core import _multiarray_umath
+
+    corpus_dir = tmp_path / "corpus"
+    argv = ["syngen", "--preset", "three-blocks", "--out", str(corpus_dir), "--seed", "3"]
+    assert cli_main(argv) == 0
+    config_path = write_run_config(tmp_path / "config.json", corpus_dir / "corpus.jsonl", 3, 3)
+    src = os.path.dirname(os.path.dirname(artifacts.__file__))
+    base = {
+        name: value
+        for name, value in os.environ.items()
+        if name not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+    }
+    base["PYTHONPATH"] = src
+    cases = {
+        "default": {},
+        "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+        "prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+        "no-simd-dispatch": {"NPY_DISABLE_CPU_FEATURES": " ".join(_multiarray_umath.__cpu_dispatch__)},
+    }
+    hashes = {}
+    for name, env in cases.items():
+        out = tmp_path / name
+        proc = subprocess.run(
+            [
+                sys.executable, "-c", "import sys; from diachron.cli import main; sys.exit(main(sys.argv[1:]))",
+                "run", "--config", str(config_path), "--out", str(out),
+            ],
+            capture_output=True,
+            text=True,
+            env={**base, **env},
+        )
+        assert proc.returncode == 0, (name, proc.stderr)
+        hashes[name] = dir_hashes(out)
+        del hashes[name][artifacts.MANIFEST]
+    for name in cases:
+        assert hashes[name] == hashes["default"], f"{name}: artifact bytes moved"

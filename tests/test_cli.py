@@ -725,7 +725,7 @@ class TestStageSequencing:
         "fault",
         [
             "size", "size-overflow", "member-in-two-clusters", "weight-nan", "weight-overflow",
-            "objective-infinite",
+            "objective-infinite", "term-outside-vocabulary", "weight-above-one",
         ],
     )
     def test_cluster_file_with_foreign_members_exits_3_and_names_it(
@@ -746,6 +746,10 @@ class TestStageSequencing:
             first["axis"][next(iter(first["axis"]))] = float("nan")
         elif fault == "weight-overflow":  # json.dumps cannot write it, so it goes in as text
             first["axis"][next(iter(first["axis"]))] = "1e999"
+        elif fault == "term-outside-vocabulary":  # no term of terms.csv holds a space
+            first["axis"]["not in terms.csv"] = 0.5
+        elif fault == "weight-above-one":  # an axis is a unit vector; 1e200 squared overflows
+            first["axis"][next(iter(first["axis"]))] = 1e200
         else:
             data["objective_trace"][-1] = float("-inf")
         text = json.dumps(data).replace('"1e999"', "1e999")
@@ -1316,6 +1320,22 @@ class TestStrictDecoding:
         commented = _put(commented, ("thresholds", "_comment_2"), ["quantiles"])
         assert pipeline.config_from_dict(commented) == pipeline.config_from_dict(FULL_CONFIG)
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"thresholds": {"gini_low": 0.2}}, "thresholds.gini_low"),
+            ({"cluster": {"k": 3, "restart": 4}}, "cluster.restart"),
+            ({"sed": 7}, "sed"),
+        ],
+        ids=["nested", "nested-beside-a-known-key", "top-level"],
+    )
+    def test_unknown_key_exits_2_naming_its_path(self, corpus_dir, tmp_path, capsys, overrides, key):
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl", **overrides)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert f"config error: unknown key {key}\n" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPackageImport:
     def test_import_diachron_leaves_scipy_sparse_unloaded(self):
@@ -1363,18 +1383,19 @@ class TestPackageImport:
             "sys.exit(rc)\n"
         )
         # terms counts term x cell pairs in numpy (reading the cluster files when
-        # they are its cells), map and link do array math, but none of them builds
-        # a sparse matrix, so they load no scipy; report takes the numpy and scipy
-        # versions from the installed distributions' metadata and loads no module
-        # of the fit, the linkage or the vectorizer
+        # they are its cells) but builds no sparse matrix, so it loads no scipy;
+        # map and link do their arithmetic on the sparse axes in Python floats,
+        # and report takes the numpy and scipy versions from the installed
+        # distributions' metadata, so none of the three loads numpy, scipy or a
+        # module of the fit or the vectorizer
         for gini_cells, stages in (
             ("categories", (
                 ("terms", ["diachron.vectorize", "numpy"]),
-                ("map", ["diachron.cluster", "diachron.vectorize", "numpy"]),
-                ("link", ["diachron.cluster", "diachron.diachrony", "diachron.vectorize", "numpy"]),
+                ("map", []),
+                ("link", ["diachron.diachrony"]),
                 ("report", []),
             )),
-            ("clusters", (("terms", ["diachron.cluster", "diachron.vectorize", "numpy"]),)),
+            ("clusters", (("terms", ["diachron.vectorize", "numpy"]),)),
         ):
             directory = tmp_path / gini_cells
             directory.mkdir()

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from diachron import cluster, pipeline, syngen
 from diachron.cluster import (
-    ClusterConfig,
     ClusterModel,
     _exact_sum,
     _init_axes,
@@ -26,6 +25,7 @@ from diachron.cluster import (
 )
 from diachron.corpus import CorpusSlice, Record, Vocabulary, build_vocabulary, save_corpus
 from diachron.errors import NumericError
+from diachron.pipeline import ClusterConfig
 from diachron.seeding import derive_seed
 from diachron.vectorize import DocTermMatrix, build_matrix
 
@@ -558,12 +558,18 @@ class TestRestartWinner:
     @pytest.mark.parametrize("where", ["helper", "caller"])
     def test_an_error_in_a_restart_is_raised_once_every_thread_stops(self, monkeypatch, where):
         fit_single, failed, lock = cluster._fit_single, [], threading.Lock()
+        fired = threading.Event()
 
         def failing_once(M, config, seed, shared):
             in_caller = threading.current_thread() is threading.main_thread()
+            if in_caller != (where == "caller"):
+                # the other threads hold their restarts until one fails in
+                # `where`, so they cannot take every restart before it runs one
+                fired.wait(timeout=60)
             with lock:  # the first restart that runs in `where` fails
                 if not failed and in_caller == (where == "caller"):
                     failed.append(seed)
+                    fired.set()
                     raise FloatingPointError(f"restart seed {seed}")
             return fit_single(M, config, seed, shared)
 

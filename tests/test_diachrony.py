@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from diachron.cluster import ClusterSummary
+from diachron.artifacts import ClusterSummary
 from diachron.diachrony import (
     STATUS_NEW,
     STATUS_ROOTED,
@@ -14,6 +14,8 @@ from diachron.diachrony import (
 )
 from diachron.diffusion import CATEGORIES, TermStats
 from diachron.errors import InputError
+
+from oracles import sparse_rows
 
 
 def _stats(term, category):
@@ -36,10 +38,15 @@ def _summary(cluster_id, terms, size=1):
     )
 
 
+def _link(p1, p2, rho):
+    """link_periods over the dense rows p1 and p2, passed as sparse axes."""
+    return link_periods(sparse_rows(p1), sparse_rows(p2), rho)
+
+
 class TestLinkPeriods:
     def test_identity_linkage_roots_every_cluster_onto_its_twin(self):
         axes = np.eye(3)
-        linkage = link_periods(axes, axes, rho=0.3)
+        linkage = _link(axes, axes, rho=0.3)
         assert [link.status for link in linkage.links] == [STATUS_ROOTED] * 3
         for c, link in enumerate(linkage.links):
             assert link.best_parent == (c, 1.0)
@@ -47,7 +54,7 @@ class TestLinkPeriods:
     def test_disjoint_support_is_new(self):
         p1 = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
         p2 = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
-        linkage = link_periods(p1, p2, rho=0.3)
+        linkage = _link(p1, p2, rho=0.3)
         assert [link.status for link in linkage.links] == [STATUS_NEW, STATUS_NEW]
         assert all(link.best_parent is None for link in linkage.links)
         assert all(link.parents == () for link in linkage.links)
@@ -56,7 +63,7 @@ class TestLinkPeriods:
         s = 1.0 / math.sqrt(2.0)
         p1 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [s, s, 0.0]])
         p2 = np.array([[s, s, 0.0]])
-        linkage = link_periods(p1, p2, rho=0.5)
+        linkage = _link(p1, p2, rho=0.5)
         (link,) = linkage.links
         assert link.status == STATUS_ROOTED
         # parent 2 is identical (sim 1.0); parents 0 and 1 tie at 0.7071
@@ -71,7 +78,7 @@ class TestLinkPeriods:
         s = 1.0 / math.sqrt(2.0)
         p1 = np.array([[1.0, 0.0], [0.0, 1.0]])
         p2 = np.array([[1.0, 0.0], [s, s]])
-        linkage = link_periods(p1, p2, rho=1.0)
+        linkage = _link(p1, p2, rho=1.0)
         assert linkage.links[0].status == STATUS_ROOTED
         assert linkage.links[0].parents == ((0, 1.0),)
         assert linkage.links[1].status == STATUS_NEW
@@ -81,13 +88,13 @@ class TestLinkPeriods:
         overlap = np.array([[0.999, 0.0447, 0.0]])
         overlap /= np.linalg.norm(overlap)
         p2 = np.vstack([overlap, [[0.0, 0.0, 1.0]]])
-        linkage = link_periods(p1, p2, rho=1e-9)
+        linkage = _link(p1, p2, rho=1e-9)
         assert linkage.links[0].status == STATUS_ROOTED
         assert linkage.links[1].status == STATUS_NEW  # exactly zero overlap
 
     def test_similarities_capped_at_one(self):
         axes = np.array([[0.6, 0.8], [0.6, 0.8]])
-        linkage = link_periods(axes, axes, rho=0.2)
+        linkage = _link(axes, axes, rho=0.2)
         for link in linkage.links:
             for _, sim in link.parents:
                 assert sim <= 1.0
@@ -96,9 +103,9 @@ class TestLinkPeriods:
         rng = np.random.default_rng(21)
         a1 = rng.random((4, 5))
         a2 = rng.random((3, 5))
-        base = link_periods(a1, a2, rho=0.3)
+        base = _link(a1, a2, rho=0.3)
         perm = [2, 0, 3, 1]  # new position of old cluster i is perm.index(i)
-        permuted = link_periods(a1[perm], a2, rho=0.3)
+        permuted = _link(a1[perm], a2, rho=0.3)
         for before, after in zip(base.links, permuted.links):
             assert before.status == after.status
             mapped = sorted(

@@ -9,36 +9,34 @@ from diachron.mapping import (
     build_cluster_map,
     build_edges,
     connected_components,
+    cosine,
+    dot,
+    gram_matrix,
     pca_2d,
     render_svg,
-    top_eigenpairs,
+    symmetric_eigenpairs,
 )
 
+from oracles import jacobi_eigenvalues, sparse_rows
 
-def jacobi_eigenvalues(S, sweeps=100, off_tol=1e-13):
-    """Cyclic Jacobi rotation oracle: full spectrum of a symmetric matrix."""
-    A = np.array(S, dtype=float)
-    n = A.shape[0]
-    for _ in range(sweeps):
-        off = math.sqrt(sum(A[i, j] ** 2 for i in range(n) for j in range(n) if i != j))
-        if off < off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(A[p, q]) < 1e-300:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * A[p, q])
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                J = np.eye(n)
-                J[p, p] = J[q, q] = c
-                J[p, q] = s
-                J[q, p] = -s
-                A = J.T @ A @ J
-    return sorted(np.diag(A), reverse=True)
+
+def _pca(dense):
+    """pca_2d of the dense rows, passed as sparse axes, with k x 2 coords."""
+    coords, vals, explained = pca_2d(gram_matrix(sparse_rows(dense)))
+    return np.array(coords).reshape(-1, 2), vals, explained
+
+
+def _edges(dense, tau):
+    """build_edges of the dense rows, passed as sparse axes."""
+    return build_edges(gram_matrix(sparse_rows(dense)), tau)
+
+
+def _cosines(a, b):
+    """The cosine helper over every pair of dense rows of a and b."""
+    rows_a, rows_b = sparse_rows(a), sparse_rows(b)
+    return np.array(
+        [[cosine(dot(u, v), dot(u, u), dot(v, v)) for v in rows_b] for u in rows_a]
+    ).reshape(len(rows_a), len(rows_b))
 
 
 def _random_symmetric(rng, n=5):
@@ -56,59 +54,132 @@ class TestJacobiOracleSelfCheck:
             assert np.allclose(mine, ref, atol=1e-10)
 
 
-class TestTopEigenpairs:
-    def test_matches_jacobi_oracle_on_random_matrices(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            S = _random_symmetric(rng)
-            vals, vecs = top_eigenpairs(S, 5)
-            assert np.allclose(sorted(vals, reverse=True), jacobi_eigenvalues(S), atol=1e-8)
-            # the residual bound leaves room for an iterative solver's
-            # angle error; eigenvalues carry a much smaller error
-            scale = float(np.max(np.abs(S)))
-            for j in range(5):
-                resid = np.linalg.norm(S @ vecs[:, j] - vals[j] * vecs[:, j])
-                assert resid <= 1e-5 * max(scale, 1.0)
-            gram = vecs.T @ vecs
-            assert np.allclose(gram, np.eye(5), atol=1e-10)
+def _eigen(S):
+    """symmetric_eigenpairs of S as arrays: eigenvalues, eigenvectors as columns."""
+    vals, vecs = symmetric_eigenpairs(np.asarray(S, dtype=float).tolist())
+    return np.array(vals), np.array(vecs).T
 
-    def test_ordered_by_magnitude(self):
-        rng = np.random.default_rng(4)
+
+def _assert_eigenpairs(S, vals, vecs, lam):
+    """vals match the spectrum lam; each pair's residual and the vectors'
+    orthonormality are at the scale of rounding."""
+    n = len(S)
+    scale = max(float(np.max(np.abs(S))), 1e-300)
+    assert np.all(np.diff(vals) >= 0.0)  # ascending
+    assert np.max(np.abs(vals - np.sort(lam))) <= 1e-12 * scale
+    assert np.max(np.abs(S @ vecs - vecs * vals)) <= 1e-12 * scale
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(n))) <= 1e-12
+
+
+class TestSymmetricEigenpairs:
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 13, 20])
+    def test_matches_jacobi_and_lapack_on_random_matrices(self, n):
+        rng = np.random.default_rng(300 + n)
         for _ in range(20):
-            S = _random_symmetric(rng)
-            vals, _ = top_eigenpairs(S, 5)
-            mags = np.abs(vals)
-            assert all(a >= b - 1e-9 for a, b in zip(mags, mags[1:]))
+            S = _random_symmetric(rng, n)
+            vals, vecs = _eigen(S)
+            _assert_eigenpairs(S, vals, vecs, np.linalg.eigvalsh(S))
+            scale = float(np.max(np.abs(S)))
+            assert np.max(np.abs(vals[::-1] - jacobi_eigenvalues(S))) <= 1e-10 * scale
+
+    def test_bit_identical_on_repeated_calls(self):
+        S = _random_symmetric(np.random.default_rng(4), 12)
+        assert _eigen(S)[0].tobytes() == _eigen(S)[0].tobytes()
+        assert _eigen(S)[1].tobytes() == _eigen(S)[1].tobytes()
 
     def test_diagonal_matrix_exact(self):
         S = np.diag([5.0, -3.0, 1.0])
-        vals, vecs = top_eigenpairs(S, 3)
-        assert np.allclose(sorted(vals, reverse=True), [5.0, 1.0, -3.0], atol=1e-10)
-        for j, lam in enumerate(vals):
-            assert np.allclose(S @ vecs[:, j], lam * vecs[:, j], atol=1e-5)
+        vals, vecs = _eigen(S)
+        assert vals.tolist() == [-3.0, 1.0, 5.0]
+        _assert_eigenpairs(S, vals, vecs, [5.0, -3.0, 1.0])
+
+    @pytest.mark.parametrize("n", [3, 6, 20])
+    def test_repeated_top_eigenvalue(self, n):
+        # lam1 = lam2: any orthonormal basis of their plane is a valid answer
+        rng = np.random.default_rng(50 + n)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = np.concatenate([[2.0, 2.0], rng.uniform(-1.0, 1.0, n - 2)])
+        S = (Q * lam) @ Q.T
+        S = (S + S.T) / 2.0
+        vals, vecs = _eigen(S)
+        _assert_eigenpairs(S, vals, vecs, lam)
 
     def test_near_tied_opposite_sign_pair(self):
-        # eigenvalues {1.0, -0.999999}: plain power iteration cannot separate
-        # these; the solver must
+        # eigenvalues {1.0, -0.999999}: plain power iteration cannot separate these
         rng = np.random.default_rng(5)
         Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         lam = np.array([1.0, -0.999999, 0.3, -0.1])
         S = Q @ np.diag(lam) @ Q.T
-        vals, vecs = top_eigenpairs(S, 4)
-        assert np.allclose(sorted(vals, reverse=True), sorted(lam, reverse=True), atol=1e-8)
-        gram = vecs.T @ vecs
-        assert np.allclose(gram, np.eye(4), atol=1e-10)
+        vals, vecs = _eigen((S + S.T) / 2.0)
+        _assert_eigenpairs(S, vals, vecs, lam)
+
+    def test_rank_one_matrix(self):
+        u = np.random.default_rng(6).standard_normal(7)
+        S = np.outer(u, u)
+        vals, vecs = _eigen(S)
+        _assert_eigenpairs(S, vals, vecs, [float(u @ u)] + [0.0] * 6)
+        top = vecs[:, -1]
+        assert abs(float(top @ u)) == pytest.approx(float(np.linalg.norm(u)), rel=1e-12)
 
     def test_zero_matrix_gives_zero_eigenvalues(self):
-        vals, vecs = top_eigenpairs(np.zeros((3, 3)), 2)
-        assert tuple(vals) == (0.0, 0.0)
-        assert np.allclose(vecs.T @ vecs, np.eye(2), atol=1e-12)
+        vals, vecs = _eigen(np.zeros((3, 3)))
+        assert vals.tolist() == [0.0, 0.0, 0.0]
+        assert np.array_equal(vecs.T @ vecs, np.eye(3))
+
+
+class TestCosine:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_pairwise_cosine(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.random((int(rng.integers(1, 8)), 6)) * (rng.random((1, 6)) < 0.7)
+        b = rng.random((int(rng.integers(2, 8)), 6))
+        b[0] = 0.0  # an all-zero row
+        a[-1] = b[-1]  # a row shared by both sides
+        sims = _cosines(a, b)
+        for i in range(a.shape[0]):
+            for j in range(b.shape[0]):
+                u, v = a[i], b[j]
+                denom = float(np.linalg.norm(u) * np.linalg.norm(v))
+                want = min(1.0, float(u @ v) / denom) if denom > 0.0 else 0.0
+                assert sims[i, j] == pytest.approx(want, abs=1e-15)
+        assert np.all(sims[:, 0] == 0.0)
+        assert sims[-1, -1] == 1.0
+
+    def test_equal_rows_are_exactly_one(self):
+        rng = np.random.default_rng(9)
+        # scales whose squared norms neither overflow nor underflow
+        rows = rng.random((200, 7)) * 10.0 ** rng.uniform(-60, 60, (200, 1))
+        rows *= rng.random((200, 7)) < 0.6
+        rows[:, 0] += 1e-3 * np.abs(rows[:, 1])  # no zero row
+        for row in sparse_rows(rows):
+            twin = dict(reversed(row.items()))  # the same row, its terms in another order
+            assert cosine(dot(row, twin), dot(row, row), dot(twin, twin)) == 1.0
+
+    def test_no_cosine_exceeds_one(self):
+        rng = np.random.default_rng(10)
+        base = rng.random((50, 30))
+        near = base * (1.0 + 1e-15 * rng.standard_normal((50, 30)))  # all but parallel
+        assert np.all(_cosines(base, near) <= 1.0)
+
+    def test_zero_row_gives_zero(self):
+        assert cosine(0.0, 0.0, 1.0) == 0.0
+        assert cosine(0.0, 0.0, 0.0) == 0.0
+
+    def test_dot_is_symmetric_and_exact(self):
+        rng = np.random.default_rng(11)
+        u, v = sparse_rows(rng.random((2, 40)) * (rng.random((2, 40)) < 0.5))
+        assert dot(u, v) == dot(v, u) == math.fsum(w * v[t] for t, w in u.items() if t in v)
+
+    def test_gram_matrix_is_symmetric_with_self_dots_on_the_diagonal(self):
+        rows = sparse_rows(np.random.default_rng(12).random((5, 9)))
+        gram = gram_matrix(rows)
+        assert all(gram[i][j] == gram[j][i] == dot(rows[i], rows[j]) for i in range(5) for j in range(5))
 
 
 class TestPca2d:
     def test_three_collinear_points(self):
         axes = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        coords, (lam1, lam2), _ = pca_2d(axes)
+        coords, (lam1, lam2), _ = _pca(axes)
         assert lam1 == pytest.approx(4.0 / 3.0, abs=1e-10)
         assert lam2 == pytest.approx(0.0, abs=1e-12)
         # first index of maximal |x| is made positive
@@ -123,14 +194,14 @@ class TestPca2d:
         for _ in range(50):
             k, v = int(rng.integers(2, 12)), int(rng.integers(2, 40))
             axes = np.outer(rng.random(k), rng.random(v)) + rng.random(v)
-            coords, (lam1, lam2), _ = pca_2d(axes)
+            coords, (lam1, lam2), _ = _pca(axes)
             assert lam1 > 0.0
             assert lam2 == 0.0
             assert np.all(coords[:, 1] == 0.0)
 
     def test_identical_axes_collapse_to_origin(self):
         axes = np.tile(np.array([0.6, 0.8]), (4, 1))
-        coords, (lam1, lam2), _ = pca_2d(axes)
+        coords, (lam1, lam2), _ = _pca(axes)
         assert np.allclose(coords, 0.0, atol=1e-12)
         assert lam1 == 0.0
         assert lam2 == 0.0
@@ -138,7 +209,7 @@ class TestPca2d:
     def test_coords_are_mean_centered(self):
         rng = np.random.default_rng(6)
         axes = rng.random((6, 4))
-        coords, _, _ = pca_2d(axes)
+        coords, _, _ = _pca(axes)
         assert abs(coords[:, 0].sum()) < 1e-9
         assert abs(coords[:, 1].sum()) < 1e-9
 
@@ -146,7 +217,7 @@ class TestPca2d:
         rng = np.random.default_rng(7)
         for _ in range(10):
             axes = rng.random((5, 3))
-            coords, (lam1, lam2), _ = pca_2d(axes)
+            coords, (lam1, lam2), _ = _pca(axes)
             if lam1 > 1e-9 and lam2 > 1e-9:
                 u = coords[:, 0] / np.linalg.norm(coords[:, 0])
                 v = coords[:, 1] / np.linalg.norm(coords[:, 1])
@@ -156,22 +227,22 @@ class TestPca2d:
         rng = np.random.default_rng(8)
         for _ in range(20):
             axes = rng.random((int(rng.integers(2, 8)), int(rng.integers(2, 6))))
-            _, (lam1, lam2), _ = pca_2d(axes)
+            _, (lam1, lam2), _ = _pca(axes)
             assert lam1 >= lam2 >= 0.0
 
     def test_vocabulary_column_permutation_preserves_eigenvalues(self):
         rng = np.random.default_rng(9)
         axes = rng.random((5, 6))
-        _, before, _ = pca_2d(axes)
+        _, before, _ = _pca(axes)
         perm = rng.permutation(6)
-        _, after, _ = pca_2d(axes[:, perm])
+        _, after, _ = _pca(axes[:, perm])
         assert after[0] == pytest.approx(before[0], abs=1e-10)
         assert after[1] == pytest.approx(before[1], abs=1e-10)
 
     def test_matches_full_eigendecomposition(self):
         rng = np.random.default_rng(10)
         axes = rng.random((6, 5))
-        _, (lam1, lam2), _ = pca_2d(axes)
+        _, (lam1, lam2), _ = _pca(axes)
         Xc = axes - axes.mean(axis=0)
         ref = sorted(np.linalg.eigvalsh((Xc @ Xc.T) / 6.0), reverse=True)
         assert lam1 == pytest.approx(ref[0], abs=1e-9)
@@ -179,23 +250,23 @@ class TestPca2d:
 
     def test_single_axis_rejected(self):
         with pytest.raises(NumericError):
-            pca_2d(np.array([[1.0, 0.0]]))
+            _pca(np.array([[1.0, 0.0]]))
 
 
 class TestBuildEdges:
     def test_threshold_above_max_similarity_gives_no_edges(self):
         axes = np.array([[1.0, 0.0], [0.8, 0.6]])
-        assert build_edges(axes, 0.99) == []
+        assert _edges(axes, 0.99) == []
 
     def test_identical_axes_link_with_similarity_one(self):
         axes = np.array([[0.6, 0.8], [0.6, 0.8]])
-        edges = build_edges(axes, 0.5)
+        edges = _edges(axes, 0.5)
         assert edges == [(0, 1, 1.0)]
 
     def test_bridge_axis_links_to_both_endpoints(self):
         s = 1.0 / math.sqrt(2.0)
         axes = np.array([[1.0, 0.0], [0.0, 1.0], [s, s]])
-        edges = build_edges(axes, 0.5)
+        edges = _edges(axes, 0.5)
         assert [(i, j) for i, j, _ in edges] == [(0, 2), (1, 2)]
         for _, _, sim in edges:
             assert sim == pytest.approx(0.70711, abs=5e-6)
@@ -203,13 +274,13 @@ class TestBuildEdges:
     def test_edges_in_lexicographic_pair_order(self):
         rng = np.random.default_rng(11)
         axes = rng.random((6, 4))
-        pairs = [(i, j) for i, j, _ in build_edges(axes, 0.01)]
+        pairs = [(i, j) for i, j, _ in _edges(axes, 0.01)]
         assert pairs == sorted(pairs)
 
     def test_similarities_clamped_to_unit_interval(self):
         rng = np.random.default_rng(12)
         axes = rng.random((5, 3))
-        for _, _, sim in build_edges(axes, 0.01):
+        for _, _, sim in _edges(axes, 0.01):
             assert 0.01 <= sim <= 1.0
 
 
@@ -253,19 +324,19 @@ class TestExplainedVariance:
     def test_two_term_space_is_fully_explained(self):
         rng = np.random.default_rng(15)
         axes = rng.random((5, 2))
-        _, _, explained = pca_2d(axes)
+        _, _, explained = _pca(axes)
         assert explained == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_variance_defined_as_one(self):
         axes = np.tile(np.array([0.6, 0.8]), (3, 1))
-        _, _, explained = pca_2d(axes)
+        _, _, explained = _pca(axes)
         assert explained == 1.0
 
     def test_in_unit_interval(self):
         rng = np.random.default_rng(16)
         for _ in range(10):
             axes = rng.random((6, 5))
-            _, _, ev = pca_2d(axes)
+            _, _, ev = _pca(axes)
             assert 0.0 <= ev <= 1.0
 
 
@@ -273,7 +344,7 @@ class TestBuildClusterMap:
     def test_invariants_hold(self):
         rng = np.random.default_rng(17)
         axes = rng.random((6, 4))
-        cmap = build_cluster_map("P1", axes, 0.2, list("abcdef"), [1] * 6)
+        cmap = build_cluster_map("P1", sparse_rows(axes), 0.2, list("abcdef"), [1] * 6)
         assert cmap.period_id == "P1"
         xs = [c[0] for c in cmap.coords]
         ys = [c[1] for c in cmap.coords]
@@ -295,7 +366,7 @@ class TestRenderSvg:
     def _map(self, pairs):
         s = 1.0 / math.sqrt(2.0)
         axes = np.array([[1.0, 0.0], [0.0, 1.0], [s, s]])
-        return build_cluster_map("P1", axes, 0.5, *_labels_sizes(pairs))
+        return build_cluster_map("P1", sparse_rows(axes), 0.5, *_labels_sizes(pairs))
 
     def test_deterministic_output(self):
         cmap = self._map([("alpha", 4), ("beta", 9), ("gamma", 1)])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import diachron
 from diachron.corpus import CorpusSlice, Record, build_vocabulary, normalize_term
-from diachron.vectorize import axis_cosines, build_matrix, idf_vector
+from diachron.vectorize import build_matrix, idf_vector
 
 keyword_strategy = (
     st.text(st.characters(min_codepoint=33, max_codepoint=0x2FF), min_size=1, max_size=12)
@@ -220,30 +220,6 @@ class TestCosine:
             for j in range(dtm.matrix.shape[0]):
                 value = cosine(dtm.matrix.getrow(i), dtm.matrix.getrow(j))
                 assert -1e-12 <= value <= 1.0 + 1e-12
-
-
-class TestAxisCosines:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_pairwise_cosine(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.random((int(rng.integers(1, 8)), 6)) * (rng.random((1, 6)) < 0.7)
-        b = rng.random((int(rng.integers(2, 8)), 6))
-        b[0] = 0.0  # an all-zero row
-        a[-1] = b[-1]  # a row shared by both sides
-        sims = axis_cosines(a, b)
-        assert sims.shape == (a.shape[0], b.shape[0])
-        for i in range(a.shape[0]):
-            for j in range(b.shape[0]):
-                assert sims[i, j] == pytest.approx(min(1.0, cosine(a[i], b[j])), abs=1e-15)
-        assert np.all(sims[:, 0] == 0.0)
-        assert sims[-1, -1] == 1.0
-
-    def test_duplicated_rows_are_exactly_one(self):
-        rng = np.random.default_rng(9)
-        rows = rng.random((5, 7))
-        for row in rows:
-            sims = axis_cosines(np.tile(row, (3, 1)), row[None, :])
-            assert np.all(sims == 1.0)
 
 
 @settings(max_examples=50, deadline=None)
