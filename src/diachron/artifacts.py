@@ -5,8 +5,8 @@ shortest-round-trip repr (so full-precision values reload exactly),
 dict key order is fixed by construction, and CSV fields use pinned
 decimal formats. Cluster files carry the full-precision axes plus the
 hashes of the vocabulary and of corpus.jsonl, which is what lets a later
-stage read back the exact axes, summaries and memberships and detect
-stale artifacts after an input change.
+stage read back the exact clusters and detect stale artifacts after an
+input change.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from typing import TYPE_CHECKING
 from .corpus import Vocabulary, atomic_open
 from .diffusion import CATEGORIES
 from .errors import ConfigError, InputError, decode
-from .mapping import Axis, ClusterMap, render_svg
+from .mapping import ClusterMap, render_svg
 
-if TYPE_CHECKING:  # annotations only: these load numpy, which map, link and report never do
-    from .cluster import ClusterModel
+if TYPE_CHECKING:  # annotations only: diachrony imports Cluster from here
     from .diachrony import CrossTab, Linkage
 
 LOAD_REPORT = "load_report.json"
@@ -52,13 +51,28 @@ class LoadReport:
 
 
 @dataclasses.dataclass(frozen=True)
-class ClusterSummary:
-    """A cluster's id, label, top (term, weight) pairs and size, as its cluster file holds them."""
+class Cluster:
+    """A cluster in its file's key order; members in row order, the axis in vocabulary order.
+    decode checks that `members` is a list and `axis` a dict, read_clusters their items."""
 
-    cluster_id: int
+    id: int
     label: str
-    top_terms: tuple[tuple[str, float], ...]
     size: int
+    top_terms: tuple[tuple[str, float], ...]
+    members: list
+    axis: dict
+
+
+@dataclasses.dataclass(frozen=True)
+class ClusterFile:
+    """clusters_P*.json: the fit's settings and input hashes, then its clusters."""
+
+    period_id: str
+    config: dict
+    vocab_sha256: str
+    corpus_sha256: str
+    objective_trace: tuple[float, ...]
+    clusters: tuple[Cluster, ...]
 
 
 def clusters_file(period_id: str) -> str:
@@ -151,45 +165,11 @@ def _check_built_with(path: str, key: str, built, value, fix: str = "re-run upst
         raise _stale(os.path.basename(path), reason, fix)
 
 
-def write_clusters(
-    path: str,
-    model: ClusterModel,
-    summaries: list[ClusterSummary],
-    vocabulary: Vocabulary,
-    config_echo: dict,
-    vocabulary_sha256: str,
-    corpus_sha256: str,
-) -> None:
-    import numpy as np
-
-    axes = model.axes
-    clusters = []
-    for c, summary in enumerate(summaries):
-        rows = np.flatnonzero(np.asarray(model.assignment) == c)
-        members = [model.doc_ids[int(r)] for r in rows]
-        nz = np.flatnonzero(axes[c] != 0.0)
-        axis = {vocabulary.terms[int(t)]: float(axes[c][int(t)]) for t in nz}
-        clusters.append(
-            {
-                "id": c,
-                "label": summary.label,
-                "size": summary.size,
-                "top_terms": [[t, round(w, 6)] for t, w in summary.top_terms],
-                "members": members,
-                "axis": axis,
-            }
-        )
-    write_json(
-        {
-            "period_id": model.period_id,
-            "config": config_echo,
-            "vocab_sha256": vocabulary_sha256,
-            "corpus_sha256": corpus_sha256,
-            "objective_trace": list(model.objective_trace),
-            "clusters": clusters,
-        },
-        path,
-    )
+def write_clusters(path: str, clusters: ClusterFile) -> None:
+    entries = [
+        {**vars(c), "top_terms": [[t, round(w, 6)] for t, w in c.top_terms]} for c in clusters.clusters
+    ]
+    write_json({**vars(clusters), "clusters": entries}, path)
 
 
 def read_clusters(
@@ -197,17 +177,17 @@ def read_clusters(
     get_vocabulary: Callable[[], tuple[Vocabulary, str]],
     corpus_sha256: str,
     config_echo: dict,
-) -> tuple[list[Axis], list[ClusterSummary], dict[str, int]]:
-    """The full-precision sparse axes, the cluster summaries and each member
-    document's cluster id, from a checked cluster file.
+) -> list[Cluster]:
+    """The clusters of a checked cluster file.
 
     The file must record the sha256 of corpus.jsonl, echo every key of the
     running `config_echo` (as JSON holds it), record the sha256 of the
-    vocabulary and hold the echoed k clusters, numbered 0 to k-1 in order,
-    with axis weights in [-1, 1] on vocabulary terms. Each cluster's size must
-    be its member count, and no document may be listed twice.
+    vocabulary, decode as a ClusterFile and hold the echoed k clusters,
+    numbered 0 to k-1 in order, with axis weights in [-1, 1] on vocabulary
+    terms and string members. Each cluster's size must be its member count,
+    and no document may be listed twice.
     `get_vocabulary` returns the vocabulary and its `vocab_sha256`; it is
-    called only once the file has decoded and passed the first two checks, so
+    called only once the file has parsed and passed the first two checks, so
     a truncated or stale cluster file is the file named even when the
     vocabulary's own artifacts are missing. A vocabulary mismatch after those
     checks means the files the vocabulary is read from are the stale ones.
@@ -227,39 +207,29 @@ def read_clusters(
                 f"they do not hold the vocabulary {name} was built over",
                 "re-run the terms stage, or ingest",
             )
+        clusters = list(decode(ClusterFile, data).clusters)
         k = config_echo["k"]
-        axes = []
-        member_cluster: dict[str, int] = {}
-        summaries = []
-        for entry in data["clusters"]:
-            c = int(entry["id"])
-            axis = dict(zip(entry["axis"], map(float, entry["axis"].values())))
-            if not axis.keys() <= vocabulary.index.keys():
-                stray = next(term for term in axis if term not in vocabulary.index)
-                raise ValueError(f"axis term {stray!r} of cluster {c} is not in the vocabulary")
-            # the axes are unit vectors; json reads 1e999 as inf, which fails too
-            if not all(abs(weight) <= 1.0 for weight in axis.values()):
-                raise ValueError(f"an axis weight of cluster {c} is not in [-1, 1]")
-            axes.append(axis)
-            members = entry["members"]
-            listed = len(member_cluster)
-            member_cluster.update(dict.fromkeys(members, c))
-            if len(member_cluster) != listed + len(members):
-                raise ValueError(f"a document of cluster {c} is listed twice")
-            size = int(entry["size"])
-            if size != len(members):
-                raise ValueError(f"cluster {c} has size {size} but {len(members)} members")
-            summaries.append(
-                ClusterSummary(
-                    cluster_id=c,
-                    label=entry["label"],
-                    top_terms=tuple((t, float(w)) for t, w in entry["top_terms"]),
-                    size=size,
-                )
-            )
-        if [s.cluster_id for s in summaries] != list(range(k)):  # the linkage's ids
+        if [c.id for c in clusters] != list(range(k)):  # the linkage's ids
             raise ValueError(f"the clusters are not k={k} with ids 0 to {k - 1} in order")
-    return axes, summaries, member_cluster
+        listed: set[str] = set()
+        count = 0
+        for c in clusters:
+            weights = c.axis.values()
+            if not c.axis.keys() <= vocabulary.index.keys():
+                stray = next(term for term in c.axis if term not in vocabulary.index)
+                raise ValueError(f"axis term {stray!r} of cluster {c.id} is not in the vocabulary")
+            # the axes are unit vectors; json reads 1e999 as inf, which fails too
+            if not set(map(type, weights)) <= {int, float} or not all(abs(w) <= 1.0 for w in weights):
+                raise ValueError(f"an axis weight of cluster {c.id} is not a number in [-1, 1]")
+            if not set(map(type, c.members)) <= {str}:
+                raise ValueError(f"a member of cluster {c.id} is not a string")
+            listed.update(c.members)
+            count += len(c.members)
+            if len(listed) != count:
+                raise ValueError(f"a document of cluster {c.id} is listed twice")
+            if c.size != len(c.members):
+                raise ValueError(f"cluster {c.id} has size {c.size} but {len(c.members)} members")
+    return clusters
 
 
 def write_map(path: str, cmap: ClusterMap) -> None:

@@ -34,13 +34,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .artifacts import ClusterSummary
+from .artifacts import Cluster
 from .corpus import Vocabulary
 from .errors import NumericError
 from .seeding import derive_seed
 from .vectorize import DocTermMatrix
 
-if TYPE_CHECKING:  # annotations only: map, link and report must not load scipy.sparse
+if TYPE_CHECKING:  # annotations only: vectorize.build_matrix is where scipy loads
     import scipy.sparse as sp
 
     from .pipeline import ClusterConfig
@@ -286,22 +286,16 @@ def fit_axial_kmeans(
     return ClusterModel(matrix.period_id, axes, assign, tuple(trace), sizes, matrix.doc_ids)
 
 
-def summarize_clusters(
-    model: ClusterModel, vocabulary: Vocabulary, top_m: int = 10
-) -> list[ClusterSummary]:
-    """Top axis terms per cluster; ties break lexicographically, label = first term."""
-    summaries = []
-    for c in range(model.k):
-        row = model.axes[c]
-        nz = np.flatnonzero(row > 0.0)
-        ranked = sorted(((vocabulary.terms[t], float(row[t])) for t in nz), key=lambda p: (-p[1], p[0]))
-        top = tuple(ranked[:top_m])
-        summaries.append(
-            ClusterSummary(
-                cluster_id=c,
-                label=top[0][0] if top else "",
-                top_terms=top,
-                size=model.sizes[c],
-            )
-        )
-    return summaries
+def summarize_clusters(model: ClusterModel, vocabulary: Vocabulary, top_m: int = 10) -> list[Cluster]:
+    """Each cluster's sparse axis, its members in row order and its top
+    positive axis terms; ties break lexicographically, label = first term."""
+    order = np.argsort(model.assignment, kind="stable")  # the rows, cluster by cluster
+    clusters = []
+    for c, rows in enumerate(np.split(order, np.cumsum(model.sizes)[:-1])):
+        weights = model.axes[c]
+        nz = np.flatnonzero(weights)
+        axis = dict(zip([vocabulary.terms[t] for t in nz.tolist()], weights[nz].tolist()))
+        top = sorted((p for p in axis.items() if p[1] > 0.0), key=lambda p: (-p[1], p[0]))[:top_m]
+        members = [model.doc_ids[r] for r in rows.tolist()]
+        clusters.append(Cluster(c, top[0][0] if top else "", len(members), tuple(top), members, axis))
+    return clusters

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .artifacts import ClusterSummary
+from .artifacts import Cluster
 from .diffusion import CATEGORIES, TermStats
 from .errors import InputError
 from .mapping import Axis, cosine, dot
@@ -69,7 +69,7 @@ def link_periods(axes_p1: list[Axis], axes_p2: list[Axis], rho: float) -> Linkag
 
 def cross_table(
     linkage: Linkage,
-    summaries_p2: list[ClusterSummary],
+    clusters_p2: list[Cluster],
     term_stats: list[TermStats],
     top_m: int = 10,
 ) -> CrossTab:
@@ -77,11 +77,11 @@ def cross_table(
     category = {s.term: s.category for s in term_stats}
     status_of = linkage.statuses()
     counts = {STATUS_ROOTED: Counter(), STATUS_NEW: Counter()}
-    for summary in summaries_p2:
-        for term, _weight in summary.top_terms[:top_m]:
+    for cluster in clusters_p2:
+        for term, _weight in cluster.top_terms[:top_m]:
             if term not in category:
                 raise InputError(f"term {term!r} missing from term statistics")
-            counts[status_of[summary.cluster_id]][category[term]] += 1
+            counts[status_of[cluster.id]][category[term]] += 1
     totals = {status: tally.total() for status, tally in counts.items()}
     shares = {
         status: {c: tally[c] / totals[status] for c in CATEGORIES} if totals[status] else None

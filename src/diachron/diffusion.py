@@ -170,8 +170,8 @@ def read_terms_csv(path: str) -> list[TermStats]:
     """Reload terms.csv (rounded reals; categories are exact).
 
     The header must be the one write_terms_csv writes, and every row must
-    hold its six fields; a category outside CATEGORIES is a ValueError
-    naming the term.
+    hold its six fields; a non-finite tfidf or gini, or a category outside
+    CATEGORIES, is a ValueError naming the term.
     """
     stats = []
     with open(path, encoding="utf-8", newline="") as fh:
@@ -182,5 +182,8 @@ def read_terms_csv(path: str) -> list[TermStats]:
         for term, df_p1, df_p2, tfidf, gini, category in reader:
             if category not in CATEGORIES:
                 raise ValueError(f"term {term!r} has unknown category {category!r}")
-            stats.append(TermStats(term, int(df_p1), int(df_p2), float(tfidf), float(gini), category))
+            tfidf_value, gini_value = float(tfidf), float(gini)
+            if not (math.isfinite(tfidf_value) and math.isfinite(gini_value)):
+                raise ValueError(f"term {term!r} has a tfidf or gini that is not finite")
+            stats.append(TermStats(term, int(df_p1), int(df_p2), tfidf_value, gini_value, category))
     return stats

@@ -72,6 +72,8 @@ def decode(cls, data, where=""):
 
 
 def _value(tp, value, path):
+    if type(value) is tp and (tp is not float or math.isfinite(value)):  # a leaf: skips typing's calls
+        return value
     args = typing.get_args(tp)
     if type(None) in args:  # X | None
         return None if value is None else _value(args[0], value, path)

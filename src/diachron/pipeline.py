@@ -245,8 +245,8 @@ class Run:
             "min_df": config.min_df,
         }
 
-    def read_clusters(self, period_id: str):
-        """A period's (axes, summaries, members) from its checked cluster file."""
+    def read_clusters(self, period_id: str) -> list[artifacts.Cluster]:
+        """A period's clusters from its checked cluster file."""
         corpus_sha256 = self.sha256()  # names a missing corpus.jsonl before a cluster file
         return artifacts.read_clusters(
             self.require(artifacts.clusters_file(period_id), "cluster"),
@@ -281,8 +281,7 @@ def stage_terms(run: Run) -> None:
     p1, p2, vocabulary = run.slices()
     cells = None  # record categories
     if run.config.gini_cells == "clusters":  # first-period cluster memberships
-        _, _, members = run.read_clusters("P1")
-        cells = {doc_id: (f"P1:{c}",) for doc_id, c in members.items()}
+        cells = {doc_id: (f"P1:{c.id}",) for c in run.read_clusters("P1") for doc_id in c.members}
     stats = classify_terms(vocabulary, (p1, p2), run.config.thresholds, cells)
     write_terms_csv(stats, run.path(artifacts.TERMS))
 
@@ -296,23 +295,23 @@ def stage_cluster(run: Run) -> None:
     for slice_ in (p1, p2):
         matrix = build_matrix(slice_, vocabulary, config.weighting)
         model = fit_axial_kmeans(matrix, config.cluster_config(slice_.period_id), threads=run.threads)
-        artifacts.write_clusters(
-            run.path(artifacts.clusters_file(slice_.period_id)),
-            model,
-            summarize_clusters(model, vocabulary, config.top_m),
-            vocabulary,
-            run.cluster_echo(slice_.period_id),
-            run.vocab_sha256(),
-            run.sha256(),
+        clusters = artifacts.ClusterFile(
+            period_id=model.period_id,
+            config=run.cluster_echo(slice_.period_id),
+            vocab_sha256=run.vocab_sha256(),
+            corpus_sha256=run.sha256(),
+            objective_trace=model.objective_trace,
+            clusters=tuple(summarize_clusters(model, vocabulary, config.top_m)),
         )
-        del matrix, model  # so that P2's matrix and fit do not join P1's in memory
+        artifacts.write_clusters(run.path(artifacts.clusters_file(slice_.period_id)), clusters)
+        del matrix, model, clusters  # so that P2's matrix and fit do not join P1's in memory
 
 
 def stage_map(run: Run) -> None:
-    clusters = [run.read_clusters(period_id) for period_id in PERIOD_IDS]
-    for period_id, (axes, summaries, _) in zip(PERIOD_IDS, clusters):
-        labels, sizes = [s.label for s in summaries], [s.size for s in summaries]
-        cmap = build_cluster_map(period_id, axes, run.config.tau, labels, sizes)
+    periods = [run.read_clusters(period_id) for period_id in PERIOD_IDS]
+    for period_id, clusters in zip(PERIOD_IDS, periods):
+        labels, sizes = [c.label for c in clusters], [c.size for c in clusters]
+        cmap = build_cluster_map(period_id, [c.axis for c in clusters], run.config.tau, labels, sizes)
         artifacts.write_map(run.path(artifacts.map_json_file(period_id)), cmap)
         artifacts.write_svg(run.path(artifacts.map_svg_file(period_id)), cmap)
 
@@ -320,11 +319,10 @@ def stage_map(run: Run) -> None:
 def stage_link(run: Run) -> None:
     from .diachrony import cross_table, link_periods
 
-    axes_p1, _, _ = run.read_clusters("P1")
-    axes_p2, summaries_p2, _ = run.read_clusters("P2")
-    linkage = link_periods(axes_p1, axes_p2, run.config.rho)
-    crosstab = cross_table(linkage, summaries_p2, run.terms(), run.config.top_m)
-    artifacts.write_linkage(run.path(artifacts.LINKAGE), linkage, [s.label for s in summaries_p2])
+    p1, p2 = run.read_clusters("P1"), run.read_clusters("P2")
+    linkage = link_periods([c.axis for c in p1], [c.axis for c in p2], run.config.rho)
+    crosstab = cross_table(linkage, p2, run.terms(), run.config.top_m)
+    artifacts.write_linkage(run.path(artifacts.LINKAGE), linkage, [c.label for c in p2])
     artifacts.write_crosstab(run.path(artifacts.CROSSTAB), crosstab)
 
 

@@ -1,8 +1,9 @@
-"""The small JSON artifacts round-trip through their dataclasses.
+"""The JSON artifacts round-trip through their dataclasses.
 
 A cluster map and a load report, written as `artifacts.write_json` of
 `dataclasses.asdict` and read back by the strict decoder, equal the
-originals, and writing what was read gives the same bytes.
+originals, and writing what was read gives the same bytes. So do a fitted
+period's clusters, but for their top-term weights, which the file rounds.
 """
 
 import dataclasses
@@ -12,8 +13,12 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diachron import artifacts
+from diachron import artifacts, syngen
+from diachron.cluster import fit_axial_kmeans, summarize_clusters
+from diachron.corpus import PeriodSpec, build_vocabulary, split_periods
 from diachron.mapping import ClusterMap
+from diachron.pipeline import ClusterConfig
+from diachron.vectorize import build_matrix
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -56,3 +61,40 @@ def test_written_artifacts_read_back_equal_and_rewrite_the_same_bytes(cmap, repo
         artifacts.write_map(map_path, map_read)
         artifacts.write_json(dataclasses.asdict(report_read), report_path)
         assert (Path(map_path).read_bytes(), Path(report_path).read_bytes()) == written
+
+
+def test_fitted_clusters_read_back_equal_but_for_rounded_top_term_weights(tmp_path):
+    records, _ = syngen.generate(syngen.preset("three-blocks", seed=3))
+    p1, p2, _ = split_periods(records, PeriodSpec((1996, 1998), (2001, 2003)))
+    vocabulary = build_vocabulary(p1, p2, 2)
+    matrix = build_matrix(p1, vocabulary, "tfidf")
+    model = fit_axial_kmeans(matrix, ClusterConfig(k=3, restarts=2, seed=3))
+    clusters = summarize_clusters(model, vocabulary)
+    echo = {"k": 3, "seed": 3}
+    written = artifacts.ClusterFile(
+        period_id="P1",
+        config=echo,
+        vocab_sha256=artifacts.vocab_sha256(vocabulary),
+        corpus_sha256="c" * 64,
+        objective_trace=model.objective_trace,
+        clusters=tuple(clusters),
+    )
+    path = str(tmp_path / "clusters_P1.json")
+    artifacts.write_clusters(path, written)
+    read = artifacts.read_clusters(
+        path, lambda: (vocabulary, written.vocab_sha256), written.corpus_sha256, echo
+    )
+
+    assert read == [
+        dataclasses.replace(c, top_terms=tuple((t, round(w, 6)) for t, w in c.top_terms))
+        for c in clusters
+    ]
+    assignment = model.assignment.tolist()
+    for c in read:  # in row order, which is doc-id order
+        assert c.members == [d for d, a in zip(model.doc_ids, assignment) if a == c.id]
+        assert c.size == len(c.members) > 0
+    assert sorted(d for c in read for d in c.members) == list(matrix.doc_ids)
+
+    before = Path(path).read_bytes()
+    artifacts.write_clusters(path, dataclasses.replace(written, clusters=tuple(read)))
+    assert Path(path).read_bytes() == before

@@ -173,6 +173,14 @@ def _ingest_changed_corpus(corpus_dir, tmp_path, out, change, **overrides):
     return config
 
 
+def _with_field(row, back, value):
+    """The terms.csv `row` with its field `back` places from the end (2 is
+    gini, 3 tfidf) set to `value`."""
+    fields = row.rsplit(",", back)
+    fields[1] = value
+    return ",".join(fields)
+
+
 def _disk_full_after(write, calls_allowed):
     """`write` for its first calls, then the error of a full disk."""
     calls = itertools.count()
@@ -726,6 +734,8 @@ class TestStageSequencing:
         [
             "size", "size-overflow", "member-in-two-clusters", "weight-nan", "weight-overflow",
             "objective-infinite", "term-outside-vocabulary", "weight-above-one",
+            "label-not-string", "top-term-not-string", "size-float", "size-string", "id-string",
+            "weight-string", "weight-boolean", "member-not-string",
         ],
     )
     def test_cluster_file_with_foreign_members_exits_3_and_names_it(
@@ -750,6 +760,22 @@ class TestStageSequencing:
             first["axis"]["not in terms.csv"] = 0.5
         elif fault == "weight-above-one":  # an axis is a unit vector; 1e200 squared overflows
             first["axis"][next(iter(first["axis"]))] = 1e200
+        elif fault == "label-not-string":
+            first["label"] = 5
+        elif fault == "top-term-not-string":
+            first["top_terms"][0][0] = ["x"]
+        elif fault == "size-float":  # the size it had, written as 253.0, say
+            second["size"] = float(second["size"])
+        elif fault == "size-string":
+            second["size"] = str(second["size"])
+        elif fault == "id-string":
+            first["id"] = "0"
+        elif fault == "weight-string":
+            first["axis"][next(iter(first["axis"]))] = "0.5"
+        elif fault == "weight-boolean":
+            first["axis"][next(iter(first["axis"]))] = True
+        elif fault == "member-not-string":
+            first["members"][0] = 7
         else:
             data["objective_trace"][-1] = float("-inf")
         text = json.dumps(data).replace('"1e999"', "1e999")
@@ -914,8 +940,13 @@ class TestStageSequencing:
             lambda header, rows: [header, rows[0].rsplit(",", 1)[0], *rows[1:]],
             # the csv module reads a field of at most 131,072 characters
             lambda header, rows: [header, "k" * 140_000 + rows[0][rows[0].index(","):], *rows[1:]],
+            lambda header, rows: [header, _with_field(rows[0], 2, "nan"), *rows[1:]],
+            lambda header, rows: [header, _with_field(rows[0], 3, "inf"), *rows[1:]],
         ],
-        ids=["missing-column", "reordered-header", "extra-column", "short-row", "field-over-limit"],
+        ids=[
+            "missing-column", "reordered-header", "extra-column", "short-row", "field-over-limit",
+            "gini-nan", "tfidf-inf",
+        ],
     )
     def test_terms_csv_missing_a_column_exits_3_and_names_it(
         self, corpus_dir, tmp_path, capsys, stage, edit

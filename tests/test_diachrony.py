@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from diachron.artifacts import ClusterSummary
+from diachron.artifacts import Cluster
 from diachron.diachrony import (
     STATUS_NEW,
     STATUS_ROOTED,
@@ -30,11 +30,14 @@ def _stats(term, category):
 
 
 def _summary(cluster_id, terms, size=1):
-    return ClusterSummary(
-        cluster_id=cluster_id,
+    top_terms = tuple((t, 1.0 - 0.01 * i) for i, t in enumerate(terms))
+    return Cluster(
+        id=cluster_id,
         label=terms[0] if terms else "",
-        top_terms=tuple((t, 1.0 - 0.01 * i) for i, t in enumerate(terms)),
         size=size,
+        top_terms=top_terms,
+        members=[f"d{cluster_id}-{i}" for i in range(size)],
+        axis=dict(top_terms),
     )
 
 

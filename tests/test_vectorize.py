@@ -302,9 +302,10 @@ def test_build_matrix_is_bitwise_equal_to_per_record_reference(data, min_df):
             assert got == rows
 
 
-def _scipy_imports(tree):
-    """The enclosing function of each runtime import of scipy in a module;
-    imports under `if TYPE_CHECKING:` serve annotations only and are skipped."""
+def _runtime_imports(tree, package):
+    """The enclosing function (None at module level) of each runtime import
+    of `package` in a module; imports under `if TYPE_CHECKING:` serve
+    annotations only and are skipped."""
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -317,7 +318,7 @@ def _scipy_imports(tree):
             names = [node.module or ""]
         else:
             names = []
-        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+        if any(name == package or name.startswith(f"{package}.") for name in names):
             yield function
         for child in ast.iter_child_nodes(node):
             yield from visit(child, function)
@@ -325,13 +326,28 @@ def _scipy_imports(tree):
     return list(visit(tree, None))
 
 
+def _package_imports(package):
+    """(module, enclosing function) of each runtime import of `package` in diachron."""
+    return [
+        (path.stem, function)
+        for path in sorted(Path(diachron.__file__).parent.glob("*.py"))
+        for function in _runtime_imports(ast.parse(path.read_text(encoding="utf-8")), package)
+    ]
+
+
 def test_scipy_is_imported_at_runtime_only_in_build_matrix():
     """test_cli's subprocess probe runs terms, map, link and report; this scan
     covers every module, ingest and syngen included."""
-    package = Path(diachron.__file__).parent
-    found = [
-        (path.stem, function)
-        for path in sorted(package.glob("*.py"))
-        for function in _scipy_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert _package_imports("scipy") == [("vectorize", "build_matrix")]
+
+
+def test_numpy_is_imported_at_runtime_only_by_the_fit_and_the_term_statistics():
+    """Only the cluster stage imports cluster and vectorize, and only the
+    terms stage runs classify_terms, so ingest, map, link, report and syngen
+    never load numpy."""
+    assert _package_imports("numpy") == [
+        ("cluster", None),
+        ("diffusion", "_gini_rows"),
+        ("diffusion", "classify_terms"),
+        ("vectorize", None),
     ]
-    assert found == [("vectorize", "build_matrix")]
