@@ -5,6 +5,10 @@ from the output directory, so `run` and stage-at-a-time execution give
 byte-identical results. Exit codes: 0 success, 2 config error, 3 input
 error, 4 numeric failure, 5 I/O error. Set DIACHRON_LOG to debug, info,
 warning (or warn), or error, in any case, to control logging.
+
+`entry` is the one process entry: the `diachron` console script and
+`python -m diachron.cli` both call it. In-process callers call `main`,
+which returns the exit code.
 """
 
 from __future__ import annotations
@@ -18,8 +22,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import dataclasses
+import gc
 import logging
 import sys
+from typing import NoReturn
 
 from . import artifacts
 from .errors import ConfigError, InputError, NumericError, decode, read_json_object
@@ -97,7 +103,10 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig adds the stderr handler only while the root logger has none,
+    # so the level is set on every call, on the program's own logger
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("diachron").setLevel(level)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -129,5 +138,17 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def entry() -> NoReturn:
+    """Run `main` on the command line and exit the process with its code.
+
+    The freeze spares the interpreter's closing collections a walk over every
+    object the call made; `sys.exit` still runs atexit and the log flush. It
+    holds because every artifact is closed before `main` returns.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from html import escape  # not xml.sax.saxutils, which imports urllib.request
 
 from .errors import NumericError
 
@@ -269,6 +268,11 @@ def _scaled(values: list[float], lo: float, hi: float, invert: bool) -> list[flo
     return out
 
 
+def _escape(text: str) -> str:
+    """`html.escape(text, quote=False)`, without loading `html` on every call."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_svg(cmap: ClusterMap) -> str:
     """Deterministic SVG: edges, then circles, then labels, fixed formatting."""
     k, labels, sizes = len(cmap.coords), cmap.labels, cmap.sizes
@@ -280,7 +284,7 @@ def render_svg(cmap: ClusterMap) -> str:
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
         f'height="{SVG_HEIGHT}" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
-        f"<!-- cluster map {escape(cmap.period_id, quote=False)} -->",
+        f"<!-- cluster map {_escape(cmap.period_id)} -->",
         f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
     ]
     for i, j, sim in cmap.edges:
@@ -298,7 +302,7 @@ def render_svg(cmap: ClusterMap) -> str:
         lines.append(
             f'<text x="{xs[c]:.2f}" y="{ys[c] - radii[c] - 4.0:.2f}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-            f"{escape(labels[c], quote=False)}</text>"
+            f"{_escape(labels[c])}</text>"
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

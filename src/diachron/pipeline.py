@@ -29,7 +29,7 @@ import contextlib
 import dataclasses
 import logging
 import os
-import platform
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Literal
@@ -341,7 +341,7 @@ def stage_report(run: Run) -> None:
             "input_sha256": input_sha256,
             "versions": {
                 "diachron": __version__,
-                "python": platform.python_version(),
+                "python": sys.version.split()[0],  # the token platform.python_version() parses
                 "numpy": metadata.version("numpy"),
                 "scipy": metadata.version("scipy"),
             },

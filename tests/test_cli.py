@@ -1,10 +1,12 @@
 """End-to-end tests for the command-line interface and stage pipeline.
 
-Everything runs through ``cli.main`` in-process (plus one subprocess
-smoke test for the installed console script), on a small three-block
-synthetic corpus so the full pipeline stays fast.
+Almost everything runs through ``cli.main`` in-process, on a small
+three-block synthetic corpus so the full pipeline stays fast; a few
+subprocess tests run ``python -m diachron.cli`` and the installed console
+script.
 """
 
+import ast
 import contextlib
 import csv
 import dataclasses
@@ -12,7 +14,9 @@ import errno
 import io
 import itertools
 import json
+import logging
 import os
+import platform
 import random
 import shutil
 import subprocess
@@ -1179,6 +1183,20 @@ class TestErrorExits:
         out = tmp_path / "corpus"
         assert main(["syngen", "--preset", "three-blocks", "--out", str(out)]) == 0
 
+    def test_log_level_is_read_on_every_call(self, run_dir, monkeypatch, caplog, tmp_path):
+        config, out = run_dir
+        out = shutil.copytree(out, tmp_path / "out")
+        argv = ["map", "--config", str(config), "--out", str(out)]
+        stage_lines = []
+        for level in ("error", "info", "warn"):
+            monkeypatch.setenv("DIACHRON_LOG", level)
+            caplog.clear()
+            assert main(argv) == 0
+            stage_lines.append([r.getMessage() for r in caplog.records if r.levelno == logging.INFO])
+        # the records reach the handler pytest installed, which main leaves in place
+        assert stage_lines[0] == stage_lines[2] == []
+        assert any(line.startswith("stage map finished") for line in stage_lines[1])
+
 
 def _json_paths(value, prefix=()):
     """Every key path into a decoded JSON value, containers included."""
@@ -1405,6 +1423,7 @@ class TestPackageImport:
         probed = (
             "numpy", "scipy", "concurrent.futures", "diachron.syngen",
             "diachron.cluster", "diachron.diachrony", "diachron.vectorize",
+            "platform", "html", "importlib.metadata",
         )
         code = (
             "import sys\n"
@@ -1418,15 +1437,17 @@ class TestPackageImport:
         # map and link do their arithmetic on the sparse axes in Python floats,
         # and report takes the numpy and scipy versions from the installed
         # distributions' metadata, so none of the three loads numpy, scipy or a
-        # module of the fit or the vectorizer
+        # module of the fit or the vectorizer; no stage loads `platform` or
+        # `html` itself (numpy's own import loads `platform`), and only report
+        # loads importlib.metadata
         for gini_cells, stages in (
             ("categories", (
-                ("terms", ["diachron.vectorize", "numpy"]),
+                ("terms", ["diachron.vectorize", "numpy", "platform"]),
                 ("map", []),
                 ("link", ["diachron.diachrony"]),
-                ("report", []),
+                ("report", ["importlib.metadata"]),
             )),
-            ("clusters", (("terms", ["diachron.vectorize", "numpy"]),)),
+            ("clusters", (("terms", ["diachron.vectorize", "numpy", "platform"]),)),
         ):
             directory = tmp_path / gini_cells
             directory.mkdir()
@@ -1444,6 +1465,56 @@ class TestPackageImport:
                 assert proc.returncode == 0, proc.stderr
                 assert proc.stdout.strip() == repr(loaded), (gini_cells, stage)
             assert dir_hashes(out) == before
+
+
+class TestModuleEntry:
+    """`python -m diachron.cli`, the path the benchmark times, in a fresh process."""
+
+    @staticmethod
+    def cli(*argv, **env):
+        src = str(Path(diachron.__file__).parents[1])
+        return subprocess.run(
+            [sys.executable, "-m", "diachron.cli", *map(str, argv)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src, **env},
+        )
+
+    def test_run_and_error_exits(self, tmp_path):
+        proc = self.cli("syngen", "--preset", "three-blocks", "--out", tmp_path / "corpus", "--seed", "3")
+        assert proc.returncode == 0, proc.stderr
+        config = write_config(tmp_path, tmp_path / "corpus" / "corpus.jsonl", seed=3)
+        out = tmp_path / "out"
+        proc = self.cli("run", "--config", config, "--out", out, DIACHRON_LOG="info")
+        assert proc.returncode == 0, proc.stderr
+        assert set(os.listdir(out)) == EXPECTED_FILES
+        for stage in CANONICAL_STAGES:
+            assert f"INFO diachron: stage {stage} finished" in proc.stderr
+        manifest = json.loads((out / artifacts.MANIFEST).read_text(encoding="utf-8"))
+        assert manifest["versions"]["python"] == platform.python_version()
+
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json", encoding="utf-8")
+        proc = self.cli("run", "--config", bad, "--out", tmp_path / "bad-out")
+        assert proc.returncode == 2
+        assert "diachron: config error:" in proc.stderr
+        proc = self.cli("report", "--config", config, "--out", tmp_path / "empty")
+        assert proc.returncode == 3
+        assert "diachron: input error:" in proc.stderr and "map_P1.json" in proc.stderr
+
+    def test_console_script_runs_the_module_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(diachron.__file__).parents[2]
+        with open(root / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["diachron"]
+        module, _, function = target.partition(":")
+        assert module == "diachron.cli"
+        tree = ast.parse(Path(diachron.cli.__file__).read_text(encoding="utf-8"))
+        (block,) = [
+            node for node in tree.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        assert [ast.unparse(statement) for statement in block.body] == [f"{function}()"]
 
 
 class TestConsoleScript:

@@ -1,3 +1,4 @@
+import html
 import math
 
 import numpy as np
@@ -393,12 +394,13 @@ class TestRenderSvg:
         assert f'r="{MAX_RADIUS / 3.0:.2f}"' in svg
 
     def test_labels_are_xml_escaped(self):
-        cmap = self._map([("a<b", 1), ("c&d", 1), ("e>f", 1)])
-        svg = render_svg(cmap)
+        labels = ("a<b", "c&d", "e>f 'g' \"&amp;\"")
+        svg = render_svg(self._map([(label, 1) for label in labels]))
         assert "a&lt;b" in svg
         assert "c&amp;d" in svg
-        assert "e&gt;f" in svg
         assert "a<b" not in svg
+        for label in labels:  # the html module's escape is the reference
+            assert f">{html.escape(label, quote=False)}</text>" in svg
 
     def test_edge_opacity_tracks_similarity(self):
         cmap = self._map([("a", 1), ("b", 1), ("c", 1)])
