@@ -18,15 +18,15 @@ import hashlib
 import json
 import os
 from collections.abc import Callable
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Literal
 
 from .corpus import Vocabulary, atomic_open
 from .diffusion import CATEGORIES
 from .errors import ConfigError, InputError, decode
 from .mapping import ClusterMap, render_svg
 
-if TYPE_CHECKING:  # annotations only: diachrony imports Cluster from here
-    from .diachrony import CrossTab, Linkage
+if TYPE_CHECKING:  # annotations only: diachrony imports Cluster and Linkage from here
+    from .diachrony import CrossTab
 
 LOAD_REPORT = "load_report.json"
 CORPUS = "corpus.jsonl"
@@ -73,6 +73,28 @@ class ClusterFile:
     corpus_sha256: str
     objective_trace: tuple[float, ...]
     clusters: tuple[Cluster, ...]
+
+
+Status = Literal["rooted", "new"]  # a P2 cluster with a P1 parent is rooted, one without new
+
+
+@dataclasses.dataclass(frozen=True)
+class ClusterLink:
+    """A P2 cluster in linkage.json's key order; parents are (P1 id, cosine >= rho), best first."""
+
+    cluster_id: int
+    label: str
+    status: Status
+    parents: tuple[tuple[int, float], ...]
+    best_parent: tuple[int, float] | None
+
+
+@dataclasses.dataclass(frozen=True)
+class Linkage:
+    """linkage.json: the rho it was built with and one link per P2 cluster."""
+
+    rho: float
+    links: tuple[ClusterLink, ...]
 
 
 def clusters_file(period_id: str) -> str:
@@ -185,6 +207,7 @@ def read_clusters(
     vocabulary, decode as a ClusterFile and hold the echoed k clusters,
     numbered 0 to k-1 in order, with axis weights in [-1, 1] on vocabulary
     terms and string members. Each cluster's size must be its member count,
+    its top terms axis terms and its label the first of them ("" if none),
     and no document may be listed twice.
     `get_vocabulary` returns the vocabulary and its `vocab_sha256`; it is
     called only once the file has parsed and passed the first two checks, so
@@ -229,6 +252,10 @@ def read_clusters(
                 raise ValueError(f"a document of cluster {c.id} is listed twice")
             if c.size != len(c.members):
                 raise ValueError(f"cluster {c.id} has size {c.size} but {len(c.members)} members")
+            if not all(term in c.axis for term, _ in c.top_terms):
+                raise ValueError(f"a top term of cluster {c.id} is not one of its axis terms")
+            if c.label != (c.top_terms[0][0] if c.top_terms else ""):
+                raise ValueError(f"the label of cluster {c.id} is not its first top term")
     return clusters
 
 
@@ -236,17 +263,19 @@ def write_map(path: str, cmap: ClusterMap) -> None:
     write_json(dataclasses.asdict(cmap), path)
 
 
-def read_map(path: str, tau: float) -> ClusterMap:
-    """The map in `path`, which must have been built with `tau`."""
+def read_map(path: str, period_id: str, tau: float) -> ClusterMap:
+    """The map of `period_id` in `path`, which must have been built with `tau`."""
     cmap = read_artifact(ClusterMap, path)
+    _check_built_with(path, "period_id", cmap.period_id, period_id, "re-run the map stage")
     _check_built_with(path, "tau", cmap.tau, tau, "re-run the map stage")
     return cmap
 
 
-def check_linkage(path: str, rho: float) -> None:
-    """Raises unless the linkage in `path` was built with `rho`."""
-    with parsing(path):
-        _check_built_with(path, "rho", read_json(path)["rho"], rho, "re-run the link stage")
+def read_linkage(path: str, rho: float) -> Linkage:
+    """The linkage in `path`, which must have been built with `rho`."""
+    linkage = read_artifact(Linkage, path)
+    _check_built_with(path, "rho", linkage.rho, rho, "re-run the link stage")
+    return linkage
 
 
 def write_svg(path: str, cmap: ClusterMap) -> None:
@@ -254,27 +283,17 @@ def write_svg(path: str, cmap: ClusterMap) -> None:
         fh.write(render_svg(cmap))
 
 
-def write_linkage(path: str, linkage: Linkage, labels: list[str]) -> None:
-    write_json(
-        {
-            "rho": linkage.rho,
-            "links": [
-                {
-                    "cluster_id": link.cluster_id,
-                    "label": labels[link.cluster_id],
-                    "status": link.status,
-                    "parents": [[p, round(s, 6)] for p, s in link.parents],
-                    "best_parent": (
-                        [link.best_parent[0], round(link.best_parent[1], 6)]
-                        if link.best_parent
-                        else None
-                    ),
-                }
-                for link in linkage.links
-            ],
-        },
-        path,
+def write_linkage(path: str, linkage: Linkage) -> None:
+    def rounded(parent):  # the cosine to 6 places; None stays None
+        return parent and (parent[0], round(parent[1], 6))
+
+    links = tuple(
+        dataclasses.replace(
+            link, parents=tuple(map(rounded, link.parents)), best_parent=rounded(link.best_parent)
+        )
+        for link in linkage.links
     )
+    write_json(dataclasses.asdict(dataclasses.replace(linkage, links=links)), path)
 
 
 def write_crosstab(path: str, crosstab: CrossTab) -> None:

@@ -15,34 +15,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import get_args
 
-from .artifacts import Cluster
+from .artifacts import Cluster, ClusterLink, Linkage, Status
 from .diffusion import CATEGORIES, TermStats
-from .errors import InputError
 from .mapping import Axis, cosine, dot
 
-STATUS_ROOTED = "rooted"
-STATUS_NEW = "new"
-
-
-@dataclass(frozen=True)
-class ClusterLink:
-    cluster_id: int
-    status: str
-    parents: tuple[tuple[int, float], ...]
-
-    @property
-    def best_parent(self) -> tuple[int, float] | None:
-        return self.parents[0] if self.parents else None
-
-
-@dataclass(frozen=True)
-class Linkage:
-    rho: float
-    links: tuple[ClusterLink, ...]
-
-    def statuses(self) -> dict[int, str]:
-        return {link.cluster_id: link.status for link in self.links}
+STATUS_ROOTED, STATUS_NEW = get_args(Status)
 
 
 @dataclass(frozen=True)
@@ -52,18 +31,18 @@ class CrossTab:
     n_terms: dict[str, int]
 
 
-def link_periods(axes_p1: list[Axis], axes_p2: list[Axis], rho: float) -> Linkage:
-    """Link each P2 cluster to its P1 parents by axis cosine >= rho; the axes
-    are sparse rows, dicts of term -> weight."""
+def link_periods(axes_p1: list[Axis], axes_p2: list[Axis], labels_p2: list[str], rho: float) -> Linkage:
+    """Link each P2 cluster, labelled from `labels_p2`, to its P1 parents by
+    axis cosine >= rho; the axes are sparse rows, dicts of term -> weight."""
     norms_p1 = [dot(a1, a1) for a1 in axes_p1]
     links = []
-    for c2, a2 in enumerate(axes_p2):
+    for c2, (a2, label) in enumerate(zip(axes_p2, labels_p2, strict=True)):
         norm = dot(a2, a2)
         sims = [cosine(dot(a2, a1), norm, n1) for a1, n1 in zip(axes_p1, norms_p1)]
         ranked = sorted(enumerate(sims), key=lambda p: -p[1])  # ties keep id order
         parents = tuple(p for p in ranked if p[1] >= rho)
         status = STATUS_ROOTED if parents else STATUS_NEW
-        links.append(ClusterLink(cluster_id=c2, status=status, parents=parents))
+        links.append(ClusterLink(c2, label, status, parents, parents[0] if parents else None))
     return Linkage(rho=rho, links=tuple(links))
 
 
@@ -75,12 +54,10 @@ def cross_table(
 ) -> CrossTab:
     """Share of each term category among pooled top terms, per cluster status."""
     category = {s.term: s.category for s in term_stats}
-    status_of = linkage.statuses()
+    status_of = {link.cluster_id: link.status for link in linkage.links}
     counts = {STATUS_ROOTED: Counter(), STATUS_NEW: Counter()}
     for cluster in clusters_p2:
-        for term, _weight in cluster.top_terms[:top_m]:
-            if term not in category:
-                raise InputError(f"term {term!r} missing from term statistics")
+        for term, _weight in cluster.top_terms[:top_m]:  # axis terms (read_clusters), so in terms.csv
             counts[status_of[cluster.id]][category[term]] += 1
     totals = {status: tally.total() for status, tally in counts.items()}
     shares = {

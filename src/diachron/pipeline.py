@@ -320,18 +320,21 @@ def stage_link(run: Run) -> None:
     from .diachrony import cross_table, link_periods
 
     p1, p2 = run.read_clusters("P1"), run.read_clusters("P2")
-    linkage = link_periods([c.axis for c in p1], [c.axis for c in p2], run.config.rho)
+    axes_p1, axes_p2, labels = [c.axis for c in p1], [c.axis for c in p2], [c.label for c in p2]
+    linkage = link_periods(axes_p1, axes_p2, labels, run.config.rho)
     crosstab = cross_table(linkage, p2, run.terms(), run.config.top_m)
-    artifacts.write_linkage(run.path(artifacts.LINKAGE), linkage, [c.label for c in p2])
+    artifacts.write_linkage(run.path(artifacts.LINKAGE), linkage)
     artifacts.write_crosstab(run.path(artifacts.CROSSTAB), crosstab)
 
 
 def stage_report(run: Run) -> None:
     from importlib import metadata  # for the versions only, so the other stages never load it
 
-    tau = run.config.tau
-    maps = [artifacts.read_map(run.require(artifacts.map_json_file(p), "map"), tau) for p in PERIOD_IDS]
-    artifacts.check_linkage(run.require(artifacts.LINKAGE, "link"), run.config.rho)
+    maps = [
+        artifacts.read_map(run.require(artifacts.map_json_file(p), "map"), p, run.config.tau)
+        for p in PERIOD_IDS
+    ]
+    artifacts.read_linkage(run.require(artifacts.LINKAGE, "link"), run.config.rho)
     input_sha256 = run.load_report().input_sha256
     for period_id, cmap in zip(PERIOD_IDS, maps):  # every input checked before the first write
         artifacts.write_svg(run.path(artifacts.map_svg_file(period_id)), cmap)

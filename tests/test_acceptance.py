@@ -349,8 +349,9 @@ def test_08_fresh_block_is_the_single_new_cluster():
     }
     assert len(novel_clusters) == 1, "fresh block split across clusters"
 
+    labels = [c.label for c in summaries_p2]
     for rho in (0.2, 0.3, 0.5):
-        linkage = link_periods(sparse_rows(model_p1.axes), sparse_rows(model_p2.axes), rho)
+        linkage = link_periods(sparse_rows(model_p1.axes), sparse_rows(model_p2.axes), labels, rho)
         new_links = [l for l in linkage.links if l.status == STATUS_NEW]
         rooted_links = [l for l in linkage.links if l.status == STATUS_ROOTED]
         assert len(new_links) == 1, f"rho={rho}: {len(new_links)} new clusters"

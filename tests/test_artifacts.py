@@ -2,8 +2,10 @@
 
 A cluster map and a load report, written as `artifacts.write_json` of
 `dataclasses.asdict` and read back by the strict decoder, equal the
-originals, and writing what was read gives the same bytes. So do a fitted
-period's clusters, but for their top-term weights, which the file rounds.
+originals, and writing what was read gives the same bytes. So does a
+linkage whose cosines have the 6 places that its file keeps, and so do a
+fitted period's clusters, but for their top-term weights, which the file
+rounds.
 """
 
 import dataclasses
@@ -44,23 +46,45 @@ def cluster_maps(draw):
     )
 
 
+@st.composite
+def cluster_links(draw):
+    cosines = st.floats(-1.0, 1.0).map(lambda s: round(s, 6))
+    parents = tuple(draw(st.lists(st.tuples(st.integers(0, 50), cosines), max_size=4)))
+    return artifacts.ClusterLink(
+        cluster_id=draw(st.integers(0, 50)),
+        label=draw(st.text()),
+        status="rooted" if parents else "new",
+        parents=parents,
+        best_parent=parents[0] if parents else None,
+    )
+
+
+linkages = st.builds(artifacts.Linkage, rho=finite, links=st.lists(cluster_links()).map(tuple))
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(cmap=cluster_maps(), report=st.builds(artifacts.LoadReport))
-def test_written_artifacts_read_back_equal_and_rewrite_the_same_bytes(cmap, report):
+@given(cmap=cluster_maps(), report=st.builds(artifacts.LoadReport), linkage=linkages)
+def test_written_artifacts_read_back_equal_and_rewrite_the_same_bytes(cmap, report, linkage):
     with tempfile.TemporaryDirectory() as tmp:
         map_path, report_path = str(Path(tmp, "map_P1.json")), str(Path(tmp, "load_report.json"))
+        linkage_path = str(Path(tmp, "linkage.json"))
         artifacts.write_map(map_path, cmap)
         artifacts.write_json(dataclasses.asdict(report), report_path)
-        written = Path(map_path).read_bytes(), Path(report_path).read_bytes()
+        artifacts.write_linkage(linkage_path, linkage)
+        paths = map_path, report_path, linkage_path
+        written = [Path(path).read_bytes() for path in paths]
 
-        map_read = artifacts.read_map(map_path, cmap.tau)
+        map_read = artifacts.read_map(map_path, cmap.period_id, cmap.tau)
         report_read = artifacts.read_artifact(artifacts.LoadReport, report_path)
+        linkage_read = artifacts.read_linkage(linkage_path, linkage.rho)
         assert map_read == cmap
         assert report_read == report
+        assert linkage_read == linkage
 
         artifacts.write_map(map_path, map_read)
         artifacts.write_json(dataclasses.asdict(report_read), report_path)
-        assert (Path(map_path).read_bytes(), Path(report_path).read_bytes()) == written
+        artifacts.write_linkage(linkage_path, linkage_read)
+        assert [Path(path).read_bytes() for path in paths] == written
 
 
 def test_fitted_clusters_read_back_equal_but_for_rounded_top_term_weights(tmp_path):

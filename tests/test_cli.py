@@ -739,7 +739,8 @@ class TestStageSequencing:
             "size", "size-overflow", "member-in-two-clusters", "weight-nan", "weight-overflow",
             "objective-infinite", "term-outside-vocabulary", "weight-above-one",
             "label-not-string", "top-term-not-string", "size-float", "size-string", "id-string",
-            "weight-string", "weight-boolean", "member-not-string",
+            "weight-string", "weight-boolean", "member-not-string", "top-term-outside-axis",
+            "label-not-first-top-term",
         ],
     )
     def test_cluster_file_with_foreign_members_exits_3_and_names_it(
@@ -780,6 +781,10 @@ class TestStageSequencing:
             first["axis"][next(iter(first["axis"]))] = True
         elif fault == "member-not-string":
             first["members"][0] = 7
+        elif fault == "top-term-outside-axis":  # the label is still the first top term
+            first["top_terms"][-1][0] = "zzz-foreign"
+        elif fault == "label-not-first-top-term":  # a top term, but the second
+            first["label"] = first["top_terms"][1][0]
         else:
             data["objective_trace"][-1] = float("-inf")
         text = json.dumps(data).replace('"1e999"', "1e999")
@@ -908,7 +913,21 @@ class TestStageSequencing:
         )
         assert dir_hashes(out) == before
 
-    @pytest.mark.parametrize("text", ["[]", "{}", '{"links": []}'], ids=["array", "empty", "no-rho"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            "{}",
+            '{"links": []}',
+            '{"rho": 0.3}',
+            '{"rho": 0.3, "links": "not a list"}',
+            '{"rho": 0.3, "links": [{"cluster_id": 0, "label": "a", "status": "maybe",'
+            ' "parents": [], "best_parent": null}]}',
+            '{"rho": 0.3, "links": [{"cluster_id": 0, "label": "a", "status": "rooted",'
+            ' "parents": [[0, "0.9"]], "best_parent": [0, "0.9"]}]}',
+        ],
+        ids=["array", "empty", "no-rho", "no-links", "links-not-a-list", "status-maybe", "cosine-string"],
+    )
     def test_foreign_linkage_json_exits_3_and_names_it(self, run_dir, tmp_path, capsys, text):
         config, source = run_dir
         out = tmp_path / "out"
@@ -918,6 +937,21 @@ class TestStageSequencing:
         assert main(["report", "--config", str(config), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "malformed artifact" in err and "linkage.json" in err
+        assert dir_hashes(out) == before
+
+    def test_report_on_swapped_maps_exits_3_and_names_the_first(self, run_dir, tmp_path, capsys):
+        config, source = run_dir
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        os.replace(out / "map_P1.json", out / "swap.json")
+        os.replace(out / "map_P2.json", out / "map_P1.json")
+        os.replace(out / "swap.json", out / "map_P2.json")
+        before = dir_hashes(out)
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 3
+        assert (
+            'stale artifact map_P1.json: it was built with period_id "P2", not "P1"'
+            in capsys.readouterr().err
+        )
         assert dir_hashes(out) == before
 
     def test_report_under_another_tau_exits_3_and_names_the_map(self, corpus_dir, tmp_path, capsys):

@@ -3,17 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from diachron.artifacts import Cluster
-from diachron.diachrony import (
-    STATUS_NEW,
-    STATUS_ROOTED,
-    ClusterLink,
-    Linkage,
-    cross_table,
-    link_periods,
-)
+from diachron.artifacts import Cluster, ClusterLink, Linkage
+from diachron.diachrony import STATUS_NEW, STATUS_ROOTED, cross_table, link_periods
 from diachron.diffusion import CATEGORIES, TermStats
-from diachron.errors import InputError
 
 from oracles import sparse_rows
 
@@ -43,7 +35,7 @@ def _summary(cluster_id, terms, size=1):
 
 def _link(p1, p2, rho):
     """link_periods over the dense rows p1 and p2, passed as sparse axes."""
-    return link_periods(sparse_rows(p1), sparse_rows(p2), rho)
+    return link_periods(sparse_rows(p1), sparse_rows(p2), [f"c{c}" for c in range(len(p2))], rho)
 
 
 class TestLinkPeriods:
@@ -51,6 +43,7 @@ class TestLinkPeriods:
         axes = np.eye(3)
         linkage = _link(axes, axes, rho=0.3)
         assert [link.status for link in linkage.links] == [STATUS_ROOTED] * 3
+        assert [link.label for link in linkage.links] == ["c0", "c1", "c2"]
         for c, link in enumerate(linkage.links):
             assert link.best_parent == (c, 1.0)
 
@@ -125,8 +118,10 @@ def _linkage(statuses, rho=0.3):
     links = tuple(
         ClusterLink(
             cluster_id=c,
+            label=f"c{c}",
             status=status,
             parents=((0, 0.9),) if status == STATUS_ROOTED else (),
+            best_parent=(0, 0.9) if status == STATUS_ROOTED else None,
         )
         for c, status in enumerate(statuses)
     )
@@ -202,8 +197,3 @@ class TestCrossTable:
         assert tab.shares[STATUS_ROOTED]["established"] == 0.5
         assert tab.shares[STATUS_ROOTED]["unusual"] == 0.5
 
-    def test_term_missing_from_stats_rejected(self):
-        linkage = _linkage([STATUS_ROOTED])
-        summaries = [_summary(0, ["ghost"])]
-        with pytest.raises(InputError):
-            cross_table(linkage, summaries, [_stats("a", "established")])
