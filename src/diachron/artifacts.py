@@ -18,7 +18,7 @@ import hashlib
 import json
 import os
 from collections.abc import Callable
-from typing import TYPE_CHECKING, Literal
+from typing import TYPE_CHECKING, Literal, get_args
 
 from .corpus import Vocabulary, atomic_open
 from .diffusion import CATEGORIES
@@ -76,17 +76,28 @@ class ClusterFile:
 
 
 Status = Literal["rooted", "new"]  # a P2 cluster with a P1 parent is rooted, one without new
+STATUS_ROOTED, STATUS_NEW = get_args(Status)
 
 
 @dataclasses.dataclass(frozen=True)
 class ClusterLink:
-    """A P2 cluster in linkage.json's key order; parents are (P1 id, cosine >= rho), best first."""
+    """A P2 cluster in linkage.json's key order; parents are (P1 id, cosine >= rho), best first,
+    each cosine to 6 places."""
 
     cluster_id: int
     label: str
     status: Status
     parents: tuple[tuple[int, float], ...]
     best_parent: tuple[int, float] | None
+
+    def __post_init__(self) -> None:
+        if (self.status == STATUS_ROOTED) != bool(self.parents):
+            raise ValueError(f"link {self.cluster_id} is {self.status} with {len(self.parents)} parents")
+        if self.best_parent != (self.parents[0] if self.parents else None):
+            raise ValueError(f"the best parent of link {self.cluster_id} is not its first parent")
+        cosines = [cosine for _, cosine in self.parents]
+        if any(a < b for a, b in zip(cosines, cosines[1:])):
+            raise ValueError(f"the parents of link {self.cluster_id} are not in cosine order, best first")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -188,10 +199,8 @@ def _check_built_with(path: str, key: str, built, value, fix: str = "re-run upst
 
 
 def write_clusters(path: str, clusters: ClusterFile) -> None:
-    entries = [
-        {**vars(c), "top_terms": [[t, round(w, 6)] for t, w in c.top_terms]} for c in clusters.clusters
-    ]
-    write_json({**vars(clusters), "clusters": entries}, path)
+    # the fields as they are: dataclasses.asdict would deep-copy every axis weight
+    write_json({**vars(clusters), "clusters": list(map(vars, clusters.clusters))}, path)
 
 
 def read_clusters(
@@ -207,8 +216,9 @@ def read_clusters(
     vocabulary, decode as a ClusterFile and hold the echoed k clusters,
     numbered 0 to k-1 in order, with axis weights in [-1, 1] on vocabulary
     terms and string members. Each cluster's size must be its member count,
-    its top terms axis terms and its label the first of them ("" if none),
-    and no document may be listed twice.
+    its label its first top term ("" if none), and its top terms axis terms
+    of positive weight, each with that weight to 6 places, in non-increasing
+    weight order. No document may be listed twice.
     `get_vocabulary` returns the vocabulary and its `vocab_sha256`; it is
     called only once the file has parsed and passed the first two checks, so
     a truncated or stale cluster file is the file named even when the
@@ -254,6 +264,11 @@ def read_clusters(
                 raise ValueError(f"cluster {c.id} has size {c.size} but {len(c.members)} members")
             if not all(term in c.axis for term, _ in c.top_terms):
                 raise ValueError(f"a top term of cluster {c.id} is not one of its axis terms")
+            if not all(c.axis[term] > 0.0 and w == round(c.axis[term], 6) for term, w in c.top_terms):
+                raise ValueError(f"a top-term weight of cluster {c.id} is not its positive axis weight")
+            top = [w for _, w in c.top_terms]
+            if any(a < b for a, b in zip(top, top[1:])):
+                raise ValueError(f"the top terms of cluster {c.id} are not in weight order")
             if c.label != (c.top_terms[0][0] if c.top_terms else ""):
                 raise ValueError(f"the label of cluster {c.id} is not its first top term")
     return clusters
@@ -271,10 +286,14 @@ def read_map(path: str, period_id: str, tau: float) -> ClusterMap:
     return cmap
 
 
-def read_linkage(path: str, rho: float) -> Linkage:
-    """The linkage in `path`, which must have been built with `rho`."""
+def read_linkage(path: str, rho: float, k: int) -> Linkage:
+    """The linkage in `path`, which must have been built with `rho` and
+    link the P2 clusters 0 to k-1 in order."""
     linkage = read_artifact(Linkage, path)
     _check_built_with(path, "rho", linkage.rho, rho, "re-run the link stage")
+    with parsing(path):
+        if [link.cluster_id for link in linkage.links] != list(range(k)):
+            raise ValueError(f"the links are not of the k={k} P2 clusters 0 to {k - 1} in order")
     return linkage
 
 
@@ -284,16 +303,7 @@ def write_svg(path: str, cmap: ClusterMap) -> None:
 
 
 def write_linkage(path: str, linkage: Linkage) -> None:
-    def rounded(parent):  # the cosine to 6 places; None stays None
-        return parent and (parent[0], round(parent[1], 6))
-
-    links = tuple(
-        dataclasses.replace(
-            link, parents=tuple(map(rounded, link.parents)), best_parent=rounded(link.best_parent)
-        )
-        for link in linkage.links
-    )
-    write_json(dataclasses.asdict(dataclasses.replace(linkage, links=links)), path)
+    write_json(dataclasses.asdict(linkage), path)
 
 
 def write_crosstab(path: str, crosstab: CrossTab) -> None:

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-One JSON config drives every subcommand; stages read earlier artifacts
-from the output directory, so `run` and stage-at-a-time execution give
-byte-identical results. Exit codes: 0 success, 2 config error, 3 input
+One JSON config drives every subcommand. A stage command reads earlier
+artifacts from the output directory, and `run` hands them from stage to
+stage in memory; the two give byte-identical results. Exit codes: 0 success, 2 config error, 3 input
 error, 4 numeric failure, 5 I/O error. Set DIACHRON_LOG to debug, info,
 warning (or warn), or error, in any case, to control logging.
 

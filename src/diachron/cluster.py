@@ -288,7 +288,9 @@ def fit_axial_kmeans(
 
 def summarize_clusters(model: ClusterModel, vocabulary: Vocabulary, top_m: int = 10) -> list[Cluster]:
     """Each cluster's sparse axis, its members in row order and its top
-    positive axis terms; ties break lexicographically, label = first term."""
+    positive axis terms; ties break lexicographically, label = first term.
+    The top-term weights are rounded to 6 places once chosen and ordered, as
+    the cluster file holds them."""
     order = np.argsort(model.assignment, kind="stable")  # the rows, cluster by cluster
     clusters = []
     for c, rows in enumerate(np.split(order, np.cumsum(model.sizes)[:-1])):
@@ -296,6 +298,7 @@ def summarize_clusters(model: ClusterModel, vocabulary: Vocabulary, top_m: int =
         nz = np.flatnonzero(weights)
         axis = dict(zip([vocabulary.terms[t] for t in nz.tolist()], weights[nz].tolist()))
         top = sorted((p for p in axis.items() if p[1] > 0.0), key=lambda p: (-p[1], p[0]))[:top_m]
+        top = tuple((t, round(w, 6)) for t, w in top)
         members = [model.doc_ids[r] for r in rows.tolist()]
-        clusters.append(Cluster(c, top[0][0] if top else "", len(members), tuple(top), members, axis))
+        clusters.append(Cluster(c, top[0][0] if top else "", len(members), top, members, axis))
     return clusters

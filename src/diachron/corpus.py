@@ -173,12 +173,13 @@ def _utf8_text(path: str):
 
 
 def _iter_jsonl(path: str, normalized: _Normalized):
+    decoder = json.JSONDecoder()  # json.loads's, built once; a line with a BOM still fails
     with open(path, encoding="utf-8") as fh, _utf8_text(path):
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = decoder.decode(line)
             except (ValueError, RecursionError) as exc:  # also a long integer, deep nesting
                 raise InputError(f"{path}:{lineno}: malformed JSON line: {exc}") from exc
             if not isinstance(obj, dict):
@@ -243,6 +244,7 @@ def load_corpus(path: str, format: str = "jsonl") -> tuple[list[Record], int]:
 
 def save_corpus(records: list[Record], path: str) -> None:
     """Write records (sorted by id) as JSONL, so that a reload round-trips exactly."""
+    encoder = json.JSONEncoder(ensure_ascii=False, sort_keys=True)  # json.dumps's, built once
     with atomic_open(path) as fh:
         for rec in sorted(records, key=lambda r: r.id):
             obj = {
@@ -253,7 +255,7 @@ def save_corpus(records: list[Record], path: str) -> None:
             }
             if rec.title is not None:
                 obj["title"] = rec.title
-            fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
+            fh.write(encoder.encode(obj) + "\n")
 
 
 def split_periods(records: list[Record], spec: PeriodSpec) -> tuple[CorpusSlice, CorpusSlice, int]:

@@ -15,13 +15,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import get_args
 
-from .artifacts import Cluster, ClusterLink, Linkage, Status
+from .artifacts import STATUS_NEW, STATUS_ROOTED, Cluster, ClusterLink, Linkage
 from .diffusion import CATEGORIES, TermStats
 from .mapping import Axis, cosine, dot
-
-STATUS_ROOTED, STATUS_NEW = get_args(Status)
 
 
 @dataclass(frozen=True)
@@ -33,14 +30,16 @@ class CrossTab:
 
 def link_periods(axes_p1: list[Axis], axes_p2: list[Axis], labels_p2: list[str], rho: float) -> Linkage:
     """Link each P2 cluster, labelled from `labels_p2`, to its P1 parents by
-    axis cosine >= rho; the axes are sparse rows, dicts of term -> weight."""
+    axis cosine >= rho; the axes are sparse rows, dicts of term -> weight.
+    The cosines are rounded to 6 places once ranked and cut at rho, as
+    linkage.json holds them."""
     norms_p1 = [dot(a1, a1) for a1 in axes_p1]
     links = []
     for c2, (a2, label) in enumerate(zip(axes_p2, labels_p2, strict=True)):
         norm = dot(a2, a2)
         sims = [cosine(dot(a2, a1), norm, n1) for a1, n1 in zip(axes_p1, norms_p1)]
         ranked = sorted(enumerate(sims), key=lambda p: -p[1])  # ties keep id order
-        parents = tuple(p for p in ranked if p[1] >= rho)
+        parents = tuple((c1, round(sim, 6)) for c1, sim in ranked if sim >= rho)
         status = STATUS_ROOTED if parents else STATUS_NEW
         links.append(ClusterLink(c2, label, status, parents, parents[0] if parents else None))
     return Linkage(rho=rho, links=tuple(links))

@@ -1,13 +1,17 @@
 """Stage orchestration: one config drives the whole artifact directory.
 
-Every stage reads its inputs from prior-stage artifacts in the output
-directory and rebuilds cheap intermediates (period slices, vocabulary,
-matrices) from them, so stages can run one at a time or chained by `run`
-with byte-identical results. Both go through one runner, which hands
-every stage one argument, the invocation's `Run`: the config, the output
-directory, the fit's thread count, and corpus.jsonl parsed at most once
-(not at all after an ingest in the same invocation, nor for map, link and
-report). All randomness flows from the single config seed through
+A stage takes its inputs from the invocation's `Run`. A record that an
+earlier stage of the same invocation made (ingest's periods and load
+report, the clusters, the maps, the linkage) is handed on as it is;
+anything else is read from the prior-stage artifact in the output
+directory, checked, and cheap intermediates (period slices, vocabulary,
+matrices) are rebuilt from it. Each record holds its values as its file
+does, so stages run one at a time or chained by `run` give byte-identical
+results. Both go through one runner, which hands every stage one
+argument, the `Run`: the config, the output directory, the fit's thread
+count, the records, and corpus.jsonl parsed at most once (not at all
+after an ingest in the same invocation, nor for map, link and report).
+All randomness flows from the single config seed through
 stage-labeled derived seeds, and row order is fixed once, when
 `split_periods` sorts each period by record id.
 
@@ -31,6 +35,7 @@ import logging
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -47,7 +52,7 @@ from .corpus import (
 )
 from .diffusion import DiffusionThresholds, TermStats, classify_terms, read_terms_csv, write_terms_csv
 from .errors import ConfigError, InputError, decode, read_json_object
-from .mapping import build_cluster_map
+from .mapping import ClusterMap, build_cluster_map
 from .seeding import derive_seed
 
 log = logging.getLogger("diachron")
@@ -157,26 +162,30 @@ def load_config(path: str) -> RunConfig:
 
 class Run:
     """One invocation: the config, the output directory, the thread count of
-    the fit, and what the stages know of corpus.jsonl, each part worked out
-    at most once.
+    the fit, and the record of each artifact the stages take, each worked
+    out at most once.
 
-    The slices come from parsing corpus.jsonl, never after an ingest (which
-    hands its own on). The vocabulary comes from the slices if a slice reader
-    ran first, and otherwise from terms.csv and load_report.json, so map and
-    link parse no corpus. Each cluster file ties those two files to the
-    clustering by the hashes of corpus.jsonl and of the vocabulary, and by
-    its echo of the settings it was built with."""
+    An artifact's record is the one its stage made, if that stage ran
+    earlier in this invocation; it equals a read of the file just written,
+    since each record holds its values as the file does (rounded where the
+    file rounds them). Otherwise it is read from the file and checked, once.
+    corpus.jsonl's record is its two period slices. terms.csv's stats are
+    always read from the file: in categories mode its stage runs before the
+    fits, and holding the stats through them would raise the peak memory.
+    The vocabulary comes from the slices if a slice reader ran first, and
+    otherwise from terms.csv and load_report.json, so map and link parse no
+    corpus. Each cluster file ties those two files to the clustering by the
+    hashes of corpus.jsonl and of the vocabulary, and by its echo of the
+    settings it was built with."""
 
     def __init__(self, config: RunConfig, out: str, threads: int = 1) -> None:
         self.config = config
         self.out = out
         self.threads = threads
-        self._periods: tuple[CorpusSlice, CorpusSlice] | None = None
+        self._records: dict[str, object] = {}  # artifact name -> record, made or read
         self._vocabulary: Vocabulary | None = None
-        self._terms: list[TermStats] | None = None
         self._sha256: str | None = None
         self._vocab_sha256: str | None = None
-        self._load_report: artifacts.LoadReport | None = None
 
     def path(self, name: str) -> str:
         return os.path.join(self.out, name)
@@ -184,9 +193,14 @@ class Run:
     def require(self, name: str, producer: str) -> str:
         return artifacts.require(self.path(name), producer)
 
-    def put(self, p1: CorpusSlice, p2: CorpusSlice) -> None:
-        """Periods of what ingest just wrote, which a parse would reproduce."""
-        self._periods = p1, p2
+    def hand_on(self, name: str, record) -> None:
+        """The record of what a stage just wrote to artifact `name`."""
+        self._records[name] = record
+
+    def _record(self, name: str, read: Callable[[], object]):
+        if name not in self._records:
+            self._records[name] = read()
+        return self._records[name]
 
     def sha256(self) -> str:
         if self._sha256 is None:
@@ -194,28 +208,32 @@ class Run:
         return self._sha256
 
     def slices(self) -> tuple[CorpusSlice, CorpusSlice, Vocabulary]:
-        if self._periods is None:
+        def read():
             records, _ = load_corpus(self.require(artifacts.CORPUS, "ingest"), "jsonl")
-            self._periods = split_periods(records, self.config.periods)[:2]
-        p1, p2 = self._periods
+            return split_periods(records, self.config.periods)[:2]
+
+        p1, p2 = self._record(artifacts.CORPUS, read)
         if self._vocabulary is None:
             self._vocabulary = build_vocabulary(p1, p2, self.config.min_df)
         return p1, p2, self._vocabulary
 
     def terms(self) -> list[TermStats]:
-        """terms.csv, read once: in both stage orders the terms stage writes
-        it before any stage reads it."""
-        if self._terms is None:
+        """terms.csv: in both stage orders the terms stage writes it before
+        any stage reads it."""
+
+        def read():
             path = self.require(artifacts.TERMS, "terms")
             with artifacts.parsing(path):
-                self._terms = read_terms_csv(path)
-        return self._terms
+                return read_terms_csv(path)
+
+        return self._record(artifacts.TERMS, read)
 
     def load_report(self) -> artifacts.LoadReport:
-        if self._load_report is None:
+        def read():
             path = self.require(artifacts.LOAD_REPORT, "ingest")
-            self._load_report = artifacts.read_artifact(artifacts.LoadReport, path)
-        return self._load_report
+            return artifacts.read_artifact(artifacts.LoadReport, path)
+
+        return self._record(artifacts.LOAD_REPORT, read)
 
     def vocabulary(self) -> Vocabulary:
         if self._vocabulary is None:
@@ -246,14 +264,35 @@ class Run:
         }
 
     def read_clusters(self, period_id: str) -> list[artifacts.Cluster]:
-        """A period's clusters from its checked cluster file."""
-        corpus_sha256 = self.sha256()  # names a missing corpus.jsonl before a cluster file
-        return artifacts.read_clusters(
-            self.require(artifacts.clusters_file(period_id), "cluster"),
-            lambda: (self.vocabulary(), self.vocab_sha256()),
-            corpus_sha256,
-            self.cluster_echo(period_id),
+        """A period's clusters, as fitted or from its checked cluster file."""
+        name = artifacts.clusters_file(period_id)
+
+        def read():
+            corpus_sha256 = self.sha256()  # names a missing corpus.jsonl before a cluster file
+            return artifacts.read_clusters(
+                self.require(name, "cluster"),
+                lambda: (self.vocabulary(), self.vocab_sha256()),
+                corpus_sha256,
+                self.cluster_echo(period_id),
+            )
+
+        return self._record(name, read)
+
+    def read_map(self, period_id: str) -> ClusterMap:
+        """A period's map, as built or from its checked map file."""
+        name = artifacts.map_json_file(period_id)
+        return self._record(
+            name, lambda: artifacts.read_map(self.require(name, "map"), period_id, self.config.tau)
         )
+
+    def read_linkage(self) -> artifacts.Linkage:
+        """The linkage, as built or from its checked file."""
+
+        def read():
+            k = len(self.read_map("P2").coords)  # the P2 clusters it must link
+            return artifacts.read_linkage(self.require(artifacts.LINKAGE, "link"), self.config.rho, k)
+
+        return self._record(artifacts.LINKAGE, read)
 
 
 def stage_ingest(run: Run) -> None:
@@ -274,7 +313,8 @@ def stage_ingest(run: Run) -> None:
         dropped_outside_periods=dropped_outside,
     )
     artifacts.write_json(dataclasses.asdict(report), run.path(artifacts.LOAD_REPORT))
-    run.put(p1, p2)
+    run.hand_on(artifacts.CORPUS, (p1, p2))
+    run.hand_on(artifacts.LOAD_REPORT, report)
 
 
 def stage_terms(run: Run) -> None:
@@ -295,16 +335,19 @@ def stage_cluster(run: Run) -> None:
     for slice_ in (p1, p2):
         matrix = build_matrix(slice_, vocabulary, config.weighting)
         model = fit_axial_kmeans(matrix, config.cluster_config(slice_.period_id), threads=run.threads)
-        clusters = artifacts.ClusterFile(
+        clusters = summarize_clusters(model, vocabulary, config.top_m)
+        name = artifacts.clusters_file(slice_.period_id)
+        record = artifacts.ClusterFile(
             period_id=model.period_id,
             config=run.cluster_echo(slice_.period_id),
             vocab_sha256=run.vocab_sha256(),
             corpus_sha256=run.sha256(),
             objective_trace=model.objective_trace,
-            clusters=tuple(summarize_clusters(model, vocabulary, config.top_m)),
+            clusters=tuple(clusters),
         )
-        artifacts.write_clusters(run.path(artifacts.clusters_file(slice_.period_id)), clusters)
-        del matrix, model, clusters  # so that P2's matrix and fit do not join P1's in memory
+        artifacts.write_clusters(run.path(name), record)
+        run.hand_on(name, clusters)
+        del matrix, model, clusters, record  # so that P2's matrix and fit do not join P1's in memory
 
 
 def stage_map(run: Run) -> None:
@@ -312,8 +355,10 @@ def stage_map(run: Run) -> None:
     for period_id, clusters in zip(PERIOD_IDS, periods):
         labels, sizes = [c.label for c in clusters], [c.size for c in clusters]
         cmap = build_cluster_map(period_id, [c.axis for c in clusters], run.config.tau, labels, sizes)
-        artifacts.write_map(run.path(artifacts.map_json_file(period_id)), cmap)
+        name = artifacts.map_json_file(period_id)
+        artifacts.write_map(run.path(name), cmap)
         artifacts.write_svg(run.path(artifacts.map_svg_file(period_id)), cmap)
+        run.hand_on(name, cmap)
 
 
 def stage_link(run: Run) -> None:
@@ -325,16 +370,14 @@ def stage_link(run: Run) -> None:
     crosstab = cross_table(linkage, p2, run.terms(), run.config.top_m)
     artifacts.write_linkage(run.path(artifacts.LINKAGE), linkage)
     artifacts.write_crosstab(run.path(artifacts.CROSSTAB), crosstab)
+    run.hand_on(artifacts.LINKAGE, linkage)
 
 
 def stage_report(run: Run) -> None:
     from importlib import metadata  # for the versions only, so the other stages never load it
 
-    maps = [
-        artifacts.read_map(run.require(artifacts.map_json_file(p), "map"), p, run.config.tau)
-        for p in PERIOD_IDS
-    ]
-    artifacts.read_linkage(run.require(artifacts.LINKAGE, "link"), run.config.rho)
+    maps = [run.read_map(p) for p in PERIOD_IDS]
+    run.read_linkage()
     input_sha256 = run.load_report().input_sha256
     for period_id, cmap in zip(PERIOD_IDS, maps):  # every input checked before the first write
         artifacts.write_svg(run.path(artifacts.map_svg_file(period_id)), cmap)

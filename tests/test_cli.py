@@ -492,6 +492,52 @@ class TestRunCommand:
         assert hash_a != hash_b
 
 
+@pytest.fixture
+def no_reads(monkeypatch):
+    """Every artifact reader of a stage raises: a stage gets only what an
+    earlier stage of the same invocation handed on."""
+
+    def reader(name):
+        def read(*args, **kwargs):
+            raise AssertionError(f"artifacts.{name} read back a file this invocation wrote")
+
+        return read
+
+    for name in ("read_clusters", "read_map", "read_linkage", "read_artifact"):
+        monkeypatch.setattr(artifacts, name, reader(name))
+    return monkeypatch
+
+
+class TestHandOff:
+    @pytest.mark.parametrize("gini_cells", ["categories", "clusters"])
+    def test_run_reads_back_none_of_its_artifacts(self, corpus_dir, tmp_path, no_reads, gini_cells):
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl", gini_cells=gini_cells)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("gini_cells", ["categories", "clusters"])
+    def test_handed_on_records_equal_their_files_read_back(
+        self, corpus_dir, tmp_path, no_reads, gini_cells
+    ):
+        path = write_config(tmp_path, corpus_dir / "corpus.jsonl", gini_cells=gini_cells)
+        config, out = pipeline.load_config(str(path)), str(tmp_path / "out")
+        os.makedirs(out)
+        chained = pipeline.Run(config, out)
+        for name in config.stage_order():
+            pipeline.STAGES[name](chained)
+
+        def records(run):
+            return (
+                [run.read_clusters(p) for p in pipeline.PERIOD_IDS],
+                [run.read_map(p) for p in pipeline.PERIOD_IDS],
+                run.read_linkage(),
+                run.load_report(),
+            )
+
+        handed_on = records(chained)
+        no_reads.undo()
+        assert handed_on == records(pipeline.Run(config, out))  # a Run that made none reads each
+
+
 class TestStageSequencing:
     @pytest.mark.parametrize(
         "stage, missing_file, producer",
@@ -740,7 +786,8 @@ class TestStageSequencing:
             "objective-infinite", "term-outside-vocabulary", "weight-above-one",
             "label-not-string", "top-term-not-string", "size-float", "size-string", "id-string",
             "weight-string", "weight-boolean", "member-not-string", "top-term-outside-axis",
-            "label-not-first-top-term",
+            "label-not-first-top-term", "top-term-weight-edited", "top-term-weight-negative",
+            "top-terms-out-of-weight-order",
         ],
     )
     def test_cluster_file_with_foreign_members_exits_3_and_names_it(
@@ -785,6 +832,15 @@ class TestStageSequencing:
             first["top_terms"][-1][0] = "zzz-foreign"
         elif fault == "label-not-first-top-term":  # a top term, but the second
             first["label"] = first["top_terms"][1][0]
+        elif fault == "top-term-weight-edited":
+            first["top_terms"][0][1] = 0.999
+        elif fault == "top-term-weight-negative":  # in weight order, and its axis weight to 6 places
+            term, weight = first["top_terms"][-1]
+            first["axis"][term] = -first["axis"][term]
+            first["top_terms"][-1][1] = -weight
+        elif fault == "top-terms-out-of-weight-order":  # the last two swapped
+            first["top_terms"][-2:] = first["top_terms"][:-3:-1]
+            assert first["top_terms"][-2][1] < first["top_terms"][-1][1]
         else:
             data["objective_trace"][-1] = float("-inf")
         text = json.dumps(data).replace('"1e999"', "1e999")
@@ -939,6 +995,45 @@ class TestStageSequencing:
         assert "malformed artifact" in err and "linkage.json" in err
         assert dir_hashes(out) == before
 
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            "no-links", "a-link-short", "links-out-of-order", "new-with-a-best-parent",
+            "new-with-parents", "rooted-without-parents", "best-parent-not-first",
+            "parents-out-of-cosine-order",
+        ],
+    )
+    def test_inconsistent_linkage_json_exits_3_and_names_it(
+        self, run_dir, tmp_path, capsys, fault
+    ):
+        config, source = run_dir  # k is 3
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        data = json.loads((out / "linkage.json").read_text(encoding="utf-8"))
+        links, rooted = data["links"], {"status": "rooted", "parents": [[0, 0.9], [1, 0.5]]}
+        if fault == "no-links":
+            links.clear()
+        elif fault == "a-link-short":
+            links.pop()
+        elif fault == "links-out-of-order":
+            links[0], links[1] = links[1], links[0]
+        elif fault == "new-with-a-best-parent":
+            links[0].update(status="new", parents=[], best_parent=[7, 0.1])
+        elif fault == "new-with-parents":
+            links[0].update(rooted, status="new", best_parent=[0, 0.9])
+        elif fault == "rooted-without-parents":
+            links[0].update(status="rooted", parents=[], best_parent=None)
+        elif fault == "best-parent-not-first":
+            links[0].update(rooted, best_parent=[1, 0.5])
+        else:
+            links[0].update(status="rooted", parents=[[1, 0.5], [0, 0.9]], best_parent=[1, 0.5])
+        (out / "linkage.json").write_text(json.dumps(data), encoding="utf-8")
+        before = dir_hashes(out)
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "malformed artifact" in err and "linkage.json" in err
+        assert dir_hashes(out) == before
+
     def test_report_on_swapped_maps_exits_3_and_names_the_first(self, run_dir, tmp_path, capsys):
         config, source = run_dir
         out = tmp_path / "out"
@@ -1019,22 +1114,25 @@ class TestStageSequencing:
         assert dir_hashes(out) == before
 
     @pytest.mark.parametrize(
-        "stage, target, name, failing",
+        "stage, target, owner, name, failing",
         [
-            # save_corpus streams one json.dumps line per record
-            ("ingest", "corpus.jsonl", "dumps", lambda: _disk_full_after(json.dumps, 3)),
-            ("map", "map_P1.json", "dump", lambda: _partial_json_dump),
+            # save_corpus streams one encoded line per record
+            (
+                "ingest", "corpus.jsonl", json.JSONEncoder, "encode",
+                lambda: _disk_full_after(json.JSONEncoder.encode, 3),
+            ),
+            ("map", "map_P1.json", json, "dump", lambda: _partial_json_dump),
         ],
         ids=["ingest", "map"],
     )
     def test_writer_failing_midway_leaves_prior_artifact_intact(
-        self, corpus_dir, tmp_path, monkeypatch, stage, target, name, failing
+        self, corpus_dir, tmp_path, monkeypatch, stage, target, owner, name, failing
     ):
         config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
         before = dir_hashes(out)
-        monkeypatch.setattr(json, name, failing())
+        monkeypatch.setattr(owner, name, failing())
         rc = main([stage, "--config", str(config), "--out", str(out)])
         monkeypatch.undo()
         assert rc == 5
@@ -1146,11 +1244,13 @@ class TestErrorExits:
             ), ":3: a keyword is longer than 131072 characters"),
             ("corpus.jsonl", GOOD_JSONL + b'{"id": "c\\ud800", "year": 1997, "keywords": ["x"]}\n',
              ": a record holds a lone surrogate"),
+            ("corpus.jsonl", GOOD_JSONL + b'\xef\xbb\xbf{"id": "c", "year": 1997, "keywords": ["x"]}\n',
+             ":3: malformed JSON line"),
         ],
         ids=[
             "jsonl-not-utf8", "csv-not-utf8", "integer-over-4300-digits",
             "nested-100000-deep", "csv-field-over-limit", "jsonl-keyword-over-limit",
-            "lone-surrogate",
+            "lone-surrogate", "jsonl-line-after-a-bom",
         ],
     )
     def test_unparsable_corpus_exits_3_naming_file_and_line(self, tmp_path, capsys, name, data, where):

@@ -63,11 +63,11 @@ class TestLinkPeriods:
         (link,) = linkage.links
         assert link.status == STATUS_ROOTED
         # parent 2 is identical (sim 1.0); parents 0 and 1 tie at 0.7071
-        # and must appear in id order
+        # and must appear in id order, each cosine to 6 places
         assert [pid for pid, _ in link.parents] == [2, 0, 1]
-        assert link.parents[0][1] == pytest.approx(1.0, abs=1e-12)
-        assert link.parents[1][1] == pytest.approx(s, abs=1e-12)
-        assert link.parents[2][1] == pytest.approx(s, abs=1e-12)
+        assert link.parents[0][1] == 1.0
+        assert link.parents[1][1] == round(s, 6)
+        assert link.parents[2][1] == round(s, 6)
         assert link.best_parent == link.parents[0]
 
     def test_rho_one_requires_identical_axes(self):
