@@ -27,6 +27,7 @@ lock; an error in any thread is raised once every thread has stopped.
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 from dataclasses import dataclass, field
@@ -44,6 +45,8 @@ if TYPE_CHECKING:  # annotations only: vectorize.build_matrix is where scipy loa
     import scipy.sparse as sp
 
     from .pipeline import ClusterConfig
+
+_DIVIDE_ROWS = 64  # rows of the V×k axes per row of _update_axes's divide
 
 
 @dataclass(frozen=True)
@@ -101,8 +104,8 @@ class _Work:
     `shared` is `_shared_index(M, k)`: it depends on M and k only, so a fit
     builds it once and its restarts read it concurrently. np.take writes with
     mode="clip": its indices are always in range, and the default mode
-    "raise" would first copy `out` to a temporary array. `squares`,
-    `exponents` and `high` are the scratch of `_exact_sum`.
+    "raise" would first copy `out` to a temporary array. `squares` holds the
+    summands of J and `high` is `_exact_sum`'s scratch, both of length n.
     """
 
     def __init__(self, M: sp.csr_matrix, k: int, shared: tuple[np.ndarray, ...]):
@@ -111,7 +114,6 @@ class _Work:
         self.flat = np.empty(n, dtype=np.intp)
         self.proj = np.empty(n)
         self.squares = np.empty(n)
-        self.exponents = np.empty(n, dtype=np.intp)
         self.high = np.empty(n)
 
 
@@ -123,37 +125,37 @@ def _shared_index(M: sp.csr_matrix, k: int) -> tuple[np.ndarray, ...]:
     return rows, M.indices.astype(np.intp) * k, np.arange(n) * k
 
 
-def _exact_sum(x: np.ndarray, exponents: np.ndarray, high: np.ndarray) -> float:
+def _exact_sum(x: np.ndarray, high: np.ndarray) -> float:
     """The correctly rounded sum of the finite non-negative floats `x`, which
-    is unique, so it equals math.fsum(x) bit for bit. Overwrites `x`, and
-    writes `exponents` (intp) and `high`, both of x's length.
+    is unique, so it equals math.fsum(x) bit for bit. Overwrites `x` and
+    `high`, both of length n < 2**26.
 
-    Each value is m * 2**(e - 53) with m a 53-bit integer, split into its top
-    27 and low 26 bits. Per exponent, np.bincount sums the top halves as
-    integers below 2**27 and the low halves as multiples of 2**-26 below 1;
-    with fewer than 2**26 values every partial sum has at most 53 significant
-    bits, so both sums are exact. Python ints then add them up, and one
-    division rounds the total.
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation, part I", SIAM J. Sci. Comput. 31(1), 2008): with 2**m >= n + 2
+    and sigma = 2**(e + m) > 2**m * max(x), a pass splits each remainder r
+    into hi = (r + sigma) - sigma and r - hi, both exact. The hi lie on the
+    grid sigma * 2**-53 and add up to less than sigma, so their sum is exact;
+    the remainders left are at most sigma * 2**-53, so the next pass takes
+    sigma * 2**(m - 52). Once they are all zero, math.fsum rounds the parts.
     """
-    np.frexp(x, out=(x, exponents))  # x = f * 2**e with f in [0.5, 1), or 0
-    np.multiply(x, 2.0**27, out=x)
-    np.modf(x, out=(x, high))  # high: the top 27 bits of m; x: the rest, over 2**26
-    lowest = int(exponents.min())
-    exponents -= lowest
-    highs = np.bincount(exponents, weights=high).tolist()
-    lows = np.bincount(exponents, weights=x).tolist()
-    total = 0
-    for i, (h, low) in enumerate(zip(highs, lows)):
-        if h or low:
-            total += ((int(h) << 26) + int(low * 2.0**26)) << i
-    scale = lowest - 53
-    return float(total << scale) if scale >= 0 else total / (1 << -scale)
+    m = (x.size + 1).bit_length()  # the least m with 2**m >= n + 2
+    top = float(x.max())
+    if not top < 2.0 ** (1023 - m):  # sigma would overflow, or x is not finite
+        return math.fsum(x)
+    sigma, parts = math.ldexp(1.0, math.frexp(top)[1] + m), []
+    while not parts or x.any():  # x holds the remainders
+        np.add(x, sigma, out=high)
+        np.subtract(high, sigma, out=high)
+        np.subtract(x, high, out=x)
+        parts.append(float(np.add.reduce(high)))
+        sigma *= 2.0 ** (m - 52)
+    return math.fsum(parts)
 
 
 def _objective(work: _Work) -> float:
     # a correctly rounded sum keeps the recorded trace monotone
     np.multiply(work.proj, work.proj, out=work.squares)
-    return _exact_sum(work.squares, work.exponents, work.high)
+    return _exact_sum(work.squares, work.high)
 
 
 def _assign(M: sp.csr_matrix, work: _Work, axes: np.ndarray, assign: np.ndarray) -> None:
@@ -178,8 +180,9 @@ def _update_axes(
     # the flat index t * k + c of a V×k array) and the weights live in `out`
     # until the squares overwrite it, unless they do not fit there
     V, k = out.shape
-    spare = out.reshape(-1) if 2 * M.nnz <= V * k else np.empty(2 * M.nnz)
-    bins, weights = spare[: M.nnz].view(np.intp), spare[M.nnz : 2 * M.nnz]
+    nnz = M.nnz  # a property scipy works out in Python
+    spare = out.reshape(-1) if 2 * nnz <= V * k else np.empty(2 * nnz)
+    bins, weights = spare[:nnz].view(np.intp), spare[nnz : 2 * nnz]
     np.take(assign, work.rows, out=bins, mode="clip")
     bins += work.col_bins
     np.take(work.proj, work.rows, out=weights, mode="clip")
@@ -190,10 +193,16 @@ def _update_axes(
     squares = out.reshape(k, V)
     norms = np.sqrt(np.add.reduce(np.multiply(sums.T, sums.T, out=squares), axis=1))
     positive = norms > 0.0
-    np.divide(sums, np.where(positive, norms, 1.0), out=out)
-    if not positive.all():
-        # an axis whose members all lie orthogonal to it gets a zero sum; keep it
-        np.copyto(out, axes, where=~positive)
+    divisor = norms if positive.all() else np.where(positive, norms, 1.0)
+    # numpy's inner loop runs along the last axis, only k long: seen as rows of
+    # B * k, B = _DIVIDE_ROWS, against B copies of the divisor, it runs B times longer
+    whole, wide = V - V % _DIVIDE_ROWS, (-1, _DIVIDE_ROWS * k)
+    np.divide(sums[:whole].reshape(wide), np.tile(divisor, _DIVIDE_ROWS), out=out[:whole].reshape(wide))
+    np.divide(sums[whole:], divisor, out=out[whole:])
+    if divisor is norms:  # every norm is positive; an empty cluster's is zero, so none is empty
+        return out
+    # an axis whose members all lie orthogonal to it gets a zero sum; keep it
+    np.copyto(out, axes, where=~positive)
     reseeded: set[int] = set()
     for c in np.flatnonzero(np.bincount(assign, minlength=k) == 0):
         # farthest-point re-seed: the doc with the lowest projection onto this

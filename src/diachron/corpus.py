@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import json
 import os
 import re
@@ -128,28 +129,27 @@ class _Normalized(dict):
         return term
 
 
-def _make_record(obj: dict, where: str, normalized: _Normalized) -> Record:
+def _make_record(obj: dict, where: str, normalized: _Normalized, limit: int) -> Record:
     rec_id = obj.get("id")
-    if not isinstance(rec_id, str) or not rec_id:
+    if type(rec_id) is not str or not rec_id:
         raise InputError(f"{where}: 'id' must be a non-empty string")
     year = obj.get("year")
-    if isinstance(year, bool) or not isinstance(year, int):
+    if type(year) is not int:
         raise InputError(f"{where}: 'year' must be an integer")
     keywords = obj.get("keywords")
-    if not isinstance(keywords, list) or not all(isinstance(k, str) for k in keywords):
+    if type(keywords) is not list or not set(map(type, keywords)) <= {str}:
         raise InputError(f"{where}: 'keywords' must be an array of strings")
     categories = obj.get("categories", [])
-    if not isinstance(categories, list) or not all(isinstance(c, str) for c in categories):
+    if type(categories) is not list or not set(map(type, categories)) <= {str}:
         raise InputError(f"{where}: 'categories' must be an array of strings")
     title = obj.get("title")
-    if title is not None and not isinstance(title, str):
+    if title is not None and type(title) is not str:
         raise InputError(f"{where}: 'title' must be a string")
     title = title or None
     terms = {normalized[k] for k in keywords}
     terms.discard("")
-    # terms.csv holds each term in one field, which the csv module reads up to this limit
-    limit = csv.field_size_limit()
-    if any(len(t) > limit for t in terms):
+    # terms.csv holds each term in one field, which the csv module reads up to `limit`
+    if terms and max(map(len, terms)) > limit:
         raise InputError(f"{where}: a keyword is longer than {limit} characters")
     # deduplicated in first-occurrence order: a record counts once per cell
     cats = tuple(dict.fromkeys(c for c in map(normalized.__getitem__, categories) if c))
@@ -172,7 +172,7 @@ def _utf8_text(path: str):
         raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from exc
 
 
-def _iter_jsonl(path: str, normalized: _Normalized):
+def _iter_jsonl(path: str, normalized: _Normalized, limit: int):
     decoder = json.JSONDecoder()  # json.loads's, built once; a line with a BOM still fails
     with open(path, encoding="utf-8") as fh, _utf8_text(path):
         for lineno, line in enumerate(fh, start=1):
@@ -184,10 +184,10 @@ def _iter_jsonl(path: str, normalized: _Normalized):
                 raise InputError(f"{path}:{lineno}: malformed JSON line: {exc}") from exc
             if not isinstance(obj, dict):
                 raise InputError(f"{path}:{lineno}: expected a JSON object")
-            yield _make_record(obj, f"{path}:{lineno}", normalized)
+            yield _make_record(obj, f"{path}:{lineno}", normalized, limit)
 
 
-def _iter_csv(path: str, normalized: _Normalized):
+def _iter_csv(path: str, normalized: _Normalized, limit: int):
     with open(path, encoding="utf-8", newline="") as fh, _utf8_text(path):
         reader = csv.DictReader(fh)
         try:
@@ -209,7 +209,7 @@ def _iter_csv(path: str, normalized: _Normalized):
                     "categories": _split_cell(row.get("categories")),
                     "title": (row.get("title") or None),
                 }
-                yield _make_record(obj, where, normalized)
+                yield _make_record(obj, where, normalized, limit)
         except csv.Error as exc:  # such as a field over the csv module's size limit
             raise InputError(f"{path}:{reader.reader.line_num}: malformed CSV: {exc}") from exc
 
@@ -226,7 +226,7 @@ def load_corpus(path: str, format: str = "jsonl") -> tuple[list[Record], int]:
     Records whose keywords normalize to the empty set are dropped and
     counted. A duplicate id is an error naming the id.
     """
-    source = {"jsonl": _iter_jsonl, "csv": _iter_csv}[format](path, _Normalized())
+    source = {"jsonl": _iter_jsonl, "csv": _iter_csv}[format](path, _Normalized(), csv.field_size_limit())
 
     records: list[Record] = []
     seen_ids: set[str] = set()
@@ -242,20 +242,20 @@ def load_corpus(path: str, format: str = "jsonl") -> tuple[list[Record], int]:
     return records, dropped_empty
 
 
-def save_corpus(records: list[Record], path: str) -> None:
-    """Write records (sorted by id) as JSONL, so that a reload round-trips exactly."""
+def save_corpus(records: list[Record], path: str) -> str:
+    """Write records (sorted by id) as JSONL, so that a reload round-trips
+    exactly; returns the sha256 of the bytes written."""
     encoder = json.JSONEncoder(ensure_ascii=False, sort_keys=True)  # json.dumps's, built once
+    lines = []
+    for rec in sorted(records, key=lambda r: r.id):
+        obj = {"id": rec.id, "year": rec.year, "keywords": rec.keywords, "categories": rec.categories}
+        if rec.title is not None:
+            obj["title"] = rec.title
+        lines.append(encoder.encode(obj) + os.linesep)  # the line end text mode would write
+    data = "".join(lines).encode("utf-8")
     with atomic_open(path) as fh:
-        for rec in sorted(records, key=lambda r: r.id):
-            obj = {
-                "id": rec.id,
-                "year": rec.year,
-                "keywords": list(rec.keywords),
-                "categories": list(rec.categories),
-            }
-            if rec.title is not None:
-                obj["title"] = rec.title
-            fh.write(encoder.encode(obj) + "\n")
+        fh.buffer.write(data)  # past the text layer, so the file holds exactly `data`
+    return hashlib.sha256(data).hexdigest()
 
 
 def split_periods(records: list[Record], spec: PeriodSpec) -> tuple[CorpusSlice, CorpusSlice, int]:

@@ -123,35 +123,23 @@ def classify_terms(
     ginis = _gini_rows(counts.reshape(len(vocabulary), n_cells).astype(float))
 
     n_pooled = slices[0].n_docs + slices[1].n_docs
-    df1 = np.asarray(vocabulary.df_p1, dtype=float)
-    df2 = np.asarray(vocabulary.df_p2, dtype=float)
-    df_pooled = df1 + df2
-
+    df_pooled = np.add(vocabulary.df_p1, vocabulary.df_p2, dtype=float)
     df_cut = float(np.quantile(df_pooled, thresholds.df_high_quantile))
     gini_cut = float(np.quantile(ginis, thresholds.gini_low_quantile))
 
+    # Python ints and floats: the same values as numpy scalars, and cheaper to use one at a time
     stats: list[TermStats] = []
-    for t, term in enumerate(vocabulary.terms):
-        dfp = df_pooled[t]
-        novelty = df2[t] / dfp
-        if novelty >= thresholds.novelty_share and dfp < df_cut:
+    for term, df1, df2, gini in zip(vocabulary.terms, vocabulary.df_p1, vocabulary.df_p2, ginis.tolist()):
+        dfp = df1 + df2
+        if df2 / dfp >= thresholds.novelty_share and dfp < df_cut:
             category = CATEGORY_UNUSUAL
-        elif ginis[t] < gini_cut and df1[t] >= 1:
+        elif gini < gini_cut and df1 >= 1:
             category = CATEGORY_CROSS_SECTION
-        elif dfp >= df_cut and df1[t] >= 1:
+        elif dfp >= df_cut and df1 >= 1:
             category = CATEGORY_ESTABLISHED
         else:
             category = CATEGORY_UNCLASSIFIED
-        stats.append(
-            TermStats(
-                term=term,
-                df_p1=int(df1[t]),
-                df_p2=int(df2[t]),
-                tfidf=float(dfp * math.log(n_pooled / dfp)),
-                gini=float(ginis[t]),
-                category=category,
-            )
-        )
+        stats.append(TermStats(term, df1, df2, dfp * math.log(n_pooled / dfp), gini, category))
     return stats
 
 

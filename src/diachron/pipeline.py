@@ -169,10 +169,11 @@ class Run:
     earlier in this invocation; it equals a read of the file just written,
     since each record holds its values as the file does (rounded where the
     file rounds them). Otherwise it is read from the file and checked, once.
-    corpus.jsonl's record is its two period slices. terms.csv's stats are
-    always read from the file: in categories mode its stage runs before the
-    fits, and holding the stats through them would raise the peak memory.
-    The vocabulary comes from the slices if a slice reader ran first, and
+    corpus.jsonl's record is its two period slices, and ingest hands on the
+    sha256 of the bytes it wrote there. terms.csv's stats are always read
+    from the file: in categories mode its stage runs before the fits, and
+    holding the stats through them would raise the peak memory. The
+    vocabulary comes from the slices if a slice reader ran first, and
     otherwise from terms.csv and load_report.json, so map and link parse no
     corpus. Each cluster file ties those two files to the clustering by the
     hashes of corpus.jsonl and of the vocabulary, and by its echo of the
@@ -184,7 +185,7 @@ class Run:
         self.threads = threads
         self._records: dict[str, object] = {}  # artifact name -> record, made or read
         self._vocabulary: Vocabulary | None = None
-        self._sha256: str | None = None
+        self._sha256s: dict[str, str] = {}  # artifact name -> sha256, as written or read
         self._vocab_sha256: str | None = None
 
     def path(self, name: str) -> str:
@@ -193,9 +194,11 @@ class Run:
     def require(self, name: str, producer: str) -> str:
         return artifacts.require(self.path(name), producer)
 
-    def hand_on(self, name: str, record) -> None:
-        """The record of what a stage just wrote to artifact `name`."""
+    def hand_on(self, name: str, record, sha256: str | None = None) -> None:
+        """The record of what a stage just wrote to `name`, and its sha256 if hashed."""
         self._records[name] = record
+        if sha256 is not None:
+            self._sha256s[name] = sha256
 
     def _record(self, name: str, read: Callable[[], object]):
         if name not in self._records:
@@ -203,9 +206,9 @@ class Run:
         return self._records[name]
 
     def sha256(self) -> str:
-        if self._sha256 is None:
-            self._sha256 = artifacts.sha256_file(self.require(artifacts.CORPUS, "ingest"))
-        return self._sha256
+        if artifacts.CORPUS not in self._sha256s:
+            self._sha256s[artifacts.CORPUS] = artifacts.sha256_file(self.require(artifacts.CORPUS, "ingest"))
+        return self._sha256s[artifacts.CORPUS]
 
     def slices(self) -> tuple[CorpusSlice, CorpusSlice, Vocabulary]:
         def read():
@@ -300,7 +303,7 @@ def stage_ingest(run: Run) -> None:
     records, dropped_empty = load_corpus(config.input, config.format)
     p1, p2, dropped_outside = split_periods(records, config.periods)
     try:
-        save_corpus(records, run.path(artifacts.CORPUS))
+        corpus_sha256 = save_corpus(records, run.path(artifacts.CORPUS))
     except UnicodeEncodeError as exc:  # only a lone surrogate escape, such as "\ud800", does that
         raise InputError(f"{config.input}: a record holds a lone surrogate") from exc
     report = artifacts.LoadReport(
@@ -313,7 +316,7 @@ def stage_ingest(run: Run) -> None:
         dropped_outside_periods=dropped_outside,
     )
     artifacts.write_json(dataclasses.asdict(report), run.path(artifacts.LOAD_REPORT))
-    run.hand_on(artifacts.CORPUS, (p1, p2))
+    run.hand_on(artifacts.CORPUS, (p1, p2), corpus_sha256)
     run.hand_on(artifacts.LOAD_REPORT, report)
 
 

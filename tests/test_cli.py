@@ -537,6 +537,29 @@ class TestHandOff:
         no_reads.undo()
         assert handed_on == records(pipeline.Run(config, out))  # a Run that made none reads each
 
+    @pytest.mark.parametrize("gini_cells", ["categories", "clusters"])
+    def test_run_hashes_only_its_input_and_a_stage_the_corpus_it_reads(
+        self, corpus_dir, tmp_path, monkeypatch, gini_cells
+    ):
+        hashed, sha256_file = [], artifacts.sha256_file
+
+        def spy(path):
+            hashed.append(os.path.realpath(path))
+            return sha256_file(path)
+
+        monkeypatch.setattr(artifacts, "sha256_file", spy)
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl", gini_cells=gini_cells)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert hashed == [os.path.realpath(corpus_dir / "corpus.jsonl")]
+        before = dir_hashes(out)
+        hashed.clear()
+        # a stand-alone cluster stage hashes the corpus.jsonl it reads; the cluster files it
+        # writes are the run's, so the digest ingest handed on was the file's
+        assert main(["cluster", "--config", str(config), "--out", str(out)]) == 0
+        assert hashed == [os.path.realpath(out / "corpus.jsonl")]
+        assert dir_hashes(out) == before
+
 
 class TestStageSequencing:
     @pytest.mark.parametrize(
@@ -1116,7 +1139,7 @@ class TestStageSequencing:
     @pytest.mark.parametrize(
         "stage, target, owner, name, failing",
         [
-            # save_corpus streams one encoded line per record
+            # save_corpus encodes one line per record
             (
                 "ingest", "corpus.jsonl", json.JSONEncoder, "encode",
                 lambda: _disk_full_after(json.JSONEncoder.encode, 3),

@@ -342,6 +342,25 @@ class TestUpdateAxesOracle:
         assert 2 * M.nnz <= m * k  # so the kernel keeps its bins and weights in `out`
         self._check_against_allocating_form(rng, M, k)
 
+    @pytest.mark.parametrize("blocks", ["under-one", "one", "two", "two-and-a-rest"])
+    def test_divide_over_blocks_of_rows_matches_both_references(self, blocks):
+        # the divide takes V's rows _DIVIDE_ROWS at a time, then the rest
+        rows = cluster._DIVIDE_ROWS
+        m = {"under-one": rows - 5, "one": rows, "two": 2 * rows, "two-and-a-rest": 2 * rows + 3}[blocks]
+        rng = np.random.default_rng(300 + m)
+        n, k = 50, 4
+        M = sp.csr_matrix(_random_sparse_rows(rng, n, m))
+        axes = _random_sparse_rows(rng, k, m, density=0.6)
+        P = M @ axes.T
+        assign = rng.integers(0, k - 1, size=n)  # cluster k-1 is empty: a zero norm
+        work = _work(M, k)
+        work.proj[:] = P[np.arange(n), assign]
+        got = _update_axes(M, work, axes.T.copy(), assign, np.empty((m, k))).T
+        want = _reference_update(M, axes, assign, P, k)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=self.ATOL)
+        assert np.array_equal(got[k - 1], want[k - 1])
+        self._check_against_allocating_form(rng, M, k)  # every norm positive, bit for bit
+
     @staticmethod
     def _check_against_allocating_form(rng, M, k):
         n, m = M.shape
@@ -394,13 +413,32 @@ class TestExactSum:
     @given(x=_summands())
     def test_equals_fsum_bit_for_bit(self, x):
         want = math.fsum(x.tolist())
-        got = _exact_sum(x.copy(), np.empty(x.size, dtype=np.intp), np.empty(x.size))
+        got = _exact_sum(x.copy(), np.empty(x.size))
         assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize(
+        "x, want",
+        [
+            # each value rounds up to the first pass's grid: every remainder is negative
+            ([1.0 - 2.0**-53] * 7, 7.0 - 2.0**-50),
+            # a sum just over a tie, which the smallest subnormal breaks: the passes
+            # carry it down from 1, some after a negative remainder
+            ([1.0, 2.0**-53, 2.0**-1074], 1.0 + 2.0**-52),
+            ([1.0 - 2.0**-53, 2.0**-52, 2.0**-1074], 1.0 + 2.0**-52),
+            # a pass whose grid is finer than the smallest subnormal
+            ([2.0**-1000, 2.0**-1053, 2.0**-1074], 2.0**-1000 + 2.0**-1052),
+            ([2.0**-1074] * 5 + [2.0**-1022], 2.0**-1022 + 5 * 2.0**-1074),
+        ],
+    )
+    def test_negative_remainders_and_subnormal_passes(self, x, want):
+        x = np.array(x)
+        assert math.fsum(x.tolist()) == want
+        assert _exact_sum(x.copy(), np.empty(x.size)).hex() == want.hex()
 
     def test_overflowing_sum_raises(self):
         x = np.full(4, np.finfo(float).max)
         with pytest.raises(OverflowError):
-            _exact_sum(x, np.empty(4, dtype=np.intp), np.empty(4))
+            _exact_sum(x, np.empty(4))
 
 
 def _kxv_assign(M, axes):

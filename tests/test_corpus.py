@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -163,7 +164,8 @@ class TestSaveCorpus:
     @given(records=st.lists(record_strategy, min_size=1, max_size=8, unique_by=lambda r: r.id))
     def test_save_load_identity_jsonl(self, tmp_path_factory, records):
         path = tmp_path_factory.mktemp("rt") / "c.jsonl"
-        save_corpus(records, str(path))
+        digest = save_corpus(records, str(path))
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
         loaded, _ = load_corpus(str(path), "jsonl")
         assert loaded == sorted(records, key=lambda r: r.id)
 
