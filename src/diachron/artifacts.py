@@ -3,10 +3,10 @@
 Everything here is byte-stable: JSON floats are emitted by Python's
 shortest-round-trip repr (so full-precision values reload exactly),
 dict key order is fixed by construction, and CSV fields use pinned
-decimal formats. Cluster files carry the full-precision axes plus the
-hashes of the vocabulary and of corpus.jsonl, which is what lets a later
-stage read back the exact clusters and detect stale artifacts after an
-input change.
+decimal formats, and every file is written through `atomic_open`.
+Cluster files carry the full-precision axes plus the hashes of the
+vocabulary and of corpus.jsonl, which is what lets a later stage read
+back the exact clusters and detect stale artifacts after an input change.
 """
 
 from __future__ import annotations
@@ -14,18 +14,16 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
-import hashlib
 import json
 import os
 from collections.abc import Callable
 from typing import TYPE_CHECKING, Literal, get_args
 
-from .corpus import Vocabulary, atomic_open
-from .diffusion import CATEGORIES
 from .errors import ConfigError, InputError, decode
 from .mapping import ClusterMap, render_svg
 
-if TYPE_CHECKING:  # annotations only: diachrony imports Cluster and Linkage from here
+if TYPE_CHECKING:  # annotations only: diachrony imports from here, and map never loads corpus
+    from .corpus import Vocabulary
     from .diachrony import CrossTab
 
 LOAD_REPORT = "load_report.json"
@@ -120,7 +118,24 @@ def map_svg_file(period_id: str) -> str:
     return f"map_{period_id}.svg"
 
 
+@contextlib.contextmanager
+def atomic_open(path: str, newline: str | None = None):
+    """Write a text file through a temporary file in the same directory,
+    renamed over `path` on success and removed on error (atomic, no fsync)."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def sha256_file(path: str) -> str:
+    import hashlib  # here, so that report never loads it
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -129,6 +144,8 @@ def sha256_file(path: str) -> str:
 
 
 def vocab_sha256(vocabulary: Vocabulary) -> str:
+    import hashlib
+
     payload = json.dumps(
         {
             "terms": list(vocabulary.terms),
@@ -205,25 +222,24 @@ def write_clusters(path: str, clusters: ClusterFile) -> None:
 
 def read_clusters(
     path: str,
-    get_vocabulary: Callable[[], tuple[Vocabulary, str]],
     corpus_sha256: str,
     config_echo: dict,
+    get_vocabulary: Callable[[], tuple[Vocabulary, str]] | None = None,
 ) -> list[Cluster]:
     """The clusters of a checked cluster file.
 
     The file must record the sha256 of corpus.jsonl, echo every key of the
-    running `config_echo` (as JSON holds it), record the sha256 of the
-    vocabulary, decode as a ClusterFile and hold the echoed k clusters,
-    numbered 0 to k-1 in order, with axis weights in [-1, 1] on vocabulary
-    terms and string members. Each cluster's size must be its member count,
-    its label its first top term ("" if none), and its top terms axis terms
-    of positive weight, each with that weight to 6 places, in non-increasing
-    weight order. No document may be listed twice.
-    `get_vocabulary` returns the vocabulary and its `vocab_sha256`; it is
-    called only once the file has parsed and passed the first two checks, so
-    a truncated or stale cluster file is the file named even when the
-    vocabulary's own artifacts are missing. A vocabulary mismatch after those
-    checks means the files the vocabulary is read from are the stale ones.
+    running `config_echo` (as JSON holds it), decode as a ClusterFile and
+    hold the echoed k clusters, numbered 0 to k-1 in order, with axis
+    weights in [-1, 1] and string members. Each cluster's size must be its
+    member count, its label its first top term ("" if none), and its top
+    terms axis terms of positive weight, each with that weight to 6 places,
+    in non-increasing weight order. No document may be listed twice.
+    `get_vocabulary`, if given, returns the vocabulary and its
+    `vocab_sha256`, which the file must record, and its axis terms must be
+    vocabulary terms. It is called once the file has passed the first two
+    checks, so a truncated or stale cluster file is named even when the
+    vocabulary's artifacts are missing, and a mismatch means they are stale.
     """
     data = read_json(path)
     name = os.path.basename(path)
@@ -232,14 +248,14 @@ def read_clusters(
             raise _stale(name, "it was built over a different corpus.jsonl")
         for key, value in config_echo.items():
             _check_built_with(path, key, data["config"].get(key), value)
-    vocabulary, vocabulary_sha256 = get_vocabulary()
-    with parsing(path):
+    terms = None  # the vocabulary's, when it is checked
+    if get_vocabulary is not None:
+        vocabulary, vocabulary_sha256 = get_vocabulary()
         if data.get("vocab_sha256") != vocabulary_sha256:
-            raise _stale(
-                f"{TERMS} or {LOAD_REPORT}",
-                f"they do not hold the vocabulary {name} was built over",
-                "re-run the terms stage, or ingest",
-            )
+            reason = f"they do not hold the vocabulary {name} was built over"
+            raise _stale(f"{TERMS} or {LOAD_REPORT}", reason, "re-run the terms stage, or ingest")
+        terms = vocabulary.index.keys()
+    with parsing(path):
         clusters = list(decode(ClusterFile, data).clusters)
         k = config_echo["k"]
         if [c.id for c in clusters] != list(range(k)):  # the linkage's ids
@@ -248,8 +264,8 @@ def read_clusters(
         count = 0
         for c in clusters:
             weights = c.axis.values()
-            if not c.axis.keys() <= vocabulary.index.keys():
-                stray = next(term for term in c.axis if term not in vocabulary.index)
+            if terms is not None and not c.axis.keys() <= terms:
+                stray = next(term for term in c.axis if term not in terms)
                 raise ValueError(f"axis term {stray!r} of cluster {c.id} is not in the vocabulary")
             # the axes are unit vectors; json reads 1e999 as inf, which fails too
             if not set(map(type, weights)) <= {int, float} or not all(abs(w) <= 1.0 for w in weights):
@@ -309,6 +325,8 @@ def write_linkage(path: str, linkage: Linkage) -> None:
 def write_crosstab(path: str, crosstab: CrossTab) -> None:
     """One row per cluster status; a status with no pooled terms gets
     empty share cells and n_terms 0."""
+    from .diffusion import CATEGORIES  # here, so that map and report never load diffusion
+
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["status"] + list(CATEGORIES) + ["n_terms"])

@@ -29,8 +29,7 @@ from typing import NoReturn
 
 from . import artifacts
 from .errors import ConfigError, InputError, NumericError, decode, read_json_object
-from .corpus import FORMATS, save_corpus
-from .pipeline import STAGES, load_config, run_stages
+from .pipeline import FORMATS, STAGES, load_config, run_stages
 
 LOG_LEVELS = {
     "error": logging.ERROR,
@@ -78,6 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_syngen(args) -> None:
     from . import syngen  # here, so that the pipeline commands do not load it
+    from .corpus import save_corpus
 
     if args.preset:
         spec = syngen.preset(args.preset, seed=args.seed or 0)

@@ -11,37 +11,24 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import hashlib
 import json
 import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Literal, get_args
+from typing import TYPE_CHECKING
 
-from .errors import ConfigError, InputError
+from .artifacts import atomic_open
+from .errors import InputError
+
+if TYPE_CHECKING:  # annotations only: the config records live with RunConfig
+    from .pipeline import PeriodSpec
 
 _WS_RE = re.compile(r"\s+")
+_YEAR_RE = re.compile(r"[+-]?[0-9]+")  # ASCII digits: int() alone also takes "1_997" and "١٩٩٧"
 
 CSV_LIST_SEP = ";"
-Format = Literal["jsonl", "csv"]
-FORMATS = get_args(Format)
-
-
-@contextlib.contextmanager
-def atomic_open(path: str, newline: str | None = None):
-    """Write a text file through a temporary file in the same directory,
-    renamed over `path` on success and removed on error (atomic, no fsync)."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
 
 
 def normalize_term(raw: str) -> str:
@@ -59,22 +46,6 @@ class Record:
     keywords: tuple[str, ...]
     categories: tuple[str, ...] = ()
     title: str | None = None
-
-
-@dataclass(frozen=True)
-class PeriodSpec:
-    """Two successive, disjoint year windows, each an inclusive [start, end] pair."""
-
-    p1: tuple[int, int]
-    p2: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        (p1_start, p1_end), (p2_start, p2_end) = self.p1, self.p2
-        if not (p1_start <= p1_end < p2_start <= p2_end):
-            raise ConfigError(
-                "invalid period spec: require p1_start <= p1_end < p2_start <= p2_end, "
-                f"got [{p1_start},{p1_end}] and [{p2_start},{p2_end}]"
-            )
 
 
 @dataclass(frozen=True)
@@ -199,8 +170,8 @@ def _iter_csv(path: str, normalized: _Normalized, limit: int):
                 where = f"{path}:{reader.line_num}"
                 year_raw = (row.get("year") or "").strip()
                 try:
-                    year = int(year_raw)
-                except ValueError as exc:
+                    year = int(_YEAR_RE.fullmatch(year_raw).group())
+                except (AttributeError, ValueError) as exc:  # no match, or over int()'s digit limit
                     raise InputError(f"{where}: 'year' must be an integer, got {year_raw!r}") from exc
                 obj = {
                     "id": (row.get("id") or "").strip(),
@@ -245,6 +216,8 @@ def load_corpus(path: str, format: str = "jsonl") -> tuple[list[Record], int]:
 def save_corpus(records: list[Record], path: str) -> str:
     """Write records (sorted by id) as JSONL, so that a reload round-trips
     exactly; returns the sha256 of the bytes written."""
+    import hashlib  # here, so that terms, which hashes nothing, never loads it
+
     encoder = json.JSONEncoder(ensure_ascii=False, sort_keys=True)  # json.dumps's, built once
     lines = []
     for rec in sorted(records, key=lambda r: r.id):

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .corpus import CorpusSlice, Vocabulary, atomic_open
-from .errors import ConfigError
+from .artifacts import atomic_open
+from .pipeline import DiffusionThresholds
 
-if TYPE_CHECKING:  # numpy is imported where used, so report never loads it
+if TYPE_CHECKING:  # annotations only; numpy is imported where used, so link never loads it
     import numpy as np
+
+    from .corpus import CorpusSlice, Vocabulary
 
 CATEGORY_ESTABLISHED = "established"
 CATEGORY_UNUSUAL = "unusual"
@@ -35,23 +36,6 @@ CATEGORIES = (
 )
 
 UNCATEGORIZED_CELL = "(none)"
-
-
-@dataclass(frozen=True)
-class DiffusionThresholds:
-    """Quantile cuts and novelty share driving the decision table."""
-
-    df_high_quantile: float = 0.75
-    gini_low_quantile: float = 0.25
-    novelty_share: float = 0.8
-
-    def __post_init__(self) -> None:
-        for name in ("df_high_quantile", "gini_low_quantile"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ConfigError(f"{name} must lie strictly between 0 and 1, got {value}")
-        if not 0.0 < self.novelty_share <= 1.0:
-            raise ConfigError(f"novelty_share must lie in (0, 1], got {self.novelty_share}")
 
 
 class TermStats(NamedTuple):

@@ -13,14 +13,16 @@ count, the records, and corpus.jsonl parsed at most once (not at all
 after an ingest in the same invocation, nor for map, link and report).
 All randomness flows from the single config seed through
 stage-labeled derived seeds, and row order is fixed once, when
-`split_periods` sorts each period by record id.
+`split_periods` sorts each period by record id. A stage checks only the
+inputs its output depends on: map reads no vocabulary, and link checks
+the cluster files against it.
 
 Config values are checked once, as the config file is decoded (types and
 choices) and a RunConfig built (ranges); the stages and the library
-routines under them take them as given. Each stage imports the
-modules of its own work, so map, link and report load neither numpy nor
-scipy (their arithmetic is in Python floats), and only the cluster stage,
-which builds the sparse document-term matrices, loads scipy.
+routines under them take them as given. The config records live here,
+and each stage imports the modules of its own work: map, link and report
+load neither numpy nor scipy (their arithmetic is in Python floats), map
+and report neither corpus nor diffusion, and only cluster loads scipy.
 
 The terms stage runs before clustering when dispersion cells come from
 record categories, and after it when cells are the period clusters
@@ -37,27 +39,55 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import TYPE_CHECKING, Literal, get_args
 
 from . import __version__, artifacts
-from .corpus import (
-    CorpusSlice,
-    Format,
-    PeriodSpec,
-    Vocabulary,
-    build_vocabulary,
-    load_corpus,
-    save_corpus,
-    split_periods,
-)
-from .diffusion import DiffusionThresholds, TermStats, classify_terms, read_terms_csv, write_terms_csv
 from .errors import ConfigError, InputError, decode, read_json_object
 from .mapping import ClusterMap, build_cluster_map
 from .seeding import derive_seed
 
+if TYPE_CHECKING:  # imported in the stages and Run methods that use them
+    from .corpus import CorpusSlice, Vocabulary
+    from .diffusion import TermStats
+
 log = logging.getLogger("diachron")
 
 PERIOD_IDS = ("P1", "P2")
+Format = Literal["jsonl", "csv"]
+FORMATS = get_args(Format)
+
+
+@dataclass(frozen=True)
+class PeriodSpec:
+    """Two successive, disjoint year windows, each an inclusive [start, end] pair."""
+
+    p1: tuple[int, int]
+    p2: tuple[int, int]
+
+    def __post_init__(self) -> None:
+        (p1_start, p1_end), (p2_start, p2_end) = self.p1, self.p2
+        if not (p1_start <= p1_end < p2_start <= p2_end):
+            raise ConfigError(
+                "invalid period spec: require p1_start <= p1_end < p2_start <= p2_end, "
+                f"got [{p1_start},{p1_end}] and [{p2_start},{p2_end}]"
+            )
+
+
+@dataclass(frozen=True)
+class DiffusionThresholds:
+    """Quantile cuts and novelty share driving the decision table."""
+
+    df_high_quantile: float = 0.75
+    gini_low_quantile: float = 0.25
+    novelty_share: float = 0.8
+
+    def __post_init__(self) -> None:
+        for name in ("df_high_quantile", "gini_low_quantile"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ConfigError(f"{name} must lie strictly between 0 and 1, got {value}")
+        if not 0.0 < self.novelty_share <= 1.0:
+            raise ConfigError(f"novelty_share must lie in (0, 1], got {self.novelty_share}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -173,11 +203,9 @@ class Run:
     sha256 of the bytes it wrote there. terms.csv's stats are always read
     from the file: in categories mode its stage runs before the fits, and
     holding the stats through them would raise the peak memory. The
-    vocabulary comes from the slices if a slice reader ran first, and
-    otherwise from terms.csv and load_report.json, so map and link parse no
-    corpus. Each cluster file ties those two files to the clustering by the
-    hashes of corpus.jsonl and of the vocabulary, and by its echo of the
-    settings it was built with."""
+    vocabulary, which map does not read, comes from the slices if a slice
+    reader ran first, and otherwise from terms.csv and load_report.json, so
+    link parses no corpus."""
 
     def __init__(self, config: RunConfig, out: str, threads: int = 1) -> None:
         self.config = config
@@ -211,6 +239,8 @@ class Run:
         return self._sha256s[artifacts.CORPUS]
 
     def slices(self) -> tuple[CorpusSlice, CorpusSlice, Vocabulary]:
+        from .corpus import build_vocabulary, load_corpus, split_periods
+
         def read():
             records, _ = load_corpus(self.require(artifacts.CORPUS, "ingest"), "jsonl")
             return split_periods(records, self.config.periods)[:2]
@@ -223,6 +253,7 @@ class Run:
     def terms(self) -> list[TermStats]:
         """terms.csv: in both stage orders the terms stage writes it before
         any stage reads it."""
+        from .diffusion import read_terms_csv
 
         def read():
             path = self.require(artifacts.TERMS, "terms")
@@ -240,6 +271,8 @@ class Run:
 
     def vocabulary(self) -> Vocabulary:
         if self._vocabulary is None:
+            from .corpus import Vocabulary
+
             stats, report = self.terms(), self.load_report()
             self._vocabulary = Vocabulary.from_df(
                 [s.term for s in stats], [s.df_p1 for s in stats], [s.df_p2 for s in stats],
@@ -266,20 +299,22 @@ class Run:
             "min_df": config.min_df,
         }
 
-    def read_clusters(self, period_id: str) -> list[artifacts.Cluster]:
-        """A period's clusters, as fitted or from its checked cluster file."""
+    def read_clusters(self, period_id: str, vocabulary: bool = False) -> list[artifacts.Cluster]:
+        """A period's clusters, as fitted or from its checked cluster file; with
+        `vocabulary`, for a stage whose output depends on it, checked against it too."""
         name = artifacts.clusters_file(period_id)
 
         def read():
             corpus_sha256 = self.sha256()  # names a missing corpus.jsonl before a cluster file
             return artifacts.read_clusters(
                 self.require(name, "cluster"),
-                lambda: (self.vocabulary(), self.vocab_sha256()),
                 corpus_sha256,
                 self.cluster_echo(period_id),
+                (lambda: (self.vocabulary(), self.vocab_sha256())) if vocabulary else None,
             )
 
-        return self._record(name, read)
+        # a read without the vocabulary check is kept apart, so that a stage asking for it still checks
+        return self._record(name if vocabulary or name in self._records else f"{name}:unchecked", read)
 
     def read_map(self, period_id: str) -> ClusterMap:
         """A period's map, as built or from its checked map file."""
@@ -299,6 +334,8 @@ class Run:
 
 
 def stage_ingest(run: Run) -> None:
+    from .corpus import load_corpus, save_corpus, split_periods
+
     config = run.config
     records, dropped_empty = load_corpus(config.input, config.format)
     p1, p2, dropped_outside = split_periods(records, config.periods)
@@ -321,10 +358,13 @@ def stage_ingest(run: Run) -> None:
 
 
 def stage_terms(run: Run) -> None:
+    from .diffusion import classify_terms, write_terms_csv
+
     p1, p2, vocabulary = run.slices()
     cells = None  # record categories
     if run.config.gini_cells == "clusters":  # first-period cluster memberships
-        cells = {doc_id: (f"P1:{c.id}",) for c in run.read_clusters("P1") for doc_id in c.members}
+        clusters = run.read_clusters("P1", vocabulary=True)
+        cells = {doc_id: (f"P1:{c.id}",) for c in clusters for doc_id in c.members}
     stats = classify_terms(vocabulary, (p1, p2), run.config.thresholds, cells)
     write_terms_csv(stats, run.path(artifacts.TERMS))
 
@@ -367,7 +407,7 @@ def stage_map(run: Run) -> None:
 def stage_link(run: Run) -> None:
     from .diachrony import cross_table, link_periods
 
-    p1, p2 = run.read_clusters("P1"), run.read_clusters("P2")
+    p1, p2 = run.read_clusters("P1", vocabulary=True), run.read_clusters("P2", vocabulary=True)
     axes_p1, axes_p2, labels = [c.axis for c in p1], [c.axis for c in p2], [c.label for c in p2]
     linkage = link_periods(axes_p1, axes_p2, labels, run.config.rho)
     crosstab = cross_table(linkage, p2, run.terms(), run.config.top_m)

@@ -27,7 +27,6 @@ from diachron.cli import main as cli_main
 from diachron.cluster import fit_axial_kmeans, summarize_clusters
 from diachron.corpus import (
     CorpusSlice,
-    PeriodSpec,
     Record,
     build_vocabulary,
     split_periods,
@@ -35,12 +34,11 @@ from diachron.corpus import (
 from diachron.diachrony import STATUS_NEW, STATUS_ROOTED, cross_table, link_periods
 from diachron.diffusion import (
     CATEGORY_UNUSUAL,
-    DiffusionThresholds,
     _gini_rows,
     classify_terms,
 )
 from diachron.mapping import build_cluster_map, gram_matrix, pca_2d, symmetric_eigenpairs
-from diachron.pipeline import ClusterConfig
+from diachron.pipeline import ClusterConfig, DiffusionThresholds, PeriodSpec
 from diachron.seeding import derive_seed
 from diachron.vectorize import DocTermMatrix, build_matrix
 

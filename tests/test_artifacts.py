@@ -5,21 +5,24 @@ A cluster map and a load report, written as `artifacts.write_json` of
 originals, and writing what was read gives the same bytes. So does a
 linkage whose cosines have the 6 places that its file keeps, and so do a
 fitted period's clusters, whose top-term weights `summarize_clusters`
-rounds as the file does.
+rounds as the file does. A cluster file is checked against the vocabulary
+only when its reader is given one.
 """
 
 import dataclasses
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diachron import artifacts, syngen
 from diachron.cluster import fit_axial_kmeans, summarize_clusters
-from diachron.corpus import PeriodSpec, build_vocabulary, split_periods
+from diachron.corpus import Vocabulary, build_vocabulary, split_periods
+from diachron.errors import InputError
 from diachron.mapping import ClusterMap
-from diachron.pipeline import ClusterConfig
+from diachron.pipeline import ClusterConfig, PeriodSpec
 from diachron.vectorize import build_matrix
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -109,10 +112,10 @@ def test_fitted_clusters_read_back_equal(tmp_path):
     path = str(tmp_path / "clusters_P1.json")
     artifacts.write_clusters(path, written)
     read = artifacts.read_clusters(
-        path, lambda: (vocabulary, written.vocab_sha256), written.corpus_sha256, echo
+        path, written.corpus_sha256, echo, lambda: (vocabulary, written.vocab_sha256)
     )
 
-    assert read == clusters
+    assert read == clusters == artifacts.read_clusters(path, written.corpus_sha256, echo)
     assignment = model.assignment.tolist()
     for c in read:  # in row order, which is doc-id order
         assert c.members == [d for d, a in zip(model.doc_ids, assignment) if a == c.id]
@@ -122,3 +125,30 @@ def test_fitted_clusters_read_back_equal(tmp_path):
     before = Path(path).read_bytes()
     artifacts.write_clusters(path, dataclasses.replace(written, clusters=tuple(read)))
     assert Path(path).read_bytes() == before
+
+
+def test_read_clusters_checks_the_vocabulary_only_when_given_one(tmp_path):
+    clusters = tuple(
+        artifacts.Cluster(
+            id=i, label=term, size=1, top_terms=((term, 1.0),), members=[f"d{i}"], axis={term: 1.0}
+        )
+        for i, term in enumerate(["a", "b"])
+    )
+    echo, path = {"k": 2}, str(tmp_path / "clusters_P1.json")
+    artifacts.write_clusters(
+        path, artifacts.ClusterFile("P1", echo, "v" * 64, "c" * 64, (1.0,), clusters)
+    )
+
+    def unasked():
+        raise AssertionError("the vocabulary was asked for before the corpus and echo checks")
+
+    with pytest.raises(InputError, match="clusters_P1.json: it was built over a different corpus"):
+        artifacts.read_clusters(path, "x" * 64, echo, unasked)
+    with pytest.raises(InputError, match="clusters_P1.json: it was built with k 2, not 3"):
+        artifacts.read_clusters(path, "c" * 64, {"k": 3}, unasked)
+    only_a = Vocabulary.from_df(["a"], [1], [0], 1, 1)
+    with pytest.raises(InputError, match="stale artifact terms.csv or load_report.json"):
+        artifacts.read_clusters(path, "c" * 64, echo, lambda: (only_a, "w" * 64))
+    with pytest.raises(InputError, match="axis term 'b' of cluster 1 is not in the vocabulary"):
+        artifacts.read_clusters(path, "c" * 64, echo, lambda: (only_a, "v" * 64))
+    assert artifacts.read_clusters(path, "c" * 64, echo) == list(clusters)  # map's read

@@ -31,10 +31,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diachron
-from diachron import artifacts, pipeline, syngen
+from diachron import artifacts, diffusion, pipeline, syngen
 from diachron.cli import main
 from diachron.corpus import Record, load_corpus, save_corpus
-from diachron.errors import ConfigError, decode
+from diachron.errors import ConfigError, InputError, decode
 
 CANONICAL_STAGES = ["ingest", "terms", "cluster", "map", "link", "report"]
 
@@ -437,13 +437,13 @@ class TestRunCommand:
         self, corpus_dir, tmp_path, monkeypatch
     ):
         seen = []
-        classify_terms = pipeline.classify_terms
+        classify_terms = diffusion.classify_terms
 
         def recording(vocabulary, slices, thresholds=None, cells=None):
             seen.append(cells)
             return classify_terms(vocabulary, slices, thresholds, cells)
 
-        monkeypatch.setattr(pipeline, "classify_terms", recording)
+        monkeypatch.setattr(diffusion, "classify_terms", recording)
         config = write_config(tmp_path, corpus_dir / "corpus.jsonl", gini_cells="clusters")
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
@@ -593,18 +593,48 @@ class TestStageSequencing:
         assert "clusters_P1.json" in err
         assert "cluster" in err
 
-    def test_map_requires_terms_artifact(self, corpus_dir, tmp_path, capsys):
+    def test_map_runs_without_terms_artifact_and_link_names_it(self, corpus_dir, tmp_path, capsys):
         config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
         out = tmp_path / "out"
         assert main(["ingest", "--config", str(config), "--out", str(out)]) == 0
         assert main(["cluster", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["map", "--config", str(config), "--out", str(out)]) == 0  # reads no terms.csv
         before = dir_hashes(out)
-        rc = main(["map", "--config", str(config), "--out", str(out)])
+        rc = main(["link", "--config", str(config), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 3
         assert "terms.csv" in err
         assert "'terms' stage" in err
         assert dir_hashes(out) == before
+
+    def test_a_cluster_file_read_unchecked_is_checked_when_a_stage_needs_the_vocabulary(
+        self, run_dir, tmp_path
+    ):
+        config, source = run_dir
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        data = json.loads((out / "clusters_P1.json").read_text(encoding="utf-8"))
+        data["clusters"][0]["axis"]["not in terms.csv"] = 0.5
+        (out / "clusters_P1.json").write_text(json.dumps(data), encoding="utf-8")
+        run = pipeline.Run(pipeline.load_config(str(config)), str(out))
+        assert len(run.read_clusters("P1")) == len(data["clusters"])  # as map reads it
+        with pytest.raises(InputError, match="axis term 'not in terms.csv' of cluster 0 is not in"):
+            run.read_clusters("P1", vocabulary=True)  # as link reads it
+
+    def test_map_reads_only_the_cluster_files(self, corpus_dir, tmp_path, capsys):
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
+        full, out = tmp_path / "full", tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(full)]) == 0
+        shutil.copytree(full, out)
+        maps = [f"map_{p}.{ext}" for p in pipeline.PERIOD_IDS for ext in ("json", "svg")]
+        for name in ("terms.csv", "load_report.json", *maps):
+            (out / name).unlink()
+        assert main(["map", "--config", str(config), "--out", str(out)]) == 0
+        ran, written = dir_hashes(full), dir_hashes(out)
+        assert {n: written[n] for n in maps} == {n: ran[n] for n in maps}
+        assert main(["link", "--config", str(config), "--out", str(out)]) == 3
+        assert "missing terms.csv artifact" in capsys.readouterr().err
+        assert dir_hashes(out) == written
 
     @pytest.mark.parametrize("stage", ["map", "link"])
     @pytest.mark.parametrize("change", ["new-vocabulary", "new-title"])
@@ -638,6 +668,21 @@ class TestStageSequencing:
         rc = main(["terms", "--config", str(other_config), "--out", str(out)])
         assert rc == 3
         assert "stale artifact clusters_P1.json" in capsys.readouterr().err
+        assert dir_hashes(out) == before
+
+    def test_terms_in_clusters_mode_checks_axis_terms_against_the_vocabulary(
+        self, corpus_dir, tmp_path, capsys
+    ):
+        config = write_config(tmp_path, corpus_dir / "corpus.jsonl", gini_cells="clusters")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        data = json.loads((out / "clusters_P1.json").read_text(encoding="utf-8"))
+        data["clusters"][0]["axis"]["not in terms.csv"] = 0.5
+        (out / "clusters_P1.json").write_text(json.dumps(data), encoding="utf-8")
+        before = dir_hashes(out)
+        assert main(["terms", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "malformed artifact" in err and "clusters_P1.json" in err and "not in the vocabulary" in err
         assert dir_hashes(out) == before
 
     @pytest.mark.parametrize("stage", ["map", "link"])
@@ -689,13 +734,13 @@ class TestStageSequencing:
         other_config = _ingest_changed_corpus(corpus_dir, tmp_path, out, "new-vocabulary")
         assert main(["cluster", "--config", str(other_config), "--out", str(out)]) == 0
         before = dir_hashes(out)
-        rc = main(["map", "--config", str(other_config), "--out", str(out)])
+        rc = main(["link", "--config", str(other_config), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 3
         assert "stale artifact terms.csv or load_report.json" in err
         assert "re-run the terms stage" in err
         assert dir_hashes(out) == before
-        for command in ("terms", "map"):
+        for command in ("terms", "link"):
             assert main([command, "--config", str(other_config), "--out", str(out)]) == 0
 
     def test_link_requires_terms_artifact(self, corpus_dir, tmp_path, capsys):
@@ -801,16 +846,21 @@ class TestStageSequencing:
         assert "clusters_P2.json" in capsys.readouterr().err
         assert dir_hashes(out) == before
 
-    @pytest.mark.parametrize("stage", ["map", "link"])
     @pytest.mark.parametrize(
-        "fault",
+        "fault, stage",
         [
-            "size", "size-overflow", "member-in-two-clusters", "weight-nan", "weight-overflow",
-            "objective-infinite", "term-outside-vocabulary", "weight-above-one",
-            "label-not-string", "top-term-not-string", "size-float", "size-string", "id-string",
-            "weight-string", "weight-boolean", "member-not-string", "top-term-outside-axis",
-            "label-not-first-top-term", "top-term-weight-edited", "top-term-weight-negative",
-            "top-terms-out-of-weight-order",
+            (fault, stage)
+            for fault in (
+                "size", "size-overflow", "member-in-two-clusters", "weight-nan", "weight-overflow",
+                "objective-infinite", "term-outside-vocabulary", "weight-above-one",
+                "label-not-string", "top-term-not-string", "size-float", "size-string", "id-string",
+                "weight-string", "weight-boolean", "member-not-string", "top-term-outside-axis",
+                "label-not-first-top-term", "top-term-weight-edited", "top-term-weight-negative",
+                "top-terms-out-of-weight-order",
+            )
+            for stage in ("map", "link")
+            # map's output does not depend on the vocabulary, so it reads none to check axis terms by
+            if (fault, stage) != ("term-outside-vocabulary", "map")
         ],
     )
     def test_cluster_file_with_foreign_members_exits_3_and_names_it(
@@ -1085,7 +1135,7 @@ class TestStageSequencing:
         )
         assert dir_hashes(out) == before
 
-    @pytest.mark.parametrize("stage", ["map", "link"])
+    @pytest.mark.parametrize("stage", ["link"])  # the first stage whose output depends on terms.csv
     @pytest.mark.parametrize(
         "edit",
         [
@@ -1257,6 +1307,10 @@ class TestErrorExits:
             ("corpus.jsonl", GOOD_JSONL + b'{"id": "c", "year": ' + b"1" * 4301 + b"}\n", ":3:"),
             ("corpus.jsonl", GOOD_JSONL + b"[" * 100_000 + b"]" * 100_000 + b"\n", ":3:"),
             ("corpus.csv", GOOD_CSV + b"c,1997," + b"x" * 131_073 + b"\n", ":4:"),
+            # int() takes both as 1997
+            ("corpus.csv", GOOD_CSV + b"c,1_997,x\n", ":4: 'year' must be an integer, got '1_997'"),
+            ("corpus.csv", GOOD_CSV + "c, ١٩٩٧ ,x\n".encode(), ":4: 'year' must be an integer, got '١٩٩٧'"),
+            ("corpus.csv", GOOD_CSV + b"c," + b"1" * 4301 + b",x\n", ":4: 'year' must be an integer, got '111"),
             # in two of six records, so that the keyword reaches min_df and terms.csv
             ("corpus.jsonl", GOOD_JSONL + b"".join(
                 b'{"id": "%s", "year": %d, "keywords": ["x", "%s"]}\n' % (rec_id, year, keyword)
@@ -1272,7 +1326,8 @@ class TestErrorExits:
         ],
         ids=[
             "jsonl-not-utf8", "csv-not-utf8", "integer-over-4300-digits",
-            "nested-100000-deep", "csv-field-over-limit", "jsonl-keyword-over-limit",
+            "nested-100000-deep", "csv-field-over-limit", "csv-year-with-underscore",
+            "csv-year-in-arabic-indic-digits", "csv-year-over-4300-digits", "jsonl-keyword-over-limit",
             "lone-surrogate", "jsonl-line-after-a-bom",
         ],
     )
@@ -1580,7 +1635,8 @@ class TestPackageImport:
         probed = (
             "numpy", "scipy", "concurrent.futures", "diachron.syngen",
             "diachron.cluster", "diachron.diachrony", "diachron.vectorize",
-            "platform", "html", "importlib.metadata",
+            "diachron.corpus", "diachron.diffusion", "platform", "html",
+            "importlib.metadata", "hashlib",
         )
         code = (
             "import sys\n"
@@ -1596,15 +1652,19 @@ class TestPackageImport:
         # distributions' metadata, so none of the three loads numpy, scipy or a
         # module of the fit or the vectorizer; no stage loads `platform` or
         # `html` itself (numpy's own import loads `platform`), and only report
-        # loads importlib.metadata
+        # loads importlib.metadata. map and report parse no corpus and read no
+        # terms.csv, so they load neither corpus nor diffusion; link builds the
+        # vocabulary from terms.csv to check the cluster files by. Only a stage
+        # that hashes (corpus.jsonl, the vocabulary, a derived seed) loads hashlib
+        terms = ["diachron.corpus", "diachron.diffusion", "diachron.vectorize", "numpy", "platform"]
         for gini_cells, stages in (
             ("categories", (
-                ("terms", ["diachron.vectorize", "numpy", "platform"]),
-                ("map", []),
-                ("link", ["diachron.diachrony"]),
+                ("terms", terms),
+                ("map", ["hashlib"]),
+                ("link", ["diachron.corpus", "diachron.diachrony", "diachron.diffusion", "hashlib"]),
                 ("report", ["importlib.metadata"]),
             )),
-            ("clusters", (("terms", ["diachron.vectorize", "numpy", "platform"]),)),
+            ("clusters", (("terms", sorted([*terms, "hashlib"])),)),
         ):
             directory = tmp_path / gini_cells
             directory.mkdir()

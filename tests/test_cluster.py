@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diachron import cluster, pipeline, syngen
+from diachron import cluster, corpus, pipeline, syngen
 from diachron.cluster import (
     ClusterModel,
     _exact_sum,
@@ -686,18 +686,19 @@ class TestCorpusParsedOncePerRun:
             }
         )
         paths = []
-        load_corpus = pipeline.load_corpus
+        load_corpus = corpus.load_corpus
 
         def counting_load(path, *args, **kwargs):
             paths.append(os.path.abspath(path))
             return load_corpus(path, *args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "load_corpus", counting_load)
+        monkeypatch.setattr(corpus, "load_corpus", counting_load)
         pipeline.run_stages(config.stage_order(), config, str(out))
         # ingest hands its records on, so the corpus is parsed once, as input
         assert paths.count(str(out / "corpus.jsonl")) == 0
         assert paths.count(str(source)) == 1
-        # re-runs read the vocabulary from terms.csv and load_report.json
+        # re-runs parse no corpus: map needs no vocabulary, and link reads it
+        # from terms.csv and load_report.json
         for stage in ("map", "link", "report"):
             paths.clear()
             pipeline.run_stages([stage], config, str(out))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from diachron.corpus import (
     CSV_LIST_SEP,
-    PeriodSpec,
     Record,
     build_vocabulary,
     load_corpus,
@@ -17,6 +16,7 @@ from diachron.corpus import (
     split_periods,
 )
 from diachron.errors import ConfigError, InputError
+from diachron.pipeline import PeriodSpec
 
 
 def write_jsonl(path, rows):
@@ -120,6 +120,12 @@ class TestLoadCorpus:
         assert by_id["a"].categories == ("bio", "chem")
         assert by_id["a"].title == "Some, title"
         assert by_id["b"].title is None
+
+    def test_csv_year_takes_ascii_digits_with_an_optional_sign(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("id,year,keywords\na, +1996 ,x\nb,-0012,x\nc,2000,x\n", encoding="utf-8")
+        records, _ = load_corpus(str(path), "csv")
+        assert [r.year for r in records] == [1996, -12, 2000]
 
 
 # keywords generated already-normalized, since identity holds for records

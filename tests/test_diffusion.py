@@ -14,13 +14,13 @@ from diachron.diffusion import (
     CATEGORY_UNCLASSIFIED,
     CATEGORY_UNUSUAL,
     UNCATEGORIZED_CELL,
-    DiffusionThresholds,
     _gini_rows,
     classify_terms,
     read_terms_csv,
     write_terms_csv,
 )
 from diachron.errors import ConfigError
+from diachron.pipeline import DiffusionThresholds
 
 
 def gini(shares) -> float:
