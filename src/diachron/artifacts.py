@@ -16,7 +16,6 @@ import csv
 import dataclasses
 import json
 import os
-from collections.abc import Callable
 from typing import TYPE_CHECKING, Literal, get_args
 
 from .errors import ConfigError, InputError, decode
@@ -220,53 +219,32 @@ def write_clusters(path: str, clusters: ClusterFile) -> None:
     write_json({**vars(clusters), "clusters": list(map(vars, clusters.clusters))}, path)
 
 
-def read_clusters(
-    path: str,
-    corpus_sha256: str,
-    config_echo: dict,
-    get_vocabulary: Callable[[], tuple[Vocabulary, str]] | None = None,
-) -> list[Cluster]:
-    """The clusters of a checked cluster file.
+def read_clusters(path: str, corpus_sha256: str, config_echo: dict) -> ClusterFile:
+    """The checked cluster file `path`.
 
     The file must record the sha256 of corpus.jsonl, echo every key of the
     running `config_echo` (as JSON holds it), decode as a ClusterFile and
     hold the echoed k clusters, numbered 0 to k-1 in order, with axis
     weights in [-1, 1] and string members. Each cluster's size must be its
     member count, its label its first top term ("" if none), and its top
-    terms axis terms of positive weight, each with that weight to 6 places,
-    in non-increasing weight order. No document may be listed twice.
-    `get_vocabulary`, if given, returns the vocabulary and its
-    `vocab_sha256`, which the file must record, and its axis terms must be
-    vocabulary terms. It is called once the file has passed the first two
-    checks, so a truncated or stale cluster file is named even when the
-    vocabulary's artifacts are missing, and a mismatch means they are stale.
+    terms at most the echoed top_m axis terms of positive weight, each with
+    that weight to 6 places, in non-increasing weight order. No document may
+    be listed twice. The vocabulary is checked apart, by check_vocabulary.
     """
     data = read_json(path)
-    name = os.path.basename(path)
     with parsing(path):
         if data.get("corpus_sha256") != corpus_sha256:
-            raise _stale(name, "it was built over a different corpus.jsonl")
+            raise _stale(os.path.basename(path), "it was built over a different corpus.jsonl")
         for key, value in config_echo.items():
             _check_built_with(path, key, data["config"].get(key), value)
-    terms = None  # the vocabulary's, when it is checked
-    if get_vocabulary is not None:
-        vocabulary, vocabulary_sha256 = get_vocabulary()
-        if data.get("vocab_sha256") != vocabulary_sha256:
-            reason = f"they do not hold the vocabulary {name} was built over"
-            raise _stale(f"{TERMS} or {LOAD_REPORT}", reason, "re-run the terms stage, or ingest")
-        terms = vocabulary.index.keys()
-    with parsing(path):
-        clusters = list(decode(ClusterFile, data).clusters)
-        k = config_echo["k"]
-        if [c.id for c in clusters] != list(range(k)):  # the linkage's ids
+        record = decode(ClusterFile, data)
+        k, top_m = config_echo["k"], config_echo["top_m"]
+        if [c.id for c in record.clusters] != list(range(k)):  # the linkage's ids
             raise ValueError(f"the clusters are not k={k} with ids 0 to {k - 1} in order")
         listed: set[str] = set()
         count = 0
-        for c in clusters:
+        for c in record.clusters:
             weights = c.axis.values()
-            if terms is not None and not c.axis.keys() <= terms:
-                stray = next(term for term in c.axis if term not in terms)
-                raise ValueError(f"axis term {stray!r} of cluster {c.id} is not in the vocabulary")
             # the axes are unit vectors; json reads 1e999 as inf, which fails too
             if not set(map(type, weights)) <= {int, float} or not all(abs(w) <= 1.0 for w in weights):
                 raise ValueError(f"an axis weight of cluster {c.id} is not a number in [-1, 1]")
@@ -278,6 +256,8 @@ def read_clusters(
                 raise ValueError(f"a document of cluster {c.id} is listed twice")
             if c.size != len(c.members):
                 raise ValueError(f"cluster {c.id} has size {c.size} but {len(c.members)} members")
+            if len(c.top_terms) > top_m:
+                raise ValueError(f"cluster {c.id} has {len(c.top_terms)} top terms, more than top_m {top_m}")
             if not all(term in c.axis for term, _ in c.top_terms):
                 raise ValueError(f"a top term of cluster {c.id} is not one of its axis terms")
             if not all(c.axis[term] > 0.0 and w == round(c.axis[term], 6) for term, w in c.top_terms):
@@ -287,7 +267,23 @@ def read_clusters(
                 raise ValueError(f"the top terms of cluster {c.id} are not in weight order")
             if c.label != (c.top_terms[0][0] if c.top_terms else ""):
                 raise ValueError(f"the label of cluster {c.id} is not its first top term")
-    return clusters
+    return record
+
+
+def check_vocabulary(path: str, record: ClusterFile, vocabulary: Vocabulary, vocabulary_sha256: str) -> None:
+    """Check the cluster file `path`, as `record`, against the vocabulary whose
+    `vocab_sha256` is `vocabulary_sha256`: the file must record that hash, or
+    terms.csv and load_report.json are stale, and its axis terms must be
+    vocabulary terms."""
+    if record.vocab_sha256 != vocabulary_sha256:
+        reason = f"they do not hold the vocabulary {os.path.basename(path)} was built over"
+        raise _stale(f"{TERMS} or {LOAD_REPORT}", reason, "re-run the terms stage, or ingest")
+    terms = vocabulary.index.keys()
+    with parsing(path):
+        for c in record.clusters:
+            if not c.axis.keys() <= terms:
+                stray = next(term for term in c.axis if term not in terms)
+                raise ValueError(f"axis term {stray!r} of cluster {c.id} is not in the vocabulary")
 
 
 def write_map(path: str, cmap: ClusterMap) -> None:

@@ -58,10 +58,6 @@ class ClusterModel:
     sizes: tuple[int, ...]
     doc_ids: tuple[str, ...]
 
-    @property
-    def k(self) -> int:
-        return self.axes.shape[0]
-
 
 def _row_cosines(M: sp.csr_matrix, row: int) -> np.ndarray:
     # rows are unit vectors, so the dot product is the cosine
@@ -108,7 +104,7 @@ class _Work:
     summands of J and `high` is `_exact_sum`'s scratch, both of length n.
     """
 
-    def __init__(self, M: sp.csr_matrix, k: int, shared: tuple[np.ndarray, ...]):
+    def __init__(self, M: sp.csr_matrix, shared: tuple[np.ndarray, ...]):
         n = M.shape[0]
         self.rows, self.col_bins, self.row_starts = shared
         self.flat = np.empty(n, dtype=np.intp)
@@ -217,7 +213,7 @@ def _update_axes(
 
 def _fit_single(M: sp.csr_matrix, config: ClusterConfig, seed: int, shared: tuple[np.ndarray, ...]):
     rng = random.Random(seed)
-    work = _Work(M, config.k, shared)
+    work = _Work(M, shared)
     axes = np.ascontiguousarray(_init_axes(M, config.k, rng).T)
     # a rejected step must leave the current state intact, so each step
     # writes the spare axes and assignment, and an accepted one swaps them in

@@ -14,6 +14,7 @@ in the top lists of two clusters of the same status counts twice.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .artifacts import STATUS_NEW, STATUS_ROOTED, Cluster, ClusterLink, Linkage
@@ -45,18 +46,13 @@ def link_periods(axes_p1: list[Axis], axes_p2: list[Axis], labels_p2: list[str],
     return Linkage(rho=rho, links=tuple(links))
 
 
-def cross_table(
-    linkage: Linkage,
-    clusters_p2: list[Cluster],
-    term_stats: list[TermStats],
-    top_m: int = 10,
-) -> CrossTab:
+def cross_table(linkage: Linkage, clusters_p2: Sequence[Cluster], term_stats: list[TermStats]) -> CrossTab:
     """Share of each term category among pooled top terms, per cluster status."""
     category = {s.term: s.category for s in term_stats}
     status_of = {link.cluster_id: link.status for link in linkage.links}
     counts = {STATUS_ROOTED: Counter(), STATUS_NEW: Counter()}
     for cluster in clusters_p2:
-        for term, _weight in cluster.top_terms[:top_m]:  # axis terms (read_clusters), so in terms.csv
+        for term, _weight in cluster.top_terms:  # vocabulary terms (check_vocabulary), so in terms.csv
             counts[status_of[cluster.id]][category[term]] += 1
     totals = {status: tally.total() for status, tally in counts.items()}
     shares = {

@@ -205,7 +205,8 @@ class Run:
     holding the stats through them would raise the peak memory. The
     vocabulary, which map does not read, comes from the slices if a slice
     reader ran first, and otherwise from terms.csv and load_report.json, so
-    link parses no corpus."""
+    link parses no corpus. A cluster file's record is its ClusterFile, which
+    a stage whose output depends on the vocabulary checks against it."""
 
     def __init__(self, config: RunConfig, out: str, threads: int = 1) -> None:
         self.config = config
@@ -299,22 +300,21 @@ class Run:
             "min_df": config.min_df,
         }
 
-    def read_clusters(self, period_id: str, vocabulary: bool = False) -> list[artifacts.Cluster]:
+    def read_clusters(self, period_id: str, vocabulary: bool = False) -> tuple[artifacts.Cluster, ...]:
         """A period's clusters, as fitted or from its checked cluster file; with
-        `vocabulary`, for a stage whose output depends on it, checked against it too."""
+        `vocabulary`, for a stage whose output depends on it, checked against it
+        too, on every call and after the file's own checks."""
         name = artifacts.clusters_file(period_id)
 
         def read():
             corpus_sha256 = self.sha256()  # names a missing corpus.jsonl before a cluster file
-            return artifacts.read_clusters(
-                self.require(name, "cluster"),
-                corpus_sha256,
-                self.cluster_echo(period_id),
-                (lambda: (self.vocabulary(), self.vocab_sha256())) if vocabulary else None,
-            )
+            path = self.require(name, "cluster")
+            return artifacts.read_clusters(path, corpus_sha256, self.cluster_echo(period_id))
 
-        # a read without the vocabulary check is kept apart, so that a stage asking for it still checks
-        return self._record(name if vocabulary or name in self._records else f"{name}:unchecked", read)
+        record = self._record(name, read)
+        if vocabulary:
+            artifacts.check_vocabulary(self.path(name), record, self.vocabulary(), self.vocab_sha256())
+        return record.clusters
 
     def read_map(self, period_id: str) -> ClusterMap:
         """A period's map, as built or from its checked map file."""
@@ -389,7 +389,7 @@ def stage_cluster(run: Run) -> None:
             clusters=tuple(clusters),
         )
         artifacts.write_clusters(run.path(name), record)
-        run.hand_on(name, clusters)
+        run.hand_on(name, record)
         del matrix, model, clusters, record  # so that P2's matrix and fit do not join P1's in memory
 
 
@@ -410,7 +410,7 @@ def stage_link(run: Run) -> None:
     p1, p2 = run.read_clusters("P1", vocabulary=True), run.read_clusters("P2", vocabulary=True)
     axes_p1, axes_p2, labels = [c.axis for c in p1], [c.axis for c in p2], [c.label for c in p2]
     linkage = link_periods(axes_p1, axes_p2, labels, run.config.rho)
-    crosstab = cross_table(linkage, p2, run.terms(), run.config.top_m)
+    crosstab = cross_table(linkage, p2, run.terms())
     artifacts.write_linkage(run.path(artifacts.LINKAGE), linkage)
     artifacts.write_crosstab(run.path(artifacts.CROSSTAB), crosstab)
     run.hand_on(artifacts.LINKAGE, linkage)

@@ -358,7 +358,7 @@ def test_08_fresh_block_is_the_single_new_cluster():
         for link in rooted_links:
             assert link.best_parent[1] >= 0.9, f"rho={rho}: weak root {link.best_parent}"
 
-        table = cross_table(linkage, summaries_p2, stats, 10)
+        table = cross_table(linkage, summaries_p2, stats)
         share_new = table.shares[STATUS_NEW][CATEGORY_UNUSUAL]
         share_rooted = table.shares[STATUS_ROOTED][CATEGORY_UNUSUAL]
         assert share_new > share_rooted, f"rho={rho}: {share_new} <= {share_rooted}"
@@ -369,14 +369,14 @@ def test_09_two_supergroups_form_two_components():
     p1, p2, vocabulary, _ = preset_state("two-networks", seed=9)
     for slice_ in (p1, p2):
         _, model = fit_period(slice_, vocabulary, k=12, seed=9)
-        labels = [str(c) for c in range(model.k)]
+        labels = [str(c) for c in range(len(model.sizes))]
         axes = sparse_rows(model.axes)
         cluster_map = build_cluster_map(slice_.period_id, axes, 0.2, labels, model.sizes)
         non_singleton = [c for c in cluster_map.components if len(c) > 1]
         assert len(non_singleton) == 2, (
             f"{slice_.period_id}: {len(non_singleton)} non-singleton components"
         )
-        coverage = sum(len(c) for c in non_singleton) / model.k
+        coverage = sum(len(c) for c in non_singleton) / len(model.sizes)
         assert 0.5 <= coverage <= 0.8, f"{slice_.period_id}: coverage {coverage:.2f}"
 
 

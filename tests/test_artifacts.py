@@ -6,7 +6,7 @@ originals, and writing what was read gives the same bytes. So does a
 linkage whose cosines have the 6 places that its file keeps, and so do a
 fitted period's clusters, whose top-term weights `summarize_clusters`
 rounds as the file does. A cluster file is checked against the vocabulary
-only when its reader is given one.
+apart from its read, by `check_vocabulary`.
 """
 
 import dataclasses
@@ -100,7 +100,7 @@ def test_fitted_clusters_read_back_equal(tmp_path):
     matrix = build_matrix(p1, vocabulary, "tfidf")
     model = fit_axial_kmeans(matrix, ClusterConfig(k=3, restarts=2, seed=3))
     clusters = summarize_clusters(model, vocabulary)
-    echo = {"k": 3, "seed": 3}
+    echo = {"k": 3, "seed": 3, "top_m": 10}
     written = artifacts.ClusterFile(
         period_id="P1",
         config=echo,
@@ -111,44 +111,51 @@ def test_fitted_clusters_read_back_equal(tmp_path):
     )
     path = str(tmp_path / "clusters_P1.json")
     artifacts.write_clusters(path, written)
-    read = artifacts.read_clusters(
-        path, written.corpus_sha256, echo, lambda: (vocabulary, written.vocab_sha256)
-    )
+    read = artifacts.read_clusters(path, written.corpus_sha256, echo)
+    artifacts.check_vocabulary(path, read, vocabulary, written.vocab_sha256)
 
-    assert read == clusters == artifacts.read_clusters(path, written.corpus_sha256, echo)
+    assert read.clusters == tuple(clusters)
+    assert read == written
     assignment = model.assignment.tolist()
-    for c in read:  # in row order, which is doc-id order
+    for c in read.clusters:  # in row order, which is doc-id order
         assert c.members == [d for d, a in zip(model.doc_ids, assignment) if a == c.id]
         assert c.size == len(c.members) > 0
-    assert sorted(d for c in read for d in c.members) == list(matrix.doc_ids)
+    assert sorted(d for c in read.clusters for d in c.members) == list(matrix.doc_ids)
 
     before = Path(path).read_bytes()
-    artifacts.write_clusters(path, dataclasses.replace(written, clusters=tuple(read)))
+    artifacts.write_clusters(path, read)
     assert Path(path).read_bytes() == before
 
 
-def test_read_clusters_checks_the_vocabulary_only_when_given_one(tmp_path):
+def _two_cluster_file(tmp_path):
+    """A cluster file of two one-term clusters, "a" and "b", its path and its echo."""
     clusters = tuple(
         artifacts.Cluster(
             id=i, label=term, size=1, top_terms=((term, 1.0),), members=[f"d{i}"], axis={term: 1.0}
         )
         for i, term in enumerate(["a", "b"])
     )
-    echo, path = {"k": 2}, str(tmp_path / "clusters_P1.json")
-    artifacts.write_clusters(
-        path, artifacts.ClusterFile("P1", echo, "v" * 64, "c" * 64, (1.0,), clusters)
-    )
+    echo, path = {"k": 2, "top_m": 1}, str(tmp_path / "clusters_P1.json")
+    record = artifacts.ClusterFile("P1", echo, "v" * 64, "c" * 64, (1.0,), clusters)
+    artifacts.write_clusters(path, record)
+    return record, path, echo
 
-    def unasked():
-        raise AssertionError("the vocabulary was asked for before the corpus and echo checks")
 
+def test_read_clusters_checks_the_corpus_and_the_echo(tmp_path):
+    record, path, echo = _two_cluster_file(tmp_path)
     with pytest.raises(InputError, match="clusters_P1.json: it was built over a different corpus"):
-        artifacts.read_clusters(path, "x" * 64, echo, unasked)
+        artifacts.read_clusters(path, "x" * 64, echo)
     with pytest.raises(InputError, match="clusters_P1.json: it was built with k 2, not 3"):
-        artifacts.read_clusters(path, "c" * 64, {"k": 3}, unasked)
+        artifacts.read_clusters(path, "c" * 64, {**echo, "k": 3})
+    assert artifacts.read_clusters(path, "c" * 64, echo) == record  # map's read, no vocabulary
+
+
+def test_check_vocabulary_checks_the_hash_and_the_axis_terms(tmp_path):
+    record, path, _ = _two_cluster_file(tmp_path)
     only_a = Vocabulary.from_df(["a"], [1], [0], 1, 1)
     with pytest.raises(InputError, match="stale artifact terms.csv or load_report.json"):
-        artifacts.read_clusters(path, "c" * 64, echo, lambda: (only_a, "w" * 64))
-    with pytest.raises(InputError, match="axis term 'b' of cluster 1 is not in the vocabulary"):
-        artifacts.read_clusters(path, "c" * 64, echo, lambda: (only_a, "v" * 64))
-    assert artifacts.read_clusters(path, "c" * 64, echo) == list(clusters)  # map's read
+        artifacts.check_vocabulary(path, record, only_a, "w" * 64)
+    with pytest.raises(InputError, match="clusters_P1.json: axis term 'b' of cluster 1 is not in"):
+        artifacts.check_vocabulary(path, record, only_a, "v" * 64)
+    a_and_b = Vocabulary.from_df(["a", "b"], [1, 1], [0, 0], 1, 1)
+    artifacts.check_vocabulary(path, record, a_and_b, "v" * 64)

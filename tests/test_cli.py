@@ -608,8 +608,15 @@ class TestStageSequencing:
         assert dir_hashes(out) == before
 
     def test_a_cluster_file_read_unchecked_is_checked_when_a_stage_needs_the_vocabulary(
-        self, run_dir, tmp_path
+        self, run_dir, tmp_path, monkeypatch
     ):
+        parsed, read_json = [], artifacts.read_json
+
+        def spy(path):
+            parsed.append(os.path.basename(path))
+            return read_json(path)
+
+        monkeypatch.setattr(artifacts, "read_json", spy)
         config, source = run_dir
         out = tmp_path / "out"
         shutil.copytree(source, out)
@@ -620,6 +627,7 @@ class TestStageSequencing:
         assert len(run.read_clusters("P1")) == len(data["clusters"])  # as map reads it
         with pytest.raises(InputError, match="axis term 'not in terms.csv' of cluster 0 is not in"):
             run.read_clusters("P1", vocabulary=True)  # as link reads it
+        assert parsed.count("clusters_P1.json") == 1  # one record, checked after the read
 
     def test_map_reads_only_the_cluster_files(self, corpus_dir, tmp_path, capsys):
         config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
@@ -856,7 +864,7 @@ class TestStageSequencing:
                 "label-not-string", "top-term-not-string", "size-float", "size-string", "id-string",
                 "weight-string", "weight-boolean", "member-not-string", "top-term-outside-axis",
                 "label-not-first-top-term", "top-term-weight-edited", "top-term-weight-negative",
-                "top-terms-out-of-weight-order",
+                "top-terms-out-of-weight-order", "top-terms-over-top_m",
             )
             for stage in ("map", "link")
             # map's output does not depend on the vocabulary, so it reads none to check axis terms by
@@ -914,6 +922,11 @@ class TestStageSequencing:
         elif fault == "top-terms-out-of-weight-order":  # the last two swapped
             first["top_terms"][-2:] = first["top_terms"][:-3:-1]
             assert first["top_terms"][-2][1] < first["top_terms"][-1][1]
+        elif fault == "top-terms-over-top_m":  # the next positive axis term, in weight order
+            listed = {term for term, _ in first["top_terms"]}
+            rest = sorted((-w, t) for t, w in first["axis"].items() if w > 0.0 and t not in listed)
+            first["top_terms"].append([rest[0][1], round(-rest[0][0], 6)])
+            assert len(first["top_terms"]) == 6  # top_m is 5
         else:
             data["objective_trace"][-1] = float("-inf")
         text = json.dumps(data).replace('"1e999"', "1e999")

@@ -58,7 +58,7 @@ def _vocab(terms):
 
 
 def _work(M, k):
-    return cluster._Work(M, k, cluster._shared_index(M, k))
+    return cluster._Work(M, cluster._shared_index(M, k))
 
 
 def _random_instance(rng, n=None, m=None):

@@ -184,16 +184,3 @@ class TestCrossTable:
             assert set(row) == set(CATEGORIES)
             assert all(0.0 <= v <= 1.0 for v in row.values())
 
-    def test_top_m_truncates_the_pool(self):
-        linkage = _linkage([STATUS_ROOTED])
-        summaries = [_summary(0, ["a", "b", "c"])]
-        stats = [
-            _stats("a", "established"),
-            _stats("b", "unusual"),
-            _stats("c", "unusual"),
-        ]
-        tab = cross_table(linkage, summaries, stats, top_m=2)
-        assert tab.n_terms[STATUS_ROOTED] == 2
-        assert tab.shares[STATUS_ROOTED]["established"] == 0.5
-        assert tab.shares[STATUS_ROOTED]["unusual"] == 0.5
-
