@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import heapq
 import json
 import os
 from typing import TYPE_CHECKING, Literal, get_args
@@ -187,7 +188,7 @@ def parsing(path: str):
         raise InputError(f"malformed artifact {path}: {detail}") from exc
 
 
-def read_artifact(cls, path: str):
+def read_artifact(path: str, cls):
     """The frozen dataclass `cls` from the JSON artifact `path`, decoded strictly."""
     data = read_json(path)
     with parsing(path):
@@ -214,25 +215,34 @@ def _check_built_with(path: str, key: str, built, value, fix: str = "re-run upst
         raise _stale(os.path.basename(path), reason, fix)
 
 
+def top_terms(axis: dict, top_m: int) -> tuple[str, tuple[tuple[str, float], ...]]:
+    """A cluster's label and top terms, from its axis: the `top_m` terms of
+    largest positive weight, ties in term order, each with its weight rounded
+    to 6 places once chosen, and the first of them as the label ("" if none)."""
+    heaviest = heapq.nsmallest(top_m, ((-w, t) for t, w in axis.items() if w > 0.0))
+    top = tuple((t, round(-w, 6)) for w, t in heaviest)
+    return (top[0][0] if top else ""), top
+
+
 def write_clusters(path: str, clusters: ClusterFile) -> None:
     # the fields as they are: dataclasses.asdict would deep-copy every axis weight
     write_json({**vars(clusters), "clusters": list(map(vars, clusters.clusters))}, path)
 
 
-def read_clusters(path: str, corpus_sha256: str, config_echo: dict) -> ClusterFile:
-    """The checked cluster file `path`.
+def read_clusters(path: str, period_id: str, corpus_sha256: str, config_echo: dict) -> ClusterFile:
+    """The checked cluster file `path` of the period `period_id`.
 
-    The file must record the sha256 of corpus.jsonl, echo every key of the
-    running `config_echo` (as JSON holds it), decode as a ClusterFile and
-    hold the echoed k clusters, numbered 0 to k-1 in order, with axis
-    weights in [-1, 1] and string members. Each cluster's size must be its
-    member count, its label its first top term ("" if none), and its top
-    terms at most the echoed top_m axis terms of positive weight, each with
-    that weight to 6 places, in non-increasing weight order. No document may
+    The file must record `period_id` and the sha256 of corpus.jsonl, echo
+    every key of the running `config_echo` (as JSON holds it), decode as a
+    ClusterFile and hold the echoed k clusters, numbered 0 to k-1 in order,
+    with axis weights in [-1, 1] and string members. Each cluster's size
+    must be its member count, and its label and top terms the ones
+    `top_terms` gives for its axis under the echoed top_m. No document may
     be listed twice. The vocabulary is checked apart, by check_vocabulary.
     """
     data = read_json(path)
     with parsing(path):
+        _check_built_with(path, "period_id", data.get("period_id"), period_id, "re-run the cluster stage")
         if data.get("corpus_sha256") != corpus_sha256:
             raise _stale(os.path.basename(path), "it was built over a different corpus.jsonl")
         for key, value in config_echo.items():
@@ -256,17 +266,8 @@ def read_clusters(path: str, corpus_sha256: str, config_echo: dict) -> ClusterFi
                 raise ValueError(f"a document of cluster {c.id} is listed twice")
             if c.size != len(c.members):
                 raise ValueError(f"cluster {c.id} has size {c.size} but {len(c.members)} members")
-            if len(c.top_terms) > top_m:
-                raise ValueError(f"cluster {c.id} has {len(c.top_terms)} top terms, more than top_m {top_m}")
-            if not all(term in c.axis for term, _ in c.top_terms):
-                raise ValueError(f"a top term of cluster {c.id} is not one of its axis terms")
-            if not all(c.axis[term] > 0.0 and w == round(c.axis[term], 6) for term, w in c.top_terms):
-                raise ValueError(f"a top-term weight of cluster {c.id} is not its positive axis weight")
-            top = [w for _, w in c.top_terms]
-            if any(a < b for a, b in zip(top, top[1:])):
-                raise ValueError(f"the top terms of cluster {c.id} are not in weight order")
-            if c.label != (c.top_terms[0][0] if c.top_terms else ""):
-                raise ValueError(f"the label of cluster {c.id} is not its first top term")
+            if (c.label, c.top_terms) != top_terms(c.axis, top_m):
+                raise ValueError(f"the label and top terms of cluster {c.id} are not its axis's top {top_m}")
     return record
 
 
@@ -292,7 +293,7 @@ def write_map(path: str, cmap: ClusterMap) -> None:
 
 def read_map(path: str, period_id: str, tau: float) -> ClusterMap:
     """The map of `period_id` in `path`, which must have been built with `tau`."""
-    cmap = read_artifact(ClusterMap, path)
+    cmap = read_artifact(path, ClusterMap)
     _check_built_with(path, "period_id", cmap.period_id, period_id, "re-run the map stage")
     _check_built_with(path, "tau", cmap.tau, tau, "re-run the map stage")
     return cmap
@@ -301,7 +302,7 @@ def read_map(path: str, period_id: str, tau: float) -> ClusterMap:
 def read_linkage(path: str, rho: float, k: int) -> Linkage:
     """The linkage in `path`, which must have been built with `rho` and
     link the P2 clusters 0 to k-1 in order."""
-    linkage = read_artifact(Linkage, path)
+    linkage = read_artifact(path, Linkage)
     _check_built_with(path, "rho", linkage.rho, rho, "re-run the link stage")
     with parsing(path):
         if [link.cluster_id for link in linkage.links] != list(range(k)):

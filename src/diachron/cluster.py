@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .artifacts import Cluster
+from .artifacts import Cluster, top_terms
 from .corpus import Vocabulary
 from .errors import NumericError
 from .seeding import derive_seed
@@ -292,18 +292,16 @@ def fit_axial_kmeans(
 
 
 def summarize_clusters(model: ClusterModel, vocabulary: Vocabulary, top_m: int = 10) -> list[Cluster]:
-    """Each cluster's sparse axis, its members in row order and its top
-    positive axis terms; ties break lexicographically, label = first term.
-    The top-term weights are rounded to 6 places once chosen and ordered, as
-    the cluster file holds them."""
+    """Each cluster's sparse axis, its members in row order, and the label
+    and top terms that `artifacts.top_terms` gives for its axis, as the
+    cluster file holds them."""
     order = np.argsort(model.assignment, kind="stable")  # the rows, cluster by cluster
     clusters = []
     for c, rows in enumerate(np.split(order, np.cumsum(model.sizes)[:-1])):
         weights = model.axes[c]
         nz = np.flatnonzero(weights)
         axis = dict(zip([vocabulary.terms[t] for t in nz.tolist()], weights[nz].tolist()))
-        top = sorted((p for p in axis.items() if p[1] > 0.0), key=lambda p: (-p[1], p[0]))[:top_m]
-        top = tuple((t, round(w, 6)) for t, w in top)
+        label, top = top_terms(axis, top_m)
         members = [model.doc_ids[r] for r in rows.tolist()]
-        clusters.append(Cluster(c, top[0][0] if top else "", len(members), top, members, axis))
+        clusters.append(Cluster(c, label, len(members), top, members, axis))
     return clusters

@@ -251,6 +251,11 @@ def split_periods(records: list[Record], spec: PeriodSpec) -> tuple[CorpusSlice,
     return CorpusSlice("P1", tuple(p1)), CorpusSlice("P2", tuple(p2)), dropped
 
 
+def load_slices(path: str, spec: PeriodSpec) -> tuple[CorpusSlice, CorpusSlice]:
+    """The two period slices of a corpus.jsonl that save_corpus wrote."""
+    return split_periods(load_corpus(path, "jsonl")[0], spec)[:2]
+
+
 def build_vocabulary(p1: CorpusSlice, p2: CorpusSlice, min_df: int = 2) -> Vocabulary:
     """Pool both periods and keep terms with pooled document frequency >= min_df.
 

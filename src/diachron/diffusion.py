@@ -15,7 +15,7 @@ import csv
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .artifacts import atomic_open
+from .artifacts import atomic_open, parsing
 from .pipeline import DiffusionThresholds
 
 if TYPE_CHECKING:  # annotations only; numpy is imported where used, so link never loads it
@@ -142,11 +142,11 @@ def read_terms_csv(path: str) -> list[TermStats]:
     """Reload terms.csv (rounded reals; categories are exact).
 
     The header must be the one write_terms_csv writes, and every row must
-    hold its six fields; a non-finite tfidf or gini, or a category outside
-    CATEGORIES, is a ValueError naming the term.
+    hold its six fields, a finite tfidf and gini, and a category of
+    CATEGORIES; any other file is an InputError naming it (and the term).
     """
     stats = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with parsing(path), open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(TermStats._fields):

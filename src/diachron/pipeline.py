@@ -37,7 +37,6 @@ import logging
 import os
 import sys
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Literal, get_args
 
@@ -195,18 +194,19 @@ class Run:
     the fit, and the record of each artifact the stages take, each worked
     out at most once.
 
-    An artifact's record is the one its stage made, if that stage ran
-    earlier in this invocation; it equals a read of the file just written,
-    since each record holds its values as the file does (rounded where the
-    file rounds them). Otherwise it is read from the file and checked, once.
-    corpus.jsonl's record is its two period slices, and ingest hands on the
-    sha256 of the bytes it wrote there. terms.csv's stats are always read
-    from the file: in categories mode its stage runs before the fits, and
-    holding the stats through them would raise the peak memory. The
-    vocabulary, which map does not read, comes from the slices if a slice
-    reader ran first, and otherwise from terms.csv and load_report.json, so
-    link parses no corpus. A cluster file's record is its ClusterFile, which
-    a stage whose output depends on the vocabulary checks against it."""
+    Every record kept in a file comes through `_read`: the one its stage
+    made, if that stage ran earlier in this invocation, or else the file,
+    required, read and checked once. A record handed on equals a read of the
+    file just written, since each holds its values as the file does (rounded
+    where the file rounds them). corpus.jsonl's record is its two period
+    slices, and ingest sets `corpus_sha256` to the sha256 of the bytes it
+    wrote there. terms.csv's stats are always read from the file: in
+    categories mode its stage runs before the fits, and holding the stats
+    through them would raise the peak memory. The vocabulary, which map does
+    not read, comes from the slices if a slice reader ran first, and
+    otherwise from terms.csv and load_report.json, so link parses no corpus.
+    A cluster file's record is its ClusterFile, which a stage whose output
+    depends on the vocabulary checks against it."""
 
     def __init__(self, config: RunConfig, out: str, threads: int = 1) -> None:
         self.config = config
@@ -214,7 +214,7 @@ class Run:
         self.threads = threads
         self._records: dict[str, object] = {}  # artifact name -> record, made or read
         self._vocabulary: Vocabulary | None = None
-        self._sha256s: dict[str, str] = {}  # artifact name -> sha256, as written or read
+        self.corpus_sha256: str | None = None  # of the bytes ingest wrote, or else sha256()'s of the file
         self._vocab_sha256: str | None = None
 
     def path(self, name: str) -> str:
@@ -223,30 +223,27 @@ class Run:
     def require(self, name: str, producer: str) -> str:
         return artifacts.require(self.path(name), producer)
 
-    def hand_on(self, name: str, record, sha256: str | None = None) -> None:
-        """The record of what a stage just wrote to `name`, and its sha256 if hashed."""
+    def hand_on(self, name: str, record) -> None:
+        """The record of what a stage just wrote to `name`."""
         self._records[name] = record
-        if sha256 is not None:
-            self._sha256s[name] = sha256
 
-    def _record(self, name: str, read: Callable[[], object]):
+    def _read(self, name: str, producer: str, reader, *args):
+        """The record of `name`: the one handed on, or else `reader(path, *args)`
+        of its file, which `producer` writes. The caller evaluates `args` before
+        the file is required, so a missing input they read is named first."""
         if name not in self._records:
-            self._records[name] = read()
+            self._records[name] = reader(self.require(name, producer), *args)
         return self._records[name]
 
     def sha256(self) -> str:
-        if artifacts.CORPUS not in self._sha256s:
-            self._sha256s[artifacts.CORPUS] = artifacts.sha256_file(self.require(artifacts.CORPUS, "ingest"))
-        return self._sha256s[artifacts.CORPUS]
+        if self.corpus_sha256 is None:
+            self.corpus_sha256 = artifacts.sha256_file(self.require(artifacts.CORPUS, "ingest"))
+        return self.corpus_sha256
 
     def slices(self) -> tuple[CorpusSlice, CorpusSlice, Vocabulary]:
-        from .corpus import build_vocabulary, load_corpus, split_periods
+        from .corpus import build_vocabulary, load_slices
 
-        def read():
-            records, _ = load_corpus(self.require(artifacts.CORPUS, "ingest"), "jsonl")
-            return split_periods(records, self.config.periods)[:2]
-
-        p1, p2 = self._record(artifacts.CORPUS, read)
+        p1, p2 = self._read(artifacts.CORPUS, "ingest", load_slices, self.config.periods)
         if self._vocabulary is None:
             self._vocabulary = build_vocabulary(p1, p2, self.config.min_df)
         return p1, p2, self._vocabulary
@@ -256,19 +253,10 @@ class Run:
         any stage reads it."""
         from .diffusion import read_terms_csv
 
-        def read():
-            path = self.require(artifacts.TERMS, "terms")
-            with artifacts.parsing(path):
-                return read_terms_csv(path)
-
-        return self._record(artifacts.TERMS, read)
+        return self._read(artifacts.TERMS, "terms", read_terms_csv)
 
     def load_report(self) -> artifacts.LoadReport:
-        def read():
-            path = self.require(artifacts.LOAD_REPORT, "ingest")
-            return artifacts.read_artifact(artifacts.LoadReport, path)
-
-        return self._record(artifacts.LOAD_REPORT, read)
+        return self._read(artifacts.LOAD_REPORT, "ingest", artifacts.read_artifact, artifacts.LoadReport)
 
     def vocabulary(self) -> Vocabulary:
         if self._vocabulary is None:
@@ -304,14 +292,8 @@ class Run:
         """A period's clusters, as fitted or from its checked cluster file; with
         `vocabulary`, for a stage whose output depends on it, checked against it
         too, on every call and after the file's own checks."""
-        name = artifacts.clusters_file(period_id)
-
-        def read():
-            corpus_sha256 = self.sha256()  # names a missing corpus.jsonl before a cluster file
-            path = self.require(name, "cluster")
-            return artifacts.read_clusters(path, corpus_sha256, self.cluster_echo(period_id))
-
-        record = self._record(name, read)
+        name, echo = artifacts.clusters_file(period_id), self.cluster_echo(period_id)
+        record = self._read(name, "cluster", artifacts.read_clusters, period_id, self.sha256(), echo)
         if vocabulary:
             artifacts.check_vocabulary(self.path(name), record, self.vocabulary(), self.vocab_sha256())
         return record.clusters
@@ -319,18 +301,13 @@ class Run:
     def read_map(self, period_id: str) -> ClusterMap:
         """A period's map, as built or from its checked map file."""
         name = artifacts.map_json_file(period_id)
-        return self._record(
-            name, lambda: artifacts.read_map(self.require(name, "map"), period_id, self.config.tau)
-        )
+        return self._read(name, "map", artifacts.read_map, period_id, self.config.tau)
 
     def read_linkage(self) -> artifacts.Linkage:
-        """The linkage, as built or from its checked file."""
-
-        def read():
-            k = len(self.read_map("P2").coords)  # the P2 clusters it must link
-            return artifacts.read_linkage(self.require(artifacts.LINKAGE, "link"), self.config.rho, k)
-
-        return self._record(artifacts.LINKAGE, read)
+        """The linkage, as built or from its checked file, which must link the
+        P2 map's clusters."""
+        k = len(self.read_map("P2").coords)
+        return self._read(artifacts.LINKAGE, "link", artifacts.read_linkage, self.config.rho, k)
 
 
 def stage_ingest(run: Run) -> None:
@@ -353,7 +330,8 @@ def stage_ingest(run: Run) -> None:
         dropped_outside_periods=dropped_outside,
     )
     artifacts.write_json(dataclasses.asdict(report), run.path(artifacts.LOAD_REPORT))
-    run.hand_on(artifacts.CORPUS, (p1, p2), corpus_sha256)
+    run.hand_on(artifacts.CORPUS, (p1, p2))
+    run.corpus_sha256 = corpus_sha256
     run.hand_on(artifacts.LOAD_REPORT, report)
 
 

@@ -6,7 +6,8 @@ originals, and writing what was read gives the same bytes. So does a
 linkage whose cosines have the 6 places that its file keeps, and so do a
 fitted period's clusters, whose top-term weights `summarize_clusters`
 rounds as the file does. A cluster file is checked against the vocabulary
-apart from its read, by `check_vocabulary`.
+apart from its read, by `check_vocabulary`. `top_terms`, the one rule for a
+cluster's label and top terms, matches a plain sort.
 """
 
 import dataclasses
@@ -81,7 +82,7 @@ def test_written_artifacts_read_back_equal_and_rewrite_the_same_bytes(cmap, repo
         written = [Path(path).read_bytes() for path in paths]
 
         map_read = artifacts.read_map(map_path, cmap.period_id, cmap.tau)
-        report_read = artifacts.read_artifact(artifacts.LoadReport, report_path)
+        report_read = artifacts.read_artifact(report_path, artifacts.LoadReport)
         linkage_read = artifacts.read_linkage(linkage_path, linkage.rho, len(linkage.links))
         assert map_read == cmap
         assert report_read == report
@@ -91,6 +92,22 @@ def test_written_artifacts_read_back_equal_and_rewrite_the_same_bytes(cmap, repo
         artifacts.write_json(dataclasses.asdict(report_read), report_path)
         artifacts.write_linkage(linkage_path, linkage_read)
         assert [Path(path).read_bytes() for path in paths] == written
+
+
+# a few terms and weights, so that ties, zero and negative weights are common
+axes = st.dictionaries(
+    st.sampled_from("abcdefgh"),
+    st.one_of(st.sampled_from([0.5, 0.25, 0.0, -0.25, 1e-7, 4e-7]), st.floats(-1.0, 1.0)),
+    max_size=8,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(axis=axes, top_m=st.integers(1, 10))
+def test_top_terms_are_the_sorted_positive_terms_cut_to_top_m(axis, top_m):
+    expected = sorted(((t, w) for t, w in axis.items() if w > 0.0), key=lambda p: (-p[1], p[0]))[:top_m]
+    expected = tuple((t, round(w, 6)) for t, w in expected)
+    assert artifacts.top_terms(axis, top_m) == (expected[0][0] if expected else "", expected)
 
 
 def test_fitted_clusters_read_back_equal(tmp_path):
@@ -111,7 +128,7 @@ def test_fitted_clusters_read_back_equal(tmp_path):
     )
     path = str(tmp_path / "clusters_P1.json")
     artifacts.write_clusters(path, written)
-    read = artifacts.read_clusters(path, written.corpus_sha256, echo)
+    read = artifacts.read_clusters(path, "P1", written.corpus_sha256, echo)
     artifacts.check_vocabulary(path, read, vocabulary, written.vocab_sha256)
 
     assert read.clusters == tuple(clusters)
@@ -144,10 +161,10 @@ def _two_cluster_file(tmp_path):
 def test_read_clusters_checks_the_corpus_and_the_echo(tmp_path):
     record, path, echo = _two_cluster_file(tmp_path)
     with pytest.raises(InputError, match="clusters_P1.json: it was built over a different corpus"):
-        artifacts.read_clusters(path, "x" * 64, echo)
+        artifacts.read_clusters(path, "P1", "x" * 64, echo)
     with pytest.raises(InputError, match="clusters_P1.json: it was built with k 2, not 3"):
-        artifacts.read_clusters(path, "c" * 64, {**echo, "k": 3})
-    assert artifacts.read_clusters(path, "c" * 64, echo) == record  # map's read, no vocabulary
+        artifacts.read_clusters(path, "P1", "c" * 64, {**echo, "k": 3})
+    assert artifacts.read_clusters(path, "P1", "c" * 64, echo) == record  # map's read, no vocabulary
 
 
 def test_check_vocabulary_checks_the_hash_and_the_axis_terms(tmp_path):

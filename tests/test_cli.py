@@ -621,7 +621,8 @@ class TestStageSequencing:
         out = tmp_path / "out"
         shutil.copytree(source, out)
         data = json.loads((out / "clusters_P1.json").read_text(encoding="utf-8"))
-        data["clusters"][0]["axis"]["not in terms.csv"] = 0.5
+        first = data["clusters"][0]
+        first["axis"]["not in terms.csv"] = first["top_terms"][-1][1] / 2  # below its top terms
         (out / "clusters_P1.json").write_text(json.dumps(data), encoding="utf-8")
         run = pipeline.Run(pipeline.load_config(str(config)), str(out))
         assert len(run.read_clusters("P1")) == len(data["clusters"])  # as map reads it
@@ -685,7 +686,8 @@ class TestStageSequencing:
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
         data = json.loads((out / "clusters_P1.json").read_text(encoding="utf-8"))
-        data["clusters"][0]["axis"]["not in terms.csv"] = 0.5
+        first = data["clusters"][0]
+        first["axis"]["not in terms.csv"] = first["top_terms"][-1][1] / 2  # below its top terms
         (out / "clusters_P1.json").write_text(json.dumps(data), encoding="utf-8")
         before = dir_hashes(out)
         assert main(["terms", "--config", str(config), "--out", str(out)]) == 3
@@ -864,7 +866,8 @@ class TestStageSequencing:
                 "label-not-string", "top-term-not-string", "size-float", "size-string", "id-string",
                 "weight-string", "weight-boolean", "member-not-string", "top-term-outside-axis",
                 "label-not-first-top-term", "top-term-weight-edited", "top-term-weight-negative",
-                "top-terms-out-of-weight-order", "top-terms-over-top_m",
+                "top-terms-out-of-weight-order", "top-terms-over-top_m", "top-terms-cut-short",
+                "top-term-skipped",
             )
             for stage in ("map", "link")
             # map's output does not depend on the vocabulary, so it reads none to check axis terms by
@@ -890,7 +893,7 @@ class TestStageSequencing:
         elif fault == "weight-overflow":  # json.dumps cannot write it, so it goes in as text
             first["axis"][next(iter(first["axis"]))] = "1e999"
         elif fault == "term-outside-vocabulary":  # no term of terms.csv holds a space
-            first["axis"]["not in terms.csv"] = 0.5
+            first["axis"]["not in terms.csv"] = first["top_terms"][-1][1] / 2  # below its top terms
         elif fault == "weight-above-one":  # an axis is a unit vector; 1e200 squared overflows
             first["axis"][next(iter(first["axis"]))] = 1e200
         elif fault == "label-not-string":
@@ -927,6 +930,12 @@ class TestStageSequencing:
             rest = sorted((-w, t) for t, w in first["axis"].items() if w > 0.0 and t not in listed)
             first["top_terms"].append([rest[0][1], round(-rest[0][0], 6)])
             assert len(first["top_terms"]) == 6  # top_m is 5
+        elif fault == "top-terms-cut-short":  # the label is still the first top term
+            del first["top_terms"][2:]
+            assert sum(w > 0.0 for w in first["axis"].values()) > 2
+        elif fault == "top-term-skipped":  # a heavier term gone from the middle, the rest in order
+            assert len(first["top_terms"]) == 5  # top_m is 5
+            del first["top_terms"][1]
         else:
             data["objective_trace"][-1] = float("-inf")
         text = json.dumps(data).replace('"1e999"', "1e999")
@@ -954,6 +963,44 @@ class TestStageSequencing:
         rc = main([stage, "--config", str(config), "--out", str(out)])
         assert rc == 3
         assert target in capsys.readouterr().err
+        assert dir_hashes(out) == before
+
+    @pytest.mark.parametrize("stage", ["map", "link"])
+    def test_cluster_file_of_another_period_exits_3_and_names_it(self, run_dir, tmp_path, capsys, stage):
+        config, source = run_dir
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        data = json.loads((out / "clusters_P2.json").read_text(encoding="utf-8"))
+        data["period_id"] = "P1"
+        (out / "clusters_P2.json").write_text(json.dumps(data), encoding="utf-8")
+        before = dir_hashes(out)
+        rc = main([stage, "--config", str(config), "--out", str(out)])
+        assert rc == 3
+        message = 'stale artifact clusters_P2.json: it was built with period_id "P1", not "P2"'
+        assert message in capsys.readouterr().err
+        assert dir_hashes(out) == before
+
+    # the order README gives; map reads neither terms.csv nor load_report.json
+    LINK_INPUTS = ["corpus.jsonl", "clusters_P1.json", "terms.csv", "load_report.json", "clusters_P2.json"]
+
+    @pytest.mark.parametrize("stage", ["map", "link"])
+    @pytest.mark.parametrize("first_missing", LINK_INPUTS)
+    def test_the_first_missing_input_is_named_in_readme_order(
+        self, run_dir, tmp_path, capsys, stage, first_missing
+    ):
+        config, source = run_dir
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        missing = self.LINK_INPUTS[self.LINK_INPUTS.index(first_missing):]  # it and every later one
+        for name in missing:
+            (out / name).unlink()
+        inputs = self.LINK_INPUTS if stage == "link" else [self.LINK_INPUTS[i] for i in (0, 1, 4)]
+        named = next(name for name in inputs if name in missing)
+        before = dir_hashes(out)
+        rc = main([stage, "--config", str(config), "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"missing {named} artifact" in err
         assert dir_hashes(out) == before
 
     @settings(max_examples=60, derandomize=True, deadline=None)
