@@ -2,11 +2,12 @@
 
 Everything here is byte-stable: JSON floats are emitted by Python's
 shortest-round-trip repr (so full-precision values reload exactly),
-dict key order is fixed by construction, and CSV fields use pinned
-decimal formats, and every file is written through `atomic_open`.
-Cluster files carry the full-precision axes plus the hashes of the
-vocabulary and of corpus.jsonl, which is what lets a later stage read
-back the exact clusters and detect stale artifacts after an input change.
+dict key order is fixed by construction, CSV fields use pinned decimal
+formats, and every file is written through `atomic_open`, which hashes the
+bytes as it writes them. Cluster files carry the full-precision axes, so a
+later stage reads back the exact clusters. The readers here check a file's
+own content; provenance.json, the ledger that `pipeline.Run` keeps, says
+which artifacts and config fields each file was built from.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import heapq
+import io
 import json
 import os
 from typing import TYPE_CHECKING, Literal, get_args
@@ -22,8 +25,7 @@ from typing import TYPE_CHECKING, Literal, get_args
 from .errors import ConfigError, InputError, decode
 from .mapping import ClusterMap, render_svg
 
-if TYPE_CHECKING:  # annotations only: diachrony imports from here, and map never loads corpus
-    from .corpus import Vocabulary
+if TYPE_CHECKING:  # annotations only: diachrony imports from here
     from .diachrony import CrossTab
 
 LOAD_REPORT = "load_report.json"
@@ -33,6 +35,7 @@ TRUTH = "truth.json"
 MANIFEST = "run_manifest.json"
 CROSSTAB = "crosstab.csv"
 LINKAGE = "linkage.json"
+PROVENANCE = "provenance.json"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,12 +66,9 @@ class Cluster:
 
 @dataclasses.dataclass(frozen=True)
 class ClusterFile:
-    """clusters_P*.json: the fit's settings and input hashes, then its clusters."""
+    """clusters_P*.json: the period and the fit's objective trace, then its clusters."""
 
     period_id: str
-    config: dict
-    vocab_sha256: str
-    corpus_sha256: str
     objective_trace: tuple[float, ...]
     clusters: tuple[Cluster, ...]
 
@@ -106,6 +106,17 @@ class Linkage:
     links: tuple[ClusterLink, ...]
 
 
+@dataclasses.dataclass(frozen=True)
+class Provenance:
+    """An artifact's record in provenance.json: the sha256 of its bytes, the
+    sha256 of each artifact its stage took, by name, and the config fields
+    that shaped it."""
+
+    sha256: str
+    inputs: dict
+    config: dict
+
+
 def clusters_file(period_id: str) -> str:
     return f"clusters_{period_id}.json"
 
@@ -118,14 +129,32 @@ def map_svg_file(period_id: str) -> str:
     return f"map_{period_id}.svg"
 
 
+class _Sha256Writer(io.BufferedIOBase):
+    """The binary file `raw`, hashing the bytes written through it."""
+
+    def __init__(self, raw) -> None:
+        self.raw, self.sha256 = raw, hashlib.sha256()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        self.sha256.update(data)
+        return self.raw.write(data)
+
+
 @contextlib.contextmanager
 def atomic_open(path: str, newline: str | None = None):
     """Write a text file through a temporary file in the same directory,
-    renamed over `path` on success and removed on error (atomic, no fsync)."""
+    renamed over `path` on success and removed on error (atomic, no fsync).
+    Yields the file and the sha256 of the bytes written to it, whole once
+    the block ends."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
-            yield fh
+        with open(tmp, "wb") as raw:
+            sink = _Sha256Writer(raw)
+            with io.TextIOWrapper(sink, encoding="utf-8", newline=newline) as fh:
+                yield fh, sink.sha256
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -134,8 +163,6 @@ def atomic_open(path: str, newline: str | None = None):
 
 
 def sha256_file(path: str) -> str:
-    import hashlib  # here, so that report never loads it
-
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -143,26 +170,12 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def vocab_sha256(vocabulary: Vocabulary) -> str:
-    import hashlib
-
-    payload = json.dumps(
-        {
-            "terms": list(vocabulary.terms),
-            "df_p1": list(vocabulary.df_p1),
-            "df_p2": list(vocabulary.df_p2),
-            "n_docs_p1": vocabulary.n_docs_p1,
-            "n_docs_p2": vocabulary.n_docs_p2,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def write_json(obj, path: str) -> None:
-    with atomic_open(path) as fh:
+def write_json(obj, path: str) -> str:
+    """Write `obj` as indented JSON; returns the sha256 of the bytes written."""
+    with atomic_open(path) as (fh, sha256):
         json.dump(obj, fh, indent=2, ensure_ascii=False)
         fh.write("\n")
+    return sha256.hexdigest()
 
 
 def read_json(path: str):
@@ -205,14 +218,29 @@ def require(path: str, producer: str):
     return path
 
 
-def _stale(name: str, reason: str, fix: str = "re-run upstream stages") -> InputError:
-    return InputError(f"stale artifact {name}: {reason} ({fix})")
+def stale(name: str, reason: str, producer: str) -> InputError:
+    return InputError(f"stale artifact {name}: {reason} (re-run the {producer} stage)")
 
 
-def _check_built_with(path: str, key: str, built, value, fix: str = "re-run upstream stages") -> None:
+def check_built_with(name: str, key: str, built, value, producer: str) -> None:
     if built != value:
-        reason = f"it was built with {key} {json.dumps(built)}, not {json.dumps(value)}"
-        raise _stale(os.path.basename(path), reason, fix)
+        raise stale(name, f"it was built with {key} {json.dumps(built)}, not {json.dumps(value)}", producer)
+
+
+def write_ledger(path: str, ledger: dict[str, Provenance]) -> str:
+    """Write provenance.json, its records in name order."""
+    return write_json({name: vars(ledger[name]) for name in sorted(ledger)}, path)
+
+
+def read_ledger(path: str, names) -> dict[str, Provenance]:
+    """provenance.json, whose records may name as inputs only the artifacts `names`."""
+    data = read_json(path)
+    with parsing(path):
+        ledger = {name: decode(Provenance, record, name) for name, record in data.items()}
+        for name, record in ledger.items():
+            if not record.inputs.keys() <= names:
+                raise ValueError(f"the record of {name} names an input that no stage writes")
+    return ledger
 
 
 def top_terms(axis: dict, top_m: int) -> tuple[str, tuple[tuple[str, float], ...]]:
@@ -224,31 +252,25 @@ def top_terms(axis: dict, top_m: int) -> tuple[str, tuple[tuple[str, float], ...
     return (top[0][0] if top else ""), top
 
 
-def write_clusters(path: str, clusters: ClusterFile) -> None:
+def write_clusters(path: str, clusters: ClusterFile) -> str:
     # the fields as they are: dataclasses.asdict would deep-copy every axis weight
-    write_json({**vars(clusters), "clusters": list(map(vars, clusters.clusters))}, path)
+    return write_json({**vars(clusters), "clusters": list(map(vars, clusters.clusters))}, path)
 
 
-def read_clusters(path: str, period_id: str, corpus_sha256: str, config_echo: dict) -> ClusterFile:
+def read_clusters(path: str, period_id: str, k: int, top_m: int, terms=None) -> ClusterFile:
     """The checked cluster file `path` of the period `period_id`.
 
-    The file must record `period_id` and the sha256 of corpus.jsonl, echo
-    every key of the running `config_echo` (as JSON holds it), decode as a
-    ClusterFile and hold the echoed k clusters, numbered 0 to k-1 in order,
-    with axis weights in [-1, 1] and string members. Each cluster's size
-    must be its member count, and its label and top terms the ones
-    `top_terms` gives for its axis under the echoed top_m. No document may
-    be listed twice. The vocabulary is checked apart, by check_vocabulary.
+    The file must record `period_id`, decode as a ClusterFile and hold k
+    clusters, numbered 0 to k-1 in order, with axis weights in [-1, 1] and
+    string members. Each cluster's size must be its member count, and its
+    label and top terms the ones `top_terms` gives for its axis under
+    `top_m`. No document may be listed twice. Given the set of vocabulary
+    `terms`, every axis term must be one of them.
     """
     data = read_json(path)
     with parsing(path):
-        _check_built_with(path, "period_id", data.get("period_id"), period_id, "re-run the cluster stage")
-        if data.get("corpus_sha256") != corpus_sha256:
-            raise _stale(os.path.basename(path), "it was built over a different corpus.jsonl")
-        for key, value in config_echo.items():
-            _check_built_with(path, key, data["config"].get(key), value)
+        check_built_with(os.path.basename(path), "period_id", data.get("period_id"), period_id, "cluster")
         record = decode(ClusterFile, data)
-        k, top_m = config_echo["k"], config_echo["top_m"]
         if [c.id for c in record.clusters] != list(range(k)):  # the linkage's ids
             raise ValueError(f"the clusters are not k={k} with ids 0 to {k - 1} in order")
         listed: set[str] = set()
@@ -268,42 +290,26 @@ def read_clusters(path: str, period_id: str, corpus_sha256: str, config_echo: di
                 raise ValueError(f"cluster {c.id} has size {c.size} but {len(c.members)} members")
             if (c.label, c.top_terms) != top_terms(c.axis, top_m):
                 raise ValueError(f"the label and top terms of cluster {c.id} are not its axis's top {top_m}")
+            if terms is not None and not c.axis.keys() <= terms:
+                stray = next(term for term in c.axis if term not in terms)
+                raise ValueError(f"axis term {stray!r} of cluster {c.id} is not in the vocabulary")
     return record
 
 
-def check_vocabulary(path: str, record: ClusterFile, vocabulary: Vocabulary, vocabulary_sha256: str) -> None:
-    """Check the cluster file `path`, as `record`, against the vocabulary whose
-    `vocab_sha256` is `vocabulary_sha256`: the file must record that hash, or
-    terms.csv and load_report.json are stale, and its axis terms must be
-    vocabulary terms."""
-    if record.vocab_sha256 != vocabulary_sha256:
-        reason = f"they do not hold the vocabulary {os.path.basename(path)} was built over"
-        raise _stale(f"{TERMS} or {LOAD_REPORT}", reason, "re-run the terms stage, or ingest")
-    terms = vocabulary.index.keys()
-    with parsing(path):
-        for c in record.clusters:
-            if not c.axis.keys() <= terms:
-                stray = next(term for term in c.axis if term not in terms)
-                raise ValueError(f"axis term {stray!r} of cluster {c.id} is not in the vocabulary")
+def write_map(path: str, cmap: ClusterMap) -> str:
+    return write_json(dataclasses.asdict(cmap), path)
 
 
-def write_map(path: str, cmap: ClusterMap) -> None:
-    write_json(dataclasses.asdict(cmap), path)
-
-
-def read_map(path: str, period_id: str, tau: float) -> ClusterMap:
-    """The map of `period_id` in `path`, which must have been built with `tau`."""
+def read_map(path: str, period_id: str) -> ClusterMap:
+    """The map of `period_id` in `path`."""
     cmap = read_artifact(path, ClusterMap)
-    _check_built_with(path, "period_id", cmap.period_id, period_id, "re-run the map stage")
-    _check_built_with(path, "tau", cmap.tau, tau, "re-run the map stage")
+    check_built_with(os.path.basename(path), "period_id", cmap.period_id, period_id, "map")
     return cmap
 
 
-def read_linkage(path: str, rho: float, k: int) -> Linkage:
-    """The linkage in `path`, which must have been built with `rho` and
-    link the P2 clusters 0 to k-1 in order."""
+def read_linkage(path: str, k: int) -> Linkage:
+    """The linkage in `path`, which must link the P2 clusters 0 to k-1 in order."""
     linkage = read_artifact(path, Linkage)
-    _check_built_with(path, "rho", linkage.rho, rho, "re-run the link stage")
     with parsing(path):
         if [link.cluster_id for link in linkage.links] != list(range(k)):
             raise ValueError(f"the links are not of the k={k} P2 clusters 0 to {k - 1} in order")
@@ -311,12 +317,12 @@ def read_linkage(path: str, rho: float, k: int) -> Linkage:
 
 
 def write_svg(path: str, cmap: ClusterMap) -> None:
-    with atomic_open(path) as fh:
+    with atomic_open(path) as (fh, _):
         fh.write(render_svg(cmap))
 
 
-def write_linkage(path: str, linkage: Linkage) -> None:
-    write_json(dataclasses.asdict(linkage), path)
+def write_linkage(path: str, linkage: Linkage) -> str:
+    return write_json(dataclasses.asdict(linkage), path)
 
 
 def write_crosstab(path: str, crosstab: CrossTab) -> None:
@@ -324,7 +330,7 @@ def write_crosstab(path: str, crosstab: CrossTab) -> None:
     empty share cells and n_terms 0."""
     from .diffusion import CATEGORIES  # here, so that map and report never load diffusion
 
-    with atomic_open(path, newline="") as fh:
+    with atomic_open(path, newline="") as (fh, _):
         writer = csv.writer(fh)
         writer.writerow(["status"] + list(CATEGORIES) + ["n_terms"])
         for status, shares in crosstab.shares.items():  # rooted, then new, as cross_table builds it

@@ -78,19 +78,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.terms)
 
-    @classmethod
-    def from_df(cls, terms, df_p1, df_p2, n_docs_p1: int, n_docs_p2: int) -> Vocabulary:
-        """Terms in the given order with their per-period df."""
-        terms = tuple(terms)
-        return cls(
-            terms=terms,
-            index={t: i for i, t in enumerate(terms)},
-            df_p1=tuple(df_p1),
-            df_p2=tuple(df_p2),
-            n_docs_p1=n_docs_p1,
-            n_docs_p2=n_docs_p2,
-        )
-
 
 class _Normalized(dict):
     """normalize_term of each raw string, worked out once per distinct string."""
@@ -216,8 +203,6 @@ def load_corpus(path: str, format: str = "jsonl") -> tuple[list[Record], int]:
 def save_corpus(records: list[Record], path: str) -> str:
     """Write records (sorted by id) as JSONL, so that a reload round-trips
     exactly; returns the sha256 of the bytes written."""
-    import hashlib  # here, so that terms, which hashes nothing, never loads it
-
     encoder = json.JSONEncoder(ensure_ascii=False, sort_keys=True)  # json.dumps's, built once
     lines = []
     for rec in sorted(records, key=lambda r: r.id):
@@ -226,9 +211,9 @@ def save_corpus(records: list[Record], path: str) -> str:
             obj["title"] = rec.title
         lines.append(encoder.encode(obj) + os.linesep)  # the line end text mode would write
     data = "".join(lines).encode("utf-8")
-    with atomic_open(path) as fh:
+    with atomic_open(path) as (fh, sha256):
         fh.buffer.write(data)  # past the text layer, so the file holds exactly `data`
-    return hashlib.sha256(data).hexdigest()
+    return sha256.hexdigest()
 
 
 def split_periods(records: list[Record], spec: PeriodSpec) -> tuple[CorpusSlice, CorpusSlice, int]:
@@ -253,7 +238,11 @@ def split_periods(records: list[Record], spec: PeriodSpec) -> tuple[CorpusSlice,
 
 def load_slices(path: str, spec: PeriodSpec) -> tuple[CorpusSlice, CorpusSlice]:
     """The two period slices of a corpus.jsonl that save_corpus wrote."""
-    return split_periods(load_corpus(path, "jsonl")[0], spec)[:2]
+    records = load_corpus(path, "jsonl")[0]
+    try:
+        return split_periods(records, spec)[:2]
+    except InputError as exc:  # an empty period, which names no file
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def build_vocabulary(p1: CorpusSlice, p2: CorpusSlice, min_df: int = 2) -> Vocabulary:
@@ -263,13 +252,14 @@ def build_vocabulary(p1: CorpusSlice, p2: CorpusSlice, min_df: int = 2) -> Vocab
     record contributes at most 1 to a term's df per period.
     """
     df1, df2 = (Counter(chain.from_iterable(rec.keywords for rec in s.records)) for s in (p1, p2))
-    terms = sorted(t for t, n in (df1 + df2).items() if n >= min_df)
+    terms = tuple(sorted(t for t, n in (df1 + df2).items() if n >= min_df))
     if not terms:
         raise InputError(f"empty vocabulary: no term reaches pooled df >= {min_df}")
-    return Vocabulary.from_df(
-        terms,
-        (df1[t] for t in terms),
-        (df2[t] for t in terms),
-        p1.n_docs,
-        p2.n_docs,
+    return Vocabulary(
+        terms=terms,
+        index={t: i for i, t in enumerate(terms)},
+        df_p1=tuple(df1[t] for t in terms),
+        df_p2=tuple(df2[t] for t in terms),
+        n_docs_p1=p1.n_docs,
+        n_docs_p2=p2.n_docs,
     )

@@ -52,7 +52,7 @@ def cross_table(linkage: Linkage, clusters_p2: Sequence[Cluster], term_stats: li
     status_of = {link.cluster_id: link.status for link in linkage.links}
     counts = {STATUS_ROOTED: Counter(), STATUS_NEW: Counter()}
     for cluster in clusters_p2:
-        for term, _weight in cluster.top_terms:  # vocabulary terms (check_vocabulary), so in terms.csv
+        for term, _weight in cluster.top_terms:  # axis terms, which link checks against terms.csv
             counts[status_of[cluster.id]][category[term]] += 1
     totals = {status: tally.total() for status, tally in counts.items()}
     shares = {

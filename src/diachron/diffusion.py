@@ -127,15 +127,16 @@ def classify_terms(
     return stats
 
 
-def write_terms_csv(stats: list[TermStats], path: str) -> None:
-    """Write terms.csv in vocabulary order with reals at 6 decimal places."""
-    with atomic_open(path, newline="") as fh:
+def write_terms_csv(stats: list[TermStats], path: str) -> str:
+    """Write terms.csv in vocabulary order, reals at 6 places; returns the sha256 written."""
+    with atomic_open(path, newline="") as (fh, sha256):
         writer = csv.writer(fh)
         writer.writerow(TermStats._fields)
         for s in stats:
             writer.writerow(
                 [s.term, s.df_p1, s.df_p2, f"{s.tfidf:.6f}", f"{s.gini:.6f}", s.category]
             )
+    return sha256.hexdigest()
 
 
 def read_terms_csv(path: str) -> list[TermStats]:

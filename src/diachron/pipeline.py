@@ -4,18 +4,14 @@ A stage takes its inputs from the invocation's `Run`. A record that an
 earlier stage of the same invocation made (ingest's periods and load
 report, the clusters, the maps, the linkage) is handed on as it is;
 anything else is read from the prior-stage artifact in the output
-directory, checked, and cheap intermediates (period slices, vocabulary,
-matrices) are rebuilt from it. Each record holds its values as its file
-does, so stages run one at a time or chained by `run` give byte-identical
+directory and checked against provenance.json, the ledger of what each
+artifact was built from. Each record holds its values as its file does,
+so stages run one at a time or chained by `run` give byte-identical
 results. Both go through one runner, which hands every stage one
-argument, the `Run`: the config, the output directory, the fit's thread
-count, the records, and corpus.jsonl parsed at most once (not at all
-after an ingest in the same invocation, nor for map, link and report).
-All randomness flows from the single config seed through
-stage-labeled derived seeds, and row order is fixed once, when
-`split_periods` sorts each period by record id. A stage checks only the
-inputs its output depends on: map reads no vocabulary, and link checks
-the cluster files against it.
+argument, the `Run`. All randomness flows from the single config seed
+through stage-labeled derived seeds, and row order is fixed once, when
+`split_periods` sorts each period by record id. Only terms and cluster
+parse corpus.jsonl.
 
 Config values are checked once, as the config file is decoded (types and
 choices) and a RunConfig built (ranges); the stages and the library
@@ -191,123 +187,135 @@ def load_config(path: str) -> RunConfig:
 
 class Run:
     """One invocation: the config, the output directory, the thread count of
-    the fit, and the record of each artifact the stages take, each worked
-    out at most once.
+    the fit, the ledger and the record of each artifact the stages take.
 
     Every record kept in a file comes through `_read`: the one its stage
-    made, if that stage ran earlier in this invocation, or else the file,
-    required, read and checked once. A record handed on equals a read of the
-    file just written, since each holds its values as the file does (rounded
-    where the file rounds them). corpus.jsonl's record is its two period
-    slices, and ingest sets `corpus_sha256` to the sha256 of the bytes it
-    wrote there. terms.csv's stats are always read from the file: in
-    categories mode its stage runs before the fits, and holding the stats
-    through them would raise the peak memory. The vocabulary, which map does
-    not read, comes from the slices if a slice reader ran first, and
-    otherwise from terms.csv and load_report.json, so link parses no corpus.
-    A cluster file's record is its ClusterFile, which a stage whose output
-    depends on the vocabulary checks against it."""
+    made earlier in this invocation, equal to a read of its file, or else
+    the file, read and checked once. terms.csv's stats are always read from
+    the file: holding them through the fits would raise the peak memory.
+    The ledger, provenance.json, holds for each artifact in `settings` the
+    sha256 of its bytes as written, those of the artifacts its stage took,
+    and the config fields that shaped it. Each `hand_on` rewrites it, and
+    ingest, whose corpus.jsonl every other artifact derives from, starts it
+    anew."""
 
     def __init__(self, config: RunConfig, out: str, threads: int = 1) -> None:
-        self.config = config
-        self.out = out
-        self.threads = threads
+        self.config, self.out, self.threads = config, out, threads
+        self.settings = _settings(config)
         self._records: dict[str, object] = {}  # artifact name -> record, made or read
+        self._made: set[str] = set()  # the artifacts this invocation wrote
+        self._checked: set[str] = set()  # the ledger records checked against the config
+        self._ledger: dict[str, artifacts.Provenance] | None = None
         self._vocabulary: Vocabulary | None = None
-        self.corpus_sha256: str | None = None  # of the bytes ingest wrote, or else sha256()'s of the file
-        self._vocab_sha256: str | None = None
 
     def path(self, name: str) -> str:
         return os.path.join(self.out, name)
 
-    def require(self, name: str, producer: str) -> str:
-        return artifacts.require(self.path(name), producer)
+    def ledger(self) -> dict[str, artifacts.Provenance]:
+        if self._ledger is None:
+            path = artifacts.require(self.path(artifacts.PROVENANCE), "ingest")
+            self._ledger = artifacts.read_ledger(path, self.settings.keys())
+        return self._ledger
 
-    def hand_on(self, name: str, record) -> None:
-        """The record of what a stage just wrote to `name`."""
-        self._records[name] = record
+    def hand_on(self, name: str, sha256: str, inputs=(), record=None) -> None:
+        """Record in the ledger that a stage wrote `name`, whose bytes have
+        the digest `sha256`, from the artifacts `inputs`; `record`, unless
+        None, is what the file holds, for the later stages to take."""
+        if name == artifacts.CORPUS:
+            self._ledger = {}
+        ledger = self.ledger()
+        ledger[name] = artifacts.Provenance(sha256, {i: ledger[i].sha256 for i in inputs}, self.settings[name][1])
+        artifacts.write_ledger(self.path(artifacts.PROVENANCE), ledger)
+        self._made.add(name)
+        if record is not None:
+            self._records[name] = record
 
-    def _read(self, name: str, producer: str, reader, *args):
+    def _check(self, name: str) -> None:
+        """Check the ledger record of `name`, then those of its inputs, recursively."""
+        if name in self._checked:
+            return
+        self._checked.add(name)  # before the inputs, so that a cycle ends
+        producer, settings = self.settings[name]
+        record = self.ledger().get(name)
+        if record is None:
+            raise artifacts.stale(name, f"{artifacts.PROVENANCE} holds no record of it", producer)
+        for key, value in settings.items():
+            artifacts.check_built_with(name, key, record.config.get(key), value, producer)
+        for source, sha256 in record.inputs.items():
+            self._check(source)
+            if self.ledger()[source].sha256 != sha256:
+                raise artifacts.stale(name, f"it was built from another {source}", producer)
+
+    def _read(self, name: str, reader, *args):
         """The record of `name`: the one handed on, or else `reader(path, *args)`
-        of its file, which `producer` writes. The caller evaluates `args` before
-        the file is required, so a missing input they read is named first."""
+        of its file, which is checked, unless this invocation wrote it, by
+        `_check`, by `reader`, and then by its sha256. The caller evaluates
+        `args` before the file is required, so an input they read is named
+        first if missing."""
         if name not in self._records:
-            self._records[name] = reader(self.require(name, producer), *args)
+            producer = self.settings[name][0]
+            path = artifacts.require(self.path(name), producer)
+            checked = name not in self._made
+            if checked:
+                self._check(name)
+            record = reader(path, *args)
+            if checked and artifacts.sha256_file(path) != self.ledger()[name].sha256:
+                raise artifacts.stale(name, f"its bytes are not the ones {artifacts.PROVENANCE} records", producer)
+            self._records[name] = record
         return self._records[name]
-
-    def sha256(self) -> str:
-        if self.corpus_sha256 is None:
-            self.corpus_sha256 = artifacts.sha256_file(self.require(artifacts.CORPUS, "ingest"))
-        return self.corpus_sha256
 
     def slices(self) -> tuple[CorpusSlice, CorpusSlice, Vocabulary]:
         from .corpus import build_vocabulary, load_slices
 
-        p1, p2 = self._read(artifacts.CORPUS, "ingest", load_slices, self.config.periods)
+        p1, p2 = self._read(artifacts.CORPUS, load_slices, self.config.periods)
         if self._vocabulary is None:
             self._vocabulary = build_vocabulary(p1, p2, self.config.min_df)
         return p1, p2, self._vocabulary
 
     def terms(self) -> list[TermStats]:
-        """terms.csv: in both stage orders the terms stage writes it before
-        any stage reads it."""
         from .diffusion import read_terms_csv
 
-        return self._read(artifacts.TERMS, "terms", read_terms_csv)
+        return self._read(artifacts.TERMS, read_terms_csv)
 
     def load_report(self) -> artifacts.LoadReport:
-        return self._read(artifacts.LOAD_REPORT, "ingest", artifacts.read_artifact, artifacts.LoadReport)
+        return self._read(artifacts.LOAD_REPORT, artifacts.read_artifact, artifacts.LoadReport)
 
-    def vocabulary(self) -> Vocabulary:
-        if self._vocabulary is None:
-            from .corpus import Vocabulary
-
-            stats, report = self.terms(), self.load_report()
-            self._vocabulary = Vocabulary.from_df(
-                [s.term for s in stats], [s.df_p1 for s in stats], [s.df_p2 for s in stats],
-                report.p1_docs, report.p2_docs,
-            )
-        return self._vocabulary
-
-    def vocab_sha256(self) -> str:
-        if self._vocab_sha256 is None:
-            self._vocab_sha256 = artifacts.vocab_sha256(self.vocabulary())
-        return self._vocab_sha256
-
-    def cluster_echo(self, period_id: str) -> dict:
-        """Every setting besides corpus.jsonl that shapes a period's cluster
-        file, as its config echo holds it. tau and rho are not among them, so
-        re-running map and link under new thresholds reuses the clusters."""
-        config = self.config
-        periods = {name: list(years) for name, years in dataclasses.asdict(config.periods).items()}
-        return {
-            **dataclasses.asdict(config.cluster_config(period_id)),
-            "weighting": config.weighting,
-            "top_m": config.top_m,
-            "periods": periods,
-            "min_df": config.min_df,
-        }
-
-    def read_clusters(self, period_id: str, vocabulary: bool = False) -> tuple[artifacts.Cluster, ...]:
-        """A period's clusters, as fitted or from its checked cluster file; with
-        `vocabulary`, for a stage whose output depends on it, checked against it
-        too, on every call and after the file's own checks."""
-        name, echo = artifacts.clusters_file(period_id), self.cluster_echo(period_id)
-        record = self._read(name, "cluster", artifacts.read_clusters, period_id, self.sha256(), echo)
-        if vocabulary:
-            artifacts.check_vocabulary(self.path(name), record, self.vocabulary(), self.vocab_sha256())
-        return record.clusters
+    def read_clusters(self, period_id: str, terms=None) -> tuple[artifacts.Cluster, ...]:
+        """A period's clusters, as fitted or from its checked cluster file,
+        whose axis terms must be among the vocabulary `terms`, if given."""
+        k, top_m = self.config.cluster_config(period_id).k, self.config.top_m
+        name = artifacts.clusters_file(period_id)
+        return self._read(name, artifacts.read_clusters, period_id, k, top_m, terms).clusters
 
     def read_map(self, period_id: str) -> ClusterMap:
         """A period's map, as built or from its checked map file."""
-        name = artifacts.map_json_file(period_id)
-        return self._read(name, "map", artifacts.read_map, period_id, self.config.tau)
+        return self._read(artifacts.map_json_file(period_id), artifacts.read_map, period_id)
 
     def read_linkage(self) -> artifacts.Linkage:
-        """The linkage, as built or from its checked file, which must link the
-        P2 map's clusters."""
+        """The linkage, as built or from its checked file, of the P2 map's clusters."""
         k = len(self.read_map("P2").coords)
-        return self._read(artifacts.LINKAGE, "link", artifacts.read_linkage, self.config.rho, k)
+        return self._read(artifacts.LINKAGE, artifacts.read_linkage, k)
+
+
+def _settings(config: RunConfig) -> dict[str, tuple[str, dict]]:
+    """Each artifact that a later stage reads: the stage that writes it, and
+    the config fields that shape it, as the ledger holds them. tau and rho
+    shape only the maps and the linkage, so that map, link and report re-run
+    under new ones reuse the rest."""
+    periods = {name: list(years) for name, years in dataclasses.asdict(config.periods).items()}
+    vocabulary = {"periods": periods, "min_df": config.min_df}
+    thresholds = {"thresholds": dataclasses.asdict(config.thresholds), "gini_cells": config.gini_cells}
+    settings = {
+        artifacts.CORPUS: ("ingest", {}),
+        artifacts.LOAD_REPORT: ("ingest", {"periods": periods}),
+        artifacts.TERMS: ("terms", {**vocabulary, **thresholds}),
+        artifacts.LINKAGE: ("link", {"rho": config.rho}),
+    }
+    for period_id in PERIOD_IDS:
+        fit = {**dataclasses.asdict(config.cluster_config(period_id)), "weighting": config.weighting}
+        settings[artifacts.clusters_file(period_id)] = ("cluster", {**fit, "top_m": config.top_m, **vocabulary})
+        settings[artifacts.map_json_file(period_id)] = ("map", {"tau": config.tau})
+    return settings
 
 
 def stage_ingest(run: Run) -> None:
@@ -317,7 +325,7 @@ def stage_ingest(run: Run) -> None:
     records, dropped_empty = load_corpus(config.input, config.format)
     p1, p2, dropped_outside = split_periods(records, config.periods)
     try:
-        corpus_sha256 = save_corpus(records, run.path(artifacts.CORPUS))
+        corpus_digest = save_corpus(records, run.path(artifacts.CORPUS))
     except UnicodeEncodeError as exc:  # only a lone surrogate escape, such as "\ud800", does that
         raise InputError(f"{config.input}: a record holds a lone surrogate") from exc
     report = artifacts.LoadReport(
@@ -329,22 +337,22 @@ def stage_ingest(run: Run) -> None:
         p2_docs=p2.n_docs,
         dropped_outside_periods=dropped_outside,
     )
-    artifacts.write_json(dataclasses.asdict(report), run.path(artifacts.LOAD_REPORT))
-    run.hand_on(artifacts.CORPUS, (p1, p2))
-    run.corpus_sha256 = corpus_sha256
-    run.hand_on(artifacts.LOAD_REPORT, report)
+    report_digest = artifacts.write_json(dataclasses.asdict(report), run.path(artifacts.LOAD_REPORT))
+    run.hand_on(artifacts.CORPUS, corpus_digest, record=(p1, p2))
+    run.hand_on(artifacts.LOAD_REPORT, report_digest, record=report)
 
 
 def stage_terms(run: Run) -> None:
     from .diffusion import classify_terms, write_terms_csv
 
     p1, p2, vocabulary = run.slices()
-    cells = None  # record categories
+    cells, inputs = None, [artifacts.CORPUS]  # cells: record categories
     if run.config.gini_cells == "clusters":  # first-period cluster memberships
-        clusters = run.read_clusters("P1", vocabulary=True)
+        clusters = run.read_clusters("P1", vocabulary.index.keys())
         cells = {doc_id: (f"P1:{c.id}",) for c in clusters for doc_id in c.members}
+        inputs.append(artifacts.clusters_file("P1"))
     stats = classify_terms(vocabulary, (p1, p2), run.config.thresholds, cells)
-    write_terms_csv(stats, run.path(artifacts.TERMS))
+    run.hand_on(artifacts.TERMS, write_terms_csv(stats, run.path(artifacts.TERMS)), inputs)
 
 
 def stage_cluster(run: Run) -> None:
@@ -358,16 +366,8 @@ def stage_cluster(run: Run) -> None:
         model = fit_axial_kmeans(matrix, config.cluster_config(slice_.period_id), threads=run.threads)
         clusters = summarize_clusters(model, vocabulary, config.top_m)
         name = artifacts.clusters_file(slice_.period_id)
-        record = artifacts.ClusterFile(
-            period_id=model.period_id,
-            config=run.cluster_echo(slice_.period_id),
-            vocab_sha256=run.vocab_sha256(),
-            corpus_sha256=run.sha256(),
-            objective_trace=model.objective_trace,
-            clusters=tuple(clusters),
-        )
-        artifacts.write_clusters(run.path(name), record)
-        run.hand_on(name, record)
+        record = artifacts.ClusterFile(model.period_id, model.objective_trace, tuple(clusters))
+        run.hand_on(name, artifacts.write_clusters(run.path(name), record), [artifacts.CORPUS], record)
         del matrix, model, clusters, record  # so that P2's matrix and fit do not join P1's in memory
 
 
@@ -377,21 +377,23 @@ def stage_map(run: Run) -> None:
         labels, sizes = [c.label for c in clusters], [c.size for c in clusters]
         cmap = build_cluster_map(period_id, [c.axis for c in clusters], run.config.tau, labels, sizes)
         name = artifacts.map_json_file(period_id)
-        artifacts.write_map(run.path(name), cmap)
+        sha256 = artifacts.write_map(run.path(name), cmap)
         artifacts.write_svg(run.path(artifacts.map_svg_file(period_id)), cmap)
-        run.hand_on(name, cmap)
+        run.hand_on(name, sha256, [artifacts.clusters_file(period_id)], cmap)
 
 
 def stage_link(run: Run) -> None:
     from .diachrony import cross_table, link_periods
 
-    p1, p2 = run.read_clusters("P1", vocabulary=True), run.read_clusters("P2", vocabulary=True)
+    stats = run.terms()
+    terms = {s.term for s in stats}  # the vocabulary
+    p1, p2 = (run.read_clusters(period_id, terms) for period_id in PERIOD_IDS)
     axes_p1, axes_p2, labels = [c.axis for c in p1], [c.axis for c in p2], [c.label for c in p2]
     linkage = link_periods(axes_p1, axes_p2, labels, run.config.rho)
-    crosstab = cross_table(linkage, p2, run.terms())
-    artifacts.write_linkage(run.path(artifacts.LINKAGE), linkage)
+    crosstab = cross_table(linkage, p2, stats)
+    sha256 = artifacts.write_linkage(run.path(artifacts.LINKAGE), linkage)
     artifacts.write_crosstab(run.path(artifacts.CROSSTAB), crosstab)
-    run.hand_on(artifacts.LINKAGE, linkage)
+    run.hand_on(artifacts.LINKAGE, sha256, [*map(artifacts.clusters_file, PERIOD_IDS), artifacts.TERMS], linkage)
 
 
 def stage_report(run: Run) -> None:

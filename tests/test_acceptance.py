@@ -151,8 +151,8 @@ def write_run_config(path, corpus_path, k, seed):
 # CHANGES.md. run_manifest.json is left out: it records library versions.
 PINNED_SHA256 = {
     ("three-blocks", 3): {
-        "clusters_P1.json": "89ea7114be8b7fa0a22e5b98341024ece5cadbc9226384ff8c52d9ca7ea0674a",
-        "clusters_P2.json": "02e37253e6b3c4fc67b56c227c04e3747181a6e85d0b13dd11a2c7a9d4f8ca07",
+        "clusters_P1.json": "5acc49b34d651e5e32c91e311d3f72a29d7086f8cce9ce19d3bdece5cf356f17",
+        "clusters_P2.json": "201961408e5d8450bf1262feadc0157cf753a681ab4b6f364afc2d4d85262f3f",
         "corpus.jsonl": "8128ae784c9dbd12179f3e223a4817c31d9829ec7274f2b6cb46f3eab8eab50e",
         "crosstab.csv": "111eb28761c8be74a858d89be675efbdba3f135dc2f9695f69e429cc5451f38f",
         "linkage.json": "e2023af23412fb0fe0dfa2f1655a8c969e80fbea0d1d116fe3dc5b03138fc542",
@@ -161,11 +161,12 @@ PINNED_SHA256 = {
         "map_P1.svg": "cba3bb393f7c50f07ad7c5ee7ae29e9a27bff82b5d7a1fba0780dd1f733a042a",
         "map_P2.json": "188b0b9761e25a29f239a642f1958ee8247309e31260f36668ceb15d5ee4df60",
         "map_P2.svg": "508b5fbbf5b66f60db0c3881976a2823dceb04d83b21ffc1f26eebf453c8a97e",
+        "provenance.json": "343f5dd24df2061abe6cfdd858560341da1d1bc3d27964ca825b876aeaedcc9a",
         "terms.csv": "b29e9917e2e9544cf8b8d9d54e91bc8b302310d79e97fa84422d59fc630e7c4f",
     },
     ("large-scale", 10): {
-        "clusters_P1.json": "50d5ef6332bb1c02663106c697a772ef144b46c7db9ec6e16318cff145e4ada4",
-        "clusters_P2.json": "593d65d0a1d4864a53b7c9090ece5353535d49beeb9b44928eb8131c4cdb807f",
+        "clusters_P1.json": "63f502e2cf96a48bdc0083935b6ff98396982e69dec286f7d87bbf364dab9ecf",
+        "clusters_P2.json": "ebb7fba062c122be855e58a82fc35ce968b460a22179c5d01c2697bad2ac292c",
         "corpus.jsonl": "f863005fbd74d47bf41f7b0f21f26da17ded90ee8acb158e115375a629f13119",
         "crosstab.csv": "378af4da1d1eaaf38e778e6ebf8a17259cbe471a4b9c8e519b5e6f77ff1d97f9",
         "linkage.json": "5b07068e4de16bd4acc8f4047f4091c77a597f7330aa9b737dd9c00eb55cef9e",
@@ -174,6 +175,7 @@ PINNED_SHA256 = {
         "map_P1.svg": "9eb94d718f4fbce5600cabbe59c24546e1f003d0a98da113b0f2f2cf2d364d83",
         "map_P2.json": "c37288d0d0f21101cbf53d1447ea6d6c279d0bd4c8630c30bb12e9271b19df5e",
         "map_P2.svg": "19a5f6fcbf812ab1f04fffbf3d2e297ea7d251aeee35cf347d27d23fefe19c0e",
+        "provenance.json": "36cd867ced47c4e98a748c7650fcb41add234f7a23c7d54b1053fe8af3917792",
         "terms.csv": "2464ff1da5b871c2cbdec1543072adac1dbcadfb4026c24af19b5bcf32fab7d2",
     },
 }

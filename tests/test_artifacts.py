@@ -5,9 +5,10 @@ A cluster map and a load report, written as `artifacts.write_json` of
 originals, and writing what was read gives the same bytes. So does a
 linkage whose cosines have the 6 places that its file keeps, and so do a
 fitted period's clusters, whose top-term weights `summarize_clusters`
-rounds as the file does. A cluster file is checked against the vocabulary
-apart from its read, by `check_vocabulary`. `top_terms`, the one rule for a
-cluster's label and top terms, matches a plain sort.
+rounds as the file does. A cluster file's read checks its axis terms when
+given the vocabulary, and the ledger, provenance.json, reads back what was
+written. `top_terms`, the one rule for a cluster's label and top terms,
+matches a plain sort.
 """
 
 import dataclasses
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from diachron import artifacts, syngen
 from diachron.cluster import fit_axial_kmeans, summarize_clusters
-from diachron.corpus import Vocabulary, build_vocabulary, split_periods
+from diachron.corpus import build_vocabulary, split_periods
 from diachron.errors import InputError
 from diachron.mapping import ClusterMap
 from diachron.pipeline import ClusterConfig, PeriodSpec
@@ -81,9 +82,9 @@ def test_written_artifacts_read_back_equal_and_rewrite_the_same_bytes(cmap, repo
         paths = map_path, report_path, linkage_path
         written = [Path(path).read_bytes() for path in paths]
 
-        map_read = artifacts.read_map(map_path, cmap.period_id, cmap.tau)
+        map_read = artifacts.read_map(map_path, cmap.period_id)
         report_read = artifacts.read_artifact(report_path, artifacts.LoadReport)
-        linkage_read = artifacts.read_linkage(linkage_path, linkage.rho, len(linkage.links))
+        linkage_read = artifacts.read_linkage(linkage_path, len(linkage.links))
         assert map_read == cmap
         assert report_read == report
         assert linkage_read == linkage
@@ -117,19 +118,11 @@ def test_fitted_clusters_read_back_equal(tmp_path):
     matrix = build_matrix(p1, vocabulary, "tfidf")
     model = fit_axial_kmeans(matrix, ClusterConfig(k=3, restarts=2, seed=3))
     clusters = summarize_clusters(model, vocabulary)
-    echo = {"k": 3, "seed": 3, "top_m": 10}
-    written = artifacts.ClusterFile(
-        period_id="P1",
-        config=echo,
-        vocab_sha256=artifacts.vocab_sha256(vocabulary),
-        corpus_sha256="c" * 64,
-        objective_trace=model.objective_trace,
-        clusters=tuple(clusters),
-    )
+    written = artifacts.ClusterFile(period_id="P1", objective_trace=model.objective_trace, clusters=tuple(clusters))
     path = str(tmp_path / "clusters_P1.json")
-    artifacts.write_clusters(path, written)
-    read = artifacts.read_clusters(path, "P1", written.corpus_sha256, echo)
-    artifacts.check_vocabulary(path, read, vocabulary, written.vocab_sha256)
+    sha256 = artifacts.write_clusters(path, written)
+    assert sha256 == artifacts.sha256_file(path)  # the digest of the bytes as they were written
+    read = artifacts.read_clusters(path, "P1", 3, 10, vocabulary.index.keys())
 
     assert read.clusters == tuple(clusters)
     assert read == written
@@ -145,34 +138,39 @@ def test_fitted_clusters_read_back_equal(tmp_path):
 
 
 def _two_cluster_file(tmp_path):
-    """A cluster file of two one-term clusters, "a" and "b", its path and its echo."""
+    """A cluster file of two one-term clusters, "a" and "b", and its path."""
     clusters = tuple(
         artifacts.Cluster(
             id=i, label=term, size=1, top_terms=((term, 1.0),), members=[f"d{i}"], axis={term: 1.0}
         )
         for i, term in enumerate(["a", "b"])
     )
-    echo, path = {"k": 2, "top_m": 1}, str(tmp_path / "clusters_P1.json")
-    record = artifacts.ClusterFile("P1", echo, "v" * 64, "c" * 64, (1.0,), clusters)
+    path = str(tmp_path / "clusters_P1.json")
+    record = artifacts.ClusterFile("P1", (1.0,), clusters)
     artifacts.write_clusters(path, record)
-    return record, path, echo
+    return record, path
 
 
-def test_read_clusters_checks_the_corpus_and_the_echo(tmp_path):
-    record, path, echo = _two_cluster_file(tmp_path)
-    with pytest.raises(InputError, match="clusters_P1.json: it was built over a different corpus"):
-        artifacts.read_clusters(path, "P1", "x" * 64, echo)
-    with pytest.raises(InputError, match="clusters_P1.json: it was built with k 2, not 3"):
-        artifacts.read_clusters(path, "P1", "c" * 64, {**echo, "k": 3})
-    assert artifacts.read_clusters(path, "P1", "c" * 64, echo) == record  # map's read, no vocabulary
-
-
-def test_check_vocabulary_checks_the_hash_and_the_axis_terms(tmp_path):
-    record, path, _ = _two_cluster_file(tmp_path)
-    only_a = Vocabulary.from_df(["a"], [1], [0], 1, 1)
-    with pytest.raises(InputError, match="stale artifact terms.csv or load_report.json"):
-        artifacts.check_vocabulary(path, record, only_a, "w" * 64)
+def test_read_clusters_checks_the_period_k_and_the_axis_terms_it_is_given(tmp_path):
+    record, path = _two_cluster_file(tmp_path)
+    with pytest.raises(InputError, match="clusters_P1.json: the clusters are not k=3"):
+        artifacts.read_clusters(path, "P1", 3, 1)
+    with pytest.raises(InputError, match='clusters_P1.json: it was built with period_id "P1", not "P2"'):
+        artifacts.read_clusters(path, "P2", 2, 1)
     with pytest.raises(InputError, match="clusters_P1.json: axis term 'b' of cluster 1 is not in"):
-        artifacts.check_vocabulary(path, record, only_a, "v" * 64)
-    a_and_b = Vocabulary.from_df(["a", "b"], [1, 1], [0, 0], 1, 1)
-    artifacts.check_vocabulary(path, record, a_and_b, "v" * 64)
+        artifacts.read_clusters(path, "P1", 2, 1, {"a"})
+    assert artifacts.read_clusters(path, "P1", 2, 1) == record  # map's read, no vocabulary
+    assert artifacts.read_clusters(path, "P1", 2, 1, {"a", "b"}) == record
+
+
+def test_the_ledger_reads_back_what_was_written_in_name_order(tmp_path):
+    path = str(tmp_path / "provenance.json")
+    ledger = {
+        "map_P1.json": artifacts.Provenance("m" * 64, {"clusters_P1.json": "c" * 64}, {"tau": 0.2}),
+        "clusters_P1.json": artifacts.Provenance("c" * 64, {}, {"k": 2, "periods": {"p1": [1, 2]}}),
+    }
+    assert artifacts.write_ledger(path, ledger) == artifacts.sha256_file(path)
+    assert list(artifacts.read_json(path)) == ["clusters_P1.json", "map_P1.json"]
+    assert artifacts.read_ledger(path, ledger.keys()) == ledger
+    with pytest.raises(InputError, match="provenance.json: the record of map_P1.json names an input"):
+        artifacts.read_ledger(path, {"map_P1.json"})

@@ -51,6 +51,7 @@ EXPECTED_FILES = {
     "linkage.json",
     "crosstab.csv",
     "run_manifest.json",
+    "provenance.json",
 }
 
 
@@ -404,8 +405,9 @@ class TestRunCommand:
         assert main(["run", "--config", str(config_csv), "--out", str(out_csv)]) == 0
 
         hashes_jsonl, hashes_csv = dir_hashes(out_jsonl), dir_hashes(out_csv)
-        # Manifests echo different input paths/hashes; the analysis artifacts agree.
-        for name in EXPECTED_FILES - {"run_manifest.json", "load_report.json"}:
+        # Manifests echo different input paths/hashes, and provenance.json records
+        # load_report.json's hash; the analysis artifacts agree.
+        for name in EXPECTED_FILES - {"run_manifest.json", "load_report.json", "provenance.json"}:
             assert hashes_csv[name] == hashes_jsonl[name], name
 
     def test_shuffled_input_lines_give_identical_artifacts(self, corpus_dir, tmp_path):
@@ -421,9 +423,9 @@ class TestRunCommand:
             config = write_config(directory, corpus)
             assert main(["run", "--config", str(config), "--out", str(directory / "out")]) == 0
             hashes.append(dir_hashes(directory / "out"))
-        # only the two files that hash the input differ
+        # only the two files that hash the input differ, and the ledger that records one's hash
         differing = {name for name in EXPECTED_FILES if hashes[0][name] != hashes[1][name]}
-        assert differing == {"load_report.json", "run_manifest.json"}
+        assert differing == {"load_report.json", "run_manifest.json", "provenance.json"}
 
     def test_gini_cells_clusters_reorders_stages(self, corpus_dir, tmp_path):
         config = write_config(tmp_path, corpus_dir / "corpus.jsonl", gini_cells="clusters")
@@ -567,8 +569,8 @@ class TestStageSequencing:
         [
             ("terms", "corpus.jsonl", "ingest"),
             ("cluster", "corpus.jsonl", "ingest"),
-            ("map", "corpus.jsonl", "ingest"),
-            ("link", "corpus.jsonl", "ingest"),
+            ("map", "clusters_P1.json", "cluster"),
+            ("link", "terms.csv", "terms"),
             ("report", "map_P1.json", "map"),
         ],
     )
@@ -607,7 +609,7 @@ class TestStageSequencing:
         assert "'terms' stage" in err
         assert dir_hashes(out) == before
 
-    def test_a_cluster_file_read_unchecked_is_checked_when_a_stage_needs_the_vocabulary(
+    def test_an_edited_cluster_file_fails_its_content_checks_before_its_hash(
         self, run_dir, tmp_path, monkeypatch
     ):
         parsed, read_json = [], artifacts.read_json
@@ -624,11 +626,14 @@ class TestStageSequencing:
         first = data["clusters"][0]
         first["axis"]["not in terms.csv"] = first["top_terms"][-1][1] / 2  # below its top terms
         (out / "clusters_P1.json").write_text(json.dumps(data), encoding="utf-8")
-        run = pipeline.Run(pipeline.load_config(str(config)), str(out))
-        assert len(run.read_clusters("P1")) == len(data["clusters"])  # as map reads it
+        runs = [pipeline.Run(pipeline.load_config(str(config)), str(out)) for _ in range(2)]
+        terms = {s.term for s in runs[0].terms()}
         with pytest.raises(InputError, match="axis term 'not in terms.csv' of cluster 0 is not in"):
-            run.read_clusters("P1", vocabulary=True)  # as link reads it
-        assert parsed.count("clusters_P1.json") == 1  # one record, checked after the read
+            runs[0].read_clusters("P1", terms)  # as link reads it
+        stale = "stale artifact clusters_P1.json: its bytes are not the ones provenance.json records"
+        with pytest.raises(InputError, match=stale):
+            runs[1].read_clusters("P1")  # as map reads it: every other check passes
+        assert parsed.count("clusters_P1.json") == 2  # once per read
 
     def test_map_reads_only_the_cluster_files(self, corpus_dir, tmp_path, capsys):
         config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
@@ -663,7 +668,9 @@ class TestStageSequencing:
         rc = main([stage, "--config", str(other_config), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 3
-        assert "stale artifact clusters_P1.json" in err
+        # the new ingest started a new ledger; link reads terms.csv, stale too, first
+        stale = "terms.csv" if stage == "link" else "clusters_P1.json"
+        assert f"stale artifact {stale}: provenance.json holds no record of it" in err
         assert dir_hashes(out) == before
 
     def test_terms_in_clusters_mode_checks_the_corpus_hash(self, corpus_dir, tmp_path, capsys):
@@ -720,7 +727,9 @@ class TestStageSequencing:
         rc = main([stage, "--config", str(changed), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 3
-        assert f"stale artifact clusters_P1.json: it was built with {key} " in err
+        # link reads terms.csv first, which records the vocabulary settings too
+        stale = "terms.csv" if stage == "link" and key in ("min_df", "periods") else "clusters_P1.json"
+        assert f"stale artifact {stale}: it was built with {key} " in err
         assert dir_hashes(out) == before
 
     def test_changed_tau_and_rho_reuse_cluster_files(self, corpus_dir, tmp_path):
@@ -747,8 +756,8 @@ class TestStageSequencing:
         rc = main(["link", "--config", str(other_config), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 3
-        assert "stale artifact terms.csv or load_report.json" in err
-        assert "re-run the terms stage" in err
+        assert "stale artifact terms.csv: provenance.json holds no record of it" in err
+        assert "(re-run the terms stage)" in err
         assert dir_hashes(out) == before
         for command in ("terms", "link"):
             assert main([command, "--config", str(other_config), "--out", str(out)]) == 0
@@ -776,7 +785,7 @@ class TestStageSequencing:
         rc = main(["cluster", "--config", str(config), "--out", str(out)])
         assert rc == 4
         assert "numeric error" in capsys.readouterr().err
-        assert set(os.listdir(out)) == before == {"corpus.jsonl", "load_report.json"}
+        assert set(os.listdir(out)) == before == {"corpus.jsonl", "load_report.json", "provenance.json"}
 
     def test_failed_run_removes_partial_outputs(self, corpus_dir, tmp_path):
         config = write_config(
@@ -980,34 +989,53 @@ class TestStageSequencing:
         assert message in capsys.readouterr().err
         assert dir_hashes(out) == before
 
-    # the order README gives; map reads neither terms.csv nor load_report.json
-    LINK_INPUTS = ["corpus.jsonl", "clusters_P1.json", "terms.csv", "load_report.json", "clusters_P2.json"]
+    # the order README gives: a stage needs provenance.json once it has found its first input
+    INPUTS = {
+        "terms": ["corpus.jsonl", "provenance.json"],
+        "cluster": ["corpus.jsonl", "provenance.json"],
+        "map": ["clusters_P1.json", "provenance.json", "clusters_P2.json"],
+        "link": ["terms.csv", "provenance.json", "clusters_P1.json", "clusters_P2.json"],
+        "report": ["map_P1.json", "provenance.json", "map_P2.json", "linkage.json", "load_report.json"],
+    }
 
-    @pytest.mark.parametrize("stage", ["map", "link"])
-    @pytest.mark.parametrize("first_missing", LINK_INPUTS)
+    @pytest.mark.parametrize(
+        "stage, first_missing", [(stage, name) for stage, names in INPUTS.items() for name in names]
+    )
     def test_the_first_missing_input_is_named_in_readme_order(
         self, run_dir, tmp_path, capsys, stage, first_missing
     ):
         config, source = run_dir
         out = tmp_path / "out"
         shutil.copytree(source, out)
-        missing = self.LINK_INPUTS[self.LINK_INPUTS.index(first_missing):]  # it and every later one
-        for name in missing:
+        inputs = self.INPUTS[stage]
+        for name in inputs[inputs.index(first_missing):]:  # it and every later one
             (out / name).unlink()
-        inputs = self.LINK_INPUTS if stage == "link" else [self.LINK_INPUTS[i] for i in (0, 1, 4)]
-        named = next(name for name in inputs if name in missing)
         before = dir_hashes(out)
         rc = main([stage, "--config", str(config), "--out", str(out)])
         assert rc == 3
-        err = capsys.readouterr().err
-        assert f"missing {named} artifact" in err
+        assert f"missing {first_missing} artifact" in capsys.readouterr().err
         assert dir_hashes(out) == before
+
+    # each artifact a stage reads, with a stage that reads it
+    READS = [
+        ("corpus.jsonl", "cluster"),
+        ("clusters_P1.json", "map"),
+        ("clusters_P2.json", "map"),
+        ("clusters_P1.json", "link"),
+        ("clusters_P2.json", "link"),
+        ("terms.csv", "link"),
+        ("map_P1.json", "report"),
+        ("map_P2.json", "report"),
+        ("linkage.json", "report"),
+        ("load_report.json", "report"),
+        ("provenance.json", "report"),
+    ]
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(data=st.data())
-    def test_report_on_a_truncated_input_exits_3_and_names_it(self, run_dir, data):
+    def test_a_stage_on_a_truncated_input_exits_3_and_names_it(self, run_dir, data):
         config, source = run_dir
-        name = data.draw(st.sampled_from(["map_P1.json", "map_P2.json", "load_report.json"]))
+        name, stage = data.draw(st.sampled_from(self.READS))
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp, "out")
             shutil.copytree(source, out)
@@ -1016,13 +1044,13 @@ class TestStageSequencing:
             (out / name).write_bytes(whole[:cut])
             before = dir_hashes(out)
             with contextlib.redirect_stderr(io.StringIO()) as err:
-                rc = main(["report", "--config", str(config), "--out", str(out)])
+                rc = main([stage, "--config", str(config), "--out", str(out)])
             assert dir_hashes(out) == before
-        if whole[cut:].strip():
+        if name == "provenance.json" and not whole[cut:].strip():
+            assert rc == 0  # only the closing newline was cut: the ledger reads the same
+        else:  # a file whose content still passes differs from the bytes its record holds
             assert rc == 3
             assert name in err.getvalue()
-        else:  # only the closing newline was cut, which leaves the JSON whole
-            assert rc == 0
 
     @pytest.mark.parametrize(
         "updates, message",
@@ -1282,6 +1310,101 @@ class TestStageSequencing:
         (out / "map_P2.svg").unlink()
         assert main(["report", "--config", str(config), "--out", str(out)]) == 0
         assert dir_hashes(out) == original
+
+
+class TestProvenance:
+    """Each reading stage checks the ledger record of every file it reads, and
+    recursively of the files that one was built from, against the config."""
+
+    # run_dir's cluster section
+    CLUSTER = {"k": 3, "restarts": 4, "max_iters": 60}
+    # a recorded setting, edited: the key the message names, and the artifact it names per
+    # reading stage (a stage that reads nothing the setting shapes is left out)
+    EDITS = {
+        "k": ({"cluster": {**CLUSTER, "k": 4}}, "k", dict.fromkeys(["map", "link", "report"], "clusters_P1.json")),
+        "k_p2": ({"cluster": {**CLUSTER, "k_p2": 4}}, "k", dict.fromkeys(["map", "link", "report"], "clusters_P2.json")),
+        "max_iters": (
+            {"cluster": {**CLUSTER, "max_iters": 61}}, "max_iters",
+            dict.fromkeys(["map", "link", "report"], "clusters_P1.json"),
+        ),
+        "tol": ({"cluster": {**CLUSTER, "tol": 1e-6}}, "tol", dict.fromkeys(["map", "link", "report"], "clusters_P1.json")),
+        "restarts": (
+            {"cluster": {**CLUSTER, "restarts": 5}}, "restarts",
+            dict.fromkeys(["map", "link", "report"], "clusters_P1.json"),
+        ),
+        "seed": ({"seed": 8}, "seed", dict.fromkeys(["map", "link", "report"], "clusters_P1.json")),
+        "weighting": ({"weighting": "binary"}, "weighting", dict.fromkeys(["map", "link", "report"], "clusters_P1.json")),
+        "top_m": ({"top_m": 3}, "top_m", dict.fromkeys(["map", "link", "report"], "clusters_P1.json")),
+        # link reads terms.csv first, which records these two as well
+        "periods": (
+            {"periods": {"p1": [1996, 1997], "p2": [2001, 2003]}}, "periods",
+            {"map": "clusters_P1.json", "link": "terms.csv", "report": "clusters_P1.json"},
+        ),
+        "min_df": ({"min_df": 3}, "min_df", {"map": "clusters_P1.json", "link": "terms.csv", "report": "clusters_P1.json"}),
+        "thresholds": ({"thresholds": {"novelty_share": 0.5}}, "thresholds", dict.fromkeys(["link", "report"], "terms.csv")),
+        "gini_cells": ({"gini_cells": "clusters"}, "gini_cells", dict.fromkeys(["link", "report"], "terms.csv")),
+        "tau": ({"tau": 0.5}, "tau", {"report": "map_P1.json"}),
+        "rho": ({"rho": 0.5}, "rho", {"report": "linkage.json"}),
+    }
+
+    @pytest.mark.parametrize(
+        "edit, stage", [(edit, stage) for edit, (_, _, named) in EDITS.items() for stage in named]
+    )
+    def test_an_edited_setting_makes_the_artifact_it_shapes_stale(self, run_dir, tmp_path, capsys, edit, stage):
+        config, source = run_dir
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        overrides, key, named = self.EDITS[edit]
+        data = {**json.loads(config.read_text(encoding="utf-8")), **overrides}
+        changed = tmp_path / "changed.json"
+        changed.write_text(json.dumps(data), encoding="utf-8")
+        before = dir_hashes(out)
+        assert main([stage, "--config", str(changed), "--out", str(out)]) == 3
+        assert f"stale artifact {named[stage]}: it was built with {key} " in capsys.readouterr().err
+        assert dir_hashes(out) == before
+
+    @pytest.fixture(scope="class")
+    def three_blocks(self, tmp_path_factory):
+        """A `run` on three-blocks seed 3 under k 3, tau 0.2 and rho 0.3: a
+        function writing its config with overrides, and its output."""
+        path = tmp_path_factory.mktemp("three-blocks")
+        assert main(["syngen", "--preset", "three-blocks", "--seed", "3", "--out", str(path / "corpus")]) == 0
+
+        def config(directory, **overrides):
+            settings = {"cluster": {"k": 3}, "seed": 0, "top_m": 10, "tau": 0.2, "rho": 0.3, **overrides}
+            return write_config(directory, path / "corpus" / "corpus.jsonl", **settings)
+
+        assert main(["run", "--config", str(config(path)), "--out", str(path / "out")]) == 0
+        return config, path / "out"
+
+    @pytest.mark.parametrize("stage", ["link", "report"])
+    def test_edited_term_thresholds_make_terms_csv_stale(self, three_blocks, tmp_path, capsys, stage):
+        config, source = three_blocks
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        thresholds = {"df_high_quantile": 0.2, "gini_low_quantile": 0.9, "novelty_share": 0.3}
+        edited = config(tmp_path, thresholds=thresholds)
+        before = dir_hashes(out)
+        assert main([stage, "--config", str(edited), "--out", str(out)]) == 3
+        assert "stale artifact terms.csv: it was built with thresholds " in capsys.readouterr().err
+        assert dir_hashes(out) == before
+
+    def test_refitted_clusters_make_the_maps_stale(self, three_blocks, tmp_path, capsys):
+        config, source = three_blocks
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        seed_0, seed_7 = tmp_path / "0", tmp_path / "7"
+        seed_0.mkdir()
+        seed_7.mkdir()
+        seed_0, seed_7 = config(seed_0), config(seed_7, seed=7)
+        assert main(["cluster", "--config", str(seed_7), "--out", str(out)]) == 0
+        before = dir_hashes(out)
+        assert main(["report", "--config", str(seed_7), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "stale artifact map_P1.json: it was built from another clusters_P1.json (re-run the map stage)" in err
+        assert main(["report", "--config", str(seed_0), "--out", str(out)]) == 3
+        assert "stale artifact clusters_P1.json: it was built with seed " in capsys.readouterr().err
+        assert dir_hashes(out) == before
 
 
 class TestErrorExits:
@@ -1712,19 +1835,19 @@ class TestPackageImport:
         # distributions' metadata, so none of the three loads numpy, scipy or a
         # module of the fit or the vectorizer; no stage loads `platform` or
         # `html` itself (numpy's own import loads `platform`), and only report
-        # loads importlib.metadata. map and report parse no corpus and read no
-        # terms.csv, so they load neither corpus nor diffusion; link builds the
-        # vocabulary from terms.csv to check the cluster files by. Only a stage
-        # that hashes (corpus.jsonl, the vocabulary, a derived seed) loads hashlib
-        terms = ["diachron.corpus", "diachron.diffusion", "diachron.vectorize", "numpy", "platform"]
+        # loads importlib.metadata. map, link and report parse no corpus, and
+        # map and report read no terms.csv, so they load neither corpus nor
+        # diffusion. Every stage checks the sha256 of what it reads, so every
+        # stage loads hashlib
+        terms = ["diachron.corpus", "diachron.diffusion", "diachron.vectorize", "hashlib", "numpy", "platform"]
         for gini_cells, stages in (
             ("categories", (
                 ("terms", terms),
                 ("map", ["hashlib"]),
-                ("link", ["diachron.corpus", "diachron.diachrony", "diachron.diffusion", "hashlib"]),
-                ("report", ["importlib.metadata"]),
+                ("link", ["diachron.diachrony", "diachron.diffusion", "hashlib"]),
+                ("report", ["hashlib", "importlib.metadata"]),
             )),
-            ("clusters", (("terms", sorted([*terms, "hashlib"])),)),
+            ("clusters", (("terms", terms),)),
         ):
             directory = tmp_path / gini_cells
             directory.mkdir()
