@@ -5,9 +5,10 @@ shortest-round-trip repr (so full-precision values reload exactly),
 dict key order is fixed by construction, CSV fields use pinned decimal
 formats, and every file is written through `atomic_open`, which hashes the
 bytes as it writes them. Cluster files carry the full-precision axes, so a
-later stage reads back the exact clusters. The readers here check a file's
-own content; provenance.json, the ledger that `pipeline.Run` keeps, says
-which artifacts and config fields each file was built from.
+later stage reads back the exact clusters, and geometry.json what map,
+link and report take from a fit. The readers here check a file's own
+content; provenance.json, the ledger that `pipeline.Run` keeps, says which
+artifacts and config fields each file was built from.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ MANIFEST = "run_manifest.json"
 CROSSTAB = "crosstab.csv"
 LINKAGE = "linkage.json"
 PROVENANCE = "provenance.json"
+GEOMETRY = "geometry.json"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,6 +109,28 @@ class Linkage:
 
 
 @dataclasses.dataclass(frozen=True)
+class PeriodGeometry:
+    """A period in geometry.json: its clusters' labels, sizes and top terms,
+    by id, and the Gram matrix of their axes."""
+
+    labels: tuple[str, ...]
+    sizes: tuple[int, ...]
+    top_terms: tuple[tuple[str, ...], ...]
+    gram: tuple[tuple[float, ...], ...]
+
+
+@dataclasses.dataclass(frozen=True)
+class Geometry:
+    """geometry.json: both periods, the dot products of the P2 axes with the
+    P1 axes, and the Python, numpy and scipy versions of the fit."""
+
+    p1: PeriodGeometry
+    p2: PeriodGeometry
+    dot: tuple[tuple[float, ...], ...]
+    versions: dict
+
+
+@dataclasses.dataclass(frozen=True)
 class Provenance:
     """An artifact's record in provenance.json: the sha256 of its bytes, the
     sha256 of each artifact its stage took, by name, and the config fields
@@ -171,10 +195,12 @@ def sha256_file(path: str) -> str:
 
 
 def write_json(obj, path: str) -> str:
-    """Write `obj` as indented JSON; returns the sha256 of the bytes written."""
+    """Write `obj` as indented JSON; returns the sha256 of the bytes written.
+    As save_corpus does, it serializes once and writes past the text layer in
+    one call, with the line ends text mode would write."""
+    text = json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
     with atomic_open(path) as (fh, sha256):
-        json.dump(obj, fh, indent=2, ensure_ascii=False)
-        fh.write("\n")
+        fh.buffer.write(text.replace("\n", os.linesep).encode("utf-8"))
     return sha256.hexdigest()
 
 
@@ -293,6 +319,25 @@ def read_clusters(path: str, period_id: str, k: int, top_m: int, terms=None) -> 
             if terms is not None and not c.axis.keys() <= terms:
                 stray = next(term for term in c.axis if term not in terms)
                 raise ValueError(f"axis term {stray!r} of cluster {c.id} is not in the vocabulary")
+    return record
+
+
+def read_geometry(path: str, ks: tuple[int, int], terms=None) -> Geometry:
+    """The geometry.json `path` of ks[0] P1 and ks[1] P2 clusters: per period k
+    sizes, top-term lists, each label the first of its list ("" if none), and
+    a k x k Gram matrix; ks[1] x ks[0] dot products. Given the set of
+    vocabulary `terms`, every P2 top term must be one of them."""
+    record = read_artifact(path, Geometry)
+    with parsing(path):
+        for period_id, period, k in zip(("P1", "P2"), (record.p1, record.p2), ks):
+            lengths = {len(period.sizes), len(period.top_terms), len(period.gram), *map(len, period.gram)}
+            if lengths != {k} or period.labels != tuple((*top, "")[0] for top in period.top_terms):
+                raise ValueError(f"{period_id} is not k={k} clusters, each labelled by its first top term")
+        if list(map(len, record.dot)) != [ks[0]] * ks[1]:
+            raise ValueError(f"the dot products are not {ks[1]} x {ks[0]}")
+        stray = [t for top in record.p2.top_terms for t in top if t not in terms] if terms is not None else ()
+        if stray:
+            raise ValueError(f"P2 top term {stray[0]!r} is not in the vocabulary")
     return record
 
 

@@ -1,13 +1,14 @@
 """2D cluster maps: PCA of cluster axes, similarity edges, cluster networks.
 
 The k cluster axes are sparse points in term space, dicts of term -> weight
-as the cluster files store them. A map computes their k x k Gram matrix
-once, exactly: each entry is the correctly rounded sum (math.fsum) of the
-products over the terms two axes share. The edges are its cosines. The PCA
-takes the top eigenpairs of its double-centered form, the Gram matrix of
-the mean-centered axes over k: a unit eigenvector u with eigenvalue lam
-gives the projections sqrt(k * lam) * u onto that principal direction, and
-they are mean-centered, since the all-ones vector is a 0-eigenvector.
+as the cluster files store them. The cluster stage computes their k x k
+Gram matrix once, exactly, for geometry.json: each entry is the correctly
+rounded sum (math.fsum) of the products over the terms two axes share. A
+map takes that matrix; its edges are its cosines. The PCA takes the top
+eigenpairs of its double-centered form, the Gram matrix of the
+mean-centered axes over k: a unit eigenvector u with eigenvalue lam gives
+the projections sqrt(k * lam) * u onto that principal direction, and they
+are mean-centered, since the all-ones vector is a 0-eigenvector.
 
 The eigenpairs come from Householder tridiagonalization and implicit QL
 (EISPACK's tred2 and tql2) on Python floats in a fixed order, with only +,
@@ -236,9 +237,8 @@ def connected_components(k: int, edges) -> list[tuple[int, ...]]:
     return comps
 
 
-def build_cluster_map(period_id: str, axes: list[Axis], tau: float, labels, sizes) -> ClusterMap:
-    """The map of k sparse cluster axes, with their labels and sizes in axis order."""
-    gram = gram_matrix(axes)
+def build_cluster_map(period_id: str, gram: Matrix, tau: float, labels, sizes) -> ClusterMap:
+    """The map of k cluster axes from their Gram matrix, with their labels and sizes in axis order."""
     coords, vals, explained = pca_2d(gram)
     edges = build_edges(gram, tau)
     return ClusterMap(
@@ -248,7 +248,7 @@ def build_cluster_map(period_id: str, axes: list[Axis], tau: float, labels, size
         eigenvalues=vals,
         explained_variance=explained,
         edges=tuple(edges),
-        components=tuple(connected_components(len(axes), edges)),
+        components=tuple(connected_components(len(gram), edges)),
         labels=tuple(labels),
         sizes=tuple(sizes),
     )

@@ -2,23 +2,25 @@
 
 A stage takes its inputs from the invocation's `Run`. A record that an
 earlier stage of the same invocation made (ingest's periods and load
-report, the clusters, the maps, the linkage) is handed on as it is;
-anything else is read from the prior-stage artifact in the output
-directory and checked against provenance.json, the ledger of what each
-artifact was built from. Each record holds its values as its file does,
+report, the clusters and their geometry, the maps, the linkage) is handed
+on as it is; anything else is read from the prior-stage artifact in the
+output directory and checked against provenance.json, the ledger of what
+each artifact was built from. Each record holds its values as its file does,
 so stages run one at a time or chained by `run` give byte-identical
 results. Both go through one runner, which hands every stage one
 argument, the `Run`. All randomness flows from the single config seed
 through stage-labeled derived seeds, and row order is fixed once, when
 `split_periods` sorts each period by record id. Only terms and cluster
-parse corpus.jsonl.
+parse corpus.jsonl, and only terms a cluster file: map, link and report
+read geometry.json, what no tau or rho changes, recorded once per fit.
 
 Config values are checked once, as the config file is decoded (types and
 choices) and a RunConfig built (ranges); the stages and the library
 routines under them take them as given. The config records live here,
 and each stage imports the modules of its own work: map, link and report
-load neither numpy nor scipy (their arithmetic is in Python floats), map
-and report neither corpus nor diffusion, and only cluster loads scipy.
+load neither numpy nor scipy (their arithmetic is in Python floats, and the
+versions come from the fit), map and report neither corpus nor diffusion,
+and only cluster loads scipy.
 
 The terms stage runs before clustering when dispersion cells come from
 record categories, and after it when cells are the period clusters
@@ -38,7 +40,7 @@ from typing import TYPE_CHECKING, Literal, get_args
 
 from . import __version__, artifacts
 from .errors import ConfigError, InputError, decode, read_json_object
-from .mapping import ClusterMap, build_cluster_map
+from .mapping import ClusterMap, build_cluster_map, dot, gram_matrix
 from .seeding import derive_seed
 
 if TYPE_CHECKING:  # imported in the stages and Run methods that use them
@@ -246,23 +248,32 @@ class Run:
             if self.ledger()[source].sha256 != sha256:
                 raise artifacts.stale(name, f"it was built from another {source}", producer)
 
-    def _read(self, name: str, reader, *args):
+    def _read(self, name: str, reader=None, *args):
         """The record of `name`: the one handed on, or else `reader(path, *args)`
         of its file, which is checked, unless this invocation wrote it, by
-        `_check`, by `reader`, and then by its sha256. The caller evaluates
-        `args` before the file is required, so an input they read is named
-        first if missing."""
-        if name not in self._records:
+        `_check`, by `reader`, and then by its sha256 (with no reader, None).
+        The caller evaluates `args` before the file is required, so an input
+        they read is named first if missing."""
+        if self._records.get(name) is None:  # not read, or checked unparsed
             producer = self.settings[name][0]
             path = artifacts.require(self.path(name), producer)
             checked = name not in self._made
             if checked:
                 self._check(name)
-            record = reader(path, *args)
+            record = reader(path, *args) if reader else None
             if checked and artifacts.sha256_file(path) != self.ledger()[name].sha256:
                 raise artifacts.stale(name, f"its bytes are not the ones {artifacts.PROVENANCE} records", producer)
             self._records[name] = record
         return self._records[name]
+
+    def geometry(self, terms=None) -> artifacts.Geometry:
+        """The fit's geometry, as made or from its checked file, whose P2 top
+        terms must be among the vocabulary `terms`, if given; each cluster
+        file it was built from is checked first, all but a parse."""
+        for period_id in PERIOD_IDS:
+            self._read(artifacts.clusters_file(period_id))
+        ks = tuple(self.config.cluster_config(period_id).k for period_id in PERIOD_IDS)
+        return self._read(artifacts.GEOMETRY, artifacts.read_geometry, ks, terms)
 
     def slices(self) -> tuple[CorpusSlice, CorpusSlice, Vocabulary]:
         from .corpus import build_vocabulary, load_slices
@@ -301,7 +312,7 @@ def _settings(config: RunConfig) -> dict[str, tuple[str, dict]]:
     """Each artifact that a later stage reads: the stage that writes it, and
     the config fields that shape it, as the ledger holds them. tau and rho
     shape only the maps and the linkage, so that map, link and report re-run
-    under new ones reuse the rest."""
+    under new ones reuse the rest, geometry.json included."""
     periods = {name: list(years) for name, years in dataclasses.asdict(config.periods).items()}
     vocabulary = {"periods": periods, "min_df": config.min_df}
     thresholds = {"thresholds": dataclasses.asdict(config.thresholds), "gini_cells": config.gini_cells}
@@ -310,6 +321,7 @@ def _settings(config: RunConfig) -> dict[str, tuple[str, dict]]:
         artifacts.LOAD_REPORT: ("ingest", {"periods": periods}),
         artifacts.TERMS: ("terms", {**vocabulary, **thresholds}),
         artifacts.LINKAGE: ("link", {"rho": config.rho}),
+        artifacts.GEOMETRY: ("cluster", {}),
     }
     for period_id in PERIOD_IDS:
         fit = {**dataclasses.asdict(config.cluster_config(period_id)), "weighting": config.weighting}
@@ -356,6 +368,9 @@ def stage_terms(run: Run) -> None:
 
 
 def stage_cluster(run: Run) -> None:
+    import numpy
+    import scipy
+
     from .cluster import fit_axial_kmeans, summarize_clusters
     from .vectorize import build_matrix
 
@@ -369,51 +384,62 @@ def stage_cluster(run: Run) -> None:
         record = artifacts.ClusterFile(model.period_id, model.objective_trace, tuple(clusters))
         run.hand_on(name, artifacts.write_clusters(run.path(name), record), [artifacts.CORPUS], record)
         del matrix, model, clusters, record  # so that P2's matrix and fit do not join P1's in memory
+    fitted = [run.read_clusters(period_id) for period_id in PERIOD_IDS]  # as handed on above
+    axes = [[c.axis for c in clusters] for clusters in fitted]
+    periods = [
+        artifacts.PeriodGeometry(
+            tuple(c.label for c in clusters),
+            tuple(c.size for c in clusters),
+            tuple(tuple(term for term, _ in c.top_terms) for c in clusters),
+            tuple(map(tuple, gram_matrix(period_axes))),
+        )
+        for clusters, period_axes in zip(fitted, axes)
+    ]
+    dots = tuple(tuple(dot(a2, a1) for a1 in axes[0]) for a2 in axes[1])
+    # sys.version's first token is the one platform.python_version() parses
+    versions = {"python": sys.version.split()[0], "numpy": numpy.__version__, "scipy": scipy.__version__}
+    geometry = artifacts.Geometry(*periods, dots, versions)
+    sha256 = artifacts.write_json(dataclasses.asdict(geometry), run.path(artifacts.GEOMETRY))
+    run.hand_on(artifacts.GEOMETRY, sha256, list(map(artifacts.clusters_file, PERIOD_IDS)), geometry)
 
 
 def stage_map(run: Run) -> None:
-    periods = [run.read_clusters(period_id) for period_id in PERIOD_IDS]
-    for period_id, clusters in zip(PERIOD_IDS, periods):
-        labels, sizes = [c.label for c in clusters], [c.size for c in clusters]
-        cmap = build_cluster_map(period_id, [c.axis for c in clusters], run.config.tau, labels, sizes)
+    geometry = run.geometry()
+    for period_id, period in zip(PERIOD_IDS, (geometry.p1, geometry.p2)):
+        cmap = build_cluster_map(period_id, period.gram, run.config.tau, period.labels, period.sizes)
         name = artifacts.map_json_file(period_id)
         sha256 = artifacts.write_map(run.path(name), cmap)
         artifacts.write_svg(run.path(artifacts.map_svg_file(period_id)), cmap)
-        run.hand_on(name, sha256, [artifacts.clusters_file(period_id)], cmap)
+        run.hand_on(name, sha256, [artifacts.clusters_file(period_id), artifacts.GEOMETRY], cmap)
 
 
 def stage_link(run: Run) -> None:
     from .diachrony import cross_table, link_periods
 
     stats = run.terms()
-    terms = {s.term for s in stats}  # the vocabulary
-    p1, p2 = (run.read_clusters(period_id, terms) for period_id in PERIOD_IDS)
-    axes_p1, axes_p2, labels = [c.axis for c in p1], [c.axis for c in p2], [c.label for c in p2]
-    linkage = link_periods(axes_p1, axes_p2, labels, run.config.rho)
-    crosstab = cross_table(linkage, p2, stats)
+    geometry = run.geometry({s.term for s in stats})  # the vocabulary
+    p1, p2 = geometry.p1, geometry.p2
+    norms_p1, norms_p2 = ([row[i] for i, row in enumerate(p.gram)] for p in (p1, p2))  # the Gram diagonals
+    linkage = link_periods(geometry.dot, norms_p1, norms_p2, p2.labels, run.config.rho)
+    crosstab = cross_table(linkage, p2.top_terms, stats)
     sha256 = artifacts.write_linkage(run.path(artifacts.LINKAGE), linkage)
     artifacts.write_crosstab(run.path(artifacts.CROSSTAB), crosstab)
-    run.hand_on(artifacts.LINKAGE, sha256, [*map(artifacts.clusters_file, PERIOD_IDS), artifacts.TERMS], linkage)
+    inputs = [*map(artifacts.clusters_file, PERIOD_IDS), artifacts.TERMS, artifacts.GEOMETRY]
+    run.hand_on(artifacts.LINKAGE, sha256, inputs, linkage)
 
 
 def stage_report(run: Run) -> None:
-    from importlib import metadata  # for the versions only, so the other stages never load it
-
     maps = [run.read_map(p) for p in PERIOD_IDS]
     run.read_linkage()
     input_sha256 = run.load_report().input_sha256
+    versions = run.geometry().versions  # the fit's, which made the bytes
     for period_id, cmap in zip(PERIOD_IDS, maps):  # every input checked before the first write
         artifacts.write_svg(run.path(artifacts.map_svg_file(period_id)), cmap)
     artifacts.write_json(
         {
             "config": dataclasses.asdict(run.config),
             "input_sha256": input_sha256,
-            "versions": {
-                "diachron": __version__,
-                "python": sys.version.split()[0],  # the token platform.python_version() parses
-                "numpy": metadata.version("numpy"),
-                "scipy": metadata.version("scipy"),
-            },
+            "versions": {"diachron": __version__, **versions},
             "stages": run.config.stage_order(),
         },
         run.path(artifacts.MANIFEST),

@@ -31,7 +31,7 @@ from diachron.corpus import (
     build_vocabulary,
     split_periods,
 )
-from diachron.diachrony import STATUS_NEW, STATUS_ROOTED, cross_table, link_periods
+from diachron.diachrony import STATUS_NEW, STATUS_ROOTED, cross_table
 from diachron.diffusion import (
     CATEGORY_UNUSUAL,
     _gini_rows,
@@ -42,7 +42,7 @@ from diachron.pipeline import ClusterConfig, DiffusionThresholds, PeriodSpec
 from diachron.seeding import derive_seed
 from diachron.vectorize import DocTermMatrix, build_matrix
 
-from oracles import jacobi_eigenvalues, sparse_rows
+from oracles import jacobi_eigenvalues, link_products, sparse_rows
 
 PERIODS = PeriodSpec((1996, 1998), (2001, 2003))
 
@@ -148,20 +148,24 @@ def write_run_config(path, corpus_path, k, seed):
 
 # The sha256 of each artifact of two `run`s, pinned across commits; a change
 # that alters artifact bytes on purpose updates them and says so in
-# CHANGES.md. run_manifest.json is left out: it records library versions.
+# CHANGES.md. run_manifest.json is left out: it records the input's path.
+# geometry.json records the Python, numpy and scipy versions of the fit, so
+# its pin, and provenance.json's, which holds its hash, hold for one set of
+# them: Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.
 PINNED_SHA256 = {
     ("three-blocks", 3): {
         "clusters_P1.json": "5acc49b34d651e5e32c91e311d3f72a29d7086f8cce9ce19d3bdece5cf356f17",
         "clusters_P2.json": "201961408e5d8450bf1262feadc0157cf753a681ab4b6f364afc2d4d85262f3f",
         "corpus.jsonl": "8128ae784c9dbd12179f3e223a4817c31d9829ec7274f2b6cb46f3eab8eab50e",
         "crosstab.csv": "111eb28761c8be74a858d89be675efbdba3f135dc2f9695f69e429cc5451f38f",
+        "geometry.json": "58577ce2a73c86cedd2d9f512b1192a8c609f9c34f1ca0d61d77dc4277a1d86f",
         "linkage.json": "e2023af23412fb0fe0dfa2f1655a8c969e80fbea0d1d116fe3dc5b03138fc542",
         "load_report.json": "a8ea5f5c4f82e3d1019f9e5501ae0460c279926c2bf9e4ee8ed412a507ea6df8",
         "map_P1.json": "3677ec68d7c27b74025f3f1780abc477e374fcb6b021aca7ddcdc2d44b2a48a3",
         "map_P1.svg": "cba3bb393f7c50f07ad7c5ee7ae29e9a27bff82b5d7a1fba0780dd1f733a042a",
         "map_P2.json": "188b0b9761e25a29f239a642f1958ee8247309e31260f36668ceb15d5ee4df60",
         "map_P2.svg": "508b5fbbf5b66f60db0c3881976a2823dceb04d83b21ffc1f26eebf453c8a97e",
-        "provenance.json": "343f5dd24df2061abe6cfdd858560341da1d1bc3d27964ca825b876aeaedcc9a",
+        "provenance.json": "cbf04993d3aaa186e7230c4c662885883f2a111d3b6aab28893b1403c3c2b8e8",
         "terms.csv": "b29e9917e2e9544cf8b8d9d54e91bc8b302310d79e97fa84422d59fc630e7c4f",
     },
     ("large-scale", 10): {
@@ -169,13 +173,14 @@ PINNED_SHA256 = {
         "clusters_P2.json": "ebb7fba062c122be855e58a82fc35ce968b460a22179c5d01c2697bad2ac292c",
         "corpus.jsonl": "f863005fbd74d47bf41f7b0f21f26da17ded90ee8acb158e115375a629f13119",
         "crosstab.csv": "378af4da1d1eaaf38e778e6ebf8a17259cbe471a4b9c8e519b5e6f77ff1d97f9",
+        "geometry.json": "20ed17e101a2de8ed22c07faf41dbe86011ac685e21d59f14465f1e883f7750e",
         "linkage.json": "5b07068e4de16bd4acc8f4047f4091c77a597f7330aa9b737dd9c00eb55cef9e",
         "load_report.json": "a9801e03c29012c77ae340e1f2894f24ec65379d9ac4803b907773f68f39f3b1",
         "map_P1.json": "c0fdf2369fdb17091bb5954ec442741e6fd7e3ce14da5f9934396953d08ef111",
         "map_P1.svg": "9eb94d718f4fbce5600cabbe59c24546e1f003d0a98da113b0f2f2cf2d364d83",
         "map_P2.json": "c37288d0d0f21101cbf53d1447ea6d6c279d0bd4c8630c30bb12e9271b19df5e",
         "map_P2.svg": "19a5f6fcbf812ab1f04fffbf3d2e297ea7d251aeee35cf347d27d23fefe19c0e",
-        "provenance.json": "36cd867ced47c4e98a748c7650fcb41add234f7a23c7d54b1053fe8af3917792",
+        "provenance.json": "687af6276dc643ed2175124878743073027c622fe73f55095c73d6d5fac29071",
         "terms.csv": "2464ff1da5b871c2cbdec1543072adac1dbcadfb4026c24af19b5bcf32fab7d2",
     },
 }
@@ -351,7 +356,7 @@ def test_08_fresh_block_is_the_single_new_cluster():
 
     labels = [c.label for c in summaries_p2]
     for rho in (0.2, 0.3, 0.5):
-        linkage = link_periods(sparse_rows(model_p1.axes), sparse_rows(model_p2.axes), labels, rho)
+        linkage = link_products(sparse_rows(model_p1.axes), sparse_rows(model_p2.axes), labels, rho)
         new_links = [l for l in linkage.links if l.status == STATUS_NEW]
         rooted_links = [l for l in linkage.links if l.status == STATUS_ROOTED]
         assert len(new_links) == 1, f"rho={rho}: {len(new_links)} new clusters"
@@ -360,7 +365,7 @@ def test_08_fresh_block_is_the_single_new_cluster():
         for link in rooted_links:
             assert link.best_parent[1] >= 0.9, f"rho={rho}: weak root {link.best_parent}"
 
-        table = cross_table(linkage, summaries_p2, stats)
+        table = cross_table(linkage, [[term for term, _ in c.top_terms] for c in summaries_p2], stats)
         share_new = table.shares[STATUS_NEW][CATEGORY_UNUSUAL]
         share_rooted = table.shares[STATUS_ROOTED][CATEGORY_UNUSUAL]
         assert share_new > share_rooted, f"rho={rho}: {share_new} <= {share_rooted}"
@@ -373,7 +378,7 @@ def test_09_two_supergroups_form_two_components():
         _, model = fit_period(slice_, vocabulary, k=12, seed=9)
         labels = [str(c) for c in range(len(model.sizes))]
         axes = sparse_rows(model.axes)
-        cluster_map = build_cluster_map(slice_.period_id, axes, 0.2, labels, model.sizes)
+        cluster_map = build_cluster_map(slice_.period_id, gram_matrix(axes), 0.2, labels, model.sizes)
         non_singleton = [c for c in cluster_map.components if len(c) > 1]
         assert len(non_singleton) == 2, (
             f"{slice_.period_id}: {len(non_singleton)} non-singleton components"

@@ -8,10 +8,13 @@ fitted period's clusters, whose top-term weights `summarize_clusters`
 rounds as the file does. A cluster file's read checks its axis terms when
 given the vocabulary, and the ledger, provenance.json, reads back what was
 written. `top_terms`, the one rule for a cluster's label and top terms,
-matches a plain sort.
+matches a plain sort. geometry.json reads back what was written, and its
+read checks the shapes against k, the finiteness of every product and
+each label against its top terms.
 """
 
 import dataclasses
+import json
 import tempfile
 from pathlib import Path
 
@@ -174,3 +177,56 @@ def test_the_ledger_reads_back_what_was_written_in_name_order(tmp_path):
     assert artifacts.read_ledger(path, ledger.keys()) == ledger
     with pytest.raises(InputError, match="provenance.json: the record of map_P1.json names an input"):
         artifacts.read_ledger(path, {"map_P1.json"})
+
+
+def _geometry():
+    """The geometry of two P1 clusters, "a" and "b", and three P2 clusters."""
+    def period(labels):
+        k = len(labels)
+        gram = tuple(tuple(1.0 if i == j else 0.25 for j in range(k)) for i in range(k))
+        return artifacts.PeriodGeometry(tuple(labels), (2,) * k, tuple((t,) if t else () for t in labels), gram)
+
+    dots = ((0.5, 0.0), (0.0, 1.0), (0.125, 0.125))
+    versions = {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
+    return artifacts.Geometry(period(["a", "b"]), period(["a", "", "c"]), dots, versions)
+
+
+def test_geometry_reads_back_what_was_written(tmp_path):
+    path = str(tmp_path / "geometry.json")
+    record = _geometry()
+    assert artifacts.write_json(dataclasses.asdict(record), path) == artifacts.sha256_file(path)
+    assert artifacts.read_geometry(path, (2, 3)) == record
+    assert artifacts.read_geometry(path, (2, 3), {"a", "c"}) == record  # link's read, with the vocabulary
+
+
+@pytest.mark.parametrize(
+    "edit, ks, terms, message",
+    [
+        (lambda d: d, (3, 3), None, "P1 is not k=3 clusters"),
+        (lambda d: d, (2, 2), None, "P2 is not k=2 clusters"),
+        (lambda d: d["p1"]["sizes"].pop(), (2, 3), None, "P1 is not k=2 clusters"),
+        (lambda d: d["p2"]["gram"][1].pop(), (2, 3), None, "P2 is not k=3 clusters"),
+        (lambda d: d["p2"]["gram"].pop(), (2, 3), None, "P2 is not k=3 clusters"),
+        (lambda d: d["p1"]["labels"].reverse(), (2, 3), None, "each labelled by its first top term"),
+        (lambda d: d["p2"]["labels"].__setitem__(1, "b"), (2, 3), None, "each labelled by its first top term"),
+        (lambda d: d["dot"].pop(), (2, 3), None, "the dot products are not 3 x 2"),
+        (lambda d: d["dot"][0].append(0.5), (2, 3), None, "the dot products are not 3 x 2"),
+        (lambda d: d["dot"][0].__setitem__(0, "0.5"), (2, 3), None, r"dot\[0\]\[0\] must be of type float"),
+        (lambda d: d["p1"]["gram"][0].__setitem__(1, 1e999), (2, 3), None, r"p1.gram\[0\]\[1\] must be a finite"),
+        (lambda d: d["p1"]["sizes"].__setitem__(0, True), (2, 3), None, r"p1.sizes\[0\] must be of type int"),
+        (lambda d: d.pop("versions"), (2, 3), None, "missing a required field: versions"),
+        (lambda d: d, (2, 3), {"a"}, "P2 top term 'c' is not in the vocabulary"),
+    ],
+    ids=[
+        "p1-k", "p2-k", "sizes-short", "gram-row-short", "gram-short", "labels-swapped", "label-not-top-term",
+        "dot-short", "dot-row-long", "dot-string", "gram-overflow", "size-boolean", "no-versions",
+        "top-term-outside-vocabulary",
+    ],
+)
+def test_read_geometry_checks_shapes_finiteness_and_labels(tmp_path, edit, ks, terms, message):
+    path = tmp_path / "geometry.json"
+    data = json.loads(json.dumps(dataclasses.asdict(_geometry())))
+    edit(data)
+    path.write_text(json.dumps(data).replace("Infinity", "1e999"), encoding="utf-8")
+    with pytest.raises(InputError, match=f"malformed artifact .*geometry.json: .*{message}"):
+        artifacts.read_geometry(str(path), ks, terms)

@@ -36,6 +36,8 @@ from diachron.cli import main
 from diachron.corpus import Record, load_corpus, save_corpus
 from diachron.errors import ConfigError, InputError, decode
 
+from oracles import cluster_map_from_axes, cross_table_from_clusters, link_periods_from_axes
+
 CANONICAL_STAGES = ["ingest", "terms", "cluster", "map", "link", "report"]
 
 EXPECTED_FILES = {
@@ -52,6 +54,7 @@ EXPECTED_FILES = {
     "crosstab.csv",
     "run_manifest.json",
     "provenance.json",
+    "geometry.json",
 }
 
 
@@ -88,6 +91,19 @@ def run_dir(corpus_dir, tmp_path_factory):
     config = write_config(path, corpus_dir / "corpus.jsonl")
     assert main(["run", "--config", str(config), "--out", str(path / "out")]) == 0
     return config, path / "out"
+
+
+@pytest.fixture(scope="module")
+def clusters_run_dir(corpus_dir, tmp_path_factory):
+    """As run_dir, under `gini_cells: clusters`, where terms parses clusters_P1.json."""
+    path = tmp_path_factory.mktemp("clusters-run")
+    config = write_config(path, corpus_dir / "corpus.jsonl", gini_cells="clusters")
+    assert main(["run", "--config", str(config), "--out", str(path / "out")]) == 0
+    return config, path / "out"
+
+
+# what map and link say of a cluster file whose bytes changed: they hash it unparsed
+EDITED = "stale artifact {}: its bytes are not the ones provenance.json records"
 
 
 GOOD_JSONL = b"".join(
@@ -198,8 +214,9 @@ def _disk_full_after(write, calls_allowed):
     return failing
 
 
-def _partial_json_dump(obj, fh, **kwargs):
-    fh.write(json.dumps(obj, **kwargs)[:40])
+def _partial_write(sink, data):
+    """The bytes written past the text layer, cut short by a full disk."""
+    sink.raw.write(data[:40])
     raise OSError(errno.ENOSPC, "No space left on device")
 
 
@@ -505,7 +522,7 @@ def no_reads(monkeypatch):
 
         return read
 
-    for name in ("read_clusters", "read_map", "read_linkage", "read_artifact"):
+    for name in ("read_clusters", "read_geometry", "read_map", "read_linkage", "read_artifact"):
         monkeypatch.setattr(artifacts, name, reader(name))
     return monkeypatch
 
@@ -530,6 +547,7 @@ class TestHandOff:
         def records(run):
             return (
                 [run.read_clusters(p) for p in pipeline.PERIOD_IDS],
+                run.geometry(),
                 [run.read_map(p) for p in pipeline.PERIOD_IDS],
                 run.read_linkage(),
                 run.load_report(),
@@ -636,6 +654,7 @@ class TestStageSequencing:
         assert parsed.count("clusters_P1.json") == 2  # once per read
 
     def test_map_reads_only_the_cluster_files(self, corpus_dir, tmp_path, capsys):
+        # and geometry.json, which the cluster stage writes with them; the cluster files it only hashes
         config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
         full, out = tmp_path / "full", tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(full)]) == 0
@@ -736,7 +755,8 @@ class TestStageSequencing:
         config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
-        clusters = {n: h for n, h in dir_hashes(out).items() if n.startswith("clusters_")}
+        # the fit's artifacts: tau and rho shape none of them
+        clusters = {n: h for n, h in dir_hashes(out).items() if n.startswith("clusters_") or n == "geometry.json"}
         changed = write_config(tmp_path, corpus_dir / "corpus.jsonl", tau=0.5, rho=0.5)
         for stage in ("map", "link", "report"):
             assert main([stage, "--config", str(changed), "--out", str(out)]) == 0
@@ -847,22 +867,28 @@ class TestStageSequencing:
         assert target in capsys.readouterr().err
         assert dir_hashes(out) == before
 
-    @pytest.mark.parametrize("stage", ["map", "link"])
+    @pytest.mark.parametrize("stage", ["map", "link", "terms"])
     @pytest.mark.parametrize("ids", [[-1, 1, 2], [0, 0, 2], [1, 0, 2]], ids=repr)
     def test_foreign_cluster_ids_exit_3_and_name_the_file(
-        self, corpus_dir, tmp_path, capsys, stage, ids
+        self, run_dir, clusters_run_dir, tmp_path, capsys, stage, ids
     ):
-        config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
+        # terms parses clusters_P1.json under gini_cells: clusters; map and link hash the files
+        config, source = clusters_run_dir if stage == "terms" else run_dir
+        target = "clusters_P1.json" if stage == "terms" else "clusters_P2.json"
         out = tmp_path / "out"
-        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
-        data = json.loads((out / "clusters_P2.json").read_text(encoding="utf-8"))
+        shutil.copytree(source, out)
+        data = json.loads((out / target).read_text(encoding="utf-8"))
         for entry, cluster_id in zip(data["clusters"], ids):
             entry["id"] = cluster_id
-        (out / "clusters_P2.json").write_text(json.dumps(data), encoding="utf-8")
+        (out / target).write_text(json.dumps(data), encoding="utf-8")
         before = dir_hashes(out)
         rc = main([stage, "--config", str(config), "--out", str(out)])
         assert rc == 3
-        assert "clusters_P2.json" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if stage == "terms":
+            assert f"malformed artifact {out / target}: the clusters are not k=3 with ids 0 to 2 in order" in err
+        else:
+            assert EDITED.format(target) in err
         assert dir_hashes(out) == before
 
     @pytest.mark.parametrize(
@@ -878,15 +904,15 @@ class TestStageSequencing:
                 "top-terms-out-of-weight-order", "top-terms-over-top_m", "top-terms-cut-short",
                 "top-term-skipped",
             )
-            for stage in ("map", "link")
-            # map's output does not depend on the vocabulary, so it reads none to check axis terms by
-            if (fault, stage) != ("term-outside-vocabulary", "map")
+            for stage in ("map", "link", "terms")
         ],
     )
     def test_cluster_file_with_foreign_members_exits_3_and_names_it(
-        self, run_dir, tmp_path, capsys, stage, fault
+        self, run_dir, clusters_run_dir, tmp_path, capsys, stage, fault
     ):
-        config, source = run_dir
+        # terms parses clusters_P1.json under gini_cells: clusters, so it gives each fault's own
+        # message; map and link hash the file unparsed
+        config, source = clusters_run_dir if stage == "terms" else run_dir
         out = tmp_path / "out"
         shutil.copytree(source, out)
         data = json.loads((out / "clusters_P1.json").read_text(encoding="utf-8"))
@@ -953,7 +979,10 @@ class TestStageSequencing:
         rc = main([stage, "--config", str(config), "--out", str(out)])
         assert rc == 3
         err = capsys.readouterr().err
-        assert "malformed artifact" in err and "clusters_P1.json" in err
+        if stage == "terms":
+            assert f"malformed artifact {out / 'clusters_P1.json'}: " in err
+        else:
+            assert EDITED.format("clusters_P1.json") in err
         assert dir_hashes(out) == before
 
     @pytest.mark.parametrize("stage", ["map", "link"])
@@ -971,21 +1000,42 @@ class TestStageSequencing:
         before = dir_hashes(out)
         rc = main([stage, "--config", str(config), "--out", str(out)])
         assert rc == 3
-        assert target in capsys.readouterr().err
+        assert EDITED.format(target) in capsys.readouterr().err
         assert dir_hashes(out) == before
 
-    @pytest.mark.parametrize("stage", ["map", "link"])
-    def test_cluster_file_of_another_period_exits_3_and_names_it(self, run_dir, tmp_path, capsys, stage):
-        config, source = run_dir
+    @pytest.mark.parametrize("keep", [1, 2])
+    def test_cluster_file_short_of_its_k_stops_terms_naming_it(self, clusters_run_dir, tmp_path, capsys, keep):
+        config, source = clusters_run_dir  # k is 3
         out = tmp_path / "out"
         shutil.copytree(source, out)
-        data = json.loads((out / "clusters_P2.json").read_text(encoding="utf-8"))
-        data["period_id"] = "P1"
-        (out / "clusters_P2.json").write_text(json.dumps(data), encoding="utf-8")
+        data = json.loads((out / "clusters_P1.json").read_text(encoding="utf-8"))
+        data["clusters"] = data["clusters"][:keep]
+        (out / "clusters_P1.json").write_text(json.dumps(data), encoding="utf-8")
+        before = dir_hashes(out)
+        assert main(["terms", "--config", str(config), "--out", str(out)]) == 3
+        message = "clusters_P1.json: the clusters are not k=3 with ids 0 to 2 in order"
+        assert message in capsys.readouterr().err
+        assert dir_hashes(out) == before
+
+    @pytest.mark.parametrize("stage", ["map", "link", "terms"])
+    def test_cluster_file_of_another_period_exits_3_and_names_it(
+        self, run_dir, clusters_run_dir, tmp_path, capsys, stage
+    ):
+        # terms parses clusters_P1.json under gini_cells: clusters; map and link hash the files
+        config, source = clusters_run_dir if stage == "terms" else run_dir
+        target, other = ("clusters_P1.json", "P2") if stage == "terms" else ("clusters_P2.json", "P1")
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        data = json.loads((out / target).read_text(encoding="utf-8"))
+        data["period_id"] = other
+        (out / target).write_text(json.dumps(data), encoding="utf-8")
         before = dir_hashes(out)
         rc = main([stage, "--config", str(config), "--out", str(out)])
         assert rc == 3
-        message = 'stale artifact clusters_P2.json: it was built with period_id "P1", not "P2"'
+        if stage == "terms":
+            message = 'stale artifact clusters_P1.json: it was built with period_id "P2", not "P1"'
+        else:
+            message = EDITED.format(target)
         assert message in capsys.readouterr().err
         assert dir_hashes(out) == before
 
@@ -993,9 +1043,12 @@ class TestStageSequencing:
     INPUTS = {
         "terms": ["corpus.jsonl", "provenance.json"],
         "cluster": ["corpus.jsonl", "provenance.json"],
-        "map": ["clusters_P1.json", "provenance.json", "clusters_P2.json"],
-        "link": ["terms.csv", "provenance.json", "clusters_P1.json", "clusters_P2.json"],
-        "report": ["map_P1.json", "provenance.json", "map_P2.json", "linkage.json", "load_report.json"],
+        "map": ["clusters_P1.json", "provenance.json", "clusters_P2.json", "geometry.json"],
+        "link": ["terms.csv", "provenance.json", "clusters_P1.json", "clusters_P2.json", "geometry.json"],
+        "report": [
+            "map_P1.json", "provenance.json", "map_P2.json", "linkage.json", "load_report.json",
+            "clusters_P1.json", "clusters_P2.json", "geometry.json",
+        ],
     }
 
     @pytest.mark.parametrize(
@@ -1024,6 +1077,9 @@ class TestStageSequencing:
         ("clusters_P1.json", "link"),
         ("clusters_P2.json", "link"),
         ("terms.csv", "link"),
+        ("geometry.json", "map"),
+        ("geometry.json", "link"),
+        ("geometry.json", "report"),
         ("map_P1.json", "report"),
         ("map_P2.json", "report"),
         ("linkage.json", "report"),
@@ -1282,7 +1338,8 @@ class TestStageSequencing:
                 "ingest", "corpus.jsonl", json.JSONEncoder, "encode",
                 lambda: _disk_full_after(json.JSONEncoder.encode, 3),
             ),
-            ("map", "map_P1.json", json, "dump", lambda: _partial_json_dump),
+            # write_json writes its bytes past the text layer in one call
+            ("map", "map_P1.json", artifacts._Sha256Writer, "write", lambda: _partial_write),
         ],
         ids=["ingest", "map"],
     )
@@ -1405,6 +1462,127 @@ class TestProvenance:
         assert main(["report", "--config", str(seed_0), "--out", str(out)]) == 3
         assert "stale artifact clusters_P1.json: it was built with seed " in capsys.readouterr().err
         assert dir_hashes(out) == before
+
+
+class TestGeometry:
+    """cluster records in geometry.json what no tau or rho changes, so map, link
+    and report read it instead of the cluster files, which they only hash."""
+
+    @pytest.mark.parametrize("stage", ["map", "link", "report"])
+    def test_a_rerun_stage_parses_no_cluster_file(self, run_dir, tmp_path, monkeypatch, stage):
+        parsed, read_json = [], artifacts.read_json
+
+        def spy(path):
+            parsed.append(os.path.basename(path))
+            return read_json(path)
+
+        monkeypatch.setattr(artifacts, "read_json", spy)
+        config, source = run_dir
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        assert main([stage, "--config", str(config), "--out", str(out)]) == 0
+        assert "geometry.json" in parsed
+        assert not [name for name in parsed if name.startswith("clusters_")]
+
+    @pytest.mark.parametrize("stage", ["map", "link"])
+    @pytest.mark.parametrize("target", ["clusters_P1.json", "clusters_P2.json"])
+    @pytest.mark.parametrize("change", ["edited", "truncated"])
+    def test_an_edited_or_truncated_cluster_file_stops_map_and_link(
+        self, run_dir, tmp_path, capsys, stage, target, change
+    ):
+        config, source = run_dir
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        whole = (out / target).read_bytes()
+        if change == "edited":  # the same content, which a parse would accept, in other bytes
+            (out / target).write_text(json.dumps(json.loads(whole)), encoding="utf-8")
+        else:
+            (out / target).write_bytes(whole[: len(whole) // 2])
+        before = dir_hashes(out)
+        assert main([stage, "--config", str(config), "--out", str(out)]) == 3
+        assert EDITED.format(target) in capsys.readouterr().err
+        assert dir_hashes(out) == before
+
+    def test_the_manifest_records_the_versions_the_fit_ran_under(self, run_dir, tmp_path, monkeypatch):
+        config, source = run_dir
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        fit = {"python": "3.0.1", "numpy": "0.9.8", "scipy": "0.7.6"}
+        monkeypatch.setattr(sys, "version", f"{fit['python']} (the fit's interpreter)")
+        monkeypatch.setattr(numpy, "__version__", fit["numpy"])
+        monkeypatch.setattr(scipy, "__version__", fit["scipy"])
+        assert main(["cluster", "--config", str(config), "--out", str(out)]) == 0
+        monkeypatch.undo()
+        assert artifacts.read_json(str(out / "geometry.json"))["versions"] == fit
+        for stage in ("map", "link", "report"):
+            assert main([stage, "--config", str(config), "--out", str(out)]) == 0
+        manifest = artifacts.read_json(str(out / artifacts.MANIFEST))
+        assert manifest["versions"] == {"diachron": diachron.__version__, **fit}
+        assert (numpy.__version__, scipy.__version__) != (fit["numpy"], fit["scipy"])  # report's own
+        ran = dir_hashes(source)
+        assert {n: h for n, h in dir_hashes(out).items() if n.startswith("clusters_")} == {
+            n: h for n, h in ran.items() if n.startswith("clusters_")
+        }
+
+    @staticmethod
+    def _from_axes(out, config):
+        """The maps, linkage and crosstab.csv bytes computed from the cluster files' axes."""
+        clusters = [
+            artifacts.read_clusters(str(out / artifacts.clusters_file(p)), p, config.cluster_config(p).k, config.top_m)
+            for p in pipeline.PERIOD_IDS
+        ]
+        maps = [
+            cluster_map_from_axes(
+                p, [c.axis for c in cf.clusters], config.tau, [c.label for c in cf.clusters],
+                [c.size for c in cf.clusters],
+            )
+            for p, cf in zip(pipeline.PERIOD_IDS, clusters)
+        ]
+        (p1, p2) = (cf.clusters for cf in clusters)
+        linkage = link_periods_from_axes(
+            [c.axis for c in p1], [c.axis for c in p2], [c.label for c in p2], config.rho
+        )
+        stats = diffusion.read_terms_csv(str(out / "terms.csv"))
+        crosstab = out.parent / "oracle_crosstab.csv"
+        artifacts.write_crosstab(str(crosstab), cross_table_from_clusters(linkage, p2, stats))
+        return maps, linkage, crosstab.read_bytes()
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_maps_linkage_and_crosstab_from_geometry_equal_those_from_the_axes(self, data):
+        n_blocks = data.draw(st.integers(2, 3), label="blocks")
+        docs = st.integers(8, 20)
+        spec = syngen.PlantSpec(
+            blocks=tuple(
+                syngen.Block(name=f"b{i}", vocab_size=data.draw(st.integers(8, 12)), docs_p1=data.draw(docs),
+                             docs_p2=data.draw(docs), tag=f"tag{i}")
+                for i in range(n_blocks)
+            ),
+            shared_terms=data.draw(st.integers(0, 3), label="shared_terms"),
+            noise_rate=data.draw(st.sampled_from([0.0, 0.1, 0.2]), label="noise_rate"),
+            seed=data.draw(st.integers(0, 2**16), label="seed"),
+        )
+        records, _ = syngen.generate(spec)
+        thresholds = st.floats(0.01, 1.0)
+        points = [(data.draw(thresholds, label="tau"), data.draw(thresholds, label="rho")) for _ in range(2)]
+        settings_ = {
+            "cluster": {"k": data.draw(st.integers(2, 4)), "k_p2": data.draw(st.integers(2, 4)), "restarts": 2,
+                        "max_iters": 20},
+            "top_m": data.draw(st.integers(1, 6), label="top_m"),
+            "min_df": data.draw(st.integers(1, 2), label="min_df"),
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            save_corpus(records, str(root / "corpus.jsonl"))
+            out = root / "out"
+            for i, (tau, rho) in enumerate(points):  # a run, then map and link under new thresholds
+                path = write_config(root, root / "corpus.jsonl", tau=tau, rho=rho, **settings_)
+                for command in ["run"] if i == 0 else ["map", "link"]:
+                    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+                maps, linkage, crosstab = self._from_axes(out, pipeline.load_config(str(path)))
+                assert [artifacts.read_map(str(out / f"map_{p}.json"), p) for p in pipeline.PERIOD_IDS] == maps
+                assert artifacts.read_linkage(str(out / "linkage.json"), len(linkage.links)) == linkage
+                assert (out / "crosstab.csv").read_bytes() == crosstab
 
 
 class TestErrorExits:
@@ -1819,7 +1997,7 @@ class TestPackageImport:
             "numpy", "scipy", "concurrent.futures", "diachron.syngen",
             "diachron.cluster", "diachron.diachrony", "diachron.vectorize",
             "diachron.corpus", "diachron.diffusion", "platform", "html",
-            "importlib.metadata", "hashlib",
+            "importlib.metadata", "email", "hashlib",
         )
         code = (
             "import sys\n"
@@ -1830,12 +2008,12 @@ class TestPackageImport:
         )
         # terms counts term x cell pairs in numpy (reading the cluster files when
         # they are its cells) but builds no sparse matrix, so it loads no scipy;
-        # map and link do their arithmetic on the sparse axes in Python floats,
-        # and report takes the numpy and scipy versions from the installed
-        # distributions' metadata, so none of the three loads numpy, scipy or a
-        # module of the fit or the vectorizer; no stage loads `platform` or
-        # `html` itself (numpy's own import loads `platform`), and only report
-        # loads importlib.metadata. map, link and report parse no corpus, and
+        # map and link do their arithmetic on geometry.json's products in Python
+        # floats, and report takes the numpy and scipy versions the fit recorded
+        # there, so none of the three loads numpy, scipy or a module of the fit
+        # or the vectorizer; no stage loads `platform` or `html` itself (numpy's
+        # own import loads `platform`), and none loads importlib.metadata or
+        # `email`, which it imports. map, link and report parse no corpus, and
         # map and report read no terms.csv, so they load neither corpus nor
         # diffusion. Every stage checks the sha256 of what it reads, so every
         # stage loads hashlib
@@ -1845,7 +2023,7 @@ class TestPackageImport:
                 ("terms", terms),
                 ("map", ["hashlib"]),
                 ("link", ["diachron.diachrony", "diachron.diffusion", "hashlib"]),
-                ("report", ["hashlib", "importlib.metadata"]),
+                ("report", ["hashlib"]),
             )),
             ("clusters", (("terms", terms),)),
         ):

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from diachron.artifacts import Cluster, ClusterLink, Linkage
-from diachron.diachrony import STATUS_NEW, STATUS_ROOTED, cross_table, link_periods
+from diachron.artifacts import ClusterLink, Linkage
+from diachron.diachrony import STATUS_NEW, STATUS_ROOTED, cross_table
 from diachron.diffusion import CATEGORIES, TermStats
 
-from oracles import sparse_rows
+from oracles import link_products, sparse_rows
 
 
 def _stats(term, category):
@@ -21,21 +21,9 @@ def _stats(term, category):
     )
 
 
-def _summary(cluster_id, terms, size=1):
-    top_terms = tuple((t, 1.0 - 0.01 * i) for i, t in enumerate(terms))
-    return Cluster(
-        id=cluster_id,
-        label=terms[0] if terms else "",
-        size=size,
-        top_terms=top_terms,
-        members=[f"d{cluster_id}-{i}" for i in range(size)],
-        axis=dict(top_terms),
-    )
-
-
 def _link(p1, p2, rho):
-    """link_periods over the dense rows p1 and p2, passed as sparse axes."""
-    return link_periods(sparse_rows(p1), sparse_rows(p2), [f"c{c}" for c in range(len(p2))], rho)
+    """link_periods over the products of the dense rows p1 and p2, passed as sparse axes."""
+    return link_products(sparse_rows(p1), sparse_rows(p2), [f"c{c}" for c in range(len(p2))], rho)
 
 
 class TestLinkPeriods:
@@ -131,9 +119,9 @@ def _linkage(statuses, rho=0.3):
 class TestCrossTable:
     def test_all_rooted_all_established(self):
         linkage = _linkage([STATUS_ROOTED, STATUS_ROOTED])
-        summaries = [_summary(0, ["a", "b"]), _summary(1, ["c"])]
+        top_terms = [["a", "b"], ["c"]]
         stats = [_stats(t, "established") for t in "abc"]
-        tab = cross_table(linkage, summaries, stats)
+        tab = cross_table(linkage, top_terms, stats)
         assert tab.shares[STATUS_ROOTED] == {
             "established": 1.0,
             "unusual": 0.0,
@@ -145,14 +133,14 @@ class TestCrossTable:
 
     def test_shares_split_by_status(self):
         linkage = _linkage([STATUS_ROOTED, STATUS_NEW])
-        summaries = [_summary(0, ["a", "b"]), _summary(1, ["c", "d"])]
+        top_terms = [["a", "b"], ["c", "d"]]
         stats = [
             _stats("a", "established"),
             _stats("b", "cross_section"),
             _stats("c", "unusual"),
             _stats("d", "unusual"),
         ]
-        tab = cross_table(linkage, summaries, stats)
+        tab = cross_table(linkage, top_terms, stats)
         assert tab.shares[STATUS_ROOTED]["established"] == 0.5
         assert tab.shares[STATUS_ROOTED]["cross_section"] == 0.5
         assert tab.shares[STATUS_ROOTED]["unusual"] == 0.0
@@ -161,22 +149,22 @@ class TestCrossTable:
 
     def test_pooling_is_a_multiset(self):
         linkage = _linkage([STATUS_ROOTED, STATUS_ROOTED])
-        summaries = [_summary(0, ["a", "b"]), _summary(1, ["a", "c"])]
+        top_terms = [["a", "b"], ["a", "c"]]
         stats = [
             _stats("a", "established"),
             _stats("b", "unusual"),
             _stats("c", "unusual"),
         ]
-        tab = cross_table(linkage, summaries, stats)
+        tab = cross_table(linkage, top_terms, stats)
         assert tab.n_terms[STATUS_ROOTED] == 4
         assert tab.shares[STATUS_ROOTED]["established"] == 0.5
 
     def test_rows_sum_to_one_when_non_empty(self):
         linkage = _linkage([STATUS_ROOTED, STATUS_NEW])
-        summaries = [_summary(0, ["a", "b", "c"]), _summary(1, ["d", "e"])]
+        top_terms = [["a", "b", "c"], ["d", "e"]]
         categories = ["established", "unusual", "cross_section", "unclassified", "unusual"]
         stats = [_stats(t, c) for t, c in zip("abcde", categories)]
-        tab = cross_table(linkage, summaries, stats)
+        tab = cross_table(linkage, top_terms, stats)
         for status in (STATUS_ROOTED, STATUS_NEW):
             row = tab.shares[status]
             assert row is not None

@@ -345,7 +345,7 @@ class TestBuildClusterMap:
     def test_invariants_hold(self):
         rng = np.random.default_rng(17)
         axes = rng.random((6, 4))
-        cmap = build_cluster_map("P1", sparse_rows(axes), 0.2, list("abcdef"), [1] * 6)
+        cmap = build_cluster_map("P1", gram_matrix(sparse_rows(axes)), 0.2, list("abcdef"), [1] * 6)
         assert cmap.period_id == "P1"
         xs = [c[0] for c in cmap.coords]
         ys = [c[1] for c in cmap.coords]
@@ -367,7 +367,7 @@ class TestRenderSvg:
     def _map(self, pairs):
         s = 1.0 / math.sqrt(2.0)
         axes = np.array([[1.0, 0.0], [0.0, 1.0], [s, s]])
-        return build_cluster_map("P1", sparse_rows(axes), 0.5, *_labels_sizes(pairs))
+        return build_cluster_map("P1", gram_matrix(sparse_rows(axes)), 0.5, *_labels_sizes(pairs))
 
     def test_deterministic_output(self):
         cmap = self._map([("alpha", 4), ("beta", 9), ("gamma", 1)])

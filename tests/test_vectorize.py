@@ -337,17 +337,19 @@ def _package_imports(package):
 
 def test_scipy_is_imported_at_runtime_only_in_build_matrix():
     """test_cli's subprocess probe runs terms, map, link and report; this scan
-    covers every module, ingest and syngen included."""
-    assert _package_imports("scipy") == [("vectorize", "build_matrix")]
+    covers every module, ingest and syngen included. The cluster stage, which
+    calls build_matrix, also reads scipy's version for geometry.json."""
+    assert _package_imports("scipy") == [("pipeline", "stage_cluster"), ("vectorize", "build_matrix")]
 
 
 def test_numpy_is_imported_at_runtime_only_by_the_fit_and_the_term_statistics():
-    """Only the cluster stage imports cluster and vectorize, and only the
-    terms stage runs classify_terms, so ingest, map, link, report and syngen
-    never load numpy."""
+    """Only the cluster stage imports cluster and vectorize, and reads numpy's
+    version for geometry.json, and only the terms stage runs classify_terms,
+    so ingest, map, link, report and syngen never load numpy."""
     assert _package_imports("numpy") == [
         ("cluster", None),
         ("diffusion", "_gini_rows"),
         ("diffusion", "classify_terms"),
+        ("pipeline", "stage_cluster"),
         ("vectorize", None),
     ]
