@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import dataclasses
 import hashlib
 import heapq
 import io
 import json
 import os
-from typing import TYPE_CHECKING, Literal, get_args
+from typing import TYPE_CHECKING, Literal, NamedTuple, get_args
 
-from .errors import ConfigError, InputError, decode
+from .errors import ConfigError, InputError, checked, decode, encode
 from .mapping import ClusterMap, render_svg
 
 if TYPE_CHECKING:  # annotations only: diachrony imports from here
@@ -40,8 +39,7 @@ PROVENANCE = "provenance.json"
 GEOMETRY = "geometry.json"
 
 
-@dataclasses.dataclass(frozen=True)
-class LoadReport:
+class LoadReport(NamedTuple):
     """load_report.json: the input's sha256 and the records ingest read, kept and dropped."""
 
     input_sha256: str
@@ -53,8 +51,7 @@ class LoadReport:
     dropped_outside_periods: int
 
 
-@dataclasses.dataclass(frozen=True)
-class Cluster:
+class Cluster(NamedTuple):
     """A cluster in its file's key order; members in row order, the axis in vocabulary order.
     decode checks that `members` is a list and `axis` a dict, read_clusters their items."""
 
@@ -66,8 +63,7 @@ class Cluster:
     axis: dict
 
 
-@dataclasses.dataclass(frozen=True)
-class ClusterFile:
+class ClusterFile(NamedTuple):
     """clusters_P*.json: the period and the fit's objective trace, then its clusters."""
 
     period_id: str
@@ -79,8 +75,8 @@ Status = Literal["rooted", "new"]  # a P2 cluster with a P1 parent is rooted, on
 STATUS_ROOTED, STATUS_NEW = get_args(Status)
 
 
-@dataclasses.dataclass(frozen=True)
-class ClusterLink:
+@checked
+class ClusterLink(NamedTuple):
     """A P2 cluster in linkage.json's key order; parents are (P1 id, cosine >= rho), best first,
     each cosine to 6 places."""
 
@@ -90,7 +86,7 @@ class ClusterLink:
     parents: tuple[tuple[int, float], ...]
     best_parent: tuple[int, float] | None
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if (self.status == STATUS_ROOTED) != bool(self.parents):
             raise ValueError(f"link {self.cluster_id} is {self.status} with {len(self.parents)} parents")
         if self.best_parent != (self.parents[0] if self.parents else None):
@@ -100,16 +96,14 @@ class ClusterLink:
             raise ValueError(f"the parents of link {self.cluster_id} are not in cosine order, best first")
 
 
-@dataclasses.dataclass(frozen=True)
-class Linkage:
+class Linkage(NamedTuple):
     """linkage.json: the rho it was built with and one link per P2 cluster."""
 
     rho: float
     links: tuple[ClusterLink, ...]
 
 
-@dataclasses.dataclass(frozen=True)
-class PeriodGeometry:
+class PeriodGeometry(NamedTuple):
     """A period in geometry.json: its clusters' labels, sizes and top terms,
     by id, and the Gram matrix of their axes."""
 
@@ -119,8 +113,7 @@ class PeriodGeometry:
     gram: tuple[tuple[float, ...], ...]
 
 
-@dataclasses.dataclass(frozen=True)
-class Geometry:
+class Geometry(NamedTuple):
     """geometry.json: both periods, the dot products of the P2 axes with the
     P1 axes, and the Python, numpy and scipy versions of the fit."""
 
@@ -130,8 +123,7 @@ class Geometry:
     versions: dict
 
 
-@dataclasses.dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     """An artifact's record in provenance.json: the sha256 of its bytes, the
     sha256 of each artifact its stage took, by name, and the config fields
     that shaped it."""
@@ -195,10 +187,10 @@ def sha256_file(path: str) -> str:
 
 
 def write_json(obj, path: str) -> str:
-    """Write `obj` as indented JSON; returns the sha256 of the bytes written.
-    As save_corpus does, it serializes once and writes past the text layer in
-    one call, with the line ends text mode would write."""
-    text = json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    """Write `obj`, encoded, as indented JSON; returns the sha256 of the bytes
+    written. As save_corpus does, it serializes once and writes past the text
+    layer in one call, with the line ends text mode would write."""
+    text = json.dumps(encode(obj), indent=2, ensure_ascii=False) + "\n"
     with atomic_open(path) as (fh, sha256):
         fh.buffer.write(text.replace("\n", os.linesep).encode("utf-8"))
     return sha256.hexdigest()
@@ -228,7 +220,7 @@ def parsing(path: str):
 
 
 def read_artifact(path: str, cls):
-    """The frozen dataclass `cls` from the JSON artifact `path`, decoded strictly."""
+    """The record `cls`, a NamedTuple, from the JSON artifact `path`, decoded strictly."""
     data = read_json(path)
     with parsing(path):
         return decode(cls, data)
@@ -255,7 +247,7 @@ def check_built_with(name: str, key: str, built, value, producer: str) -> None:
 
 def write_ledger(path: str, ledger: dict[str, Provenance]) -> str:
     """Write provenance.json, its records in name order."""
-    return write_json({name: vars(ledger[name]) for name in sorted(ledger)}, path)
+    return write_json({name: encode(ledger[name]) for name in sorted(ledger)}, path)
 
 
 def read_ledger(path: str, names) -> dict[str, Provenance]:
@@ -279,8 +271,7 @@ def top_terms(axis: dict, top_m: int) -> tuple[str, tuple[tuple[str, float], ...
 
 
 def write_clusters(path: str, clusters: ClusterFile) -> str:
-    # the fields as they are: dataclasses.asdict would deep-copy every axis weight
-    return write_json({**vars(clusters), "clusters": list(map(vars, clusters.clusters))}, path)
+    return write_json(clusters, path)  # encode leaves each members list and axis dict as it is
 
 
 def read_clusters(path: str, period_id: str, k: int, top_m: int, terms=None) -> ClusterFile:
@@ -342,7 +333,7 @@ def read_geometry(path: str, ks: tuple[int, int], terms=None) -> Geometry:
 
 
 def write_map(path: str, cmap: ClusterMap) -> str:
-    return write_json(dataclasses.asdict(cmap), path)
+    return write_json(cmap, path)
 
 
 def read_map(path: str, period_id: str) -> ClusterMap:
@@ -367,7 +358,7 @@ def write_svg(path: str, cmap: ClusterMap) -> None:
 
 
 def write_linkage(path: str, linkage: Linkage) -> str:
-    return write_json(dataclasses.asdict(linkage), path)
+    return write_json(linkage, path)
 
 
 def write_crosstab(path: str, crosstab: CrossTab) -> None:

@@ -21,7 +21,6 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
-import dataclasses
 import gc
 import logging
 import sys
@@ -84,7 +83,7 @@ def _cmd_syngen(args) -> None:
     else:
         spec = decode(syngen.PlantSpec, read_json_object(args.spec, "spec"))
         if args.seed is not None:
-            spec = dataclasses.replace(spec, seed=args.seed)
+            spec = spec._replace(seed=args.seed)
     records, truth = syngen.generate(spec)
     os.makedirs(args.out, exist_ok=True)
     save_corpus(records, os.path.join(args.out, artifacts.CORPUS))
@@ -115,9 +114,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             config = load_config(args.config)
             if args.seed is not None:
-                config = dataclasses.replace(config, seed=args.seed)
+                config = config._replace(seed=args.seed)
             if args.format is not None:
-                config = dataclasses.replace(config, format=args.format)
+                config = config._replace(format=args.format)
             threads = _usable_cpus() if args.threads is None else args.threads
             if threads < 1:
                 raise ConfigError(f"--threads must be >= 1, got {threads}")

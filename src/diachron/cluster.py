@@ -30,8 +30,7 @@ from __future__ import annotations
 import math
 import random
 import threading
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -49,11 +48,10 @@ if TYPE_CHECKING:  # annotations only: vectorize.build_matrix is where scipy loa
 _DIVIDE_ROWS = 64  # rows of the V×k axes per row of _update_axes's divide
 
 
-@dataclass(frozen=True)
-class ClusterModel:
+class ClusterModel(NamedTuple):
     period_id: str
-    axes: np.ndarray = field(repr=False)
-    assignment: np.ndarray = field(repr=False)
+    axes: np.ndarray
+    assignment: np.ndarray
     objective_trace: tuple[float, ...]
     sizes: tuple[int, ...]
     doc_ids: tuple[str, ...]

@@ -15,9 +15,8 @@ import json
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .artifacts import atomic_open
 from .errors import InputError
@@ -36,8 +35,7 @@ def normalize_term(raw: str) -> str:
     return _WS_RE.sub(" ", raw.strip()).lower()
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     """One bibliographic document with normalized, deduplicated keywords
     (sorted) and categories (in first-occurrence order)."""
 
@@ -48,8 +46,7 @@ class Record:
     title: str | None = None
 
 
-@dataclass(frozen=True)
-class CorpusSlice:
+class CorpusSlice(NamedTuple):
     """All records of one period, sorted by id (the determinism anchor)."""
 
     period_id: str
@@ -60,8 +57,7 @@ class CorpusSlice:
         return len(self.records)
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(NamedTuple):
     """Sorted term list with per-period df counters and slice sizes.
 
     Keywords are a set per record, so a term's tf in a period is its df:
@@ -69,14 +65,11 @@ class Vocabulary:
     """
 
     terms: tuple[str, ...]
-    index: dict[str, int] = field(repr=False)
+    index: dict[str, int]
     df_p1: tuple[int, ...]
     df_p2: tuple[int, ...]
     n_docs_p1: int
     n_docs_p2: int
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
 
 class _Normalized(dict):
@@ -111,13 +104,7 @@ def _make_record(obj: dict, where: str, normalized: _Normalized, limit: int) -> 
         raise InputError(f"{where}: a keyword is longer than {limit} characters")
     # deduplicated in first-occurrence order: a record counts once per cell
     cats = tuple(dict.fromkeys(c for c in map(normalized.__getitem__, categories) if c))
-    return Record(
-        id=rec_id,
-        year=year,
-        keywords=tuple(sorted(terms)),
-        categories=cats,
-        title=title,
-    )
+    return Record(rec_id, year, tuple(sorted(terms)), cats, title)  # by position: the cheapest call
 
 
 @contextlib.contextmanager

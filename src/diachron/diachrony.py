@@ -16,15 +16,14 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .artifacts import STATUS_NEW, STATUS_ROOTED, ClusterLink, Linkage
 from .diffusion import CATEGORIES, TermStats
 from .mapping import cosine
 
 
-@dataclass(frozen=True)
-class CrossTab:
+class CrossTab(NamedTuple):
     # status -> category -> share; a status with no clusters maps to None
     shares: dict[str, dict[str, float] | None]
     n_terms: dict[str, int]

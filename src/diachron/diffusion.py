@@ -103,8 +103,8 @@ def classify_terms(
         for c in cells.get(r.id, ())
         for t in terms
     ]
-    counts = np.bincount(np.array(bins, dtype=np.int64), minlength=len(vocabulary) * n_cells)
-    ginis = _gini_rows(counts.reshape(len(vocabulary), n_cells).astype(float))
+    counts = np.bincount(np.array(bins, dtype=np.int64), minlength=len(vocabulary.terms) * n_cells)
+    ginis = _gini_rows(counts.reshape(len(vocabulary.terms), n_cells).astype(float))
 
     n_pooled = slices[0].n_docs + slices[1].n_docs
     df_pooled = np.add(vocabulary.df_p1, vocabulary.df_p2, dtype=float)

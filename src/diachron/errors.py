@@ -1,11 +1,11 @@
 """Exception hierarchy shared across the pipeline, the strict reader of config
-and spec files, and the decoder of those files and of the small JSON artifacts.
+and spec files, and the decoder of those files and of the small JSON artifacts
+(records, all typing.NamedTuple classes), with its inverse, the encoder.
 
 The CLI maps these onto exit codes: ConfigError -> 2, InputError -> 3,
 NumericError -> 4, OSError -> 5.
 """
 
-import dataclasses
 import functools
 import json
 import math
@@ -43,14 +43,40 @@ def read_json_object(path, kind):
     return data
 
 
+def checked(record):
+    """Make the NamedTuple class `record` run its `check` method on every
+    value it builds: by its constructor (so by `decode`), `_make` or `_replace`."""
+    new = record.__new__
+
+    @functools.wraps(new)  # so that the signature still names the fields
+    def __new__(cls, *args, **kwargs):
+        value = new(cls, *args, **kwargs)
+        value.check()
+        return value
+
+    # NamedTuple's _make, which _replace calls, builds through tuple.__new__, past __new__
+    record.__new__, record._make = staticmethod(__new__), classmethod(lambda cls, items: cls(*items))
+    return record
+
+
+def encode(value):
+    """`value` as JSON holds it, the inverse of `decode`: a record, which json
+    would write as an array, becomes an object of its fields and a tuple an array,
+    their items encoded in turn; a list, a dict or a leaf is taken as it is."""
+    if not isinstance(value, tuple):
+        return value
+    items = [encode(v) for v in value]
+    return dict(zip(value._fields, items)) if hasattr(value, "_fields") else items
+
+
 def decode(cls, data, where=""):
-    """Frozen dataclass `cls` from decoded JSON `data`, typed by its annotations.
+    """Record `cls`, a NamedTuple, from decoded JSON `data`, typed by its annotations.
 
     Nothing is coerced: an int field takes a JSON integer but not a bool, a
     float field a finite number (a JSON integer too), a `Literal` choice
     only one of its strings, `X | None` also null, `tuple[X, ...]` a JSON
     array (or a tuple), `tuple[X, Y]` two items, an X and a Y, and a nested
-    dataclass a JSON object. An absent key takes the field's default; a key
+    record a JSON object. An absent key takes the field's default; a key
     that names no field is an error, unless it starts with `_comment` (a
     note, at any depth). Every error is a ConfigError naming the key path (an
     artifact reader reports it as an InputError); `where` is `data`'s path.
@@ -62,11 +88,11 @@ def decode(cls, data, where=""):
         if key not in types and not key.startswith("_comment"):
             raise ConfigError(f"unknown key {where}.{key}" if where else f"unknown key {key}")
     values = {}
-    for f in dataclasses.fields(cls):
-        path = f"{where}.{f.name}" if where else f.name
-        if f.name in data:
-            values[f.name] = _value(types[f.name], data[f.name], path)
-        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+    for name in cls._fields:
+        path = f"{where}.{name}" if where else name
+        if name in data:
+            values[name] = _value(types[name], data[name], path)
+        elif name not in cls._field_defaults:
             raise ConfigError(f"missing a required field: {path}")
     return cls(**values)
 
@@ -77,10 +103,10 @@ def _value(tp, value, path):
     args = typing.get_args(tp)
     if type(None) in args:  # X | None
         return None if value is None else _value(args[0], value, path)
-    if dataclasses.is_dataclass(tp):
+    if hasattr(tp, "_fields"):  # a record
         return decode(tp, value, path)
     if typing.get_origin(tp) is tuple:
-        if not isinstance(value, (list, tuple)):  # a tuple as from dataclasses.asdict
+        if not isinstance(value, (list, tuple)):  # or a tuple, as a record holds it
             raise ConfigError(f"{path} must be a JSON array, got {value!r}")
         types = args[:1] * len(value) if args[-1] is Ellipsis else args  # or tuple[X, Y]
         if len(value) != len(types):

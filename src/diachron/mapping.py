@@ -21,9 +21,9 @@ the direct solver gives the same pairs to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import NumericError
+from .errors import NumericError, checked
 
 SVG_WIDTH = 1000
 SVG_HEIGHT = 800
@@ -34,8 +34,8 @@ Axis = dict[str, float]  # a sparse row: term -> weight
 Matrix = list[list[float]]  # a list of rows
 
 
-@dataclass(frozen=True)
-class ClusterMap:
+@checked
+class ClusterMap(NamedTuple):
     """A period's map, in map_P*.json's field order: edges are (i, j, cosine)
     at or above tau, and coords, labels and sizes hold one item per cluster."""
 
@@ -49,7 +49,7 @@ class ClusterMap:
     labels: tuple[str, ...]
     sizes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         k = len(self.coords)
         if not k or len(self.labels) != k or len(self.sizes) != k:
             raise ValueError("coords, labels and sizes must be non-empty and of one length")

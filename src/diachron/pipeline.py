@@ -30,16 +30,14 @@ themselves; the canonical stage list in the manifest reflects that.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Literal, get_args
+from typing import TYPE_CHECKING, Literal, NamedTuple, get_args
 
 from . import __version__, artifacts
-from .errors import ConfigError, InputError, decode, read_json_object
+from .errors import ConfigError, InputError, checked, decode, encode, read_json_object
 from .mapping import ClusterMap, build_cluster_map, dot, gram_matrix
 from .seeding import derive_seed
 
@@ -54,14 +52,14 @@ Format = Literal["jsonl", "csv"]
 FORMATS = get_args(Format)
 
 
-@dataclass(frozen=True)
-class PeriodSpec:
+@checked
+class PeriodSpec(NamedTuple):
     """Two successive, disjoint year windows, each an inclusive [start, end] pair."""
 
     p1: tuple[int, int]
     p2: tuple[int, int]
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         (p1_start, p1_end), (p2_start, p2_end) = self.p1, self.p2
         if not (p1_start <= p1_end < p2_start <= p2_end):
             raise ConfigError(
@@ -70,15 +68,15 @@ class PeriodSpec:
             )
 
 
-@dataclass(frozen=True)
-class DiffusionThresholds:
+@checked
+class DiffusionThresholds(NamedTuple):
     """Quantile cuts and novelty share driving the decision table."""
 
     df_high_quantile: float = 0.75
     gini_low_quantile: float = 0.25
     novelty_share: float = 0.8
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         for name in ("df_high_quantile", "gini_low_quantile"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
@@ -87,8 +85,8 @@ class DiffusionThresholds:
             raise ConfigError(f"novelty_share must lie in (0, 1], got {self.novelty_share}")
 
 
-@dataclass(frozen=True, kw_only=True)
-class ClusterSection:
+@checked
+class ClusterSection(NamedTuple):
     """The config file's `cluster` section; `k_p1` and `k_p2` override `k`."""
 
     k: int = 20
@@ -98,7 +96,7 @@ class ClusterSection:
     tol: float = 1e-9
     restarts: int = 10
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         for name in ("k", "k_p1", "k_p2"):
             value = getattr(self, name)
             if value is not None and value < 2:
@@ -111,8 +109,7 @@ class ClusterSection:
             raise ConfigError(f"tol must be >= 0, got {self.tol}")
 
 
-@dataclass(frozen=True)
-class ClusterConfig:
+class ClusterConfig(NamedTuple):
     """One period's fit settings, in the key order of its cluster file's echo."""
 
     k: int
@@ -122,24 +119,24 @@ class ClusterConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True, kw_only=True)
-class RunConfig:
-    """A config file, declared in its own shape and key order (the manifest's)."""
+@checked
+class RunConfig(NamedTuple):
+    """A config file in its own shape and key order (the manifest's), required fields first."""
 
     input: str
-    format: Format = "jsonl"
     periods: PeriodSpec
+    format: Format = "jsonl"
     min_df: int = 2
     weighting: Literal["binary", "tfidf"] = "tfidf"
-    thresholds: DiffusionThresholds = field(default_factory=DiffusionThresholds)
-    cluster: ClusterSection = field(default_factory=ClusterSection)
+    thresholds: DiffusionThresholds = DiffusionThresholds()
+    cluster: ClusterSection = ClusterSection()
     tau: float = 0.2
     rho: float = 0.3
     top_m: int = 10
     gini_cells: Literal["categories", "clusters"] = "categories"
     seed: int = 0
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         try:  # the checks open() makes on a path before it looks at the file system
             if b"\0" in os.fsencode(self.input):
                 raise ValueError("embedded null byte")
@@ -178,7 +175,7 @@ def config_from_dict(data: dict, base_dir: str = ".") -> RunConfig:
     config = decode(RunConfig, data)
     if os.path.isabs(config.input):
         return config
-    return dataclasses.replace(config, input=os.path.normpath(os.path.join(base_dir, config.input)))
+    return config._replace(input=os.path.normpath(os.path.join(base_dir, config.input)))
 
 
 def load_config(path: str) -> RunConfig:
@@ -199,7 +196,7 @@ class Run:
     sha256 of its bytes as written, those of the artifacts its stage took,
     and the config fields that shaped it. Each `hand_on` rewrites it, and
     ingest, whose corpus.jsonl every other artifact derives from, starts it
-    anew."""
+    anew unless it records the very corpus.jsonl just written."""
 
     def __init__(self, config: RunConfig, out: str, threads: int = 1) -> None:
         self.config, self.out, self.threads = config, out, threads
@@ -223,8 +220,13 @@ class Run:
         """Record in the ledger that a stage wrote `name`, whose bytes have
         the digest `sha256`, from the artifacts `inputs`; `record`, unless
         None, is what the file holds, for the later stages to take."""
-        if name == artifacts.CORPUS:
-            self._ledger = {}
+        if name == artifacts.CORPUS:  # the ledger stands only if it records these very bytes
+            try:
+                kept = self.ledger().get(name)
+            except (InputError, OSError):  # missing or unreadable
+                kept = None
+            if kept is None or kept.sha256 != sha256:
+                self._ledger = {}
         ledger = self.ledger()
         ledger[name] = artifacts.Provenance(sha256, {i: ledger[i].sha256 for i in inputs}, self.settings[name][1])
         artifacts.write_ledger(self.path(artifacts.PROVENANCE), ledger)
@@ -313,18 +315,17 @@ def _settings(config: RunConfig) -> dict[str, tuple[str, dict]]:
     the config fields that shape it, as the ledger holds them. tau and rho
     shape only the maps and the linkage, so that map, link and report re-run
     under new ones reuse the rest, geometry.json included."""
-    periods = {name: list(years) for name, years in dataclasses.asdict(config.periods).items()}
-    vocabulary = {"periods": periods, "min_df": config.min_df}
-    thresholds = {"thresholds": dataclasses.asdict(config.thresholds), "gini_cells": config.gini_cells}
+    vocabulary = {"periods": encode(config.periods), "min_df": config.min_df}
+    thresholds = {"thresholds": encode(config.thresholds), "gini_cells": config.gini_cells}
     settings = {
         artifacts.CORPUS: ("ingest", {}),
-        artifacts.LOAD_REPORT: ("ingest", {"periods": periods}),
+        artifacts.LOAD_REPORT: ("ingest", {"periods": vocabulary["periods"]}),
         artifacts.TERMS: ("terms", {**vocabulary, **thresholds}),
         artifacts.LINKAGE: ("link", {"rho": config.rho}),
         artifacts.GEOMETRY: ("cluster", {}),
     }
     for period_id in PERIOD_IDS:
-        fit = {**dataclasses.asdict(config.cluster_config(period_id)), "weighting": config.weighting}
+        fit = {**encode(config.cluster_config(period_id)), "weighting": config.weighting}
         settings[artifacts.clusters_file(period_id)] = ("cluster", {**fit, "top_m": config.top_m, **vocabulary})
         settings[artifacts.map_json_file(period_id)] = ("map", {"tau": config.tau})
     return settings
@@ -349,7 +350,7 @@ def stage_ingest(run: Run) -> None:
         p2_docs=p2.n_docs,
         dropped_outside_periods=dropped_outside,
     )
-    report_digest = artifacts.write_json(dataclasses.asdict(report), run.path(artifacts.LOAD_REPORT))
+    report_digest = artifacts.write_json(report, run.path(artifacts.LOAD_REPORT))
     run.hand_on(artifacts.CORPUS, corpus_digest, record=(p1, p2))
     run.hand_on(artifacts.LOAD_REPORT, report_digest, record=report)
 
@@ -399,7 +400,7 @@ def stage_cluster(run: Run) -> None:
     # sys.version's first token is the one platform.python_version() parses
     versions = {"python": sys.version.split()[0], "numpy": numpy.__version__, "scipy": scipy.__version__}
     geometry = artifacts.Geometry(*periods, dots, versions)
-    sha256 = artifacts.write_json(dataclasses.asdict(geometry), run.path(artifacts.GEOMETRY))
+    sha256 = artifacts.write_json(geometry, run.path(artifacts.GEOMETRY))
     run.hand_on(artifacts.GEOMETRY, sha256, list(map(artifacts.clusters_file, PERIOD_IDS)), geometry)
 
 
@@ -437,7 +438,7 @@ def stage_report(run: Run) -> None:
         artifacts.write_svg(run.path(artifacts.map_svg_file(period_id)), cmap)
     artifacts.write_json(
         {
-            "config": dataclasses.asdict(run.config),
+            "config": encode(run.config),
             "input_sha256": input_sha256,
             "versions": {"diachron": __version__, **versions},
             "stages": run.config.stage_order(),

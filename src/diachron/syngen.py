@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import Record
 from .diffusion import (
@@ -29,7 +29,7 @@ from .diffusion import (
     CATEGORY_ESTABLISHED,
     CATEGORY_UNUSUAL,
 )
-from .errors import ConfigError
+from .errors import ConfigError, checked
 
 CATEGORY_UNPLANTED = "unplanted"
 
@@ -37,15 +37,15 @@ MIN_KEYWORDS = 4
 MAX_KEYWORDS = 8
 
 
-@dataclass(frozen=True)
-class Block:
+@checked
+class Block(NamedTuple):
     name: str
     vocab_size: int
     docs_p1: int = 0
     docs_p2: int = 0
     tag: str = ""
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if not self.name:
             raise ConfigError("block name must be non-empty")
         if self.vocab_size < MAX_KEYWORDS:
@@ -57,14 +57,14 @@ class Block:
             raise ConfigError(f"block {self.name!r} has negative doc counts")
 
 
-@dataclass(frozen=True)
-class BridgeSpec:
+@checked
+class BridgeSpec(NamedTuple):
     name: str
     members: tuple[str, ...]
     vocab_size: int
     draws_per_doc: int = 2
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if len(self.members) < 2:
             raise ConfigError(f"bridge {self.name!r} needs at least 2 member blocks")
         if self.vocab_size < self.draws_per_doc:
@@ -76,8 +76,8 @@ class BridgeSpec:
             raise ConfigError(f"bridge {self.name!r} draws_per_doc must be >= 1")
 
 
-@dataclass(frozen=True)
-class PlantSpec:
+@checked
+class PlantSpec(NamedTuple):
     blocks: tuple[Block, ...]
     shared_terms: int = 0
     novel_block: Block | None = None
@@ -87,7 +87,7 @@ class PlantSpec:
     p2_year: int = 2001
     bridges: tuple[BridgeSpec, ...] = ()
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if not self.blocks:
             raise ConfigError("need at least one block")
         names = [b.name for b in self.blocks]

@@ -9,9 +9,8 @@ from the matrix but stay in the slice, so idf keeps seeing the full corpus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -21,12 +20,11 @@ if TYPE_CHECKING:  # imported in build_matrix only: terms, map, link and report 
     import scipy.sparse as sp
 
 
-@dataclass(frozen=True)
-class DocTermMatrix:
+class DocTermMatrix(NamedTuple):
     """CSR matrix of unit-norm document vectors plus the row -> record id map."""
 
     period_id: str
-    matrix: sp.csr_matrix = field(repr=False)
+    matrix: sp.csr_matrix
     doc_ids: tuple[str, ...]
 
 
@@ -58,7 +56,7 @@ def build_matrix(
     indptr = np.cumsum([0, *map(len, rows)], dtype=np.int32)
     indices = np.fromiter(chain.from_iterable(rows), dtype=np.int32, count=indptr[-1])
     data = idf_vector(vocabulary)[indices] if weighting == "tfidf" else np.ones(indices.size)
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(len(rows), len(vocabulary)))
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(len(rows), len(vocabulary.terms)))
     matrix.sort_indices()
     matrix.eliminate_zeros()
     kept = np.diff(matrix.indptr) > 0

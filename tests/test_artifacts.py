@@ -1,7 +1,8 @@
-"""The JSON artifacts round-trip through their dataclasses.
+"""The JSON artifacts round-trip through their records, typing.NamedTuple
+classes that `errors.encode` writes as JSON objects.
 
-A cluster map and a load report, written as `artifacts.write_json` of
-`dataclasses.asdict` and read back by the strict decoder, equal the
+A cluster map and a load report, written by `artifacts.write_json`, which
+encodes them, and read back by the strict decoder, equal the
 originals, and writing what was read gives the same bytes. So does a
 linkage whose cosines have the 6 places that its file keeps, and so do a
 fitted period's clusters, whose top-term weights `summarize_clusters`
@@ -10,10 +11,10 @@ given the vocabulary, and the ledger, provenance.json, reads back what was
 written. `top_terms`, the one rule for a cluster's label and top terms,
 matches a plain sort. geometry.json reads back what was written, and its
 read checks the shapes against k, the finiteness of every product and
-each label against its top terms.
+each label against its top terms. Every JSON artifact of a `run`, read
+with its reader and written again through `write_json`, keeps its bytes.
 """
 
-import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -22,10 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diachron import artifacts, syngen
+from diachron import artifacts, pipeline, syngen
+from diachron.cli import main
 from diachron.cluster import fit_axial_kmeans, summarize_clusters
 from diachron.corpus import build_vocabulary, split_periods
-from diachron.errors import InputError
+from diachron.errors import InputError, decode, encode
 from diachron.mapping import ClusterMap
 from diachron.pipeline import ClusterConfig, PeriodSpec
 from diachron.vectorize import build_matrix
@@ -80,7 +82,7 @@ def test_written_artifacts_read_back_equal_and_rewrite_the_same_bytes(cmap, repo
         map_path, report_path = str(Path(tmp, "map_P1.json")), str(Path(tmp, "load_report.json"))
         linkage_path = str(Path(tmp, "linkage.json"))
         artifacts.write_map(map_path, cmap)
-        artifacts.write_json(dataclasses.asdict(report), report_path)
+        artifacts.write_json(report, report_path)
         artifacts.write_linkage(linkage_path, linkage)
         paths = map_path, report_path, linkage_path
         written = [Path(path).read_bytes() for path in paths]
@@ -93,7 +95,7 @@ def test_written_artifacts_read_back_equal_and_rewrite_the_same_bytes(cmap, repo
         assert linkage_read == linkage
 
         artifacts.write_map(map_path, map_read)
-        artifacts.write_json(dataclasses.asdict(report_read), report_path)
+        artifacts.write_json(report_read, report_path)
         artifacts.write_linkage(linkage_path, linkage_read)
         assert [Path(path).read_bytes() for path in paths] == written
 
@@ -194,7 +196,7 @@ def _geometry():
 def test_geometry_reads_back_what_was_written(tmp_path):
     path = str(tmp_path / "geometry.json")
     record = _geometry()
-    assert artifacts.write_json(dataclasses.asdict(record), path) == artifacts.sha256_file(path)
+    assert artifacts.write_json(record, path) == artifacts.sha256_file(path)
     assert artifacts.read_geometry(path, (2, 3)) == record
     assert artifacts.read_geometry(path, (2, 3), {"a", "c"}) == record  # link's read, with the vocabulary
 
@@ -225,8 +227,50 @@ def test_geometry_reads_back_what_was_written(tmp_path):
 )
 def test_read_geometry_checks_shapes_finiteness_and_labels(tmp_path, edit, ks, terms, message):
     path = tmp_path / "geometry.json"
-    data = json.loads(json.dumps(dataclasses.asdict(_geometry())))
+    data = json.loads(json.dumps(encode(_geometry())))
     edit(data)
     path.write_text(json.dumps(data).replace("Infinity", "1e999"), encoding="utf-8")
     with pytest.raises(InputError, match=f"malformed artifact .*geometry.json: .*{message}"):
         artifacts.read_geometry(str(path), ks, terms)
+
+
+@pytest.fixture(scope="module", params=["three-blocks", "diffusion-mix"])
+def preset_run(request, tmp_path_factory):
+    """The config and the output directory of a `run` on a preset's corpus."""
+    path = tmp_path_factory.mktemp(request.param)
+    assert main(["syngen", "--preset", request.param, "--seed", "2", "--out", str(path / "corpus")]) == 0
+    config = path / "config.json"
+    settings = {"periods": {"p1": [1996, 1998], "p2": [2001, 2003]}, "cluster": {"k": 4, "restarts": 2}}
+    config.write_text(json.dumps({"input": str(path / "corpus" / "corpus.jsonl"), **settings}), encoding="utf-8")
+    assert main(["run", "--config", str(config), "--out", str(path / "out")]) == 0
+    return pipeline.load_config(str(config)), path / "out"
+
+
+def _manifest(path):
+    manifest = artifacts.read_json(path)
+    return {**manifest, "config": decode(pipeline.RunConfig, manifest["config"])}
+
+
+# each JSON artifact's reader, given the run's config
+READERS = {
+    "load_report.json": lambda path, config: artifacts.read_artifact(path, artifacts.LoadReport),
+    "clusters_P1.json": lambda path, config: artifacts.read_clusters(path, "P1", 4, config.top_m),
+    "clusters_P2.json": lambda path, config: artifacts.read_clusters(path, "P2", 4, config.top_m),
+    "geometry.json": lambda path, config: artifacts.read_geometry(path, (4, 4)),
+    "map_P1.json": lambda path, config: artifacts.read_map(path, "P1"),
+    "map_P2.json": lambda path, config: artifacts.read_map(path, "P2"),
+    "linkage.json": lambda path, config: artifacts.read_linkage(path, 4),
+    "provenance.json": lambda path, config: artifacts.read_ledger(path, pipeline.Run(config, "").settings.keys()),
+    "run_manifest.json": lambda path, config: _manifest(path),
+}
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_a_json_artifact_of_a_run_rewrites_its_own_bytes(preset_run, tmp_path, name):
+    config, out = preset_run
+    record = READERS[name](str(out / name), config)
+    if isinstance(record, dict):  # the ledger and the manifest hold records in a dict
+        record = {key: encode(value) for key, value in record.items()}
+    path = tmp_path / name
+    assert artifacts.write_json(encode(record), str(path)) == artifacts.sha256_file(str(out / name))
+    assert path.read_bytes() == (out / name).read_bytes()

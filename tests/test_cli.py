@@ -9,7 +9,6 @@ script.
 import ast
 import contextlib
 import csv
-import dataclasses
 import errno
 import io
 import itertools
@@ -23,6 +22,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy
 import pytest
@@ -34,7 +34,7 @@ import diachron
 from diachron import artifacts, diffusion, pipeline, syngen
 from diachron.cli import main
 from diachron.corpus import Record, load_corpus, save_corpus
-from diachron.errors import ConfigError, InputError, decode
+from diachron.errors import ConfigError, InputError, decode, encode
 
 from oracles import cluster_map_from_axes, cross_table_from_clusters, link_periods_from_axes
 
@@ -185,7 +185,7 @@ def _ingest_changed_corpus(corpus_dir, tmp_path, out, change, **overrides):
     if change == "new-vocabulary":
         records += [Record(f"zz{i}", 2002, ("brand new",)) for i in range(2)]
     else:  # the same vocabulary from other bytes
-        records[0] = dataclasses.replace(records[0], title="a changed title")
+        records[0] = records[0]._replace(title="a changed title")
     other_dir = tmp_path / "other"
     other_dir.mkdir()
     save_corpus(records, str(other_dir / "corpus.jsonl"))
@@ -233,7 +233,7 @@ class TestSyngenCommand:
     def test_spec_file_matches_library_output(self, tmp_path):
         spec = _small_spec(seed=21)
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(dataclasses.asdict(spec)), encoding="utf-8")
+        spec_path.write_text(json.dumps(encode(spec)), encoding="utf-8")
         out = tmp_path / "generated"
         assert main(["syngen", "--spec", str(spec_path), "--out", str(out)]) == 0
 
@@ -244,7 +244,7 @@ class TestSyngenCommand:
 
     def test_seed_flag_overrides_spec_seed(self, tmp_path):
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(dataclasses.asdict(_small_spec(seed=21))), encoding="utf-8")
+        spec_path.write_text(json.dumps(encode(_small_spec(seed=21))), encoding="utf-8")
         out = tmp_path / "generated"
         assert main(["syngen", "--spec", str(spec_path), "--out", str(out), "--seed", "9"]) == 0
         assert artifacts.read_json(str(out / "truth.json"))["seed"] == 9
@@ -256,7 +256,7 @@ class TestSyngenCommand:
 
     def test_negative_seed_exits_2_without_output(self, tmp_path, capsys):
         # random.Random(-3) is random.Random(3): a negative seed would copy seed 3's corpus
-        spec = dataclasses.asdict(_small_spec(seed=21))
+        spec = encode(_small_spec(seed=21))
         (tmp_path / "good.json").write_text(json.dumps(spec), encoding="utf-8")
         (tmp_path / "bad.json").write_text(json.dumps(spec | {"seed": -3}), encoding="utf-8")
         for argv in (
@@ -379,8 +379,8 @@ class TestRunCommand:
     def test_manifest_echoes_the_config_file_with_overrides(self, corpus_dir, tmp_path):
         data = {
             "input": str(corpus_dir / "corpus.csv"),
-            "format": "jsonl",
             "periods": {"p1": [1995, 1998], "p2": [2000, 2003]},
+            "format": "jsonl",
             "min_df": 3,
             "weighting": "binary",
             "thresholds": {"df_high_quantile": 0.7, "gini_low_quantile": 0.3, "novelty_share": 0.75},
@@ -399,7 +399,7 @@ class TestRunCommand:
         echo = artifacts.read_json(str(out / "run_manifest.json"))["config"]
         assert list(echo) == list(data)
         assert list(echo["cluster"]) == list(data["cluster"])
-        expected = dataclasses.replace(pipeline.load_config(str(config)), seed=5, format="csv")
+        expected = pipeline.load_config(str(config))._replace(seed=5, format="csv")
         assert pipeline.config_from_dict(echo) == expected
 
     def test_format_flag_overrides_config_format(self, corpus_dir, tmp_path):
@@ -687,7 +687,8 @@ class TestStageSequencing:
         rc = main([stage, "--config", str(other_config), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 3
-        # the new ingest started a new ledger; link reads terms.csv, stale too, first
+        # the new ingest, of another corpus.jsonl, started a new ledger; link reads
+        # terms.csv, stale too, first
         stale = "terms.csv" if stage == "link" else "clusters_P1.json"
         assert f"stale artifact {stale}: provenance.json holds no record of it" in err
         assert dir_hashes(out) == before
@@ -1434,6 +1435,31 @@ class TestProvenance:
         assert main(["run", "--config", str(config(path)), "--out", str(path / "out")]) == 0
         return config, path / "out"
 
+    def test_a_reingest_of_the_same_input_keeps_the_ledger(self, run_dir, tmp_path):
+        config, source = run_dir
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        before = dir_hashes(out)
+        for stage in ("ingest", "map", "link", "report"):
+            assert main([stage, "--config", str(config), "--out", str(out)]) == 0, stage
+        assert dir_hashes(out) == before  # the same bytes, provenance.json's too
+
+    @pytest.mark.parametrize("damage", ["truncated", "foreign-input"])
+    def test_a_run_over_a_damaged_ledger_starts_it_anew(self, run_dir, tmp_path, damage):
+        config, source = run_dir
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        ledger = out / "provenance.json"
+        if damage == "truncated":
+            ledger.write_bytes(ledger.read_bytes()[:100])
+        else:  # a record naming an input that no stage writes
+            data = json.loads(ledger.read_text(encoding="utf-8"))
+            data["terms.csv"]["inputs"]["notes.txt"] = "0" * 64
+            ledger.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert dir_hashes(out) == dir_hashes(source)
+        assert main(["map", "--config", str(config), "--out", str(out)]) == 0
+
     @pytest.mark.parametrize("stage", ["link", "report"])
     def test_edited_term_thresholds_make_terms_csv_stale(self, three_blocks, tmp_path, capsys, stage):
         config, source = three_blocks
@@ -1723,13 +1749,16 @@ class TestErrorExits:
         assert rc == 2
         assert "--threads" in capsys.readouterr().err
 
-    def test_out_of_range_seed_flag_exits_2(self, corpus_dir, tmp_path):
-        config = write_config(tmp_path, corpus_dir / "corpus.jsonl")
-        rc = main([
-            "run", "--config", str(config), "--out", str(tmp_path / "out"),
-            "--seed", str(2**64),
-        ])
-        assert rc == 2
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("command", ["run", "map"])
+    def test_out_of_range_seed_flag_exits_2(self, run_dir, tmp_path, capsys, command, seed):
+        config, source = run_dir
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        before = dir_hashes(out)
+        assert main([command, "--config", str(config), "--out", str(out), "--seed", str(seed)]) == 2
+        assert f"seed must be an unsigned 64-bit integer, got {seed}" in capsys.readouterr().err
+        assert dir_hashes(out) == before
 
     def test_unknown_format_flag_is_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -1808,7 +1837,7 @@ FULL_CONFIG = {
     "top_m": 10,
     "gini_cells": "categories",
 }
-FULL_SPEC = json.loads(json.dumps(dataclasses.asdict(syngen.PlantSpec(
+FULL_SPEC = json.loads(json.dumps(encode(syngen.PlantSpec(
     blocks=(
         syngen.Block("alpha", vocab_size=12, docs_p1=3, docs_p2=3, tag="modeling"),
         syngen.Block("beta", vocab_size=12, docs_p1=3, docs_p2=3),
@@ -1827,8 +1856,7 @@ json_values = st.recursive(
 )
 
 
-@dataclasses.dataclass(frozen=True)
-class _Pair:
+class _Pair(NamedTuple):
     pair: tuple[int, float]
 
 
@@ -1997,7 +2025,7 @@ class TestPackageImport:
             "numpy", "scipy", "concurrent.futures", "diachron.syngen",
             "diachron.cluster", "diachron.diachrony", "diachron.vectorize",
             "diachron.corpus", "diachron.diffusion", "platform", "html",
-            "importlib.metadata", "email", "hashlib",
+            "importlib.metadata", "email", "hashlib", "dataclasses", "inspect",
         )
         code = (
             "import sys\n"
@@ -2012,18 +2040,28 @@ class TestPackageImport:
         # floats, and report takes the numpy and scipy versions the fit recorded
         # there, so none of the three loads numpy, scipy or a module of the fit
         # or the vectorizer; no stage loads `platform` or `html` itself (numpy's
-        # own import loads `platform`), and none loads importlib.metadata or
-        # `email`, which it imports. map, link and report parse no corpus, and
-        # map and report read no terms.csv, so they load neither corpus nor
-        # diffusion. Every stage checks the sha256 of what it reads, so every
-        # stage loads hashlib
-        terms = ["diachron.corpus", "diachron.diffusion", "diachron.vectorize", "hashlib", "numpy", "platform"]
+        # own import loads `platform` and `inspect`), and none loads
+        # importlib.metadata or `email`, which scipy imports. map, link and
+        # report parse no corpus, and map and report read no terms.csv, so they
+        # load neither corpus nor diffusion. Every stage checks the sha256 of
+        # what it reads or writes, so every stage loads hashlib. The records are
+        # NamedTuples, so no stage loads `dataclasses` itself: only cluster and
+        # run do, through scipy.sparse. A re-ingest of the same input keeps
+        # every artifact's bytes
+        terms = ["diachron.corpus", "diachron.diffusion", "diachron.vectorize", "hashlib", "inspect", "numpy", "platform"]
+        fit = [
+            "concurrent.futures", "dataclasses", "diachron.cluster", "diachron.corpus", "diachron.vectorize",
+            "email", "hashlib", "importlib.metadata", "inspect", "numpy", "platform", "scipy",
+        ]
         for gini_cells, stages in (
             ("categories", (
+                ("ingest", ["diachron.corpus", "hashlib"]),
                 ("terms", terms),
+                ("cluster", fit),
                 ("map", ["hashlib"]),
                 ("link", ["diachron.diachrony", "diachron.diffusion", "hashlib"]),
                 ("report", ["hashlib"]),
+                ("run", sorted([*fit, "diachron.diachrony", "diachron.diffusion"])),
             )),
             ("clusters", (("terms", terms),)),
         ):

@@ -250,7 +250,7 @@ def test_gini_column_matches_per_record_counts(data, by_cluster):
 
     tallied = {r.id: r.categories or (UNCATEGORIZED_CELL,) for r in records} if cells is None else cells
     labels = sorted({c for cs in tallied.values() for c in cs})
-    counts = np.zeros((len(vocab), len(labels)))
+    counts = np.zeros((len(vocab.terms), len(labels)))
     for rec in records:
         for term in rec.keywords:
             if term in vocab.index:

@@ -1,9 +1,8 @@
 import json
-from dataclasses import asdict
 
 import pytest
 
-from diachron.errors import ConfigError, decode
+from diachron.errors import ConfigError, decode, encode
 from diachron.syngen import (
     CATEGORY_UNPLANTED,
     MAX_KEYWORDS,
@@ -246,11 +245,11 @@ class TestSpecDictRoundTrip:
             novel_block=Block("delta", vocab_size=10, docs_p1=0, docs_p2=20, tag="fresh"),
             bridges=(BridgeSpec("hub", members=("alpha", "beta"), vocab_size=8),),
         )
-        assert decode(PlantSpec, asdict(spec)) == spec
+        assert decode(PlantSpec, encode(spec)) == spec
 
     def test_round_trip_survives_json(self):
         spec = _two_block_spec()
-        data = json.loads(json.dumps(asdict(spec)))
+        data = json.loads(json.dumps(encode(spec)))
         assert decode(PlantSpec, data) == spec
 
     def test_malformed_block_rejected(self):
@@ -258,7 +257,7 @@ class TestSpecDictRoundTrip:
             decode(PlantSpec, {"blocks": [{"vocab_size": 12}]})
 
     def test_spec_novel_block_with_first_period_docs_rejected(self):
-        data = asdict(_two_block_spec())
+        data = encode(_two_block_spec())
         data["novel_block"] = {"name": "delta", "vocab_size": 10, "docs_p1": 5, "docs_p2": 20}
         with pytest.raises(ConfigError, match="first-period docs"):
             decode(PlantSpec, data)
@@ -268,7 +267,7 @@ class TestSpecDictRoundTrip:
     )
     def test_presets_round_trip_through_json(self, name):
         spec = preset(name, seed=7)
-        assert decode(PlantSpec, json.loads(json.dumps(asdict(spec)))) == spec
+        assert decode(PlantSpec, json.loads(json.dumps(encode(spec)))) == spec
 
 
 class TestPresets:

@@ -148,7 +148,7 @@ class TestBuildMatrix:
         dtm = build_matrix(slices[0], vocab, "tfidf")
         assert dtm.doc_ids == ("p1-a",)
         assert _dropped(slices[0], dtm) == ("p1-b",)
-        assert dtm.matrix.shape == (1, len(vocab))
+        assert dtm.matrix.shape == (1, len(vocab.terms))
         row = dtm.matrix.getrow(0).toarray().ravel()
         assert row[vocab.index["common"]] == 0.0
         assert row[vocab.index["x"]] == 1.0
@@ -294,7 +294,7 @@ def test_build_matrix_is_bitwise_equal_to_per_record_reference(data, min_df):
             assert dtm.doc_ids == tuple(doc_ids)
             assert _dropped(slice_, dtm) == tuple(dropped)
             m = dtm.matrix
-            assert m.shape == (len(rows), len(vocab))
+            assert m.shape == (len(rows), len(vocab.terms))
             got = [
                 list(zip(m.indices[a:b].tolist(), m.data[a:b].tolist()))
                 for a, b in zip(m.indptr[:-1], m.indptr[1:])
