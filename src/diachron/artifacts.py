@@ -6,9 +6,10 @@ dict key order is fixed by construction, CSV fields use pinned decimal
 formats, and every file is written through `atomic_open`, which hashes the
 bytes as it writes them. Cluster files carry the full-precision axes, so a
 later stage reads back the exact clusters, and geometry.json what map,
-link and report take from a fit. The readers here check a file's own
-content; provenance.json, the ledger that `pipeline.Run` keeps, says which
-artifacts and config fields each file was built from.
+link and report take from a fit, whose products `cosine` turns into
+cosines. The readers here check a file's own content; provenance.json, the
+ledger that `pipeline.Run` keeps, says which artifacts and config fields
+each file was built from.
 """
 
 from __future__ import annotations
@@ -19,14 +20,15 @@ import hashlib
 import heapq
 import io
 import json
+import math
 import os
 from typing import TYPE_CHECKING, Literal, NamedTuple, get_args
 
 from .errors import ConfigError, InputError, checked, decode, encode
-from .mapping import ClusterMap, render_svg
 
-if TYPE_CHECKING:  # annotations only: diachrony imports from here
+if TYPE_CHECKING:  # annotations only: diachrony imports from here, and link never loads mapping
     from .diachrony import CrossTab
+    from .mapping import ClusterMap
 
 LOAD_REPORT = "load_report.json"
 CORPUS = "corpus.jsonl"
@@ -121,6 +123,14 @@ class Geometry(NamedTuple):
     p2: PeriodGeometry
     dot: tuple[tuple[float, ...], ...]
     versions: dict
+
+
+def cosine(ab: float, aa: float, bb: float) -> float:
+    """The cosine of rows a and b from their dot products, at most 1.0 and
+    0.0 for a zero row. Equal rows give exactly 1.0, since sqrt(g * g) is g
+    unless g * g overflows or underflows."""
+    norms = math.sqrt(aa * bb)
+    return min(1.0, ab / norms) if norms > 0.0 else 0.0
 
 
 class Provenance(NamedTuple):
@@ -338,6 +348,8 @@ def write_map(path: str, cmap: ClusterMap) -> str:
 
 def read_map(path: str, period_id: str) -> ClusterMap:
     """The map of `period_id` in `path`."""
+    from .mapping import ClusterMap
+
     cmap = read_artifact(path, ClusterMap)
     check_built_with(os.path.basename(path), "period_id", cmap.period_id, period_id, "map")
     return cmap
@@ -353,6 +365,8 @@ def read_linkage(path: str, k: int) -> Linkage:
 
 
 def write_svg(path: str, cmap: ClusterMap) -> None:
+    from .mapping import render_svg
+
     with atomic_open(path) as (fh, _):
         fh.write(render_svg(cmap))
 

@@ -4,7 +4,9 @@ One JSON config drives every subcommand. A stage command reads earlier
 artifacts from the output directory, and `run` hands them from stage to
 stage in memory; the two give byte-identical results. Exit codes: 0 success, 2 config error, 3 input
 error, 4 numeric failure, 5 I/O error. Set DIACHRON_LOG to debug, info,
-warning (or warn), or error, in any case, to control logging.
+warning (or warn), or error, in any case, to control logging. diachron logs
+at INFO only, each stage's time and syngen's record count, so debug adds
+nothing, and a call loads Python's `logging` only at those two levels.
 
 `entry` is the one process entry: the `diachron` console script and
 `python -m diachron.cli` both call it. In-process callers call `main`,
@@ -22,7 +24,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import gc
-import logging
 import sys
 from typing import NoReturn
 
@@ -30,13 +31,7 @@ from . import artifacts
 from .errors import ConfigError, InputError, NumericError, decode, read_json_object
 from .pipeline import FORMATS, STAGES, load_config, run_stages
 
-LOG_LEVELS = {
-    "error": logging.ERROR,
-    "warning": logging.WARNING,
-    "warn": logging.WARNING,
-    "info": logging.INFO,
-    "debug": logging.DEBUG,
-}
+LOG_LEVELS = ("debug", "info", "warning", "warn", "error")
 
 
 def _usable_cpus() -> int:
@@ -74,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_syngen(args) -> None:
+def _cmd_syngen(args, info) -> None:
     from . import syngen  # here, so that the pipeline commands do not load it
     from .corpus import save_corpus
 
@@ -88,29 +83,34 @@ def _cmd_syngen(args) -> None:
     os.makedirs(args.out, exist_ok=True)
     save_corpus(records, os.path.join(args.out, artifacts.CORPUS))
     artifacts.write_json(truth, os.path.join(args.out, artifacts.TRUTH))
-    logging.getLogger("diachron").info(
-        "wrote %d records to %s", len(records), args.out
-    )
+    if info:
+        info("wrote %d records to %s", len(records), args.out)
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = LOG_LEVELS.get(os.environ.get("DIACHRON_LOG", "warn").lower())
-    if level is None:
+    level = os.environ.get("DIACHRON_LOG", "warn").lower()
+    if level not in LOG_LEVELS:
         print(
             "diachron: error: DIACHRON_LOG must be one of debug, info, warning "
             "(or warn), error",
             file=sys.stderr,
         )
         return 2
-    # basicConfig adds the stderr handler only while the root logger has none,
-    # so the level is set on every call, on the program's own logger
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    logging.getLogger("diachron").setLevel(level)
+    info = None  # at warning and error, which show none of diachron's records
+    if level in ("debug", "info"):
+        import logging
+
+        # basicConfig adds the stderr handler only while the root logger has none,
+        # so the level is set on every call, on the program's own logger
+        logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+        logger = logging.getLogger("diachron")
+        logger.setLevel(level.upper())
+        info = logger.info
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "syngen":
-            _cmd_syngen(args)
+            _cmd_syngen(args, info)
         else:
             config = load_config(args.config)
             if args.seed is not None:
@@ -121,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
             if threads < 1:
                 raise ConfigError(f"--threads must be >= 1, got {threads}")
             names = config.stage_order() if args.command == "run" else [args.command]
-            run_stages(names, config, args.out, threads=threads)
+            run_stages(names, config, args.out, threads=threads, log=info)
     except ConfigError as exc:
         print(f"diachron: config error: {exc}", file=sys.stderr)
         return 2

@@ -18,9 +18,8 @@ from collections import Counter
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .artifacts import STATUS_NEW, STATUS_ROOTED, ClusterLink, Linkage
+from .artifacts import STATUS_NEW, STATUS_ROOTED, ClusterLink, Linkage, cosine
 from .diffusion import CATEGORIES, TermStats
-from .mapping import cosine
 
 
 class CrossTab(NamedTuple):

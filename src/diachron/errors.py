@@ -60,13 +60,22 @@ def checked(record):
 
 
 def encode(value):
-    """`value` as JSON holds it, the inverse of `decode`: a record, which json
-    would write as an array, becomes an object of its fields and a tuple an array,
-    their items encoded in turn; a list, a dict or a leaf is taken as it is."""
+    """`value` as json writes it, the inverse of `decode`: a record, which json
+    would write as an array, becomes an object of its fields and a tuple an
+    array, encoded in turn where their type can hold a record; any other
+    tuple, which json writes as an array, a list, a dict or a leaf is kept."""
     if not isinstance(value, tuple):
         return value
-    items = [encode(v) for v in value]
-    return dict(zip(value._fields, items)) if hasattr(value, "_fields") else items
+    if not hasattr(value, "_fields"):
+        return [encode(v) for v in value]
+    types = _type_hints(type(value))
+    return {name: encode(v) if _holds_record(types[name]) else v for name, v in zip(value._fields, value)}
+
+
+@functools.cache
+def _holds_record(tp) -> bool:
+    """Whether a value of the type `tp` can be a record or hold one."""
+    return hasattr(tp, "_fields") or any(map(_holds_record, typing.get_args(tp)))
 
 
 def decode(cls, data, where=""):

@@ -4,18 +4,21 @@ The k cluster axes are sparse points in term space, dicts of term -> weight
 as the cluster files store them. The cluster stage computes their k x k
 Gram matrix once, exactly, for geometry.json: each entry is the correctly
 rounded sum (math.fsum) of the products over the terms two axes share. A
-map takes that matrix; its edges are its cosines. The PCA takes the top
+map takes that matrix; its edges are its cosines (`artifacts.cosine`,
+which link shares without this module). The PCA takes the top two
 eigenpairs of its double-centered form, the Gram matrix of the
 mean-centered axes over k: a unit eigenvector u with eigenvalue lam gives
 the projections sqrt(k * lam) * u onto that principal direction, and they
 are mean-centered, since the all-ones vector is a 0-eigenvector.
 
 The eigenpairs come from Householder tridiagonalization and implicit QL
-(EISPACK's tred2 and tql2) on Python floats in a fixed order, with only +,
+(EISPACK's tred1 and tql1) on Python floats in a fixed order, with only +,
 -, *, /, math.sqrt and math.fsum, which are correctly rounded everywhere.
-No BLAS or LAPACK is used, so the bytes do not depend on the CPU kernel
-those would pick. The source paper uses power iteration; on a k x k matrix
-the direct solver gives the same pairs to rounding.
+QL rotates no vectors but records its rotations, from which, with the
+reflectors (trbak1), the two wanted vectors are rebuilt: only the reduction
+is O(k^3). No BLAS or LAPACK is used, so the bytes do not depend on the CPU
+kernel those would pick. The source paper uses power iteration; on a k x k
+matrix the direct solver gives the same pairs to rounding.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .artifacts import cosine
 from .errors import NumericError, checked
 
 SVG_WIDTH = 1000
@@ -65,14 +69,6 @@ def dot(a: Axis, b: Axis) -> float:
     return math.fsum([a[t] * b[t] for t in a.keys() & b.keys()])
 
 
-def cosine(ab: float, aa: float, bb: float) -> float:
-    """The cosine of rows a and b from their dot products, at most 1.0 and
-    0.0 for a zero row. Equal rows give exactly 1.0, since sqrt(g * g) is g
-    unless g * g overflows or underflows."""
-    norms = math.sqrt(aa * bb)
-    return min(1.0, ab / norms) if norms > 0.0 else 0.0
-
-
 def gram_matrix(axes: list[Axis]) -> Matrix:
     """The exact k x k Gram matrix of k sparse rows."""
     k = len(axes)
@@ -83,14 +79,12 @@ def gram_matrix(axes: list[Axis]) -> Matrix:
     return gram
 
 
-def symmetric_eigenpairs(S: Matrix) -> tuple[list[float], Matrix]:
-    """Every eigenpair of the symmetric matrix S (a list of rows), eigenvalues
-    ascending, the i-th eigenvector (unit length) for the i-th eigenvalue.
-
-    Householder reduction to tridiagonal form, then implicit QL with
-    Wilkinson shifts: EISPACK's tred2 and tql2, in the loop order of JAMA's
-    public-domain translation, with sqrt(p * p + q * q) in place of hypot.
-    """
+def leading_eigenpairs(S: Matrix, count: int) -> tuple[list[float], Matrix]:
+    """The `count` largest eigenvalues of the symmetric matrix S (a list of
+    rows), descending, and a unit eigenvector for each: EISPACK's tred1, tql1
+    and trbak1 in the loop order of JAMA's public-domain tred2 and tql2, with
+    sqrt(p * p + q * q) in place of hypot. Each wanted vector is a unit vector
+    with QL's rotations replayed on it, last first, then the reflectors."""
     n = len(S)
     V = [list(map(float, row)) for row in S]
     d, e = V[n - 1][:], [0.0] * n
@@ -121,19 +115,12 @@ def symmetric_eigenpairs(S: Matrix) -> tuple[list[float], Matrix]:
                     V[k][j] -= f * e[k] + g * d[k]
                 d[j], V[i][j] = V[i - 1][j], 0.0
         d[i] = h
-    for i in range(n - 1):  # accumulate the transformations
-        V[n - 1][i], V[i][i], h = V[i][i], 1.0, d[i + 1]
-        if h != 0.0:
-            d[: i + 1] = [V[k][i + 1] / h for k in range(i + 1)]
-            for j in range(i + 1):
-                g = math.fsum([V[k][i + 1] * V[k][j] for k in range(i + 1)])
-                for k in range(i + 1):
-                    V[k][j] -= g * d[k]
-        for k in range(i + 1):
-            V[k][i + 1] = 0.0
-    d, V[n - 1] = V[n - 1][:], [0.0] * (n - 1) + [1.0]
-    Z = [list(column) for column in zip(*V)]  # Z[i] is the i-th eigenvector
+    # row m's reflector is I - u u^T / h on the first m coordinates, with u
+    # column m above the diagonal and h = d[m]; h = 0 is the identity
+    reflectors = [([row[m] for row in V[:m]], d[m]) for m in range(1, n) if d[m] != 0.0]
+    d = [V[i][i] for i in range(n)]
     e, f, tst1 = e[1:] + [0.0], 0.0, 0.0  # implicit QL on the tridiagonal (d, e)
+    rotations = []  # (i, c, s): each rotation of coordinates i and i + 1, in order
     for l in range(n):
         tst1 = max(tst1, abs(d[l]) + abs(e[l]))
         m = l
@@ -149,22 +136,31 @@ def symmetric_eigenpairs(S: Matrix) -> tuple[list[float], Matrix]:
             d[l + 2 :] = [x - h for x in d[l + 2 :]]
             f += h
             p, c, c2, c3, el1, s, s2 = d[m], 1.0, 1.0, 1.0, e[l + 1], 0.0, 0.0
-            for i in range(m - 1, l - 1, -1):  # chase the bulge up, rotating Z alike
+            for i in range(m - 1, l - 1, -1):  # chase the bulge up
                 c3, c2, s2 = c2, c, s
                 g, h, r = c * e[i], c * p, math.sqrt(p * p + e[i] * e[i])
                 e[i + 1], s, c = s * r, e[i] / r, p / r
                 p = c * d[i] - s * g
                 d[i + 1] = h + s * (c * g + s * d[i])
-                zi, zj = Z[i], Z[i + 1]
-                Z[i] = [c * a - s * b for a, b in zip(zi, zj)]
-                Z[i + 1] = [s * a + c * b for a, b in zip(zi, zj)]
+                rotations.append((i, c, s))
             p = -s * s2 * c3 * el1 * e[l] / dl1
             e[l], d[l] = s * p, c * p
         if abs(e[l]) > EPS * tst1:
             raise NumericError("the symmetric eigensolver did not converge")
         d[l], e[l] = d[l] + f, 0.0
-    order = sorted(range(n), key=d.__getitem__)
-    return [d[i] for i in order], [Z[i] for i in order]
+    wanted = sorted(range(n), key=d.__getitem__)[::-1][:count]  # ties: the later index first
+    rotations.reverse()
+    vectors = []
+    for j in wanted:
+        w = [0.0] * n
+        w[j] = 1.0
+        for i, c, s in rotations:
+            w[i], w[i + 1] = c * w[i] + s * w[i + 1], c * w[i + 1] - s * w[i]
+        for u, h in reflectors:  # row 1's first, row n - 1's last
+            g = math.fsum([x * y for x, y in zip(u, w)]) / h
+            w[: len(u)] = [x - g * y for x, y in zip(w, u)]
+        vectors.append(w)
+    return [d[j] for j in wanted], vectors
 
 
 def pca_2d(gram: Matrix) -> tuple[tuple[tuple[float, float], ...], tuple[float, float], float]:
@@ -192,14 +188,14 @@ def pca_2d(gram: Matrix) -> tuple[tuple[tuple[float, float], ...], tuple[float, 
     zero = 4.0 * EPS * math.fsum(gram[i][i] for i in range(k)) / k
     if max(abs(x) for row in centered for x in row) <= zero:
         return ((0.0, 0.0),) * k, (0.0, 0.0), 1.0
-    vals, vecs = symmetric_eigenpairs(centered)
+    vals, vecs = leading_eigenpairs(centered, 2)
     # the centered Gram is PSD, so negatives are roundoff; so is a value
     # under a few k * eps * lam1, or under the entries' roundoff
-    floor = max(4.0 * k * EPS * vals[-1], k * zero)
+    floor = max(4.0 * k * EPS * vals[0], k * zero)
     lams, columns = [], []
-    for j in (k - 1, k - 2):
-        lam = vals[j] if vals[j] > floor else 0.0
-        col = [math.sqrt(k * lam) * u for u in vecs[j]] if lam else [0.0] * k
+    for val, vec in zip(vals, vecs):
+        lam = val if val > floor else 0.0
+        col = [math.sqrt(k * lam) * u for u in vec] if lam else [0.0] * k
         lams.append(lam)
         columns.append([-x for x in col] if max(col, key=abs) < 0.0 else col)
     explained = min(1.0, (lams[0] + lams[1]) / total) if total > zero else 1.0

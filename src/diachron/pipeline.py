@@ -20,7 +20,7 @@ routines under them take them as given. The config records live here,
 and each stage imports the modules of its own work: map, link and report
 load neither numpy nor scipy (their arithmetic is in Python floats, and the
 versions come from the fit), map and report neither corpus nor diffusion,
-and only cluster loads scipy.
+link not the map code, and only cluster loads scipy.
 
 The terms stage runs before clustering when dispersion cells come from
 record categories, and after it when cells are the period clusters
@@ -30,7 +30,7 @@ themselves; the canonical stage list in the manifest reflects that.
 from __future__ import annotations
 
 import contextlib
-import logging
+import json
 import os
 import sys
 import time
@@ -38,14 +38,12 @@ from typing import TYPE_CHECKING, Literal, NamedTuple, get_args
 
 from . import __version__, artifacts
 from .errors import ConfigError, InputError, checked, decode, encode, read_json_object
-from .mapping import ClusterMap, build_cluster_map, dot, gram_matrix
 from .seeding import derive_seed
 
 if TYPE_CHECKING:  # imported in the stages and Run methods that use them
     from .corpus import CorpusSlice, Vocabulary
     from .diffusion import TermStats
-
-log = logging.getLogger("diachron")
+    from .mapping import ClusterMap
 
 PERIOD_IDS = ("P1", "P2")
 Format = Literal["jsonl", "csv"]
@@ -328,7 +326,8 @@ def _settings(config: RunConfig) -> dict[str, tuple[str, dict]]:
         fit = {**encode(config.cluster_config(period_id)), "weighting": config.weighting}
         settings[artifacts.clusters_file(period_id)] = ("cluster", {**fit, "top_m": config.top_m, **vocabulary})
         settings[artifacts.map_json_file(period_id)] = ("map", {"tau": config.tau})
-    return settings
+    # as the ledger reads them back: `encode` leaves a tuple, which json writes as an array
+    return {name: (producer, json.loads(json.dumps(fields))) for name, (producer, fields) in settings.items()}
 
 
 def stage_ingest(run: Run) -> None:
@@ -373,6 +372,7 @@ def stage_cluster(run: Run) -> None:
     import scipy
 
     from .cluster import fit_axial_kmeans, summarize_clusters
+    from .mapping import dot, gram_matrix
     from .vectorize import build_matrix
 
     config = run.config
@@ -405,6 +405,8 @@ def stage_cluster(run: Run) -> None:
 
 
 def stage_map(run: Run) -> None:
+    from .mapping import build_cluster_map
+
     geometry = run.geometry()
     for period_id, period in zip(PERIOD_IDS, (geometry.p1, geometry.p2)):
         cmap = build_cluster_map(period_id, period.gram, run.config.tau, period.labels, period.sizes)
@@ -457,9 +459,10 @@ STAGES = {
 }
 
 
-def run_stages(names: list[str], config: RunConfig, out: str, threads: int = 1) -> None:
+def run_stages(names: list[str], config: RunConfig, out: str, threads: int = 1, log=None) -> None:
     """Run stages in order; on failure, remove the files this invocation
-    created, and `out` too if it created it and it is left empty."""
+    created, and `out` too if it created it and it is left empty. `log`,
+    unless None, takes each stage's timing, as a logger's `info` does."""
     created = not os.path.exists(out)
     os.makedirs(out, exist_ok=True)
     before = set(os.listdir(out))
@@ -469,7 +472,8 @@ def run_stages(names: list[str], config: RunConfig, out: str, threads: int = 1) 
         for name in names:
             start = time.perf_counter()
             STAGES[name](run)
-            log.info("stage %s finished in %.2fs", name, time.perf_counter() - start)
+            if log:
+                log("stage %s finished in %.2fs", name, time.perf_counter() - start)
     except BaseException:
         for entry in set(os.listdir(out)) - before:
             with contextlib.suppress(OSError):
@@ -478,4 +482,5 @@ def run_stages(names: list[str], config: RunConfig, out: str, threads: int = 1) 
             with contextlib.suppress(OSError):  # rmdir removes only an empty directory
                 os.rmdir(out)
         raise
-    log.info("%d stage(s) finished in %.2fs", len(names), time.perf_counter() - begin)
+    if log:
+        log("%d stage(s) finished in %.2fs", len(names), time.perf_counter() - begin)

@@ -37,7 +37,7 @@ from diachron.diffusion import (
     _gini_rows,
     classify_terms,
 )
-from diachron.mapping import build_cluster_map, gram_matrix, pca_2d, symmetric_eigenpairs
+from diachron.mapping import build_cluster_map, gram_matrix, leading_eigenpairs, pca_2d
 from diachron.pipeline import ClusterConfig, DiffusionThresholds, PeriodSpec
 from diachron.seeding import derive_seed
 from diachron.vectorize import DocTermMatrix, build_matrix
@@ -161,11 +161,11 @@ PINNED_SHA256 = {
         "geometry.json": "58577ce2a73c86cedd2d9f512b1192a8c609f9c34f1ca0d61d77dc4277a1d86f",
         "linkage.json": "e2023af23412fb0fe0dfa2f1655a8c969e80fbea0d1d116fe3dc5b03138fc542",
         "load_report.json": "a8ea5f5c4f82e3d1019f9e5501ae0460c279926c2bf9e4ee8ed412a507ea6df8",
-        "map_P1.json": "3677ec68d7c27b74025f3f1780abc477e374fcb6b021aca7ddcdc2d44b2a48a3",
+        "map_P1.json": "ccd398030ca7b9a7c18d0803d98043afd0da196415fc831bde7e1ef1928de873",
         "map_P1.svg": "cba3bb393f7c50f07ad7c5ee7ae29e9a27bff82b5d7a1fba0780dd1f733a042a",
-        "map_P2.json": "188b0b9761e25a29f239a642f1958ee8247309e31260f36668ceb15d5ee4df60",
+        "map_P2.json": "c7824de2c26889f83ea84aac043c282dc142c37f50d9fe272e1f5ef18d8fd380",
         "map_P2.svg": "508b5fbbf5b66f60db0c3881976a2823dceb04d83b21ffc1f26eebf453c8a97e",
-        "provenance.json": "cbf04993d3aaa186e7230c4c662885883f2a111d3b6aab28893b1403c3c2b8e8",
+        "provenance.json": "70232300cd75b9e1b08cb0175300addf6ac77097e167234909e33b97c3934f16",
         "terms.csv": "b29e9917e2e9544cf8b8d9d54e91bc8b302310d79e97fa84422d59fc630e7c4f",
     },
     ("large-scale", 10): {
@@ -176,11 +176,11 @@ PINNED_SHA256 = {
         "geometry.json": "20ed17e101a2de8ed22c07faf41dbe86011ac685e21d59f14465f1e883f7750e",
         "linkage.json": "5b07068e4de16bd4acc8f4047f4091c77a597f7330aa9b737dd9c00eb55cef9e",
         "load_report.json": "a9801e03c29012c77ae340e1f2894f24ec65379d9ac4803b907773f68f39f3b1",
-        "map_P1.json": "c0fdf2369fdb17091bb5954ec442741e6fd7e3ce14da5f9934396953d08ef111",
+        "map_P1.json": "a0fb018a24ba0efca797257547a92b1667a463914afa102f391b07462538e9c3",
         "map_P1.svg": "9eb94d718f4fbce5600cabbe59c24546e1f003d0a98da113b0f2f2cf2d364d83",
-        "map_P2.json": "c37288d0d0f21101cbf53d1447ea6d6c279d0bd4c8630c30bb12e9271b19df5e",
+        "map_P2.json": "656ae4e485f2cc6d754ce62eb5931809c0db7ec0fdf386f6cead5e04239a4931",
         "map_P2.svg": "19a5f6fcbf812ab1f04fffbf3d2e297ea7d251aeee35cf347d27d23fefe19c0e",
-        "provenance.json": "687af6276dc643ed2175124878743073027c622fe73f55095c73d6d5fac29071",
+        "provenance.json": "6ad776ded1bef6e98a5fed75f60fdb0ced1875d6040ef3f3dcc46b3235991a52",
         "terms.csv": "2464ff1da5b871c2cbdec1543072adac1dbcadfb4026c24af19b5bcf32fab7d2",
     },
 }
@@ -307,8 +307,8 @@ def test_06_eigensolver_matches_jacobi_and_collinear_example():
     for _ in range(100):
         A = rng.standard_normal((5, 5))
         S = (A + A.T) / 2.0
-        values, _ = symmetric_eigenpairs(S.tolist())
-        assert np.allclose(sorted(values, reverse=True), jacobi_eigenvalues(S), atol=1e-8)
+        values, _ = leading_eigenpairs(S.tolist(), 5)
+        assert np.allclose(values, jacobi_eigenvalues(S), atol=1e-8)
 
     gram = gram_matrix(sparse_rows([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
     coords, eigenvalues, _ = pca_2d(gram)

@@ -13,11 +13,14 @@ matches a plain sort. geometry.json reads back what was written, and its
 read checks the shapes against k, the finiteness of every product and
 each label against its top terms. Every JSON artifact of a `run`, read
 with its reader and written again through `write_json`, keeps its bytes.
+`encode` reaches a record however deep in tuples its field's type puts it,
+and keeps a tuple whose type holds no record as it is.
 """
 
 import json
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -274,3 +277,36 @@ def test_a_json_artifact_of_a_run_rewrites_its_own_bytes(preset_run, tmp_path, n
     path = tmp_path / name
     assert artifacts.write_json(encode(record), str(path)) == artifacts.sha256_file(str(out / name))
     assert path.read_bytes() == (out / name).read_bytes()
+
+
+class _Leaf(NamedTuple):
+    name: str
+    weight: float
+
+
+class _Nest(NamedTuple):
+    grid: tuple[tuple[_Leaf, ...], ...]
+    plain: tuple[tuple[float, ...], ...]
+    pair: tuple[int, int]
+    maybe: _Leaf | None = None
+
+
+def test_encode_reaches_a_record_nested_in_a_tuple_of_tuples(tmp_path):
+    nest = _Nest(
+        grid=((_Leaf("a", 1.0),), (), (_Leaf("b", 0.5), _Leaf("c", -2.0))),
+        plain=((1.0, 2.5), (3.0,)),
+        pair=(1, 2),
+        maybe=_Leaf("d", 0.25),
+    )
+    data = encode(nest)
+    leaf = {"name": "a", "weight": 1.0}
+    assert data["grid"] == [[leaf], [], [{"name": "b", "weight": 0.5}, {"name": "c", "weight": -2.0}]]
+    assert data["maybe"] == {"name": "d", "weight": 0.25}
+    assert data["plain"] is nest.plain and data["pair"] is nest.pair  # json writes them as arrays
+    written = json.loads(json.dumps(data))
+    assert written["plain"] == [[1.0, 2.5], [3.0]] and written["pair"] == [1, 2]
+    assert decode(_Nest, written) == nest
+    assert encode(nest._replace(maybe=None))["maybe"] is None
+    assert encode((nest, (_Leaf("e", 0.0),))) == [data, [{"name": "e", "weight": 0.0}]]  # untyped tuples: every item
+    artifacts.write_json(nest, str(tmp_path / "nest.json"))
+    assert artifacts.read_json(str(tmp_path / "nest.json")) == written

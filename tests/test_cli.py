@@ -17,6 +17,7 @@ import logging
 import os
 import platform
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -2026,6 +2027,7 @@ class TestPackageImport:
             "diachron.cluster", "diachron.diachrony", "diachron.vectorize",
             "diachron.corpus", "diachron.diffusion", "platform", "html",
             "importlib.metadata", "email", "hashlib", "dataclasses", "inspect",
+            "logging", "diachron.mapping",
         )
         code = (
             "import sys\n"
@@ -2046,21 +2048,26 @@ class TestPackageImport:
         # load neither corpus nor diffusion. Every stage checks the sha256 of
         # what it reads or writes, so every stage loads hashlib. The records are
         # NamedTuples, so no stage loads `dataclasses` itself: only cluster and
-        # run do, through scipy.sparse. A re-ingest of the same input keeps
-        # every artifact's bytes
+        # run do, through scipy.sparse. Under the default DIACHRON_LOG no stage
+        # loads `logging` itself either (cluster and run do, through scipy),
+        # and only the stages that build, read or draw a map, or the Gram
+        # matrices of geometry.json, load the map code: link takes its cosines
+        # from artifacts. A re-ingest of the same input keeps every artifact's
+        # bytes
         terms = ["diachron.corpus", "diachron.diffusion", "diachron.vectorize", "hashlib", "inspect", "numpy", "platform"]
         fit = [
-            "concurrent.futures", "dataclasses", "diachron.cluster", "diachron.corpus", "diachron.vectorize",
-            "email", "hashlib", "importlib.metadata", "inspect", "numpy", "platform", "scipy",
+            "concurrent.futures", "dataclasses", "diachron.cluster", "diachron.corpus", "diachron.mapping",
+            "diachron.vectorize", "email", "hashlib", "importlib.metadata", "inspect", "logging", "numpy",
+            "platform", "scipy",
         ]
         for gini_cells, stages in (
             ("categories", (
                 ("ingest", ["diachron.corpus", "hashlib"]),
                 ("terms", terms),
                 ("cluster", fit),
-                ("map", ["hashlib"]),
+                ("map", ["diachron.mapping", "hashlib"]),
                 ("link", ["diachron.diachrony", "diachron.diffusion", "hashlib"]),
-                ("report", ["hashlib"]),
+                ("report", ["diachron.mapping", "hashlib"]),
                 ("run", sorted([*fit, "diachron.diachrony", "diachron.diffusion"])),
             )),
             ("clusters", (("terms", terms),)),
@@ -2076,11 +2083,16 @@ class TestPackageImport:
                     [sys.executable, "-c", code, stage, "--config", str(config), "--out", str(out)],
                     capture_output=True,
                     text=True,
-                    env={**os.environ, "PYTHONPATH": src},
+                    env={**_without_log_level(), "PYTHONPATH": src},
                 )
                 assert proc.returncode == 0, proc.stderr
                 assert proc.stdout.strip() == repr(loaded), (gini_cells, stage)
             assert dir_hashes(out) == before
+
+
+def _without_log_level() -> dict[str, str]:
+    """This process's environment without DIACHRON_LOG, so that a child runs at the default level."""
+    return {name: value for name, value in os.environ.items() if name != "DIACHRON_LOG"}
 
 
 class TestModuleEntry:
@@ -2093,8 +2105,20 @@ class TestModuleEntry:
             [sys.executable, "-m", "diachron.cli", *map(str, argv)],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": src, **env},
+            env={**_without_log_level(), "PYTHONPATH": src, **env},
         )
+
+    def test_a_map_logs_its_two_timings_at_info_and_nothing_by_default(self, run_dir, tmp_path):
+        config, source = run_dir
+        out = shutil.copytree(source, tmp_path / "out")
+        proc = self.cli("map", "--config", config, "--out", out, DIACHRON_LOG="info")
+        assert proc.returncode == 0, proc.stderr
+        first, second = proc.stderr.splitlines()  # exactly two lines
+        assert re.fullmatch(r"INFO diachron: stage map finished in \d+\.\d\ds", first), first
+        assert re.fullmatch(r"INFO diachron: 1 stage\(s\) finished in \d+\.\d\ds", second), second
+        proc = self.cli("map", "--config", config, "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
     def test_run_and_error_exits(self, tmp_path):
         proc = self.cli("syngen", "--preset", "three-blocks", "--out", tmp_path / "corpus", "--seed", "3")

@@ -4,21 +4,21 @@ import math
 import numpy as np
 import pytest
 
+from diachron.artifacts import cosine
 from diachron.errors import NumericError
 from diachron.mapping import (
     MAX_RADIUS,
     build_cluster_map,
     build_edges,
     connected_components,
-    cosine,
     dot,
     gram_matrix,
+    leading_eigenpairs,
     pca_2d,
     render_svg,
-    symmetric_eigenpairs,
 )
 
-from oracles import jacobi_eigenvalues, sparse_rows
+from oracles import jacobi_eigenvalues, sparse_rows, symmetric_eigenpairs
 
 
 def _pca(dense):
@@ -56,9 +56,10 @@ class TestJacobiOracleSelfCheck:
 
 
 def _eigen(S):
-    """symmetric_eigenpairs of S as arrays: eigenvalues, eigenvectors as columns."""
-    vals, vecs = symmetric_eigenpairs(np.asarray(S, dtype=float).tolist())
-    return np.array(vals), np.array(vecs).T
+    """Every eigenpair of S by leading_eigenpairs, as arrays: eigenvalues
+    ascending, eigenvectors as columns."""
+    vals, vecs = leading_eigenpairs(np.asarray(S, dtype=float).tolist(), len(S))
+    return np.array(vals[::-1]), np.array(vecs[::-1]).T
 
 
 def _assert_eigenpairs(S, vals, vecs, lam):
@@ -126,6 +127,45 @@ class TestSymmetricEigenpairs:
         vals, vecs = _eigen(np.zeros((3, 3)))
         assert vals.tolist() == [0.0, 0.0, 0.0]
         assert np.array_equal(vecs.T @ vecs, np.eye(3))
+
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_two_leading_pairs_at_large_sizes(self, n):
+        # the map's use: two pairs of a k x k matrix, k up to 200 here
+        rng = np.random.default_rng(700 + n)
+        for _ in range(3 if n == 50 else 1):
+            S = _random_symmetric(rng, n)
+            vals, vecs = leading_eigenpairs(S.tolist(), 2)
+            scale = float(np.max(np.abs(S)))
+            assert vals[0] >= vals[1]
+            assert np.max(np.abs(np.array(vals) - np.linalg.eigvalsh(S)[::-1][:2])) <= 1e-12 * scale
+            jacobi = jacobi_eigenvalues(S, off_tol=1e-11)[:2]  # off_tol: rounding keeps off above 1e-13 at n 200
+            assert np.max(np.abs(np.array(vals) - jacobi)) <= 1e-10 * scale
+            V = np.array(vecs).T
+            assert np.max(np.abs(S @ V - V * vals)) <= 1e-12 * scale
+            assert np.max(np.abs(V.T @ V - np.eye(2))) <= 1e-12  # unit length, orthogonal
+
+    def test_leading_pairs_are_the_full_solvers_to_rounding(self):
+        rng = np.random.default_rng(8)
+        for n in (3, 8, 50):
+            S = _random_symmetric(rng, n).tolist()
+            vals, vecs = leading_eigenpairs(S, 2)
+            full_vals, full_vecs = symmetric_eigenpairs(S)
+            assert vals == full_vals[::-1][:2]  # the same QL, bit for bit
+            assert np.max(np.abs(np.array(vecs) - full_vecs[::-1][:2])) <= 1e-14
+
+    def test_tied_leading_pair_of_three_blocks_is_bit_identical_across_calls(self):
+        # three axes over disjoint terms, as three-blocks' clusters: lam1 = lam2
+        rng = np.random.default_rng(3)
+        axes = np.zeros((3, 36))
+        for b in range(3):
+            axes[b, 12 * b : 12 * b + 12] = rng.random(12)
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        gram = gram_matrix(sparse_rows(axes))
+        first = pca_2d(gram)
+        (lam1, lam2), explained = first[1], first[2]
+        assert lam1 == pytest.approx(lam2, rel=1e-12) and explained == pytest.approx(1.0)
+        for _ in range(3):
+            assert repr(pca_2d(gram)) == repr(first)
 
 
 class TestCosine:
